@@ -38,8 +38,7 @@ from .evaluate import (
     gmean,
     run_cv_experiment,
 )
-from .hie_mst import EdgeSets, hie_mst, propagate_dependencies, would_create_cycle
-from .hie_mst_lite import InstanceContext, hie_mst_lite, is_redundant_pair, remove_redundancy
+from .hie_mst import EdgeSets, hie_mst, hie_mst_lite, is_redundant_pair
 from .hierarchy import FeatureDag, build_dag, dag_from_file, random_dag
 from .mutual_info import JointCounts, ScoredEdge, cmi, joint_counts, rank_edges
 from .tan import learn_tan_structure, tree_total_score
@@ -58,7 +57,6 @@ __all__ = [
     "FittedClassifier",
     "FoldAssignment",
     "FriedmanHolmResult",
-    "InstanceContext",
     "JointCounts",
     "PlantedRule",
     "Prediction",
@@ -81,10 +79,8 @@ __all__ = [
     "load_dataset",
     "load_model",
     "predict",
-    "propagate_dependencies",
     "random_dag",
     "rank_edges",
-    "remove_redundancy",
     "repair_propagation",
     "run_cv_experiment",
     "save_dataset",
@@ -93,5 +89,4 @@ __all__ = [
     "subset",
     "tree_total_score",
     "validate_propagation",
-    "would_create_cycle",
 ]

@@ -19,11 +19,12 @@ from .dataset import (
     Dataset,
     generate_synthetic_with_rule,
     load_dataset,
+    load_instances,
     repair_propagation,
     save_dataset,
     validate_propagation,
 )
-from .errors import HieTanError, MissingClassColumn, WrongMethod
+from .errors import HieTanError, WrongMethod
 from .evaluate import (
     ALL_METHODS,
     METHOD_HIE_TAN,
@@ -59,19 +60,19 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_method=True):
+    def add_common(p, cv_flags=True):
         p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--dag", required=True, help="hierarchy TSV path")
-        if with_method:
-            p.add_argument(
-                "--method",
-                default="all",
-                choices=sorted(_METHOD_FLAGS) + ["all"],
-            )
-        p.add_argument("--folds", type=int, default=10)
+        p.add_argument(
+            "--method",
+            default="all",
+            choices=sorted(_METHOD_FLAGS) + ["all"],
+        )
+        if cv_flags:
+            p.add_argument("--folds", type=int, default=10)
+            p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--smoothing", type=float, default=1.0)
-        p.add_argument("--jobs", type=int, default=1)
 
     p_val = sub.add_parser("validate", help="check the hierarchy propagation rule")
     p_val.add_argument("--data", required=True)
@@ -88,7 +89,7 @@ def _build_parser() -> _Parser:
     p_cv.add_argument("--trace", help="write a JSON-lines decision trace here")
 
     p_train = sub.add_parser("train", help="fit a model on the full dataset")
-    add_common(p_train)
+    add_common(p_train, cv_flags=False)
     p_train.add_argument("--model", required=True, help="output model JSON")
 
     p_pred = sub.add_parser("predict", help="classify instances with a saved model")
@@ -259,7 +260,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_folds(args)
     method = args.method
     if method == "all":
         raise WrongUsage("train needs a single --method (tan or hie-tan)")
@@ -284,29 +284,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_instances_for_predict(path, expected_names):
-    try:
-        ds = load_dataset(path)
-        return ds.values
-    except MissingClassColumn:
-        pass
-    # Headers without the class column are accepted for unlabeled data.
-    import numpy as np
-
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    names = [t.strip() for t in lines[0].split(",")]
-    if tuple(names) != tuple(expected_names):
-        raise HieTanError(
-            "prediction data features do not match the model's feature names"
-        )
-    rows = [[int(t) for t in ln.split(",")] for ln in lines[1:]]
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), len(names))
-
-
 def cmd_predict(args) -> int:
     clf = load_model(args.model)
-    values = _load_instances_for_predict(args.data, clf.feature_names)
+    values = load_instances(args.data, clf.feature_names)
     lines = ["instance,label,log_posterior_0,log_posterior_1"]
     for idx, row in enumerate(values):
         pred = predict(clf, row)

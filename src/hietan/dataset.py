@@ -69,21 +69,24 @@ class Dataset:
         return self.values.shape[1]
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a CSV file per the grammar above, with line numbers in errors."""
+def _read_csv(path, class_required: bool):
+    """Parse a CSV file per the grammar above into (names, values, labels), with
+    line numbers in errors; labels are ``None`` if an optional class column is absent."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: missing header row", line=1)
     header = [t.strip() for t in lines[0].split(",")]
-    if header[-1] != "class":
+    labelled = header[-1] == "class"
+    if class_required and not labelled:
         raise MissingClassColumn(
             f"{path}: last header column must be 'class', got {header[-1]!r}"
         )
-    names = header[:-1]
+    names = header[:-1] if labelled else header
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate feature names in header", line=1)
     n_features = len(names)
+    width = n_features + labelled
 
     rows: list[list[int]] = []
     labels: list[int] = []
@@ -91,10 +94,9 @@ def load_dataset(path) -> Dataset:
         if not raw.strip():
             continue
         tokens = [t.strip() for t in raw.split(",")]
-        if len(tokens) != n_features + 1:
+        if len(tokens) != width:
             raise ParseError(
-                f"{path}:{lineno}: expected {n_features + 1} values, "
-                f"got {len(tokens)}",
+                f"{path}:{lineno}: expected {width} values, got {len(tokens)}",
                 line=lineno,
             )
         for tok in tokens:
@@ -102,11 +104,27 @@ def load_dataset(path) -> Dataset:
                 raise NonBinaryValue(
                     f"{path}:{lineno}: value {tok!r} is not 0 or 1"
                 )
-        rows.append([int(t) for t in tokens[:-1]])
-        labels.append(int(tokens[-1]))
+        rows.append([int(t) for t in tokens[:n_features]])
+        if labelled:
+            labels.append(int(tokens[-1]))
 
     values = np.array(rows, dtype=np.uint8).reshape(len(rows), n_features)
-    return Dataset(values, np.array(labels, dtype=np.uint8), tuple(names))
+    return tuple(names), values, np.array(labels, dtype=np.uint8) if labelled else None
+
+
+def load_dataset(path) -> Dataset:
+    """Load a labelled dataset; the ``class`` column is mandatory."""
+    names, values, labels = _read_csv(path, class_required=True)
+    return Dataset(values, labels, names)
+
+
+def load_instances(path, feature_names: Sequence[str]) -> np.ndarray:
+    """Load instances to classify: the ``class`` column is optional and
+    ignored, and the header must list exactly ``feature_names`` in order."""
+    names, values, _ = _read_csv(path, class_required=False)
+    if names != tuple(feature_names):
+        raise ParseError(f"{path}: header does not match the model's feature names", line=1)
+    return values
 
 
 def save_dataset(ds: Dataset, path) -> None:

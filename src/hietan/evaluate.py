@@ -24,8 +24,7 @@ from .errors import (
     IncompleteTable,
     UndefinedClassSide,
 )
-from .hie_mst import hie_mst
-from .hie_mst_lite import hie_mst_lite
+from .hie_mst import hie_mst, hie_mst_lite
 from .hierarchy import FeatureDag
 from .mutual_info import rank_edges
 from .tan import learn_tan_structure

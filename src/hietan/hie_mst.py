@@ -1,4 +1,4 @@
-"""Hierarchy-constrained maximum-spanning-tree learning.
+"""Hierarchy-constrained maximum-spanning-tree learning, eager and lazy.
 
 Candidate edges arrive sorted descending by conditional mutual information
 and are processed greedily. A pair whose endpoints are hierarchically related
@@ -21,6 +21,14 @@ legal direction left is dropped with a warning.
 Cycle checks treat directed and undirected edges alike, so the working
 skeleton is always a forest and the result is a single-parent forest whose
 directed edges never oppose the hierarchy.
+
+The lazy learner (``hie_mst_lite``) runs the same pass for one test instance,
+where two related features carrying the same value are redundant. Two gates
+follow the cycle check (the edge must be available and its pair must not be
+redundant), and each insertion deactivates the relatives of the endpoints that
+duplicate an endpoint's value. Every edge starts available and a deactivated
+feature is never reactivated, so "unavailable" <=> "an endpoint is inactive":
+an active-feature mask is the only per-instance state.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import random
 import warnings
 from typing import Callable, Optional, Sequence
 
+from .errors import DimensionMismatch
 from .hierarchy import FeatureDag
 from .mutual_info import ScoredEdge
 from .tree import DependencyTree, UnionFind
@@ -40,25 +49,16 @@ class EdgeSets:
     """Working state of the constrained learner: directed edges, undirected
     edges, the derived parent map, and a union-find over the skeleton."""
 
-    __slots__ = ("n_features", "directed", "undirected", "parent_of", "_uf")
+    __slots__ = ("directed", "undirected", "parent_of", "_uf")
 
     def __init__(self, n_features: int):
-        self.n_features = n_features
         self.directed: list[tuple[int, int]] = []  # (parent, child)
         self.undirected: list[tuple[int, int]] = []  # (a, b) with a < b
         self.parent_of: dict[int, int] = {}
         self._uf = UnionFind(n_features)
 
-    def copy(self) -> "EdgeSets":
-        out = EdgeSets.__new__(EdgeSets)
-        out.n_features = self.n_features
-        out.directed = list(self.directed)
-        out.undirected = list(self.undirected)
-        out.parent_of = dict(self.parent_of)
-        out._uf = self._uf.copy()
-        return out
-
     def connected(self, a: int, b: int) -> bool:
+        """True iff a and b share a component of the directed + undirected skeleton."""
         return self._uf.connected(a, b)
 
     def has_parent(self, v: int) -> bool:
@@ -87,16 +87,6 @@ class EdgeSets:
         # re-admits edges, so a stale union is harmless and keeps this O(1).
 
 
-def would_create_cycle(sets: EdgeSets, edge: tuple[int, int]) -> bool:
-    """True iff both endpoints already sit in one connected component of the
-    combined directed + undirected skeleton."""
-    return sets.connected(edge[0], edge[1])
-
-
-def violates_single_parent(sets: EdgeSets, child: int) -> bool:
-    return sets.has_parent(child)
-
-
 def _note(trace: TraceFn, decision: str, i: int, j: int, **extra) -> None:
     if trace is not None:
         entry = {"decision": decision, "i": i, "j": j}
@@ -121,14 +111,6 @@ def _propagate(sets: EdgeSets, trace: TraceFn = None) -> None:
             moved = True
 
 
-def propagate_dependencies(sets: EdgeSets) -> EdgeSets:
-    """Functional form of the propagation fixpoint (the learners use the
-    in-place variant internally; both share the same loop)."""
-    out = sets.copy()
-    _propagate(out)
-    return out
-
-
 def _orient_residual(sets: EdgeSets, rng: random.Random, trace: TraceFn = None) -> None:
     """Randomly direct whatever stayed undirected, in insertion order."""
     for pair in list(sets.undirected):
@@ -143,7 +125,7 @@ def _orient_residual(sets: EdgeSets, rng: random.Random, trace: TraceFn = None) 
                 f"dropping edge {pair}: both endpoints already have parents, "
                 "no orientation is legal",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             sets._drop_undirected(pair)
             _note(trace, "rejected_single_parent", a, b)
@@ -164,11 +146,11 @@ def _insert_constrained(
 
     Runs propagation to a fixpoint after every directed insertion. Returns
     True iff the edge entered the working sets (directed or undirected), so
-    the lazy learner knows when its redundancy hook must fire.
+    the lazy learner knows when to deactivate redundant relatives.
     """
     if dag.hierarchically_related(i, j):
         parent, child = (i, j) if dag.is_ancestor(i, j) else (j, i)
-        if violates_single_parent(sets, child):
+        if sets.has_parent(child):
             _note(trace, "rejected_single_parent", i, j)
             return False
         sets.add_directed(parent, child)
@@ -192,6 +174,60 @@ def _insert_constrained(
     return True
 
 
+def is_redundant_pair(dag: FeatureDag, values, a: int, b: int) -> bool:
+    """True iff the features are hierarchically related and carry the same
+    value in this instance."""
+    return dag.hierarchically_related(a, b) and int(values[a]) == int(values[b])
+
+
+def _deactivate_relatives(
+    dag: FeatureDag, values, active: list[bool], edge: tuple[int, int], trace: TraceFn = None
+) -> set[int]:
+    """Clear ``active`` for every ancestor/descendant of the edge's endpoints
+    that shares that endpoint's value (the endpoints stay active), and return
+    the features this call deactivated."""
+    i, j = edge
+    removed = set()
+    for v in (i, j):
+        val = values[v]
+        for u in dag.related(v):
+            if u == i or u == j:
+                continue
+            if active[u] and values[u] == val:
+                active[u] = False
+                removed.add(u)
+                _note(trace, "relative_removed", i, j, feature=u, endpoint=v)
+    return removed
+
+
+def _grow(
+    edges: Sequence[ScoredEdge], dag: FeatureDag, n_features: int, seed: int,
+    values: Optional[list[int]], trace: TraceFn,
+) -> tuple[DependencyTree, list[bool]]:
+    """The greedy pass of both learners: eager with ``values=None``, lazy with
+    an instance's values, returning the tree and the final active mask."""
+    rng = random.Random(seed)
+    sets = EdgeSets(n_features)
+    active = [True] * n_features
+    for e in edges:
+        i, j = e.i, e.j
+        if sets.connected(i, j):
+            _note(trace, "rejected_cycle", i, j)
+            continue
+        if values is not None:
+            if not (active[i] and active[j]):
+                _note(trace, "rejected_unavailable", i, j)
+                continue
+            if is_redundant_pair(dag, values, i, j):
+                _note(trace, "rejected_redundant", i, j)
+                continue
+        if _insert_constrained(sets, dag, i, j, trace) and values is not None:
+            _deactivate_relatives(dag, values, active, (i, j), trace)
+    _orient_residual(sets, rng, trace)
+    tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
+    return tree, active
+
+
 def hie_mst(
     edges: Sequence[ScoredEdge],
     dag: FeatureDag,
@@ -205,12 +241,27 @@ def hie_mst(
     than ``n_features - 1`` edges: constraint rejections can exhaust the
     candidates, and leftover features simply become roots.
     """
-    rng = random.Random(seed)
-    sets = EdgeSets(n_features)
-    for e in edges:
-        if would_create_cycle(sets, e.pair):
-            _note(trace, "rejected_cycle", e.i, e.j)
-            continue
-        _insert_constrained(sets, dag, e.i, e.j, trace)
-    _orient_residual(sets, rng, trace)
-    return DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
+    return _grow(edges, dag, n_features, seed, None, trace)[0]
+
+
+def hie_mst_lite(
+    edges: Sequence[ScoredEdge],
+    dag: FeatureDag,
+    instance,
+    n_features: int,
+    seed: int,
+    trace: TraceFn = None,
+) -> tuple[DependencyTree, frozenset[int]]:
+    """Learn one instance-specific tree and report the surviving features.
+
+    Features removed as redundant contribute no likelihood factor when the
+    instance is classified. On a hierarchy with no edges this degenerates to
+    the eager learner: no pair is ever redundant, nothing gets deactivated,
+    and the two learners consume the seed identically, so their outputs
+    coincide edge for edge.
+    """
+    values = [int(v) for v in instance]
+    if len(values) != n_features:
+        raise DimensionMismatch(f"instance has {len(values)} values, expected {n_features}")
+    tree, active = _grow(edges, dag, n_features, seed, values, trace)
+    return tree, frozenset(f for f in range(n_features) if active[f])

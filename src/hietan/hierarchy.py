@@ -134,14 +134,6 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
     return FeatureDag(n_features, frozenset(edges), tuple(anc), tuple(desc), related)
 
 
-def is_ancestor(dag: FeatureDag, a: int, b: int) -> bool:
-    return dag.is_ancestor(a, b)
-
-
-def hierarchically_related(dag: FeatureDag, a: int, b: int) -> bool:
-    return dag.hierarchically_related(a, b)
-
-
 def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:
     """Sample an acyclic edge list: fix a random topological order, then draw
     ``n_edges`` distinct pairs oriented along it."""

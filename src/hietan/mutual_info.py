@@ -25,14 +25,6 @@ from .dataset import Dataset
 from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange
 from .hierarchy import FeatureDag
 
-AVAILABLE = "available"
-UNAVAILABLE = "unavailable"
-
-DIR_I_TO_J = "i_to_j"
-DIR_J_TO_I = "j_to_i"
-DIR_NONE = "none"
-
-
 @dataclass(frozen=True)
 class JointCounts:
     """8-cell contingency table over (x_i, x_j, y), plus the instance total."""
@@ -54,18 +46,12 @@ class JointCounts:
 
 @dataclass(frozen=True)
 class ScoredEdge:
-    """Candidate dependency between features ``i < j``.
-
-    ``direction`` records the hierarchy's verdict: the ancestor endpoint (if
-    any) must become the parent. ``status`` starts available; the lazy learner
-    keeps its own per-instance copy and never mutates shared edges.
-    """
+    """Candidate dependency between features ``i < j``. Which endpoint may
+    become the parent is the hierarchy's call, so the learners ask the DAG."""
 
     i: int
     j: int
     score: float
-    direction: str = DIR_NONE
-    status: str = AVAILABLE
 
     def __post_init__(self):
         if not self.i < self.j:
@@ -122,14 +108,6 @@ def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
     return math.fsum(terms)
 
 
-def _direction(dag: FeatureDag, i: int, j: int) -> str:
-    if dag.is_ancestor(i, j):
-        return DIR_I_TO_J
-    if dag.is_ancestor(j, i):
-        return DIR_J_TO_I
-    return DIR_NONE
-
-
 def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[ScoredEdge]:
     """Score all n(n-1)/2 feature pairs and sort them for the tree learners.
 
@@ -163,6 +141,6 @@ def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[Sco
                 table[0, 1, y] = n01
                 table[0, 0, y] = total - n11 - n10 - n01
             counts = JointCounts(table.copy(), ds.n_instances)
-            out.append(ScoredEdge(i, j, cmi(counts, smoothing), _direction(dag, i, j)))
+            out.append(ScoredEdge(i, j, cmi(counts, smoothing)))
     out.sort(key=lambda e: (-e.score, e.i, e.j))
     return out

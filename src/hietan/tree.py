@@ -35,12 +35,6 @@ class UnionFind:
             self.rank[ra] += 1
         return True
 
-    def copy(self) -> "UnionFind":
-        out = UnionFind(0)
-        out.parent = list(self.parent)
-        out.rank = list(self.rank)
-        return out
-
 
 @dataclass(frozen=True)
 class DependencyTree:

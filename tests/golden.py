@@ -56,6 +56,29 @@ GOLDEN_LITE_PARENTS = (4, 5, None, None, 1, None)
 GOLDEN_LITE_ACTIVE = frozenset({0, 1, 4, 5})
 GOLDEN_LITE_REMOVED = frozenset({2, 3})
 
+# Every decision hie_mst_lite records for the walkthrough instance (seed 0):
+# C--F is redundant (both 1); E->A enters and removes D (=A) and C (=E); the
+# eight candidates left touching C or D are unavailable; F->B and B->E enter.
+GOLDEN_LITE_TRACE = [
+    {"decision": "rejected_redundant", "i": 2, "j": 5},
+    {"decision": "accepted_directed", "i": 0, "j": 4, "parent": 4, "child": 0},
+    {"decision": "relative_removed", "i": 0, "j": 4, "feature": 3, "endpoint": 0},
+    {"decision": "relative_removed", "i": 0, "j": 4, "feature": 2, "endpoint": 4},
+    {"decision": "rejected_unavailable", "i": 0, "j": 2},
+    {"decision": "rejected_unavailable", "i": 2, "j": 3},
+    {"decision": "rejected_unavailable", "i": 1, "j": 3},
+    {"decision": "accepted_directed", "i": 1, "j": 5, "parent": 5, "child": 1},
+    {"decision": "accepted_directed", "i": 1, "j": 4, "parent": 1, "child": 4},
+    {"decision": "rejected_unavailable", "i": 2, "j": 4},
+    {"decision": "rejected_unavailable", "i": 3, "j": 5},
+    {"decision": "rejected_cycle", "i": 4, "j": 5},
+    {"decision": "rejected_cycle", "i": 0, "j": 5},
+    {"decision": "rejected_cycle", "i": 0, "j": 1},
+    {"decision": "rejected_unavailable", "i": 1, "j": 2},
+    {"decision": "rejected_unavailable", "i": 0, "j": 3},
+    {"decision": "rejected_unavailable", "i": 3, "j": 4},
+]
+
 
 def golden_dataset() -> Dataset:
     arr = np.array(GOLDEN_ROWS, dtype=np.uint8)

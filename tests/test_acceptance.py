@@ -23,8 +23,7 @@ from hietan.dataset import (
     validate_propagation,
 )
 from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_experiment
-from hietan.hie_mst import EdgeSets, hie_mst, propagate_dependencies
-from hietan.hie_mst_lite import hie_mst_lite, is_redundant_pair
+from hietan.hie_mst import hie_mst, hie_mst_lite, is_redundant_pair
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
 from hietan.mutual_info import ScoredEdge, cmi, joint_counts, rank_edges
 from hietan.tan import learn_tan_structure, tree_total_score
@@ -75,35 +74,51 @@ def test_criterion_02_hie_mst_lite_golden_tree(canonical_dag):
     )
 
 
-def test_criterion_03_propagation_scenarios(canonical_dag):
-    # One parented endpoint: C--A becomes C->A.
-    sets_c = EdgeSets(6)
-    sets_c.add_directed(F, C)
-    sets_c.add_undirected(C, A)
-    out_c = propagate_dependencies(sets_c)
-    oriented = (C, A) in out_c.directed and not out_c.undirected
-
-    # Both endpoints parented: processing C--A rejects it outright.
-    scores = {(C, F): 3.0, (A, E): 2.0, (A, C): 1.0}
-    edges = sorted(
-        (ScoredEdge(i, j, scores.get((i, j), 0.0)) for i, j in combinations(range(6), 2)),
+def _sorted_edges(scores, n=6):
+    return sorted(
+        (ScoredEdge(i, j, scores.get((i, j), 0.0)) for i, j in combinations(range(n), 2)),
         key=lambda e: (-e.score, e.i, e.j),
     )
+
+
+def _decisions(trace, pair):
+    return [t["decision"] for t in trace if (t["i"], t["j"]) == pair]
+
+
+def test_criterion_03_propagation_scenarios(canonical_dag):
+    # One parented endpoint: C--A enters undirected, then F->C orients it C->A.
+    edges = [ScoredEdge(A, C, 2.0), ScoredEdge(C, F, 1.0)]
     trace = []
     tree = hie_mst(edges, canonical_dag, 6, seed=0, trace=trace.append)
+    oriented = (
+        _decisions(trace, (A, C)) == ["accepted_undirected", "oriented_by_propagation"]
+        and tree.parent_of[A] == C
+        and tree.parent_of[C] == F
+    )
+
+    # Both endpoints parented: processing C--A rejects it outright.
+    trace = []
+    tree = hie_mst(
+        _sorted_edges({(C, F): 3.0, (A, E): 2.0, (A, C): 1.0}),
+        canonical_dag, 6, seed=0, trace=trace.append,
+    )
     rejected = (
         {(t["i"], t["j"]): t["decision"] for t in trace}[(A, C)]
         == "rejected_single_parent"
         and (A, C) not in {(min(p, c), max(p, c)) for p, c in tree.edges()}
     )
 
-    # Both endpoints are parents of others: F--E stays undirected.
-    sets_e = EdgeSets(6)
-    sets_e.add_directed(F, C)
-    sets_e.add_directed(E, A)
-    sets_e.add_undirected(F, E)
-    out_e = propagate_dependencies(sets_e)
-    retained = out_e.undirected == [(E, F)] and len(out_e.directed) == 2
+    # Both endpoints are parents of others: E--F enters undirected and no
+    # propagation touches it; only the final coin orients it.
+    edges = [ScoredEdge(C, F, 3.0), ScoredEdge(A, E, 2.0), ScoredEdge(E, F, 1.0)]
+    trace = []
+    tree = hie_mst(edges, canonical_dag, 6, seed=0, trace=trace.append)
+    retained = (
+        _decisions(trace, (E, F)) == ["accepted_undirected", "oriented_randomly"]
+        and tree.parent_of[C] == F
+        and tree.parent_of[A] == E
+        and len(tree.edges()) == 3
+    )
 
     _report(3, "dependency propagation: orient / reject / keep undirected",
             oriented and rejected and retained)

@@ -147,6 +147,63 @@ class TestTrainPredict:
         assert len(lines) == ds.n_instances + 1
         assert lines[0].startswith("instance,label")
 
+    def test_train_has_no_cv_flags(self, synth_files, tmp_path, capsys):
+        data, dag = synth_files
+        for flag in ("--folds", "--jobs"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "train", "--data", str(data), "--dag", str(dag),
+                    "--method", "hie-tan", "--model", str(tmp_path / "m.json"),
+                    flag, "1",
+                ])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("f0,f1,f2,f3,f4,f5,f6,f7", "0,1,2,0,1,0,1,0"),  # non-binary token
+            ("f0,f1,f2,f3,f4,f5,f6,f7", "0,1,0,1"),  # short row
+            ("f7,f1,f2,f3,f4,f5,f6,f0,class", "0,1,0,1,0,1,0,1,0"),  # other header
+        ],
+        ids=["bad-token", "short-row", "header-mismatch"],
+    )
+    def test_predict_rejects_bad_input(self, synth_files, tmp_path, capsys, header, row):
+        data, dag = synth_files
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--dag", str(dag),
+            "--method", "hie-tan", "--model", str(model),
+        ]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{row}\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_predict_unlabelled_matches_labelled(self, synth_files, tmp_path, capsys):
+        data, dag = synth_files
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--dag", str(dag),
+            "--method", "hie-tan", "--model", str(model),
+        ]) == 0
+        lines = data.read_text().splitlines()
+        unlabelled = tmp_path / "unlabelled.csv"
+        unlabelled.write_text(
+            "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n"
+        )
+        outs = []
+        for path in (data, unlabelled):
+            out = tmp_path / f"{path.stem}.preds.csv"
+            assert main(["predict", "--model", str(model), "--data", str(path),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == len(lines)
+
     def test_train_lite_rejected(self, synth_files, tmp_path, capsys):
         data, dag = synth_files
         rc = main([

@@ -4,13 +4,7 @@ from itertools import combinations
 import numpy as np
 
 from hietan.dataset import Dataset
-from hietan.hie_mst import (
-    EdgeSets,
-    hie_mst,
-    propagate_dependencies,
-    violates_single_parent,
-    would_create_cycle,
-)
+from hietan.hie_mst import EdgeSets, _propagate, hie_mst
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import ScoredEdge, rank_edges
 
@@ -48,11 +42,11 @@ class TestEdgeSetOps:
         sets = EdgeSets(6)
         for p, c in [(F, C), (E, A), (C, D), (D, B), (B, E)]:
             sets.add_directed(p, c)
-        assert would_create_cycle(sets, (F, B))
+        assert sets.connected(F, B)
 
     def test_empty_sets_no_cycle(self):
         sets = EdgeSets(4)
-        assert not would_create_cycle(sets, (0, 3))
+        assert not sets.connected(0, 3)
 
     def test_cycle_agrees_with_dfs_oracle(self):
         rng = random.Random(8)
@@ -69,16 +63,16 @@ class TestEdgeSetOps:
                     sets.add_undirected(a, b)
             for a in range(n):
                 for b in range(a + 1, n):
-                    assert would_create_cycle(sets, (a, b)) == dfs_connected(sets, a, b)
+                    assert sets.connected(a, b) == dfs_connected(sets, a, b)
 
     def test_single_parent_checks(self):
         sets = EdgeSets(6)
-        assert not violates_single_parent(sets, C)
+        assert not sets.has_parent(C)
         sets.add_directed(F, C)
-        assert violates_single_parent(sets, C)
-        assert not violates_single_parent(sets, F)
+        assert sets.has_parent(C)
+        assert not sets.has_parent(F)
         sets.add_directed(D, B)
-        assert violates_single_parent(sets, B)
+        assert sets.has_parent(B)
 
 
 class TestPropagation:
@@ -87,11 +81,12 @@ class TestPropagation:
         sets = EdgeSets(6)
         sets.add_directed(F, C)
         sets.add_undirected(C, A)
-        out = propagate_dependencies(sets)
-        assert (C, A) in out.directed
-        assert out.undirected == []
-        # The input is untouched.
-        assert sets.undirected == [(A, C)]
+        trace = []
+        _propagate(sets, trace.append)
+        assert (C, A) in sets.directed
+        assert sets.undirected == []
+        assert trace == [{"decision": "oriented_by_propagation", "i": A, "j": C,
+                          "parent": C, "child": A}]
 
     def test_keeps_edge_between_two_parents(self):
         # Both endpoints are parents of something, so F--E stays put.
@@ -99,15 +94,15 @@ class TestPropagation:
         sets.add_directed(F, C)
         sets.add_directed(E, A)
         sets.add_undirected(F, E)
-        out = propagate_dependencies(sets)
-        assert out.undirected == [(E, F)]
-        assert len(out.directed) == 2
+        _propagate(sets)
+        assert sets.undirected == [(E, F)]
+        assert len(sets.directed) == 2
 
     def test_no_undirected_edges_noop(self):
         sets = EdgeSets(3)
         sets.add_directed(0, 1)
-        out = propagate_dependencies(sets)
-        assert out.directed == sets.directed and out.undirected == []
+        _propagate(sets)
+        assert sets.directed == [(0, 1)] and sets.undirected == []
 
     def test_fixpoint(self):
         sets = EdgeSets(8)
@@ -115,13 +110,13 @@ class TestPropagation:
         sets.add_undirected(2, 3)
         sets.add_undirected(3, 4)
         sets.add_directed(0, 1)
-        once = propagate_dependencies(sets)
-        twice = propagate_dependencies(once)
-        assert once.directed == twice.directed
-        assert once.undirected == twice.undirected
+        _propagate(sets)
+        once = (list(sets.directed), list(sets.undirected))
+        _propagate(sets)
+        assert (sets.directed, sets.undirected) == once
         # The whole chain cascades into directed edges.
-        assert (1, 2) in once.directed and (2, 3) in once.directed
-        assert (3, 4) in once.directed
+        assert (1, 2) in sets.directed and (2, 3) in sets.directed
+        assert (3, 4) in sets.directed
 
 
 class TestHieMst:

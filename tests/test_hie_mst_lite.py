@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from hietan.dataset import Dataset
-from hietan.hie_mst import hie_mst
-from hietan.hie_mst_lite import (
-    build_context,
-    hie_mst_lite,
-    is_redundant_pair,
-    remove_redundancy,
-)
+from hietan.hie_mst import _deactivate_relatives, hie_mst, hie_mst_lite, is_redundant_pair
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import UNAVAILABLE, rank_edges
+from hietan.mutual_info import rank_edges
 from hietan.errors import IndexOutOfRange
 
 from conftest import A, B, C, D, E, F
@@ -21,6 +15,7 @@ from golden import (
     GOLDEN_LITE_ACTIVE,
     GOLDEN_LITE_PARENTS,
     GOLDEN_LITE_REMOVED,
+    GOLDEN_LITE_TRACE,
     golden_dataset,
 )
 
@@ -56,27 +51,31 @@ class TestRedundantPair:
 
 class TestRemoveRedundancy:
     def test_walkthrough_removals(self, canonical_dag):
+        active = [True] * 6
+        removed = _deactivate_relatives(canonical_dag, GOLDEN_INSTANCE, active, (E, A))
+        assert removed == {C, D}
+        assert {f for f in range(6) if active[f]} == {A, B, E, F}
+        # In the golden run, every candidate touching C or D after E--A is
+        # disabled; none of them would close a cycle first ...
         edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-        ctx = build_context(edges, GOLDEN_INSTANCE, 6)
-        remove_redundancy(ctx, canonical_dag, (E, A))
-        assert ctx.active_features == {A, B, E, F}
-        # Every candidate edge touching C or D is disabled.
+        trace = []
+        hie_mst_lite(edges, canonical_dag, GOLDEN_INSTANCE, 6, 0, trace.append)
+        scanned = [t for t in trace if t["decision"] != "relative_removed"]
+        after = scanned[[(t["i"], t["j"]) for t in scanned].index((A, E)) + 1:]
         yellow = [(A, C), (C, D), (B, D), (B, C), (C, E), (A, D), (D, F), (D, E)]
-        status = {e.pair: ctx.edge_status[pos] for pos, e in enumerate(edges)}
+        decided = {(t["i"], t["j"]): t["decision"] for t in after}
         for a, b in yellow:
-            assert status[(min(a, b), max(a, b))] == UNAVAILABLE
-        # Edges among surviving features stay available.
+            assert decided[(min(a, b), max(a, b))] == "rejected_unavailable"
+        # ... while edges among surviving features stay available.
         for pair in [(A, B), (B, F), (B, E), (E, F), (A, F)]:
-            assert status[(min(pair), max(pair))] != UNAVAILABLE
+            assert decided[(min(pair), max(pair))] != "rejected_unavailable"
 
     def test_no_shared_values_no_change(self, canonical_dag):
-        edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-        # E=1 with C=0, A=1, D=... choose values so no relative matches.
-        values = [1, 0, 0, 0, 1, 0]  # E=1: C=0, A=1(endpoint), D=0
-        ctx = build_context(edges, values, 6)
-        before = (set(ctx.active_features), list(ctx.edge_status))
-        remove_redundancy(ctx, canonical_dag, (E, A))
-        assert (set(ctx.active_features), list(ctx.edge_status)) == before
+        # E=1 with C=0, A=1(endpoint), D=0: no relative matches its endpoint.
+        values = [1, 0, 0, 0, 1, 0]
+        active = [True] * 6
+        assert _deactivate_relatives(canonical_dag, values, active, (E, A)) == set()
+        assert active == [True] * 6
 
     def test_matches_exhaustive_scan_oracle(self):
         rng = random.Random(5)
@@ -85,10 +84,8 @@ class TestRemoveRedundancy:
             dag = build_dag(n, random_dag(n, rng.randrange(0, 2 * n), trial))
             values = [rng.randrange(2) for _ in range(n)]
             i, j = rng.sample(range(n), 2)
-            ds = random_dataset(np.random.default_rng(trial), 12, n)
-            edges = rank_edges(ds, dag)
-            ctx = build_context(edges, values, n)
-            remove_redundancy(ctx, dag, (i, j))
+            active = [True] * n
+            removed = _deactivate_relatives(dag, values, active, (i, j))
             expected_removed = {
                 u
                 for v in (i, j)
@@ -97,7 +94,8 @@ class TestRemoveRedundancy:
                 and dag.hierarchically_related(u, v)
                 and values[u] == values[v]
             }
-            assert set(range(n)) - ctx.active_features == expected_removed
+            assert removed == expected_removed
+            assert {f for f in range(n) if not active[f]} == expected_removed
 
 
 class TestHieMstLite:
@@ -112,6 +110,7 @@ class TestHieMstLite:
         edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
         trace = []
         hie_mst_lite(edges, canonical_dag, GOLDEN_INSTANCE, 6, 0, trace.append)
+        assert trace == GOLDEN_LITE_TRACE
         first = [t for t in trace if (t["i"], t["j"]) == (C, F)][0]
         assert first["decision"] == "rejected_redundant"
         removed = {t["feature"] for t in trace if t["decision"] == "relative_removed"}
@@ -174,9 +173,9 @@ class TestHieMstLite:
 
     def test_shared_edges_not_mutated(self, canonical_dag):
         edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-        statuses = [e.status for e in edges]
+        before = list(edges)
         hie_mst_lite(edges, canonical_dag, GOLDEN_INSTANCE, 6, 0)
-        assert [e.status for e in edges] == statuses
+        assert edges == before
 
     def test_instance_independence(self, canonical_dag):
         # Re-running any instance after other instances gives the same output.

@@ -113,6 +113,13 @@ class TestQueries:
         for v in range(6):
             assert not canonical_dag.hierarchically_related(v, v)
 
+    def test_directions_follow_dag(self, canonical_dag):
+        # The learners orient a related pair ancestor -> descendant.
+        assert canonical_dag.is_ancestor(F, C) and not canonical_dag.is_ancestor(C, F)
+        assert canonical_dag.is_ancestor(E, A) and not canonical_dag.is_ancestor(A, E)
+        assert canonical_dag.is_ancestor(A, D) and not canonical_dag.is_ancestor(D, A)
+        assert not canonical_dag.hierarchically_related(A, C)
+
     def test_related_lists_both_directions(self, canonical_dag):
         assert set(canonical_dag.related(C)) == {F, E, D}
         assert set(canonical_dag.related(D)) == {A, C, E, F}
