@@ -40,8 +40,8 @@ from .evaluate import (
 )
 from .hie_mst import EdgeSets, hie_mst, hie_mst_lite, is_redundant_pair
 from .hierarchy import FeatureDag, build_dag, dag_from_file, random_dag
-from .mutual_info import JointCounts, ScoredEdge, cmi, joint_counts, rank_edges
-from .tan import learn_tan_structure, tree_total_score
+from .mutual_info import JointCounts, ScoredEdge, cmi, rank_edges
+from .tan import learn_tan_structure
 from .tree import DependencyTree
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "hie_mst",
     "hie_mst_lite",
     "is_redundant_pair",
-    "joint_counts",
     "learn_tan_structure",
     "load_dataset",
     "load_model",
@@ -87,6 +86,5 @@ __all__ = [
     "save_model",
     "stratified_folds",
     "subset",
-    "tree_total_score",
     "validate_propagation",
 ]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DimensionMismatch, EmptyTrainingSet, IndexOutOfRange
+from .mutual_info import check_smoothing
 from .tree import DependencyTree
 
 
@@ -59,8 +60,7 @@ def fit(
     smoothing: float = 1.0,
 ) -> FittedClassifier:
     """Estimate the prior and one CPT per active feature."""
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
+    smoothing = check_smoothing(smoothing)
     if ds.n_instances == 0:
         raise EmptyTrainingSet("cannot fit on zero instances")
     if tree.n_features != ds.n_features:
@@ -100,7 +100,7 @@ def fit(
         tree=tree,
         class_prior=prior,
         cpts=cpts,
-        smoothing=float(smoothing),
+        smoothing=smoothing,
         active_features=active,
         feature_names=ds.feature_names,
     )

@@ -37,7 +37,7 @@ from .evaluate import (
 )
 from .hie_mst import hie_mst
 from .hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
-from .mutual_info import rank_edges
+from .mutual_info import check_smoothing, rank_edges
 from .tan import learn_tan_structure
 
 _METHOD_FLAGS = {
@@ -53,6 +53,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _smoothing(text: str) -> float:
+    try:
+        return check_smoothing(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> _Parser:
@@ -72,7 +81,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--folds", type=int, default=10)
             p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--smoothing", type=float, default=1.0)
+        p.add_argument("--smoothing", type=_smoothing, default=1.0)
 
     p_val = sub.add_parser("validate", help="check the hierarchy propagation rule")
     p_val.add_argument("--data", required=True)

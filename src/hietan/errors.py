@@ -45,10 +45,6 @@ class EmptyFeatureSet(HieTanError):
     """A structure learner was asked to build a tree over zero features."""
 
 
-class UnknownEdge(HieTanError):
-    """A tree edge has no score in the candidate edge list."""
-
-
 class EmptyTrainingSet(HieTanError):
     """Classifier fitting requires at least one training instance."""
 

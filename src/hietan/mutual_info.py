@@ -10,8 +10,15 @@ contingency table with additive smoothing applied per joint cell; marginals
 derive from the smoothed joint, so the score is non-negative and exactly
 symmetric in (i, j). Terms with zero joint probability contribute nothing.
 
-All accumulation uses ``math.fsum`` so the result is independent of summation
-order (this is what makes cmi(i, j) == cmi(j, i) bit-exact).
+One kernel, ``_cmi_rows``, scores every table: ``rank_edges`` feeds it all
+pairs in fixed-size blocks and ``cmi`` is a one-row call. The element-wise
+steps (smoothed probabilities, marginals, ratios) are single IEEE operations,
+so NumPy computes them exactly as scalar code would. The order-sensitive steps
+stay scalar: ``math.fsum`` for P(y) and for the final sum, so the result is
+independent of summation order (this is what makes cmi(i, j) == cmi(j, i)
+bit-exact and keeps exact ties between different tables tied), and
+``math.log`` for the logarithms, because vectorised logs differ in the last
+bit between CPUs and the ranking must not.
 """
 
 from __future__ import annotations
@@ -22,8 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange
+from .errors import DegenerateDistribution, DimensionMismatch
 from .hierarchy import FeatureDag
+
+# Pairs per kernel call in rank_edges: bounds the transient arrays to a few
+# hundred kilobytes whatever the number of features.
+_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class JointCounts:
@@ -44,7 +56,7 @@ class JointCounts:
         object.__setattr__(self, "table", t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredEdge:
     """Candidate dependency between features ``i < j``. Which endpoint may
     become the parent is the hierarchy's call, so the learners ask the DAG."""
@@ -62,50 +74,40 @@ class ScoredEdge:
         return (self.i, self.j)
 
 
-def joint_counts(ds: Dataset, i: int, j: int) -> JointCounts:
-    """Exact contingency counts for the feature pair over all instances."""
-    for v in (i, j):
-        if not 0 <= v < ds.n_features:
-            raise IndexOutOfRange(f"feature index {v} outside [0, {ds.n_features})")
-    if i == j:
-        raise ValueError("joint counts need two distinct features")
-    code = (
-        ds.values[:, i].astype(np.int64) * 4
-        + ds.values[:, j].astype(np.int64) * 2
-        + ds.labels.astype(np.int64)
-    )
-    table = np.bincount(code, minlength=8).reshape(2, 2, 2)
-    return JointCounts(table, ds.n_instances)
+def check_smoothing(smoothing: float) -> float:
+    """Return the additive smoothing as a float, rejecting negative, NaN and
+    infinite values."""
+    value = float(smoothing)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"smoothing must be finite and non-negative, got {smoothing!r}")
+    return value
+
+
+def _cmi_rows(tables: np.ndarray, n: int, smoothing: float) -> np.ndarray:
+    """CMI of each (m, 2, 2, 2) count table over (x_i, x_j, y); every table
+    sums to ``n``."""
+    if n == 0 and smoothing == 0:
+        raise DegenerateDistribution("no instances and no smoothing")
+    m = tables.shape[0]
+    p = (tables + smoothing) / (float(n) + 8.0 * smoothing)
+    p_y = _each(math.fsum, np.moveaxis(p, 3, 1).reshape(2 * m, 4)).reshape(m, 1, 1, 2)
+    p_iy = p[:, :, :1, :] + p[:, :, 1:, :]
+    p_jy = p[:, :1, :, :] + p[:, 1:, :, :]
+    # Zero-probability cells contribute nothing: their ratio stays 1, log 0.
+    ratio = np.divide(p * p_y, p_iy * p_jy, out=np.ones_like(p), where=p != 0.0)
+    logs = _each(math.log, ratio.ravel()).reshape(p.shape)
+    return _each(math.fsum, (p * logs).reshape(m, 8))
+
+
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element (1-d) or each row (2-d) of ``a``."""
+    return np.fromiter(map(fn, a.tolist()), np.float64, a.shape[0])
 
 
 def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
     """Conditional mutual information estimate from smoothed counts."""
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
-    n = int(counts.n)
-    if n == 0 and smoothing == 0:
-        raise DegenerateDistribution("no instances and no smoothing")
-    t = counts.table
-    denom = float(n) + 8.0 * float(smoothing)
-    p = [
-        [
-            [(float(t[xi, xj, y]) + smoothing) / denom for y in (0, 1)]
-            for xj in (0, 1)
-        ]
-        for xi in (0, 1)
-    ]
-    terms = []
-    for y in (0, 1):
-        p_y = math.fsum(p[xi][xj][y] for xi in (0, 1) for xj in (0, 1))
-        for xi in (0, 1):
-            p_iy = p[xi][0][y] + p[xi][1][y]
-            for xj in (0, 1):
-                p_joint = p[xi][xj][y]
-                if p_joint == 0.0:
-                    continue
-                p_jy = p[0][xj][y] + p[1][xj][y]
-                terms.append(p_joint * math.log(p_joint * p_y / (p_iy * p_jy)))
-    return math.fsum(terms)
+    smoothing = check_smoothing(smoothing)
+    return float(_cmi_rows(counts.table[np.newaxis], int(counts.n), smoothing)[0])
 
 
 def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[ScoredEdge]:
@@ -115,6 +117,7 @@ def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[Sco
     is reproducible across runs and platforms. Contingency tables for all pairs
     come from two per-class Gram matrices rather than a per-pair scan.
     """
+    smoothing = check_smoothing(smoothing)
     n = ds.n_features
     if n < 2:
         raise ValueError("need at least two features to rank edges")
@@ -128,19 +131,21 @@ def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[Sco
         Xy = X[ds.labels == y]
         per_class.append((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0]))
 
-    out: list[ScoredEdge] = []
-    table = np.empty((2, 2, 2), dtype=np.int64)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            for y, (gram, ones, total) in enumerate(per_class):
-                n11 = int(gram[i, j])
-                n10 = int(ones[i]) - n11
-                n01 = int(ones[j]) - n11
-                table[1, 1, y] = n11
-                table[1, 0, y] = n10
-                table[0, 1, y] = n01
-                table[0, 0, y] = total - n11 - n10 - n01
-            counts = JointCounts(table.copy(), ds.n_instances)
-            out.append(ScoredEdge(i, j, cmi(counts, smoothing)))
-    out.sort(key=lambda e: (-e.score, e.i, e.j))
-    return out
+    i, j = np.triu_indices(n, 1)
+    scores = np.empty(i.shape[0])
+    for start in range(0, i.shape[0], _BLOCK):
+        bi, bj = i[start:start + _BLOCK], j[start:start + _BLOCK]
+        tables = np.empty((bi.shape[0], 2, 2, 2), dtype=np.int64)
+        for y, (gram, ones, total) in enumerate(per_class):
+            n11 = gram[bi, bj]
+            n10 = ones[bi] - n11
+            n01 = ones[bj] - n11
+            tables[:, 1, 1, y] = n11
+            tables[:, 1, 0, y] = n10
+            tables[:, 0, 1, y] = n01
+            tables[:, 0, 0, y] = total - n11 - n10 - n01
+        scores[start:start + _BLOCK] = _cmi_rows(tables, ds.n_instances, smoothing)
+    order = np.lexsort((j, i, -scores))
+    return list(map(
+        ScoredEdge, i[order].tolist(), j[order].tolist(), scores[order].tolist()
+    ))

@@ -8,12 +8,11 @@ every edge is oriented away from the root by breadth-first traversal.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from typing import Sequence
 
-from .errors import EmptyFeatureSet, UnknownEdge
+from .errors import EmptyFeatureSet
 from .mutual_info import ScoredEdge
 from .tree import DependencyTree, UnionFind
 
@@ -59,15 +58,3 @@ def learn_tan_structure(
                     parent[w] = v
                     queue.append(w)
     return DependencyTree(tuple(parent))
-
-
-def tree_total_score(tree: DependencyTree, edges: Sequence[ScoredEdge]) -> float:
-    """Sum of candidate scores over the tree's edges (test support)."""
-    lookup = {e.pair: e.score for e in edges}
-    picked = []
-    for p, c in tree.edges():
-        key = (p, c) if p < c else (c, p)
-        if key not in lookup:
-            raise UnknownEdge(f"tree edge {p}->{c} is not in the scored list")
-        picked.append(lookup[key])
-    return math.fsum(picked)

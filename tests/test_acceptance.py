@@ -25,8 +25,8 @@ from hietan.dataset import (
 from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_experiment
 from hietan.hie_mst import hie_mst, hie_mst_lite, is_redundant_pair
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
-from hietan.mutual_info import ScoredEdge, cmi, joint_counts, rank_edges
-from hietan.tan import learn_tan_structure, tree_total_score
+from hietan.mutual_info import ScoredEdge, cmi, rank_edges
+from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree, UnionFind
 
 from conftest import A, B, C, D, E, F
@@ -38,6 +38,7 @@ from golden import (
     GOLDEN_ORDER_7,
     golden_dataset,
 )
+from oracles import joint_counts, tree_total_score
 
 
 def _report(number, name, ok):

@@ -82,6 +82,12 @@ class TestFit:
         with pytest.raises(EmptyTrainingSet):
             fit(ds, empty_tree(2))
 
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_smoothing(self, smoothing):
+        ds = Dataset(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="smoothing"):
+            fit(ds, empty_tree(1), smoothing=smoothing)
+
     def test_constant_feature_never_raises(self):
         values = np.ones((6, 3), dtype=np.uint8)
         ds = Dataset(values, np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8))

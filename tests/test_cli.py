@@ -274,3 +274,17 @@ class TestSynth:
             ]) == 0
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_smoothing_is_usage_error(synth_files, tmp_path, capsys, command, value):
+    data, dag = synth_files
+    out = tmp_path / "out.json"
+    extra = {"cv": ["--folds", "3", "--out"], "train": ["--model"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(data), "--dag", str(dag),
+              "--method", "hie-tan", "--smoothing", value, *extra, str(out)])
+    assert exc.value.code == 1
+    assert "error: argument --smoothing" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,16 +9,20 @@ from hypothesis import strategies as st
 
 from hietan.dataset import Dataset
 from hietan.errors import DegenerateDistribution, IndexOutOfRange
+from hietan.hierarchy import build_dag
 from hietan.mutual_info import (
     JointCounts,
     ScoredEdge,
     cmi,
-    joint_counts,
     rank_edges,
 )
 
 from conftest import C, D, E, F
 from golden import GOLDEN_ORDER_7, golden_dataset
+from oracles import cmi_reference, joint_counts, rank_edges_reference
+
+SWEEP_SMOOTHING = [0.0, 0.25, 0.7, 1.0, 3.0]
+BAD_SMOOTHING = [-1.0, math.nan, math.inf]
 
 
 def cmi_oracle(xi, xj, y, smoothing):
@@ -48,6 +54,43 @@ def random_dataset(rng, n_instances, n_features):
         (rng.random((n_instances, n_features)) < rng.random()).astype(np.uint8),
         (rng.random(n_instances) < 0.5).astype(np.uint8),
     )
+
+
+def sweep_datasets():
+    """Seeded problems for the kernel-versus-reference sweep: random densities,
+    constant columns, one class only, two features and zero instances."""
+    rng = np.random.default_rng(17)
+    out = [random_dataset(rng, int(rng.integers(8, 40)), 9) for _ in range(6)]
+    constant = random_dataset(rng, 30, 7)
+    values = constant.values.copy()
+    values[:, 1] = 0
+    values[:, 4] = 1
+    out.append(Dataset(values, constant.labels))
+    single = random_dataset(rng, 25, 6)
+    out.append(Dataset(single.values, np.ones(25, dtype=np.uint8)))
+    out.append(random_dataset(rng, 20, 2))
+    out.append(Dataset(np.zeros((0, 5), dtype=np.uint8), np.zeros(0, dtype=np.uint8)))
+    return out
+
+
+def tied_tables_dataset():
+    """Four features whose pairs (0, 1) and (2, 3) carry two different
+    tables with the same score: equal class-0 parts, and class-1 parts
+    [31, 15, 11, 5] and [35, 17, 7, 3] (cells x_i x_j = 00, 01, 10, 11), both
+    exactly independent after +1 smoothing. Order-dependent float sums
+    split this tie in the last bit."""
+    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+    parts = {
+        0: ([45, 24, 25, 4], [45, 24, 25, 4]),
+        1: ([31, 15, 11, 5], [35, 17, 7, 3]),
+    }
+    rows, labels = [], []
+    for y, (first, second) in parts.items():
+        left = [c for c, k in zip(cells, first) for _ in range(k)]
+        right = [c for c, k in zip(cells, second) for _ in range(k)]
+        rows += [a + b for a, b in zip(left, right)]
+        labels += [y] * len(left)
+    return Dataset(np.array(rows, dtype=np.uint8), np.array(labels, dtype=np.uint8))
 
 
 class TestJointCounts:
@@ -123,6 +166,21 @@ class TestCmi:
             return
         assert cmi(counts, smoothing) >= -1e-12
 
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.integers(0, 60), min_size=8, max_size=8),
+           st.sampled_from(SWEEP_SMOOTHING))
+    def test_matches_scalar_reference(self, cells, smoothing):
+        counts = JointCounts(np.array(cells).reshape(2, 2, 2), sum(cells))
+        if counts.n == 0 and smoothing == 0.0:
+            return
+        assert cmi(counts, smoothing) == cmi_reference(counts, smoothing)
+
+    @pytest.mark.parametrize("smoothing", BAD_SMOOTHING)
+    def test_rejects_bad_smoothing(self, smoothing):
+        counts = JointCounts(np.ones((2, 2, 2), dtype=np.int64), 8)
+        with pytest.raises(ValueError, match="smoothing"):
+            cmi(counts, smoothing)
+
     def test_exact_conditional_independence_gives_zero(self):
         # counts[a, b, c] = row_c[a] * col_c[b] is exactly product-form per class
         table = np.zeros((2, 2, 2), dtype=np.int64)
@@ -169,7 +227,41 @@ class TestRankEdges:
         for e in rank_edges(ds, canonical_dag, 0.7):
             assert e.score == cmi(joint_counts(ds, e.i, e.j), 0.7)
 
+    @pytest.mark.parametrize("smoothing", SWEEP_SMOOTHING)
+    def test_matches_per_pair_reference(self, smoothing):
+        for ds in sweep_datasets():
+            dag = build_dag(ds.n_features, [])
+            if ds.n_instances == 0 and smoothing == 0.0:
+                with pytest.raises(DegenerateDistribution):
+                    rank_edges(ds, dag, smoothing)
+                continue
+            assert rank_edges(ds, dag, smoothing) == rank_edges_reference(ds, smoothing)
+
+    def test_exact_tie_between_different_tables(self):
+        ds = tied_tables_dataset()
+        assert not np.array_equal(joint_counts(ds, 0, 1).table, joint_counts(ds, 2, 3).table)
+        edges = rank_edges(ds, build_dag(4, []))
+        score = {e.pair: e.score for e in edges}
+        assert score[(0, 1)] == score[(2, 3)]
+        tied = [e.pair for e in edges if e.score == score[(0, 1)]]
+        assert tied == sorted(tied) and {(0, 1), (2, 3)} <= set(tied)
+
+    @pytest.mark.parametrize("smoothing", BAD_SMOOTHING)
+    def test_rejects_bad_smoothing(self, canonical_dag, smoothing):
+        ds = random_dataset(np.random.default_rng(3), 20, 6)
+        with pytest.raises(ValueError, match="smoothing"):
+            rank_edges(ds, canonical_dag, smoothing)
+
 
 def test_scored_edge_requires_ordered_pair():
     with pytest.raises(ValueError):
         ScoredEdge(3, 3, 0.1)
+
+
+def test_scored_edge_is_slotted_frozen_and_picklable():
+    edge = ScoredEdge(1, 4, 0.25)
+    assert not hasattr(edge, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edge.score = 0.5
+    assert pickle.loads(pickle.dumps(edge)) == edge
+    assert edge == ScoredEdge(1, 4, 0.25) and edge != ScoredEdge(1, 4, 0.5)

@@ -4,12 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from hietan.errors import EmptyFeatureSet, UnknownEdge
+from hietan.errors import EmptyFeatureSet
 from hietan.mutual_info import ScoredEdge
-from hietan.tan import learn_tan_structure, tree_total_score
+from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree, UnionFind
 
 from conftest import A, B, C, D, E, F
+from oracles import UnknownEdge, tree_total_score
 
 
 def make_edges(scores):
