@@ -74,27 +74,26 @@ def fit(
     for f in active:
         if not 0 <= f < ds.n_features:
             raise IndexOutOfRange(f"active feature {f} outside [0, {ds.n_features})")
+    parents = [tree.parent_of[f] for f in active]
     active_set = set(active)
+    for f, parent in zip(active, parents):
+        if parent is not None and parent not in active_set:
+            raise ValueError(f"feature {f} depends on inactive feature {parent}")
 
-    y = ds.labels.astype(np.int64)
-    n = ds.n_instances
-    class_counts = np.bincount(y, minlength=2).astype(np.float64)
-    prior = (class_counts + smoothing) / (n + 2.0 * smoothing)
+    class_counts = np.bincount(ds.labels, minlength=2).astype(np.float64)
+    prior = (class_counts + smoothing) / (ds.n_instances + 2.0 * smoothing)
 
-    cpts: dict[int, np.ndarray] = {}
-    for f in active:
-        parent = tree.parent_of[f]
-        xf = ds.values[:, f].astype(np.int64)
-        if parent is None:
-            counts = np.bincount(y * 2 + xf, minlength=4).reshape(2, 2)
-        else:
-            if parent not in active_set:
-                raise ValueError(
-                    f"feature {f} depends on inactive feature {parent}"
-                )
-            xp = ds.values[:, parent].astype(np.int64)
-            counts = np.bincount(y * 4 + xp * 2 + xf, minlength=8).reshape(2, 2, 2)
-        cpts[f] = _safe_rows(counts.astype(np.float64), smoothing)
+    # One gather from the dataset's cached statistics: (parent, f) tables, and
+    # for a root the diagonal (f, f) table, whose copy axis sums out to (y, x).
+    sources = [f if parent is None else parent for f, parent in zip(active, parents)]
+    tables = ds._pair_counts(np.array(sources, dtype=np.intp), np.array(active, dtype=np.intp))
+    counts = np.moveaxis(tables, 3, 1).astype(np.float64, order="C")  # (m, y, x_parent, x)
+    parented = _safe_rows(counts, smoothing)
+    roots = _safe_rows(counts.sum(axis=2), smoothing)
+    cpts = {
+        f: roots[k] if parent is None else parented[k]
+        for k, (f, parent) in enumerate(zip(active, parents))
+    }
 
     return FittedClassifier(
         tree=tree,

@@ -9,6 +9,7 @@ a feature also carries value 1 for all of that feature's ancestors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -67,6 +68,31 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def _class_stats(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """Per class: (Gram matrix, column sums, row count) of its rows. The
+        arrays are read-only, so this is computed once per dataset."""
+        X = self.values.astype(np.int64)
+        stats = []
+        for y in (0, 1):
+            Xy = X[self.labels == y]
+            stats.append((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0]))
+        return tuple(stats)
+
+    def _pair_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(m, 2, 2, 2) counts over (x_i, x_j, y) for index arrays ``i``,
+        ``j``; any order, and ``i == j`` gives a diagonal table."""
+        tables = np.empty((len(i), 2, 2, 2), dtype=np.int64)
+        for y, (gram, ones, total) in enumerate(self._class_stats):
+            n11 = gram[i, j]
+            n10 = ones[i] - n11
+            n01 = ones[j] - n11
+            tables[:, 1, 1, y] = n11
+            tables[:, 1, 0, y] = n10
+            tables[:, 0, 1, y] = n01
+            tables[:, 0, 0, y] = total - n11 - n10 - n01
+        return tables
 
 
 def _read_csv(path, class_required: bool):

@@ -38,7 +38,8 @@ class TooFewInstances(HieTanError):
 
 
 class DegenerateDistribution(HieTanError):
-    """Probabilities cannot be estimated: no data and no smoothing."""
+    """Probabilities cannot be estimated: no data and no smoothing, or a
+    smoothing so small that they underflow."""
 
 
 class EmptyFeatureSet(HieTanError):

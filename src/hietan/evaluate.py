@@ -53,18 +53,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.tn + other.tn,
-            self.fn + other.fn,
-        )
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion_from_predictions(labels, predicted) -> ConfusionCounts:
     tp = fp = tn = fn = 0

@@ -46,13 +46,13 @@ TraceFn = Optional[Callable[[dict], None]]
 
 
 class EdgeSets:
-    """Working state of the constrained learner: directed edges, undirected
-    edges, the derived parent map, and a union-find over the skeleton."""
+    """Working state of the constrained learner: undirected edges, the parent
+    map (one entry per directed edge, child -> parent), and a union-find over
+    the skeleton."""
 
-    __slots__ = ("directed", "undirected", "parent_of", "_uf")
+    __slots__ = ("undirected", "parent_of", "_uf")
 
     def __init__(self, n_features: int):
-        self.directed: list[tuple[int, int]] = []  # (parent, child)
         self.undirected: list[tuple[int, int]] = []  # (a, b) with a < b
         self.parent_of: dict[int, int] = {}
         self._uf = UnionFind(n_features)
@@ -67,7 +67,6 @@ class EdgeSets:
     def add_directed(self, parent: int, child: int) -> None:
         if child in self.parent_of:
             raise ValueError(f"feature {child} already has a parent")
-        self.directed.append((parent, child))
         self.parent_of[child] = parent
         self._uf.union(parent, child)
 
@@ -78,7 +77,6 @@ class EdgeSets:
 
     def _move_to_directed(self, pair: tuple[int, int], parent: int, child: int) -> None:
         self.undirected.remove(pair)
-        self.directed.append((parent, child))
         self.parent_of[child] = parent
 
     def _drop_undirected(self, pair: tuple[int, int]) -> None:

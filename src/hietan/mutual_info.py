@@ -69,10 +69,6 @@ class ScoredEdge:
         if not self.i < self.j:
             raise ValueError("edge endpoints must satisfy i < j")
 
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
 
 def check_smoothing(smoothing: float) -> float:
     """Return the additive smoothing as a float, rejecting negative, NaN and
@@ -93,8 +89,14 @@ def _cmi_rows(tables: np.ndarray, n: int, smoothing: float) -> np.ndarray:
     p_y = _each(math.fsum, np.moveaxis(p, 3, 1).reshape(2 * m, 4)).reshape(m, 1, 1, 2)
     p_iy = p[:, :, :1, :] + p[:, :, 1:, :]
     p_jy = p[:, :1, :, :] + p[:, 1:, :, :]
+    num, den = p * p_y, p_iy * p_jy
+    live = p != 0.0
+    # A tiny positive smoothing can underflow a product of a live cell to 0,
+    # which would score the pair inf (or fail the log).
+    if np.any(live & ((num == 0.0) | (den == 0.0))):
+        raise DegenerateDistribution(f"smoothing {smoothing!r} underflows the probabilities")
     # Zero-probability cells contribute nothing: their ratio stays 1, log 0.
-    ratio = np.divide(p * p_y, p_iy * p_jy, out=np.ones_like(p), where=p != 0.0)
+    ratio = np.divide(num, den, out=np.ones_like(p), where=live)
     logs = _each(math.log, ratio.ravel()).reshape(p.shape)
     return _each(math.fsum, (p * logs).reshape(m, 8))
 
@@ -115,7 +117,7 @@ def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[Sco
 
     Descending by score; exact ties fall back to ascending (i, j) so the order
     is reproducible across runs and platforms. Contingency tables for all pairs
-    come from two per-class Gram matrices rather than a per-pair scan.
+    come from the dataset's cached per-class Gram matrices, not a per-pair scan.
     """
     smoothing = check_smoothing(smoothing)
     n = ds.n_features
@@ -125,26 +127,12 @@ def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[Sco
         raise DimensionMismatch(
             f"dataset has {n} features, hierarchy has {dag.n_features}"
         )
-    X = ds.values.astype(np.int64)
-    per_class = []
-    for y in (0, 1):
-        Xy = X[ds.labels == y]
-        per_class.append((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0]))
-
     i, j = np.triu_indices(n, 1)
     scores = np.empty(i.shape[0])
     for start in range(0, i.shape[0], _BLOCK):
-        bi, bj = i[start:start + _BLOCK], j[start:start + _BLOCK]
-        tables = np.empty((bi.shape[0], 2, 2, 2), dtype=np.int64)
-        for y, (gram, ones, total) in enumerate(per_class):
-            n11 = gram[bi, bj]
-            n10 = ones[bi] - n11
-            n01 = ones[bj] - n11
-            tables[:, 1, 1, y] = n11
-            tables[:, 1, 0, y] = n10
-            tables[:, 0, 1, y] = n01
-            tables[:, 0, 0, y] = total - n11 - n10 - n01
-        scores[start:start + _BLOCK] = _cmi_rows(tables, ds.n_instances, smoothing)
+        block = slice(start, start + _BLOCK)
+        tables = ds._pair_counts(i[block], j[block])
+        scores[block] = _cmi_rows(tables, ds.n_instances, smoothing)
     order = np.lexsort((j, i, -scores))
     return list(map(
         ScoredEdge, i[order].tolist(), j[order].tolist(), scores[order].tolist()

@@ -68,19 +68,8 @@ class DependencyTree:
     def n_features(self) -> int:
         return len(self.parent_of)
 
-    @property
-    def roots(self) -> frozenset[int]:
-        return frozenset(f for f, p in enumerate(self.parent_of) if p is None)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """(parent, child) pairs in child order."""
         return tuple(
             (p, c) for c, p in enumerate(self.parent_of) if p is not None
         )
-
-    def features_in_edges(self) -> frozenset[int]:
-        used = set()
-        for p, c in self.edges():
-            used.add(p)
-            used.add(c)
-        return frozenset(used)

@@ -2,14 +2,18 @@
 
 ``cmi_reference`` and ``rank_edges_reference`` score one pair at a time with
 scalar arithmetic; the block kernel in ``hietan.mutual_info`` must reproduce
-them bit for bit. ``joint_counts`` builds a table by a direct scan and
-``tree_total_score`` sums a tree's candidate scores.
+them bit for bit. ``fit_reference`` counts each CPT by a per-feature scan of
+the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
+per-class statistics and must reproduce it bit for bit. ``joint_counts``
+builds a table by a direct scan and ``tree_total_score`` sums a tree's
+candidate scores.
 """
 
 import math
 
 import numpy as np
 
+from hietan.bayes import FittedClassifier
 from hietan.dataset import Dataset
 from hietan.errors import DegenerateDistribution, HieTanError, IndexOutOfRange
 from hietan.mutual_info import JointCounts, ScoredEdge
@@ -95,7 +99,7 @@ def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[ScoredEdge
 
 def tree_total_score(tree, edges) -> float:
     """Sum of candidate scores over the tree's edges."""
-    lookup = {e.pair: e.score for e in edges}
+    lookup = {(e.i, e.j): e.score for e in edges}
     picked = []
     for p, c in tree.edges():
         key = (p, c) if p < c else (c, p)
@@ -103,3 +107,30 @@ def tree_total_score(tree, edges) -> float:
             raise UnknownEdge(f"tree edge {p}->{c} is not in the scored list")
         picked.append(lookup[key])
     return math.fsum(picked)
+
+
+def fit_reference(ds: Dataset, tree, active_features, smoothing: float) -> FittedClassifier:
+    """``fit`` by one bincount over the rows per active feature; a row with
+    zero mass and zero smoothing is all zero."""
+    if active_features is None:
+        active = tuple(range(ds.n_features))
+    else:
+        active = tuple(sorted(set(int(f) for f in active_features)))
+    y = ds.labels.astype(np.int64)
+    class_counts = np.bincount(y, minlength=2).astype(np.float64)
+    prior = (class_counts + smoothing) / (ds.n_instances + 2.0 * smoothing)
+    cpts = {}
+    for f in active:
+        parent = tree.parent_of[f]
+        xf = ds.values[:, f].astype(np.int64)
+        if parent is None:
+            counts = np.bincount(y * 2 + xf, minlength=4).reshape(2, 2)
+        else:
+            xp = ds.values[:, parent].astype(np.int64)
+            counts = np.bincount(y * 4 + xp * 2 + xf, minlength=8).reshape(2, 2, 2)
+        counts = counts.astype(np.float64)
+        num = counts + smoothing
+        den = counts.sum(axis=-1, keepdims=True) + 2.0 * smoothing
+        cpts[f] = np.zeros_like(num, dtype=np.float64)
+        np.divide(num, den, out=cpts[f], where=den > 0)
+    return FittedClassifier(tree, prior, cpts, smoothing, active, ds.feature_names)

@@ -16,6 +16,8 @@ from hietan.dataset import Dataset
 from hietan.errors import DimensionMismatch, EmptyTrainingSet
 from hietan.tree import DependencyTree
 
+from oracles import fit_reference
+
 
 def naive_bayes_oracle(values, labels, instance, smoothing):
     """Reference naive Bayes written independently of the fit/predict path."""
@@ -33,6 +35,36 @@ def naive_bayes_oracle(values, labels, instance, smoothing):
 
 def empty_tree(n):
     return DependencyTree((None,) * n)
+
+
+def random_forest(rng, features, n):
+    """Tree over ``n`` features whose edges join only ``features``: in a random
+    order, each picks an earlier one as its parent or stays a root."""
+    parent_of = [None] * n
+    order = [int(f) for f in rng.permutation(list(features))]
+    for k, f in enumerate(order):
+        if k and rng.random() < 0.7:
+            parent_of[f] = order[int(rng.integers(k))]
+    return DependencyTree(tuple(parent_of))
+
+
+def fit_sweep_problems():
+    """Seeded (dataset, tree, active) triples: random densities and trees, one
+    class only every sixth trial, and every other trial a lazy-style active
+    subset (possibly empty) with the inactive features as roots."""
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n, m = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+        values = (rng.random((m, n)) < rng.random()).astype(np.uint8)
+        labels = (rng.random(m) < 0.5).astype(np.uint8)
+        if trial % 6 == 0:
+            labels[:] = trial % 12 == 0
+        if trial % 2:
+            active, tree = None, random_forest(rng, range(n), n)
+        else:
+            active = frozenset(int(f) for f in np.flatnonzero(rng.random(n) < 0.6))
+            tree = random_forest(rng, sorted(active), n)
+        yield Dataset(values, labels), tree, active
 
 
 class TestFit:
@@ -87,6 +119,22 @@ class TestFit:
         ds = Dataset(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))
         with pytest.raises(ValueError, match="smoothing"):
             fit(ds, empty_tree(1), smoothing=smoothing)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.25, 1.0, 3.0])
+    def test_matches_bincount_reference(self, smoothing):
+        zero_rows = 0
+        for ds, tree, active in fit_sweep_problems():
+            got = fit(ds, tree, active, smoothing)
+            want = fit_reference(ds, tree, active, smoothing)
+            assert got.class_prior.tobytes() == want.class_prior.tobytes()
+            assert got.active_features == want.active_features
+            assert list(got.cpts) == list(want.cpts)
+            for f, table in want.cpts.items():
+                assert got.cpts[f].dtype == table.dtype and got.cpts[f].shape == table.shape
+                assert got.cpts[f].tobytes() == table.tobytes()
+                zero_rows += int(np.sum(~table.reshape(-1, 2).any(axis=1)))
+        # Rows with zero mass occur, and only smoothing 0 leaves them all zero.
+        assert (zero_rows > 0) == (smoothing == 0.0)
 
     def test_constant_feature_never_raises(self):
         values = np.ones((6, 3), dtype=np.uint8)

@@ -276,6 +276,19 @@ class TestSynth:
         assert paths[0] == paths[1]
 
 
+def test_underflowing_smoothing_is_an_error(tmp_path, capsys):
+    # A and B are 0 in every class-0 row, so smoothing 1e-200 underflows.
+    data = tmp_path / "data.csv"
+    dag = tmp_path / "dag.tsv"
+    data.write_text("A,B,class\n" + "0,0,0\n" * 12 + "1,0,1\n1,1,1\n0,1,1\n" * 4)
+    dag.write_text("")
+    out = tmp_path / "out.json"
+    assert main(["cv", "--data", str(data), "--dag", str(dag), "--folds", "3",
+                 "--smoothing", "1e-200", "--out", str(out)]) == 1
+    assert "error: smoothing 1e-200 underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["cv", "train"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_bad_smoothing_is_usage_error(synth_files, tmp_path, capsys, command, value):

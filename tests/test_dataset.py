@@ -21,9 +21,13 @@ from hietan.errors import (
     ParseError,
     TooFewInstances,
 )
+from hietan.bayes import fit
 from hietan.hierarchy import build_dag, random_dag
+from hietan.mutual_info import rank_edges
+from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F
+from oracles import joint_counts
 
 TINY_CSV = """A,B,C,D,E,F,class
 1,1,1,1,1,1,0
@@ -225,3 +229,33 @@ def test_subset_keeps_metadata():
     assert sub.n_instances == 3
     assert sub.feature_names == ds.feature_names
     assert np.array_equal(sub.values, ds.values[[0, 2, 4]])
+
+
+class TestPairCounts:
+    def test_matches_direct_scan_for_every_ordered_pair(self):
+        rng = np.random.default_rng(31)
+        problems = [(int(rng.integers(1, 40)), int(rng.integers(1, 8))) for _ in range(8)]
+        for trial, (m, n) in enumerate(problems + [(0, 3), (12, 1)]):
+            values = (rng.random((m, n)) < rng.random()).astype(np.uint8)
+            labels = (rng.random(m) < 0.5).astype(np.uint8)
+            if trial % 4 == 0:
+                labels[:] = trial % 8 == 0  # one class only
+            ds = Dataset(values, labels)
+            # Beside a copy of itself, feature f's diagonal table (f, f) is
+            # the pair table (f, f + n).
+            twin = Dataset(np.hstack([values, values]), labels)
+            i, j = (a.ravel() for a in np.indices((n, n)))
+            tables = ds._pair_counts(i, j)
+            assert tables.shape == (n * n, 2, 2, 2)
+            for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+                want = joint_counts(twin, a, b + n if a == b else b).table
+                assert tables[k].tolist() == want.tolist()
+
+    def test_statistics_computed_once(self):
+        rng = np.random.default_rng(2)
+        ds = Dataset((rng.random((20, 4)) < 0.5).astype(np.uint8),
+                     (rng.random(20) < 0.5).astype(np.uint8))
+        stats = ds._class_stats
+        rank_edges(ds, build_dag(4, []))
+        fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3})
+        assert ds._class_stats is stats

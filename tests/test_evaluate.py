@@ -43,7 +43,7 @@ class TestGmean:
     def test_confusion_from_predictions(self):
         counts = confusion_from_predictions([1, 1, 0, 0], [1, 0, 0, 1])
         assert counts == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
-        assert counts.total == 4
+        assert counts.tp + counts.fp + counts.tn + counts.fn == 4
 
 
 class TestAverageRanks:
@@ -177,7 +177,7 @@ class TestRunCv:
         ds, dag = small_problem(seed=3, n_instances=60)
         result = run_cv_experiment(ds, dag, list(ALL_METHODS), 10, seed=1)
         for res in result.methods.values():
-            assert sum(c.total for c in res.fold_counts) == 60
+            assert sum(c.tp + c.fp + c.tn + c.fn for c in res.fold_counts) == 60
 
     def test_deterministic(self):
         ds, dag = small_problem(seed=5)

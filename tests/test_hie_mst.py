@@ -16,7 +16,7 @@ def dfs_connected(sets, a, b):
     """Connectivity oracle over the combined skeleton, independent of the
     union-find inside EdgeSets."""
     adjacency = {}
-    for p, c in sets.directed:
+    for c, p in sets.parent_of.items():
         adjacency.setdefault(p, set()).add(c)
         adjacency.setdefault(c, set()).add(p)
     for u, v in sets.undirected:
@@ -83,7 +83,7 @@ class TestPropagation:
         sets.add_undirected(C, A)
         trace = []
         _propagate(sets, trace.append)
-        assert (C, A) in sets.directed
+        assert sets.parent_of == {C: F, A: C}
         assert sets.undirected == []
         assert trace == [{"decision": "oriented_by_propagation", "i": A, "j": C,
                           "parent": C, "child": A}]
@@ -96,13 +96,13 @@ class TestPropagation:
         sets.add_undirected(F, E)
         _propagate(sets)
         assert sets.undirected == [(E, F)]
-        assert len(sets.directed) == 2
+        assert sets.parent_of == {C: F, A: E}
 
     def test_no_undirected_edges_noop(self):
         sets = EdgeSets(3)
         sets.add_directed(0, 1)
         _propagate(sets)
-        assert sets.directed == [(0, 1)] and sets.undirected == []
+        assert sets.parent_of == {1: 0} and sets.undirected == []
 
     def test_fixpoint(self):
         sets = EdgeSets(8)
@@ -111,12 +111,11 @@ class TestPropagation:
         sets.add_undirected(3, 4)
         sets.add_directed(0, 1)
         _propagate(sets)
-        once = (list(sets.directed), list(sets.undirected))
+        once = (dict(sets.parent_of), list(sets.undirected))
         _propagate(sets)
-        assert (sets.directed, sets.undirected) == once
+        assert (sets.parent_of, sets.undirected) == once
         # The whole chain cascades into directed edges.
-        assert (1, 2) in sets.directed and (2, 3) in sets.directed
-        assert (3, 4) in sets.directed
+        assert sets.parent_of == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 class TestHieMst:

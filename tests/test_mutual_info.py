@@ -73,6 +73,11 @@ def sweep_datasets():
     return out
 
 
+# Class 0 never has x_i = 1 or x_j = 1: under smoothing 1e-200, p_iy * p_jy
+# underflows to 0 in a live cell.
+UNDERFLOW_CELLS = [[[50, 0], [0, 0]], [[0, 25], [0, 25]]]
+
+
 def tied_tables_dataset():
     """Four features whose pairs (0, 1) and (2, 3) carry two different
     tables with the same score: equal class-0 parts, and class-1 parts
@@ -181,6 +186,15 @@ class TestCmi:
         with pytest.raises(ValueError, match="smoothing"):
             cmi(counts, smoothing)
 
+    @pytest.mark.parametrize("cells, smoothing", [
+        (UNDERFLOW_CELLS, 1e-200),
+        # Class 1 holds 2 of 100 rows: p * p_y underflows in its empty cells.
+        ([[[49, 0], [0, 1]], [[0, 1], [49, 0]]], 1e-320),
+    ])
+    def test_underflowing_smoothing_is_degenerate(self, cells, smoothing):
+        with pytest.raises(DegenerateDistribution, match="underflow"):
+            cmi(JointCounts(np.array(cells), 100), smoothing)
+
     def test_exact_conditional_independence_gives_zero(self):
         # counts[a, b, c] = row_c[a] * col_c[b] is exactly product-form per class
         table = np.zeros((2, 2, 2), dtype=np.int64)
@@ -210,8 +224,8 @@ class TestRankEdges:
 
     def test_golden_order(self, canonical_dag):
         edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-        assert [e.pair for e in edges[:7]] == GOLDEN_ORDER_7
-        assert edges[0].pair == (C, F)
+        assert [(e.i, e.j) for e in edges[:7]] == GOLDEN_ORDER_7
+        assert (edges[0].i, edges[0].j) == (C, F)
 
     def test_tie_break_lexicographic(self, canonical_dag):
         # All-identical columns give identical scores for every pair.
@@ -219,7 +233,8 @@ class TestRankEdges:
         ds = Dataset(values, np.array([0, 1, 0, 1], dtype=np.uint8))
         edges = rank_edges(ds, canonical_dag)
         assert len({round(e.score, 15) for e in edges}) == 1
-        assert [e.pair for e in edges] == sorted(e.pair for e in edges)
+        pairs = [(e.i, e.j) for e in edges]
+        assert pairs == sorted(pairs)
 
     def test_scores_match_joint_counts_route(self, canonical_dag):
         rng = np.random.default_rng(9)
@@ -241,10 +256,18 @@ class TestRankEdges:
         ds = tied_tables_dataset()
         assert not np.array_equal(joint_counts(ds, 0, 1).table, joint_counts(ds, 2, 3).table)
         edges = rank_edges(ds, build_dag(4, []))
-        score = {e.pair: e.score for e in edges}
+        score = {(e.i, e.j): e.score for e in edges}
         assert score[(0, 1)] == score[(2, 3)]
-        tied = [e.pair for e in edges if e.score == score[(0, 1)]]
+        tied = [(e.i, e.j) for e in edges if e.score == score[(0, 1)]]
         assert tied == sorted(tied) and {(0, 1), (2, 3)} <= set(tied)
+
+    def test_underflowing_smoothing_is_degenerate(self):
+        code = np.arange(8).reshape(2, 2, 2)
+        rows = np.repeat(code.ravel(), np.array(UNDERFLOW_CELLS).ravel())
+        values = np.stack([rows // 4, rows // 2 % 2], axis=1).astype(np.uint8)
+        ds = Dataset(values, (rows % 2).astype(np.uint8))
+        with pytest.raises(DegenerateDistribution, match="underflow"):
+            rank_edges(ds, build_dag(2, []), 1e-200)
 
     @pytest.mark.parametrize("smoothing", BAD_SMOOTHING)
     def test_rejects_bad_smoothing(self, canonical_dag, smoothing):

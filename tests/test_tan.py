@@ -13,6 +13,10 @@ from conftest import A, B, C, D, E, F
 from oracles import UnknownEdge, tree_total_score
 
 
+def roots(tree):
+    return {f for f, p in enumerate(tree.parent_of) if p is None}
+
+
 def make_edges(scores):
     """scores: mapping (i, j) -> value for all pairs; returns the sorted list."""
     edges = [ScoredEdge(i, j, s) for (i, j), s in scores.items()]
@@ -53,12 +57,12 @@ class TestLearnStructure:
         tree = learn_tan_structure(make_edges(scores), 6, seed_with_root(6, C))
         # Rooted at C and oriented outward: C->A, C->F, C->D, A->E, D->B.
         assert tree.parent_of == (C, D, None, C, A, C)
-        assert tree.roots == {C}
+        assert roots(tree) == {C}
 
     def test_single_feature(self):
         tree = learn_tan_structure([], 1, seed=0)
         assert tree.parent_of == (None,)
-        assert tree.roots == {0}
+        assert roots(tree) == {0}
 
     def test_empty_feature_set(self):
         with pytest.raises(EmptyFeatureSet):
@@ -139,5 +143,5 @@ class TestDependencyTree:
     def test_edges_and_roots(self):
         tree = DependencyTree((None, 0, 0, 2))
         assert tree.edges() == ((0, 1), (0, 2), (2, 3))
-        assert tree.roots == {0}
-        assert tree.features_in_edges() == {0, 1, 2, 3}
+        assert roots(tree) == {0}
+        assert {v for edge in tree.edges() for v in edge} == {0, 1, 2, 3}
