@@ -12,15 +12,34 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatch, EmptyTrainingSet, IndexOutOfRange
+from .errors import (
+    DimensionMismatch,
+    EmptyTrainingSet,
+    IndexOutOfRange,
+    NonBinaryValue,
+    ParseError,
+)
 from .mutual_info import check_smoothing
 from .tree import DependencyTree
+
+
+class _LogTable(NamedTuple):
+    """Row 0 is the prior; row k > 0 is the k-th active feature. A row's two
+    cells for an instance x, extended by one trailing 0, sit in ``logs`` at
+    ``base[k] + x[sources[k]] * strides[k] + x[features[k]]``."""
+
+    logs: np.ndarray  # the prior's cells, then each active feature's CPT cells
+    base: np.ndarray  # (m + 1, 2): position of the row's first cell, per class
+    sources: np.ndarray  # the parent, or the feature itself for a root
+    strides: np.ndarray  # 2 for a parented feature, 0 for a root or the prior
+    features: np.ndarray  # the feature; the prior reads the trailing 0
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,32 @@ class FittedClassifier:
     @property
     def n_features(self) -> int:
         return self.tree.n_features
+
+    @cached_property
+    def _log_table(self) -> _LogTable:
+        """Every prior and CPT cell's log, laid out flat. Derived from the
+        public fields only; ``fit`` and ``model_from_dict`` make their arrays
+        read-only, so this is built once per classifier."""
+        n = self.n_features
+        active = self.active_features
+        parents = [self.tree.parent_of[f] for f in active]
+        parented = np.array([p is not None for p in parents], dtype=bool)
+        cells = np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active])
+        # Scalar math.log per cell (np.log differs in the last bit); log 0 is -inf.
+        logs = np.full(cells.shape, -np.inf)
+        live = cells > 0.0
+        logs[live] = list(map(math.log, cells[live].tolist()))
+        per_class = np.where(parented, 4, 2)  # (x) or (x_parent, x) cells per class
+        first = 2 + np.cumsum(2 * per_class) - 2 * per_class
+        return _LogTable(
+            logs=logs,
+            base=np.vstack(([0, 1], np.column_stack((first, first + per_class)))),
+            sources=np.array(
+                [n] + [f if p is None else p for f, p in zip(active, parents)], dtype=np.intp
+            ),
+            strides=np.concatenate(([0], 2 * parented)),
+            features=np.array((n,) + active, dtype=np.intp),
+        )
 
 
 @dataclass(frozen=True)
@@ -82,6 +127,7 @@ def fit(
 
     class_counts = np.bincount(ds.labels, minlength=2).astype(np.float64)
     prior = (class_counts + smoothing) / (ds.n_instances + 2.0 * smoothing)
+    prior.setflags(write=False)
 
     # One gather from the dataset's cached statistics: (parent, f) tables, and
     # for a root the diagonal (f, f) table, whose copy axis sums out to (y, x).
@@ -90,6 +136,8 @@ def fit(
     counts = np.moveaxis(tables, 3, 1).astype(np.float64, order="C")  # (m, y, x_parent, x)
     parented = _safe_rows(counts, smoothing)
     roots = _safe_rows(counts.sum(axis=2), smoothing)
+    parented.setflags(write=False)  # the CPTs below are views and inherit this
+    roots.setflags(write=False)
     cpts = {
         f: roots[k] if parent is None else parented[k]
         for k, (f, parent) in enumerate(zip(active, parents))
@@ -105,28 +153,27 @@ def fit(
     )
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else float("-inf")
-
-
 def predict(clf: FittedClassifier, instance) -> Prediction:
-    """Log-posterior for both classes; ties break toward class 0."""
-    vals = [int(v) for v in instance]
-    if len(vals) != clf.n_features:
+    """Log-posterior for both classes; ties break toward class 0.
+
+    Each class's sum starts at the log prior and adds the active features'
+    log-probabilities strictly left to right, in ``active_features`` order.
+    """
+    x = np.asarray(instance)
+    if x.shape != (clf.n_features,):
         raise DimensionMismatch(
-            f"instance has {len(vals)} values, classifier expects {clf.n_features}"
+            f"instance has shape {x.shape}, classifier expects {clf.n_features} values"
         )
-    log_post = [_log(float(clf.class_prior[y])) for y in (0, 1)]
-    for f in clf.active_features:
-        parent = clf.tree.parent_of[f]
-        table = clf.cpts[f]
-        x = vals[f]
-        for y in (0, 1):
-            if parent is None:
-                p = float(table[y, x])
-            else:
-                p = float(table[y, vals[parent], x])
-            log_post[y] += _log(p)
+    binary = (x == 0) | (x == 1)
+    if not binary.all():
+        f = int(np.argmin(binary))
+        raise NonBinaryValue(f"feature {f} has value {x.tolist()[f]!r}, not 0 or 1")
+    values = np.zeros(clf.n_features + 1, dtype=np.intp)
+    values[:-1] = x
+    t = clf._log_table
+    terms = t.logs[t.base + (values[t.sources] * t.strides + values[t.features])[:, None]]
+    # accumulate adds in row order; np.sum is pairwise and would change the bits.
+    log_post = np.add.accumulate(terms, axis=0)[-1].tolist()
     label = 0 if log_post[0] >= log_post[1] else 1
     return Prediction(label, (log_post[0], log_post[1]))
 
@@ -144,19 +191,56 @@ def model_to_dict(clf: FittedClassifier) -> dict:
     }
 
 
+def _read_only(values) -> np.ndarray:
+    table = np.array(values, dtype=np.float64)
+    table.setflags(write=False)
+    return table
+
+
 def model_from_dict(doc: dict) -> FittedClassifier:
-    if doc.get("format") != "hietan-model":
-        raise ValueError("not a hietan model document")
-    tree = DependencyTree(
-        tuple(None if p is None else int(p) for p in doc["tree"])
-    )
+    """Rebuild a classifier from ``model_to_dict`` output; anything else,
+    including a table whose shape does not fit the tree, is a ParseError."""
+    if not isinstance(doc, dict) or doc.get("format") != "hietan-model":
+        raise ParseError("not a hietan model document")
+    try:
+        feature_names = tuple(doc["feature_names"])
+        tree = DependencyTree(
+            tuple(None if p is None else int(p) for p in doc["tree"])
+        )
+        prior = _read_only(doc["class_prior"])
+        cpts = {int(f): _read_only(t) for f, t in doc["cpts"].items()}
+        smoothing = float(doc["smoothing"])
+        active = tuple(int(f) for f in doc["active_features"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed hietan model: {exc!r}") from exc
+
+    n = tree.n_features
+    if len(feature_names) != n:
+        raise ParseError(f"tree covers {n} features, model names {len(feature_names)}")
+    if prior.shape != (2,):
+        raise ParseError(f"class prior has shape {prior.shape}, expected (2,)")
+    active_set = set(active)
+    if len(active_set) != len(active) or not all(0 <= f < n for f in active):
+        raise ParseError(f"active features must be distinct indices in [0, {n})")
+    if set(cpts) != active_set:
+        raise ParseError("CPT keys differ from the active features")
+    for f in active:
+        parent = tree.parent_of[f]
+        want = (2, 2) if parent is None else (2, 2, 2)
+        if cpts[f].shape != want:
+            raise ParseError(f"CPT of feature {f} has shape {cpts[f].shape}, expected {want}")
+        if parent is not None and parent not in active_set:
+            raise ParseError(f"feature {f} depends on inactive feature {parent}")
+    for table in (prior, *cpts.values()):
+        if not np.all((table >= 0.0) & (table <= 1.0)):
+            raise ParseError("probabilities must lie in [0, 1]")
     return FittedClassifier(
         tree=tree,
-        class_prior=np.array(doc["class_prior"], dtype=np.float64),
-        cpts={int(f): np.array(t, dtype=np.float64) for f, t in doc["cpts"].items()},
-        smoothing=float(doc["smoothing"]),
-        active_features=tuple(int(f) for f in doc["active_features"]),
-        feature_names=tuple(doc["feature_names"]),
+        class_prior=prior,
+        cpts=cpts,
+        smoothing=smoothing,
+        active_features=active,
+        feature_names=feature_names,
     )
 
 
@@ -168,4 +252,8 @@ def save_model(clf: FittedClassifier, path) -> None:
 
 
 def load_model(path) -> FittedClassifier:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a JSON document: {exc}") from exc
+    return model_from_dict(doc)

@@ -4,16 +4,18 @@
 scalar arithmetic; the block kernel in ``hietan.mutual_info`` must reproduce
 them bit for bit. ``fit_reference`` counts each CPT by a per-feature scan of
 the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
-per-class statistics and must reproduce it bit for bit. ``joint_counts``
-builds a table by a direct scan and ``tree_total_score`` sums a tree's
-candidate scores.
+per-class statistics and must reproduce it bit for bit. ``predict_reference``
+sums one scalar log per feature and class; ``hietan.bayes.predict`` gathers
+the same logs from a cached table and must reproduce it bit for bit.
+``joint_counts`` builds a table by a direct scan and ``tree_total_score``
+sums a tree's candidate scores.
 """
 
 import math
 
 import numpy as np
 
-from hietan.bayes import FittedClassifier
+from hietan.bayes import FittedClassifier, Prediction
 from hietan.dataset import Dataset
 from hietan.errors import DegenerateDistribution, HieTanError, IndexOutOfRange
 from hietan.mutual_info import JointCounts, ScoredEdge
@@ -134,3 +136,26 @@ def fit_reference(ds: Dataset, tree, active_features, smoothing: float) -> Fitte
         cpts[f] = np.zeros_like(num, dtype=np.float64)
         np.divide(num, den, out=cpts[f], where=den > 0)
     return FittedClassifier(tree, prior, cpts, smoothing, active, ds.feature_names)
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else float("-inf")
+
+
+def predict_reference(clf: FittedClassifier, instance) -> Prediction:
+    """Log-posterior by a scalar loop: per class, the log prior plus one
+    ``math.log`` per active feature in order; ties go to class 0."""
+    vals = [int(v) for v in instance]
+    log_post = [_log(float(clf.class_prior[y])) for y in (0, 1)]
+    for f in clf.active_features:
+        parent = clf.tree.parent_of[f]
+        table = clf.cpts[f]
+        x = vals[f]
+        for y in (0, 1):
+            if parent is None:
+                p = float(table[y, x])
+            else:
+                p = float(table[y, vals[parent], x])
+            log_post[y] += _log(p)
+    label = 0 if log_post[0] >= log_post[1] else 1
+    return Prediction(label, (log_post[0], log_post[1]))

@@ -1,9 +1,12 @@
 import json
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hietan import bayes
 from hietan.bayes import (
     fit,
     load_model,
@@ -13,10 +16,10 @@ from hietan.bayes import (
     save_model,
 )
 from hietan.dataset import Dataset
-from hietan.errors import DimensionMismatch, EmptyTrainingSet
+from hietan.errors import DimensionMismatch, EmptyTrainingSet, NonBinaryValue, ParseError
 from hietan.tree import DependencyTree
 
-from oracles import fit_reference
+from oracles import fit_reference, predict_reference
 
 
 def naive_bayes_oracle(values, labels, instance, smoothing):
@@ -136,6 +139,19 @@ class TestFit:
         # Rows with zero mass occur, and only smoothing 0 leaves them all zero.
         assert (zero_rows > 0) == (smoothing == 0.0)
 
+    def test_tables_are_read_only(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = Dataset((rng.random((12, 3)) < 0.5).astype(np.uint8),
+                     (rng.random(12) < 0.5).astype(np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 1)), smoothing=1.0)
+        save_model(clf, tmp_path / "model.json")
+        for model in (clf, load_model(tmp_path / "model.json")):
+            with pytest.raises(ValueError, match="read-only"):
+                model.class_prior[0] = 0.5
+            for table in model.cpts.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0, 0] = 0.5
+
     def test_constant_feature_never_raises(self):
         values = np.ones((6, 3), dtype=np.uint8)
         ds = Dataset(values, np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8))
@@ -144,7 +160,96 @@ class TestFit:
             predict(clf, row)  # log(0) becomes -inf, not an exception
 
 
+def row_forms(row):
+    """The same 0/1 row as each input type ``predict`` accepts."""
+    return (
+        np.asarray(row, dtype=np.uint8),
+        np.asarray(row, dtype=np.int64),
+        np.asarray(row, dtype=np.float64),
+        [int(v) for v in row],
+        tuple(int(v) for v in row),
+        [bool(v) for v in row],
+    )
+
+
+def prediction_bits(pred):
+    return pred.label, struct.pack("<dd", *pred.log_posterior)
+
+
 class TestPredict:
+    @pytest.mark.parametrize("smoothing", [0.0, 0.25, 1.0, 3.0])
+    def test_matches_scalar_reference(self, smoothing, tmp_path):
+        rng = np.random.default_rng(31)
+        minus_inf_ties = 0
+        for trial, (ds, tree, active) in enumerate(fit_sweep_problems()):
+            clf = fit(ds, tree, active, smoothing)
+            if trial % 2:
+                save_model(clf, tmp_path / "model.json")
+                clf = load_model(tmp_path / "model.json")
+            rows = np.vstack((ds.values, rng.random((5, ds.n_features)) < 0.5))
+            for row in rows:
+                want = prediction_bits(predict_reference(clf, row))
+                for form in row_forms(row):
+                    assert prediction_bits(predict(clf, form)) == want
+                lp = predict(clf, row).log_posterior
+                minus_inf_ties += lp[0] == lp[1] == -math.inf
+        # Only smoothing 0 gives zero probabilities, and with them -inf ties.
+        assert (minus_inf_ties > 0) == (smoothing == 0.0)
+
+    def test_matches_scalar_reference_on_random_tables(self):
+        # About 1 uniform random cell in 300 has an np.log that differs from
+        # math.log in the last bit. Sums of one to three terms keep such a
+        # bit, so only scalar logs pass this.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            tree = random_forest(rng, range(n), n)
+            clf = model_from_dict({
+                "format": "hietan-model",
+                "version": 1,
+                "feature_names": [f"f{i}" for i in range(n)],
+                "smoothing": 1.0,
+                "class_prior": rng.random(2).tolist(),
+                "tree": list(tree.parent_of),
+                "active_features": list(range(n)),
+                "cpts": {
+                    str(f): rng.random((2, 2) if p is None else (2, 2, 2)).tolist()
+                    for f, p in enumerate(tree.parent_of)
+                },
+            })
+            for code in range(2**n):
+                row = [(code >> f) & 1 for f in range(n)]
+                want = prediction_bits(predict_reference(clf, row))
+                assert prediction_bits(predict(clf, row)) == want
+
+    @pytest.mark.parametrize("value", [-1, 2, 0.7, math.nan])
+    @pytest.mark.parametrize("position", [3, 1], ids=["root", "parent"])
+    def test_rejects_non_binary_values(self, position, value):
+        rng = np.random.default_rng(6)
+        ds = Dataset((rng.random((16, 4)) < 0.5).astype(np.uint8),
+                     (rng.random(16) < 0.5).astype(np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 1, None)), smoothing=1.0)
+        row = [0, 1, 1, 0]
+        row[position] = value
+        for form in (row, tuple(row), np.asarray(row, dtype=np.float64)):
+            with pytest.raises(NonBinaryValue, match=f"feature {position}"):
+                predict(clf, form)
+
+    def test_log_table_built_once(self, monkeypatch):
+        logged = []
+        monkeypatch.setattr(
+            bayes, "math", SimpleNamespace(log=lambda p: logged.append(p) or math.log(p))
+        )
+        rng = np.random.default_rng(2)
+        ds = Dataset((rng.random((20, 4)) < 0.5).astype(np.uint8),
+                     (rng.random(20) < 0.5).astype(np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3})
+        table = clf._log_table
+        for row in ds.values:
+            predict(clf, row)
+        assert clf._log_table is table
+        assert len(logged) == 2 + 4 + 8 + 8  # prior, root 0, parented 2 and 3
+
     def test_empty_active_features_uses_prior(self):
         values = np.array([[0], [0], [0]], dtype=np.uint8)
         ds = Dataset(values, np.array([1, 1, 0], dtype=np.uint8))
@@ -238,8 +343,48 @@ class TestSerialization:
             assert predict(again, inst) == predict(clf, inst)
 
     def test_rejects_foreign_documents(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             model_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.clear(),
+            lambda d: d.pop("cpts"),
+            lambda d: d["tree"].append(None),
+            lambda d: d.update(tree=[1, 0, None]),
+            lambda d: d.update(class_prior=[0.5, 0.25, 0.25]),
+            lambda d: d.update(class_prior=[math.nan, 0.5]),
+            lambda d: d["cpts"].pop("2"),
+            lambda d: d.update(active_features=[0, 1, 1, 2]),
+            lambda d: d["cpts"].update({"0": [[[0.5, 0.5]] * 2] * 2}),
+            lambda d: d["cpts"].update({"1": [[0.5, 0.5]] * 2}),
+            lambda d: d["cpts"].update({"1": [[0.5], [0.5, 0.5]]}),
+            lambda d: d["cpts"].update({"2": [[[1.5, -0.5]] * 2] * 2}),
+            lambda d: (d["cpts"].pop("0"), d.update(active_features=[1, 2])),
+        ],
+        ids=[
+            "no-format", "no-cpts", "tree-length", "tree-cycle", "prior-shape",
+            "prior-nan", "cpt-keys", "duplicate-active", "root-shape",
+            "parented-shape", "ragged-cpt", "cpt-range", "inactive-parent",
+        ],
+    )
+    def test_rejects_malformed_documents(self, corrupt):
+        ds = Dataset(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.uint8),
+                     np.array([0, 1, 1], dtype=np.uint8))
+        doc = model_to_dict(fit(ds, DependencyTree((None, 0, 1))))
+        model_from_dict(json.loads(json.dumps(doc)))
+        corrupt(doc)
+        with pytest.raises(ParseError):
+            model_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("content", [b"not a model\n", b"\xff\xfe{}"],
+                             ids=["text", "binary"])
+    def test_load_rejects_non_json(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="model.json"):
+            load_model(path)
 
     def test_dict_is_json_clean(self):
         ds = Dataset(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,45 @@ class TestTrainPredict:
         ])
         assert rc == 1
         assert "lazy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"format": "x"}\n', "not a model\n"],
+                             ids=["foreign-format", "not-json"])
+    def test_predict_rejects_malformed_model(self, synth_files, tmp_path, capsys, text):
+        data, _ = synth_files
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_python_m_matches_main(self, synth_files, tmp_path, capsys):
+        data, dag = synth_files
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run_module(*args):
+            return subprocess.run([sys.executable, "-m", "hietan", *args], env=env,
+                                  capture_output=True, check=True, timeout=120).stdout
+
+        models = []
+        for name in ("main", "module"):
+            model = tmp_path / f"{name}.json"
+            train = ["train", "--data", str(data), "--dag", str(dag),
+                     "--method", "hie-tan", "--model", str(model)]
+            if name == "main":
+                assert main(train) == 0
+            else:
+                run_module(*train)
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+        capsys.readouterr()
+        assert main(["predict", "--model", str(tmp_path / "main.json"), "--data", str(data)]) == 0
+        from_main = capsys.readouterr().out.encode()
+        from_module = run_module("predict", "--model", str(tmp_path / "module.json"),
+                                 "--data", str(data))
+        assert from_module == from_main
+        assert len(from_main.splitlines()) == 61  # header + 60 instances
 
 
 class TestFeatures:
