@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
         )
         if cv_flags:
             p.add_argument("--folds", type=int, default=10)
-            p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--smoothing", type=_smoothing, default=1.0)
 
@@ -199,7 +198,7 @@ def cmd_cv(args) -> int:
                 trace_file.write(json.dumps(entry, sort_keys=True) + "\n")
         result = run_cv_experiment(
             ds, dag, methods, args.folds, args.seed,
-            smoothing=args.smoothing, jobs=args.jobs, trace_sink=sink,
+            smoothing=args.smoothing, trace_sink=sink,
         )
     finally:
         if trace_file is not None:
@@ -213,7 +212,6 @@ def cmd_cv(args) -> int:
             "folds": args.folds,
             "seed": args.seed,
             "smoothing": args.smoothing,
-            "jobs": args.jobs,
             "alpha": args.alpha,
         },
         "library_version": __version__,
@@ -323,7 +321,7 @@ def cmd_features(args) -> int:
         return 0
     result = run_cv_experiment(
         ds, dag, [METHOD_HIE_TAN_LITE], args.folds, args.seed,
-        smoothing=args.smoothing, jobs=args.jobs,
+        smoothing=args.smoothing,
     )
     usage = result.methods[METHOD_HIE_TAN_LITE].usage
     names = ds.feature_names

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     TooFewInstances,
 )
-from .hierarchy import FeatureDag, _iter_bits
+from .hierarchy import FeatureDag, _iter_bits, read_utf8
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,18 +35,14 @@ class Dataset:
     class_names: tuple[str, str] = ("0", "1")
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values), dtype=np.uint8)
-        labs = np.ascontiguousarray(np.asarray(self.labels), dtype=np.uint8)
+        vals = _binary_copy(self.values, "feature values")
+        labs = _binary_copy(self.labels, "class labels")
         if vals.ndim != 2:
             raise DimensionMismatch("values must be a 2-d instance-by-feature matrix")
         if labs.shape != (vals.shape[0],):
             raise DimensionMismatch(
                 f"{vals.shape[0]} instances but {labs.shape[0]} labels"
             )
-        if vals.size and int(vals.max()) > 1:
-            raise NonBinaryValue("feature values must be 0 or 1")
-        if labs.size and int(labs.max()) > 1:
-            raise NonBinaryValue("class labels must be 0 or 1")
         names = tuple(self.feature_names)
         if not names:
             names = tuple(f"f{i}" for i in range(vals.shape[1]))
@@ -95,10 +91,22 @@ class Dataset:
         return tables
 
 
+def _binary_copy(array, what: str) -> np.ndarray:
+    """A private C-contiguous ``uint8`` copy of ``array``, whose every value
+    must equal 0 or 1 (so 0.7, 256 and NaN are rejected, not cast)."""
+    a = np.asarray(array)
+    binary = (a == 0) | (a == 1)
+    if not binary.all():
+        k = int(np.argmin(binary))
+        bad = a.reshape(-1)[k : k + 1].tolist()[0]
+        raise NonBinaryValue(f"{what} must be 0 or 1, got {bad!r}")
+    return np.array(a, dtype=np.uint8, order="C")
+
+
 def _read_csv(path, class_required: bool):
     """Parse a CSV file per the grammar above into (names, values, labels), with
     line numbers in errors; labels are ``None`` if an optional class column is absent."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: missing header row", line=1)

@@ -10,7 +10,6 @@ against the best-ranked control.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -37,7 +36,7 @@ ALL_METHODS = (METHOD_TAN, METHOD_HIE_TAN, METHOD_HIE_TAN_LITE)
 
 def derive_seed(*parts: int) -> int:
     """Stable 32-bit FNV-1a mix of integer parts; keeps per-fold and
-    per-instance randomness reproducible regardless of worker count."""
+    per-instance randomness reproducible regardless of evaluation order."""
     h = 0x811C9DC5
     for part in parts:
         for b in int(part).to_bytes(8, "little", signed=True):
@@ -215,16 +214,6 @@ class ExperimentResult:
     n_features: int
 
 
-def _lite_one_instance(args):
-    edges, dag, train, row_values, n, inst_seed, smoothing, want_trace = args
-    entries: list[dict] = []
-    trace = entries.append if want_trace else None
-    tree, active = hie_mst_lite(edges, dag, row_values, n, inst_seed, trace)
-    clf = fit(train, tree, active, smoothing)
-    label = predict(clf, row_values).label
-    return label, tree, active, entries
-
-
 def run_cv_experiment(
     ds: Dataset,
     dag: FeatureDag,
@@ -240,8 +229,9 @@ def run_cv_experiment(
     Edges are ranked once per training fold and shared by all methods. The
     eager learners build one tree per fold under ``derive_seed(seed, fold)``;
     the lazy learner builds one tree per test instance under
-    ``derive_seed(seed, fold, instance_row)``. Output is identical for any
-    ``jobs`` value.
+    ``derive_seed(seed, fold, instance_row)``. ``jobs`` is accepted and
+    ignored: every run is single-threaded, and the parameter stays only for
+    callers that still pass it.
     """
     methods = list(dict.fromkeys(methods))
     for m in methods:
@@ -291,22 +281,15 @@ def run_cv_experiment(
                 clf = fit(train, tree, None, smoothing)
                 predicted = [predict(clf, ds.values[r]).label for r in test_idx]
             else:
-                want_trace = trace_sink is not None
-                tasks = []
-                for r in test_idx:
-                    inst_seed = derive_seed(seed, fold, int(r))
-                    tasks.append(
-                        (edges, dag, train, ds.values[r], n, inst_seed,
-                         smoothing, want_trace)
-                    )
-                if jobs > 1:
-                    with ThreadPoolExecutor(max_workers=jobs) as pool:
-                        results = list(pool.map(_lite_one_instance, tasks))
-                else:
-                    results = [_lite_one_instance(t) for t in tasks]
                 predicted = []
-                for r, (label, tree, active, entries) in zip(test_idx, results):
-                    predicted.append(label)
+                for r in test_idx:
+                    entries = []
+                    trace = entries.append if trace_sink is not None else None
+                    tree, active = hie_mst_lite(
+                        edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r)), trace
+                    )
+                    clf = fit(train, tree, active, smoothing)
+                    predicted.append(predict(clf, ds.values[r]).label)
                     for f in active:
                         usage_selection[f] += 1
                     for p, c in tree.edges():

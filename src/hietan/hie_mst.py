@@ -29,6 +29,18 @@ redundant), and each insertion deactivates the relatives of the endpoints that
 duplicate an endpoint's value. Every edge starts available and a deactivated
 feature is never reactivated, so "unavailable" <=> "an endpoint is inactive":
 an active-feature mask is the only per-instance state.
+
+The scan stops as soon as at most one skeleton component still holds an
+active feature; the eager learner keeps every feature active, so there the
+rule reads "the skeleton spans all features". The stop is exact: take any
+later candidate (i, j). If both endpoints are active, they lie in that one
+live component, so the edge closes a cycle. Otherwise an endpoint is
+inactive, so the edge is unavailable. Neither state can be undone, because
+features are never reactivated and the skeleton only grows, so no later
+candidate is accepted; nor does a rejection change any state, so the tree,
+the active mask and the residual orientation are those of a full scan. The
+trace replaces the k >= 1 skipped rejections with one ``scan_stopped`` entry
+that names the first skipped pair and carries ``skipped=k``.
 """
 
 from __future__ import annotations
@@ -48,14 +60,33 @@ TraceFn = Optional[Callable[[dict], None]]
 class EdgeSets:
     """Working state of the constrained learner: undirected edges, the parent
     map (one entry per directed edge, child -> parent), and a union-find over
-    the skeleton."""
+    the skeleton. ``live`` counts the skeleton components that still hold an
+    active feature; every feature starts active and alone."""
 
-    __slots__ = ("undirected", "parent_of", "_uf")
+    __slots__ = ("undirected", "parent_of", "_uf", "_active_in", "live")
 
     def __init__(self, n_features: int):
         self.undirected: list[tuple[int, int]] = []  # (a, b) with a < b
         self.parent_of: dict[int, int] = {}
         self._uf = UnionFind(n_features)
+        self._active_in = [1] * n_features  # per union-find root
+        self.live = n_features
+
+    def _join(self, a: int, b: int) -> None:
+        uf, count = self._uf, self._active_in
+        ra, rb = uf.find(a), uf.find(b)
+        if not uf.union(ra, rb):
+            return
+        if count[ra] and count[rb]:
+            self.live -= 1
+        count[uf.find(ra)] = count[ra] + count[rb]
+
+    def deactivate(self, v: int) -> None:
+        """Record that active feature ``v`` became inactive."""
+        root = self._uf.find(v)
+        self._active_in[root] -= 1
+        if not self._active_in[root]:
+            self.live -= 1
 
     def connected(self, a: int, b: int) -> bool:
         """True iff a and b share a component of the directed + undirected skeleton."""
@@ -68,12 +99,12 @@ class EdgeSets:
         if child in self.parent_of:
             raise ValueError(f"feature {child} already has a parent")
         self.parent_of[child] = parent
-        self._uf.union(parent, child)
+        self._join(parent, child)
 
     def add_undirected(self, a: int, b: int) -> None:
         pair = (a, b) if a < b else (b, a)
         self.undirected.append(pair)
-        self._uf.union(a, b)
+        self._join(a, b)
 
     def _move_to_directed(self, pair: tuple[int, int], parent: int, child: int) -> None:
         self.undirected.remove(pair)
@@ -207,8 +238,11 @@ def _grow(
     rng = random.Random(seed)
     sets = EdgeSets(n_features)
     active = [True] * n_features
-    for e in edges:
+    for pos, e in enumerate(edges):
         i, j = e.i, e.j
+        if sets.live <= 1:
+            _note(trace, "scan_stopped", i, j, skipped=len(edges) - pos)
+            break
         if sets.connected(i, j):
             _note(trace, "rejected_cycle", i, j)
             continue
@@ -220,7 +254,8 @@ def _grow(
                 _note(trace, "rejected_redundant", i, j)
                 continue
         if _insert_constrained(sets, dag, i, j, trace) and values is not None:
-            _deactivate_relatives(dag, values, active, (i, j), trace)
+            for u in _deactivate_relatives(dag, values, active, (i, j), trace):
+                sets.deactivate(u)
     _orient_residual(sets, rng, trace)
     tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
     return tree, active

@@ -147,6 +147,20 @@ def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]
     return [(order[a], order[b]) for a, b in picked]
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; any other bytes raise :class:`ParseError`
+    with the line of the first undecodable byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+            line=line,
+        ) from None
+
+
 def read_dag_file(path) -> list[tuple[str, str]]:
     """Parse the tab-separated hierarchy file into raw (parent, child) tokens.
 
@@ -154,7 +168,7 @@ def read_dag_file(path) -> list[tuple[str, str]]:
     ``#`` and blank lines are ignored.
     """
     pairs: list[tuple[str, str]] = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -58,7 +58,9 @@ GOLDEN_LITE_REMOVED = frozenset({2, 3})
 
 # Every decision hie_mst_lite records for the walkthrough instance (seed 0):
 # C--F is redundant (both 1); E->A enters and removes D (=A) and C (=E); the
-# eight candidates left touching C or D are unavailable; F->B and B->E enter.
+# three candidates left touching C or D are unavailable; F->B and B->E enter.
+# The active features A, B, E, F are then one component, so the scan stops
+# and the eight remaining candidates are skipped.
 GOLDEN_LITE_TRACE = [
     {"decision": "rejected_redundant", "i": 2, "j": 5},
     {"decision": "accepted_directed", "i": 0, "j": 4, "parent": 4, "child": 0},
@@ -69,14 +71,7 @@ GOLDEN_LITE_TRACE = [
     {"decision": "rejected_unavailable", "i": 1, "j": 3},
     {"decision": "accepted_directed", "i": 1, "j": 5, "parent": 5, "child": 1},
     {"decision": "accepted_directed", "i": 1, "j": 4, "parent": 1, "child": 4},
-    {"decision": "rejected_unavailable", "i": 2, "j": 4},
-    {"decision": "rejected_unavailable", "i": 3, "j": 5},
-    {"decision": "rejected_cycle", "i": 4, "j": 5},
-    {"decision": "rejected_cycle", "i": 0, "j": 5},
-    {"decision": "rejected_cycle", "i": 0, "j": 1},
-    {"decision": "rejected_unavailable", "i": 1, "j": 2},
-    {"decision": "rejected_unavailable", "i": 0, "j": 3},
-    {"decision": "rejected_unavailable", "i": 3, "j": 4},
+    {"decision": "scan_stopped", "i": 2, "j": 4, "skipped": 8},
 ]
 
 

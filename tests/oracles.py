@@ -7,18 +7,31 @@ the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
 per-class statistics and must reproduce it bit for bit. ``predict_reference``
 sums one scalar log per feature and class; ``hietan.bayes.predict`` gathers
 the same logs from a cached table and must reproduce it bit for bit.
+``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
+without the early stop: it examines every candidate, and the stopped scan
+must give the same tree, active mask, warnings and residual orientation.
 ``joint_counts`` builds a table by a direct scan and ``tree_total_score``
 sums a tree's candidate scores.
 """
 
 import math
+import random
 
 import numpy as np
 
 from hietan.bayes import FittedClassifier, Prediction
 from hietan.dataset import Dataset
 from hietan.errors import DegenerateDistribution, HieTanError, IndexOutOfRange
+from hietan.hie_mst import (
+    EdgeSets,
+    _deactivate_relatives,
+    _insert_constrained,
+    _note,
+    _orient_residual,
+    is_redundant_pair,
+)
 from hietan.mutual_info import JointCounts, ScoredEdge
+from hietan.tree import DependencyTree
 
 
 class UnknownEdge(HieTanError):
@@ -159,3 +172,28 @@ def predict_reference(clf: FittedClassifier, instance) -> Prediction:
             log_post[y] += _log(p)
     label = 0 if log_post[0] >= log_post[1] else 1
     return Prediction(label, (log_post[0], log_post[1]))
+
+
+def grow_reference(edges, dag, n_features, seed, values, trace):
+    """The full-scan greedy pass: eager with ``values=None``, lazy with an
+    instance's values, returning the tree and the final active mask."""
+    rng = random.Random(seed)
+    sets = EdgeSets(n_features)
+    active = [True] * n_features
+    for e in edges:
+        i, j = e.i, e.j
+        if sets.connected(i, j):
+            _note(trace, "rejected_cycle", i, j)
+            continue
+        if values is not None:
+            if not (active[i] and active[j]):
+                _note(trace, "rejected_unavailable", i, j)
+                continue
+            if is_redundant_pair(dag, values, i, j):
+                _note(trace, "rejected_redundant", i, j)
+                continue
+        if _insert_constrained(sets, dag, i, j, trace) and values is not None:
+            _deactivate_relatives(dag, values, active, (i, j), trace)
+    _orient_residual(sets, rng, trace)
+    tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
+    return tree, active

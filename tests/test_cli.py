@@ -95,8 +95,18 @@ class TestCv:
         assert "library_version" in doc
         assert "rank_table" in doc and "holm" in doc
         assert "feature_usage" in doc["methods"]["hie_tan_lite"]
+        assert "jobs" not in doc["config"]
         for block in doc["methods"].values():
             assert len(block["folds"]) == 3
+
+    @pytest.mark.parametrize("command", ["cv", "features"])
+    def test_no_jobs_flag(self, synth_files, tmp_path, capsys, command):
+        data, dag = synth_files
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(data), "--dag", str(dag), "--jobs", "2",
+                  "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_byte_identical_without_timestamp(self, synth_files, tmp_path):
         data, dag = synth_files
@@ -131,6 +141,33 @@ class TestCv:
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert lines and all("decision" in e for e in lines)
         assert {e["method"] for e in lines} == {"hie_tan_lite"}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command, flag", [
+        ("cv", "--data"), ("cv", "--dag"), ("validate", "--data"), ("validate", "--dag"),
+        ("train", "--data"), ("train", "--dag"), ("predict", "--data"),
+    ])
+    def test_exits_1_with_error(self, synth_files, tmp_path, capsys, command, flag):
+        data, dag = synth_files
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--dag", str(dag),
+                     "--method", "hie-tan", "--model", str(model)]) == 0
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00")
+        files = {"--data": str(data), "--dag": str(dag), flag: str(bad)}
+        argv = {
+            "cv": ["cv", "--folds", "3", "--out", str(tmp_path / "r.json"),
+                   "--dag", files["--dag"]],
+            "validate": ["validate", "--dag", files["--dag"]],
+            "train": ["train", "--method", "hie-tan", "--model", str(tmp_path / "m.json"),
+                      "--dag", files["--dag"]],
+            "predict": ["predict", "--model", str(model)],
+        }[command] + ["--data", files["--data"]]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}:1: not UTF-8 text" in err
 
 
 class TestTrainPredict:

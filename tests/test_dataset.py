@@ -99,6 +99,29 @@ class TestLoad:
         with pytest.raises(NonBinaryValue):
             Dataset(np.full((1, 1), 2), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [0.7, 256, float("nan"), -1], ids=["0.7", "256", "nan", "-1"])
+    @pytest.mark.parametrize("column", ["values", "labels"])
+    def test_constructor_rejects_non_binary(self, column, bad):
+        values = np.zeros((2, 2))
+        labels = np.zeros(2)
+        (values if column == "values" else labels)[-1] = bad
+        with pytest.raises(NonBinaryValue, match="must be 0 or 1"):
+            Dataset(values, labels)
+
+    def test_constructor_copies_the_callers_arrays(self):
+        values = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+        labels = np.array([0, 1, 1], dtype=np.uint8)
+        ds = Dataset(values, labels)
+        tree = DependencyTree((None, 0))
+        before = fit(ds, tree, None, 1.0).cpts[1].copy()
+        assert values.flags.writeable and labels.flags.writeable
+        assert not ds.values.flags.writeable and not ds.labels.flags.writeable
+        values[:] = 0
+        labels[:] = 0
+        assert ds.values.tolist() == [[0, 1], [1, 1], [1, 0]]
+        assert ds.labels.tolist() == [0, 1, 1]
+        assert np.array_equal(fit(ds, tree, None, 1.0).cpts[1], before)
+
 
 class TestPropagation:
     def test_tiny_dataset_is_consistent(self, tiny_consistent_dataset, canonical_dag):

@@ -189,18 +189,6 @@ class TestRunCv:
         assert np.array_equal(ua.freq_of_selection, ub.freq_of_selection)
         assert np.array_equal(ua.freq_in_edges, ub.freq_in_edges)
 
-    def test_jobs_do_not_change_output(self):
-        ds, dag = small_problem(seed=9)
-        a = run_cv_experiment(ds, dag, [METHOD_HIE_TAN_LITE], 4, seed=3, jobs=1)
-        b = run_cv_experiment(ds, dag, [METHOD_HIE_TAN_LITE], 4, seed=3, jobs=4)
-        assert a.methods[METHOD_HIE_TAN_LITE].fold_gmeans == b.methods[
-            METHOD_HIE_TAN_LITE
-        ].fold_gmeans
-        assert np.array_equal(
-            a.methods[METHOD_HIE_TAN_LITE].usage.freq_in_edges,
-            b.methods[METHOD_HIE_TAN_LITE].usage.freq_in_edges,
-        )
-
     def test_tan_equals_hie_tan_on_two_features_no_hierarchy(self):
         # With two features and no hierarchy the two learners consume the
         # seed identically (one binary draw decides root/orientation), so the

@@ -1,15 +1,18 @@
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from hietan.dataset import Dataset
-from hietan.hie_mst import EdgeSets, _propagate, hie_mst
+from hietan.hie_mst import EdgeSets, _propagate, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import ScoredEdge, rank_edges
 
 from conftest import A, B, C, D, E, F
 from golden import GOLDEN_CHAIN_PARENTS, golden_dataset
+from oracles import grow_reference
 
 
 def dfs_connected(sets, a, b):
@@ -217,3 +220,121 @@ class TestHieMst:
             else:
                 assert len(tree.edges()) == 3
         assert dropped > 0  # the drop path is exercised
+
+
+TAIL_DECISIONS = ("rejected_cycle", "rejected_unavailable")
+SCAN_DECISIONS = TAIL_DECISIONS + (
+    "rejected_redundant", "rejected_single_parent",
+    "accepted_directed", "accepted_undirected",
+)
+
+
+def stop_problems(seed, count):
+    """Random learner inputs with 2-20 features over empty, chain and random
+    hierarchies. Candidates come in a random order; a quarter of the lists
+    are cut short so that some scans end before any stop."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randrange(2, 21)
+        order = rng.sample(range(n), n)
+        hierarchy = (
+            [],
+            list(zip(order, order[1:])),
+            random_dag(n, rng.randrange(0, 2 * n + 1), trial),
+        )[trial % 3]
+        dag = build_dag(n, hierarchy)
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        if rng.random() < 0.25:
+            pairs = pairs[: rng.randrange(len(pairs) + 1)]
+        edges = [ScoredEdge(i, j, float(len(pairs) - k)) for k, (i, j) in enumerate(pairs)]
+        ones = rng.random()
+        values = [int(rng.random() < ones) for _ in range(n)]
+        yield dag, n, edges, values, rng.randrange(10_000)
+
+
+def traced(learner, *args):
+    trace = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = learner(*args, trace=trace.append)
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return out, messages, trace
+
+
+def check_stopped_trace(got, want, edges):
+    """``got`` is ``want`` with the tail of rejections after the stop folded
+    into one ``scan_stopped`` entry; returns whether the scan stopped."""
+    stops = [k for k, t in enumerate(got) if t["decision"] == "scan_stopped"]
+    if not stops:
+        assert got == want
+        return False
+    (s,) = stops
+    k = got[s]["skipped"]
+    assert k >= 1
+    assert got[:s] == want[:s]
+    tail = want[s : s + k]
+    assert all(t["decision"] in TAIL_DECISIONS for t in tail)
+    assert [(t["i"], t["j"]) for t in tail] == [(e.i, e.j) for e in edges[-k:]]
+    assert (got[s]["i"], got[s]["j"]) == (tail[0]["i"], tail[0]["j"])
+    scanned = sum(t["decision"] in SCAN_DECISIONS for t in want[:s])
+    assert scanned + k == len(edges)
+    # Residual orientation after the stop is untouched.
+    assert got[s + 1 :] == want[s + k :]
+    return True
+
+
+class TestScanStop:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["hie_mst", "hie_mst_lite"])
+    def test_matches_full_scan(self, lazy):
+        stopped = ran = 0
+        for dag, n, edges, values, seed in stop_problems(8, 600):
+            if lazy:
+                (tree, active), got_warn, got = traced(hie_mst_lite, edges, dag, values, n, seed)
+            else:
+                tree, got_warn, got = traced(hie_mst, edges, dag, n, seed)
+                active = frozenset(range(n))
+            (ref_tree, ref_active), want_warn, want = traced(
+                grow_reference, edges, dag, n, seed, values if lazy else None
+            )
+            assert tree == ref_tree
+            assert active == frozenset(f for f in range(n) if ref_active[f])
+            assert got_warn == want_warn
+            stopped += check_stopped_trace(got, want, edges)
+            ran += 1
+        # Both outcomes occur, so neither half of the check is vacuous.
+        assert ran // 2 < stopped < ran
+
+    def test_eager_stops_once_spanning(self):
+        # A path 0-1-2-3 spans after three accepts; the three remaining
+        # candidates would all close cycles.
+        dag = build_dag(4, [])
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
+        edges = [ScoredEdge(i, j, 6.0 - k) for k, (i, j) in enumerate(pairs)]
+        trace = []
+        hie_mst(edges, dag, 4, 0, trace=trace.append)
+        assert trace[3] == {"decision": "scan_stopped", "i": 0, "j": 2, "skipped": 3}
+        assert [t["decision"] for t in trace[4:]] == ["oriented_randomly"] * 3
+
+    def test_live_counts_components_with_an_active_feature(self):
+        rng = random.Random(4)
+        for trial in range(200):
+            n = rng.randrange(1, 12)
+            sets = EdgeSets(n)
+            active = [True] * n
+            for _ in range(rng.randrange(3 * n)):
+                a, b = rng.randrange(n), rng.randrange(n)
+                if rng.random() < 0.3:
+                    if active[a]:
+                        active[a] = False
+                        sets.deactivate(a)
+                elif a != b and not dfs_connected(sets, a, b):
+                    if rng.random() < 0.5 and b not in sets.parent_of:
+                        sets.add_directed(a, b)
+                    else:
+                        sets.add_undirected(a, b)
+                components = set()
+                for v in range(n):
+                    if active[v]:
+                        components.add(min(u for u in range(n) if dfs_connected(sets, u, v)))
+                assert sets.live == len(components)

@@ -18,6 +18,7 @@ from golden import (
     GOLDEN_LITE_TRACE,
     golden_dataset,
 )
+from oracles import grow_reference
 
 
 def random_dataset(rng, n_instances, n_features):
@@ -56,11 +57,16 @@ class TestRemoveRedundancy:
         assert removed == {C, D}
         assert {f for f in range(6) if active[f]} == {A, B, E, F}
         # In the golden run, every candidate touching C or D after E--A is
-        # disabled; none of them would close a cycle first ...
+        # disabled; none of them would close a cycle first. The library stops
+        # scanning before most of them, so read them off the full scan ...
         edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-        trace = []
+        trace, full = [], []
         hie_mst_lite(edges, canonical_dag, GOLDEN_INSTANCE, 6, 0, trace.append)
-        scanned = [t for t in trace if t["decision"] != "relative_removed"]
+        grow_reference(edges, canonical_dag, 6, 0, GOLDEN_INSTANCE, full.append)
+        stop = [t["decision"] for t in trace].index("scan_stopped")
+        assert trace[:stop] == full[:stop]
+        assert trace[stop + 1:] == full[stop + trace[stop]["skipped"]:]
+        scanned = [t for t in full if t["decision"] != "relative_removed"]
         after = scanned[[(t["i"], t["j"]) for t in scanned].index((A, E)) + 1:]
         yellow = [(A, C), (C, D), (B, D), (B, C), (C, E), (A, D), (D, F), (D, E)]
         decided = {(t["i"], t["j"]): t["decision"] for t in after}
