@@ -38,9 +38,9 @@ from .evaluate import (
     gmean,
     run_cv_experiment,
 )
-from .hie_mst import EdgeSets, hie_mst, hie_mst_lite, is_redundant_pair
+from .hie_mst import hie_mst, hie_mst_lite
 from .hierarchy import FeatureDag, build_dag, dag_from_file, random_dag
-from .mutual_info import JointCounts, ScoredEdge, cmi, rank_edges
+from .mutual_info import JointCounts, cmi, rank_edges
 from .tan import learn_tan_structure
 from .tree import DependencyTree
 
@@ -50,7 +50,6 @@ __all__ = [
     "ConfusionCounts",
     "Dataset",
     "DependencyTree",
-    "EdgeSets",
     "ExperimentResult",
     "FeatureDag",
     "FeatureUsageReport",
@@ -61,7 +60,6 @@ __all__ = [
     "PlantedRule",
     "Prediction",
     "RankTable",
-    "ScoredEdge",
     "average_ranks",
     "build_dag",
     "cmi",
@@ -73,7 +71,6 @@ __all__ = [
     "gmean",
     "hie_mst",
     "hie_mst_lite",
-    "is_redundant_pair",
     "learn_tan_structure",
     "load_dataset",
     "load_model",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,7 +38,7 @@ from .evaluate import (
 )
 from .hie_mst import hie_mst
 from .hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
-from .mutual_info import check_smoothing, rank_edges
+from .mutual_info import rank_edges
 from .tan import learn_tan_structure
 
 _METHOD_FLAGS = {
@@ -55,13 +56,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _smoothing(text: str) -> float:
-    try:
-        return check_smoothing(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}"
-        ) from None
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_smoothing = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
 def _build_parser() -> _Parser:
@@ -93,7 +104,7 @@ def _build_parser() -> _Parser:
     p_cv = sub.add_parser("cv", help="cross-validated experiment")
     add_common(p_cv)
     p_cv.add_argument("--out", default="results.json")
-    p_cv.add_argument("--alpha", type=float, default=0.05)
+    p_cv.add_argument("--alpha", type=_alpha, default=0.05)
     p_cv.add_argument("--trace", help="write a JSON-lines decision trace here")
 
     p_train = sub.add_parser("train", help="fit a model on the full dataset")
@@ -107,18 +118,18 @@ def _build_parser() -> _Parser:
 
     p_feat = sub.add_parser("features", help="feature usage report (lazy method)")
     add_common(p_feat)
-    p_feat.add_argument("--top", type=int, default=20)
+    p_feat.add_argument("--top", type=_count, default=20)
     p_feat.add_argument("--out", help="also write the full report as JSON")
 
     p_synth = sub.add_parser("synth", help="generate a hierarchy-consistent dataset")
     p_synth.add_argument("--dag", help="existing hierarchy TSV to sample under")
-    p_synth.add_argument("--random-features", type=int,
+    p_synth.add_argument("--random-features", type=_count,
                          help="generate a random hierarchy with this many features")
-    p_synth.add_argument("--random-edges", type=int, default=0)
+    p_synth.add_argument("--random-edges", type=_count, default=0)
     p_synth.add_argument("--dag-out", help="where to write a generated hierarchy")
-    p_synth.add_argument("--instances", type=int, default=100)
-    p_synth.add_argument("--leaf-density", type=float, default=0.3)
-    p_synth.add_argument("--class-noise", type=float, default=0.05)
+    p_synth.add_argument("--instances", type=_count, default=100)
+    p_synth.add_argument("--leaf-density", type=_fraction, default=0.3)
+    p_synth.add_argument("--class-noise", type=_fraction, default=0.05)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output dataset CSV")
     return parser
@@ -369,11 +380,14 @@ def cmd_synth(args) -> int:
     else:
         n = args.random_features
         names = [f"f{i}" for i in range(n)]
-        edge_list = random_dag(n, args.random_edges, args.seed)
-        dag = build_dag(n, edge_list)
-        if args.dag_out:
-            write_dag_file(args.dag_out, sorted(dag.edges), names)
-            print(f"hierarchy written to {args.dag_out}")
+        dag = build_dag(n, random_dag(n, args.random_edges, args.seed))
+    if dag.n_features < 2:
+        raise WrongUsage(
+            f"need at least two features to plant a label rule, got {dag.n_features}"
+        )
+    if args.dag is None and args.dag_out:
+        write_dag_file(args.dag_out, sorted(dag.edges), names)
+        print(f"hierarchy written to {args.dag_out}")
 
     ds, rule = generate_synthetic_with_rule(
         dag, args.instances, args.leaf_density, args.class_noise, args.seed,

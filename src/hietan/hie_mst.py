@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import DimensionMismatch
 from .hierarchy import FeatureDag
-from .mutual_info import ScoredEdge
 from .tree import DependencyTree, UnionFind
 
 TraceFn = Optional[Callable[[dict], None]]
@@ -230,7 +229,7 @@ def _deactivate_relatives(
 
 
 def _grow(
-    edges: Sequence[ScoredEdge], dag: FeatureDag, n_features: int, seed: int,
+    edges: list, dag: FeatureDag, n_features: int, seed: int,
     values: Optional[list[int]], trace: TraceFn,
 ) -> tuple[DependencyTree, list[bool]]:
     """The greedy pass of both learners: eager with ``values=None``, lazy with
@@ -238,8 +237,7 @@ def _grow(
     rng = random.Random(seed)
     sets = EdgeSets(n_features)
     active = [True] * n_features
-    for pos, e in enumerate(edges):
-        i, j = e.i, e.j
+    for pos, (i, j, _) in enumerate(edges):
         if sets.live <= 1:
             _note(trace, "scan_stopped", i, j, skipped=len(edges) - pos)
             break
@@ -262,7 +260,7 @@ def _grow(
 
 
 def hie_mst(
-    edges: Sequence[ScoredEdge],
+    edges: list,
     dag: FeatureDag,
     n_features: int,
     seed: int,
@@ -270,7 +268,9 @@ def hie_mst(
 ) -> DependencyTree:
     """Learn the hierarchy-constrained dependency forest.
 
-    ``edges`` must be sorted descending by score. The result may have fewer
+    ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
+    output of ``rank_edges``); either endpoint may come first, and only the
+    order of the list is read. The result may have fewer
     than ``n_features - 1`` edges: constraint rejections can exhaust the
     candidates, and leftover features simply become roots.
     """
@@ -278,7 +278,7 @@ def hie_mst(
 
 
 def hie_mst_lite(
-    edges: Sequence[ScoredEdge],
+    edges: list,
     dag: FeatureDag,
     instance,
     n_features: int,
@@ -286,6 +286,9 @@ def hie_mst_lite(
     trace: TraceFn = None,
 ) -> tuple[DependencyTree, frozenset[int]]:
     """Learn one instance-specific tree and report the surviving features.
+
+    ``edges`` is read as in ``hie_mst``: sorted ``(i, j, score)`` tuples in
+    either endpoint order.
 
     Features removed as redundant contribute no likelihood factor when the
     instance is classified. On a hierarchy with no edges this degenerates to

@@ -1,5 +1,8 @@
 """Conditional mutual information scores and the ranked candidate edge list.
 
+``rank_edges`` returns every feature pair as a plain ``(i, j, score)`` tuple
+with ``i < j``, sorted for the tree learners; they read only the pair order.
+
 For a feature pair (X_i, X_j) and class Y the score is
 
     sum over (x_i, x_j, y) of  P(x_i, x_j, y) * log( P(x_i, x_j | y)
@@ -56,20 +59,6 @@ class JointCounts:
         object.__setattr__(self, "table", t)
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredEdge:
-    """Candidate dependency between features ``i < j``. Which endpoint may
-    become the parent is the hierarchy's call, so the learners ask the DAG."""
-
-    i: int
-    j: int
-    score: float
-
-    def __post_init__(self):
-        if not self.i < self.j:
-            raise ValueError("edge endpoints must satisfy i < j")
-
-
 def check_smoothing(smoothing: float) -> float:
     """Return the additive smoothing as a float, rejecting negative, NaN and
     infinite values."""
@@ -112,8 +101,11 @@ def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
     return float(_cmi_rows(counts.table[np.newaxis], int(counts.n), smoothing)[0])
 
 
-def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[ScoredEdge]:
-    """Score all n(n-1)/2 feature pairs and sort them for the tree learners.
+def rank_edges(
+    ds: Dataset, dag: FeatureDag, smoothing: float = 1.0
+) -> list[tuple[int, int, float]]:
+    """Score all n(n-1)/2 feature pairs as ``(i, j, score)`` tuples with
+    ``i < j`` and sort them for the tree learners.
 
     Descending by score; exact ties fall back to ascending (i, j) so the order
     is reproducible across runs and platforms. Contingency tables for all pairs
@@ -134,6 +126,4 @@ def rank_edges(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> list[Sco
         tables = ds._pair_counts(i[block], j[block])
         scores[block] = _cmi_rows(tables, ds.n_instances, smoothing)
     order = np.lexsort((j, i, -scores))
-    return list(map(
-        ScoredEdge, i[order].tolist(), j[order].tolist(), scores[order].tolist()
-    ))
+    return list(zip(i[order].tolist(), j[order].tolist(), scores[order].tolist()))

@@ -10,33 +10,29 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Sequence
 
 from .errors import EmptyFeatureSet
-from .mutual_info import ScoredEdge
 from .tree import DependencyTree, UnionFind
 
 
-def learn_tan_structure(
-    edges: Sequence[ScoredEdge], n_features: int, seed: int
-) -> DependencyTree:
+def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTree:
     """Greedy maximum spanning tree plus seeded random root orientation.
 
-    ``edges`` must already be sorted descending by score (the output of
-    ``rank_edges``). The root is the single draw
-    ``random.Random(seed).randrange(n_features)``.
+    ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
+    output of ``rank_edges``); either endpoint may come first. The root is
+    the single draw ``random.Random(seed).randrange(n_features)``.
     """
     if n_features <= 0:
         raise EmptyFeatureSet("cannot learn a structure over zero features")
     uf = UnionFind(n_features)
     adjacency: list[list[int]] = [[] for _ in range(n_features)]
     picked = 0
-    for e in edges:
+    for i, j, _ in edges:
         if picked == n_features - 1:
             break
-        if uf.union(e.i, e.j):
-            adjacency[e.i].append(e.j)
-            adjacency[e.j].append(e.i)
+        if uf.union(i, j):
+            adjacency[i].append(j)
+            adjacency[j].append(i)
             picked += 1
 
     root = random.Random(seed).randrange(n_features)

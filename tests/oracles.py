@@ -30,7 +30,7 @@ from hietan.hie_mst import (
     _orient_residual,
     is_redundant_pair,
 )
-from hietan.mutual_info import JointCounts, ScoredEdge
+from hietan.mutual_info import JointCounts
 from hietan.tree import DependencyTree
 
 
@@ -84,9 +84,9 @@ def cmi_reference(counts: JointCounts, smoothing: float = 1.0) -> float:
     return math.fsum(terms)
 
 
-def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[ScoredEdge]:
-    """Per-pair loop: one table, one scalar score and one edge per pair,
-    sorted descending by score, then ascending by (i, j)."""
+def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[tuple[int, int, float]]:
+    """Per-pair loop: one table, one scalar score and one (i, j, score)
+    triple per pair, sorted descending by score, then ascending by (i, j)."""
     n = ds.n_features
     X = ds.values.astype(np.int64)
     per_class = []
@@ -94,7 +94,7 @@ def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[ScoredEdge
         Xy = X[ds.labels == y]
         per_class.append((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0]))
 
-    out: list[ScoredEdge] = []
+    out: list[tuple[int, int, float]] = []
     table = np.empty((2, 2, 2), dtype=np.int64)
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -107,14 +107,14 @@ def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[ScoredEdge
                 table[0, 1, y] = n01
                 table[0, 0, y] = total - n11 - n10 - n01
             counts = JointCounts(table.copy(), ds.n_instances)
-            out.append(ScoredEdge(i, j, cmi_reference(counts, smoothing)))
-    out.sort(key=lambda e: (-e.score, e.i, e.j))
+            out.append((i, j, cmi_reference(counts, smoothing)))
+    out.sort(key=lambda e: (-e[2], e[0], e[1]))
     return out
 
 
 def tree_total_score(tree, edges) -> float:
     """Sum of candidate scores over the tree's edges."""
-    lookup = {(e.i, e.j): e.score for e in edges}
+    lookup = {(i, j): s for i, j, s in edges}
     picked = []
     for p, c in tree.edges():
         key = (p, c) if p < c else (c, p)
@@ -180,8 +180,7 @@ def grow_reference(edges, dag, n_features, seed, values, trace):
     rng = random.Random(seed)
     sets = EdgeSets(n_features)
     active = [True] * n_features
-    for e in edges:
-        i, j = e.i, e.j
+    for i, j, _ in edges:
         if sets.connected(i, j):
             _note(trace, "rejected_cycle", i, j)
             continue

@@ -25,7 +25,7 @@ from hietan.dataset import (
 from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_experiment
 from hietan.hie_mst import hie_mst, hie_mst_lite, is_redundant_pair
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
-from hietan.mutual_info import ScoredEdge, cmi, rank_edges
+from hietan.mutual_info import cmi, rank_edges
 from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree, UnionFind
 
@@ -49,7 +49,7 @@ def _report(number, name, ok):
 def test_criterion_01_hie_mst_golden_chain(canonical_dag):
     start = time.monotonic()
     edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-    order_ok = [(e.i, e.j) for e in edges[:7]] == GOLDEN_ORDER_7
+    order_ok = [(i, j) for i, j, _ in edges[:7]] == GOLDEN_ORDER_7
     tree = hie_mst(edges, canonical_dag, 6, seed=0)
     elapsed = time.monotonic() - start
     _report(
@@ -77,8 +77,8 @@ def test_criterion_02_hie_mst_lite_golden_tree(canonical_dag):
 
 def _sorted_edges(scores, n=6):
     return sorted(
-        (ScoredEdge(i, j, scores.get((i, j), 0.0)) for i, j in combinations(range(n), 2)),
-        key=lambda e: (-e.score, e.i, e.j),
+        ((i, j, scores.get((i, j), 0.0)) for i, j in combinations(range(n), 2)),
+        key=lambda e: (-e[2], e[0], e[1]),
     )
 
 
@@ -88,7 +88,7 @@ def _decisions(trace, pair):
 
 def test_criterion_03_propagation_scenarios(canonical_dag):
     # One parented endpoint: C--A enters undirected, then F->C orients it C->A.
-    edges = [ScoredEdge(A, C, 2.0), ScoredEdge(C, F, 1.0)]
+    edges = [(A, C, 2.0), (C, F, 1.0)]
     trace = []
     tree = hie_mst(edges, canonical_dag, 6, seed=0, trace=trace.append)
     oriented = (
@@ -111,7 +111,7 @@ def test_criterion_03_propagation_scenarios(canonical_dag):
 
     # Both endpoints are parents of others: E--F enters undirected and no
     # propagation touches it; only the final coin orients it.
-    edges = [ScoredEdge(C, F, 3.0), ScoredEdge(A, E, 2.0), ScoredEdge(E, F, 1.0)]
+    edges = [(C, F, 3.0), (A, E, 2.0), (E, F, 1.0)]
     trace = []
     tree = hie_mst(edges, canonical_dag, 6, seed=0, trace=trace.append)
     retained = (
@@ -171,8 +171,8 @@ def test_criterion_05_mst_brute_force_optimality():
             if len(set(scores.values())) == len(scores):
                 break
         edges = sorted(
-            (ScoredEdge(i, j, s) for (i, j), s in scores.items()),
-            key=lambda e: (-e.score, e.i, e.j),
+            ((i, j, s) for (i, j), s in scores.items()),
+            key=lambda e: (-e[2], e[0], e[1]),
         )
         tree = learn_tan_structure(edges, n, seed=trial)
         best = None

@@ -31,6 +31,18 @@ def tiny_files(tmp_path):
     return data, dag
 
 
+def exit_code(argv):
+    """``main``'s exit code, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
 @pytest.fixture
 def synth_files(tmp_path):
     """A synthetic problem big enough for 3-fold CV."""
@@ -129,6 +141,21 @@ class TestCv:
             "cv", "--data", str(data), "--dag", str(dag),
             "--folds", "1", "--out", str(tmp_path / "x.json"),
         ]) == 1
+
+    @pytest.mark.parametrize("value", ["2", "nan", "0", "1", "-0.5"])
+    def test_alpha_outside_open_unit_interval_is_usage_error(
+        self, synth_files, tmp_path, capsys, value
+    ):
+        data, dag = synth_files
+        out = tmp_path / "x.json"
+        assert exit_code([
+            "cv", "--data", str(data), "--dag", str(dag), "--folds", "3",
+            "--alpha", value, "--out", str(out),
+        ]) == 1
+        assert error_lines(capsys.readouterr().err) == [
+            f"hietan cv: error: argument --alpha: must be a number in (0, 1), got '{value}'"
+        ]
+        assert not out.exists()
 
     def test_trace_written(self, synth_files, tmp_path):
         data, dag = synth_files
@@ -318,6 +345,18 @@ class TestFeatures:
         rows = [l for l in out.splitlines() if l.startswith("  ")]
         assert len(rows) == 6  # 3 per criterion
 
+    def test_negative_top_is_usage_error(self, synth_files, capsys):
+        data, dag = synth_files
+        assert exit_code([
+            "features", "--data", str(data), "--dag", str(dag),
+            "--folds", "3", "--top", "-1",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert error_lines(captured.err) == [
+            "hietan features: error: argument --top: must be an integer >= 0, got '-1'"
+        ]
+        assert "Freq." not in captured.out
+
     def test_wrong_method(self, synth_files):
         data, dag = synth_files
         assert main([
@@ -343,6 +382,37 @@ class TestSynth:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--instances", "-5"),
+        ("--leaf-density", "2"),
+        ("--class-noise", "1.5"),
+        ("--class-noise", "nan"),
+        ("--random-features", "0"),
+        ("--random-features", "1"),
+        ("--random-features", "-3"),
+        ("--random-edges", "-2"),
+    ])
+    def test_bad_number_is_usage_error(self, tmp_path, capsys, flag, value):
+        out, dag_out = tmp_path / "x.csv", tmp_path / "x.tsv"
+        # A repeated flag takes its last value, so this also covers --random-features.
+        assert exit_code([
+            "synth", "--out", str(out), "--dag-out", str(dag_out),
+            "--random-features", "5", flag, value,
+        ]) == 1
+        (line,) = error_lines(capsys.readouterr().err)
+        assert line.startswith(("error:", "hietan synth: error:"))
+        assert not out.exists() and not dag_out.exists()
+
+    def test_dag_with_fewer_than_two_features_is_usage_error(self, tmp_path, capsys):
+        dag = tmp_path / "empty.tsv"
+        dag.write_text("")
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--dag", str(dag), "--out", str(out)]) == 1
+        assert error_lines(capsys.readouterr().err) == [
+            "error: need at least two features to plant a label rule, got 0"
+        ]
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         paths = []

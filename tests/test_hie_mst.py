@@ -8,7 +8,8 @@ import pytest
 from hietan.dataset import Dataset
 from hietan.hie_mst import EdgeSets, _propagate, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import ScoredEdge, rank_edges
+from hietan.mutual_info import rank_edges
+from hietan.tan import learn_tan_structure
 
 from conftest import A, B, C, D, E, F
 from golden import GOLDEN_CHAIN_PARENTS, golden_dataset
@@ -37,7 +38,7 @@ def dfs_connected(sets, a, b):
 
 
 def make_sorted(scored):
-    return sorted(scored, key=lambda e: (-e.score, e.i, e.j))
+    return sorted(scored, key=lambda e: (-e[2], e[0], e[1]))
 
 
 class TestEdgeSetOps:
@@ -137,7 +138,7 @@ class TestHieMst:
         # have parents by then; everything else scores ~0.
         scores = {(C, F): 3.0, (A, E): 2.0, (A, C): 1.0}
         edges = make_sorted(
-            [ScoredEdge(i, j, scores.get((i, j), 0.0))
+            [(i, j, scores.get((i, j), 0.0))
              for i, j in combinations(range(6), 2)]
         )
         trace = []
@@ -184,7 +185,7 @@ class TestHieMst:
         # blocked: the learner may end with fewer than n-1 edges.
         dag = build_dag(3, [(0, 1), (2, 1)])
         edges = make_sorted(
-            [ScoredEdge(0, 1, 3.0), ScoredEdge(1, 2, 2.0), ScoredEdge(0, 2, 1.0)]
+            [(0, 1, 3.0), (1, 2, 2.0), (0, 2, 1.0)]
         )
         tree = hie_mst(edges, dag, 3, seed=0)
         # 0->1 accepted; 2->1 rejected (1 already parented); 0--2 unrelated,
@@ -201,12 +202,12 @@ class TestHieMst:
         dag = build_dag(4, [])
         edges = make_sorted(
             [
-                ScoredEdge(0, 1, 4.0),  # a-b
-                ScoredEdge(2, 3, 3.0),  # c-d
-                ScoredEdge(0, 2, 2.0),  # a-c
-                ScoredEdge(1, 3, 1.0),
-                ScoredEdge(0, 3, 0.5),
-                ScoredEdge(1, 2, 0.25),
+                (0, 1, 4.0),  # a-b
+                (2, 3, 3.0),  # c-d
+                (0, 2, 2.0),  # a-c
+                (1, 3, 1.0),
+                (0, 3, 0.5),
+                (1, 2, 0.25),
             ]
         )
         dropped = 0
@@ -247,7 +248,7 @@ def stop_problems(seed, count):
         rng.shuffle(pairs)
         if rng.random() < 0.25:
             pairs = pairs[: rng.randrange(len(pairs) + 1)]
-        edges = [ScoredEdge(i, j, float(len(pairs) - k)) for k, (i, j) in enumerate(pairs)]
+        edges = [(i, j, float(len(pairs) - k)) for k, (i, j) in enumerate(pairs)]
         ones = rng.random()
         values = [int(rng.random() < ones) for _ in range(n)]
         yield dag, n, edges, values, rng.randrange(10_000)
@@ -275,7 +276,7 @@ def check_stopped_trace(got, want, edges):
     assert got[:s] == want[:s]
     tail = want[s : s + k]
     assert all(t["decision"] in TAIL_DECISIONS for t in tail)
-    assert [(t["i"], t["j"]) for t in tail] == [(e.i, e.j) for e in edges[-k:]]
+    assert [(t["i"], t["j"]) for t in tail] == [(i, j) for i, j, _ in edges[-k:]]
     assert (got[s]["i"], got[s]["j"]) == (tail[0]["i"], tail[0]["j"])
     scanned = sum(t["decision"] in SCAN_DECISIONS for t in want[:s])
     assert scanned + k == len(edges)
@@ -310,7 +311,7 @@ class TestScanStop:
         # candidates would all close cycles.
         dag = build_dag(4, [])
         pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
-        edges = [ScoredEdge(i, j, 6.0 - k) for k, (i, j) in enumerate(pairs)]
+        edges = [(i, j, 6.0 - k) for k, (i, j) in enumerate(pairs)]
         trace = []
         hie_mst(edges, dag, 4, 0, trace=trace.append)
         assert trace[3] == {"decision": "scan_stopped", "i": 0, "j": 2, "skipped": 3}
@@ -338,3 +339,37 @@ class TestScanStop:
                     if active[v]:
                         components.add(min(u for u in range(n) if dfs_connected(sets, u, v)))
                 assert sets.live == len(components)
+
+
+def test_endpoint_order_and_self_pairs_change_nothing():
+    """The learners read only the pair order of the candidates. Swapping
+    endpoints leaves every tree and active set as it was, and a self-pair
+    (v, v) met before the scan stops is traced as a cycle and changes nothing
+    else; TAN's union-find skips it."""
+    rng = random.Random(12)
+    self_pairs = 0
+    for dag, n, edges, values, seed in stop_problems(12, 200):
+        swapped = [(j, i, s) if rng.random() < 0.5 else (i, j, s) for i, j, s in edges]
+        tan = learn_tan_structure(edges, n, seed)
+        assert learn_tan_structure(swapped, n, seed) == tan
+        for learn in (
+            lambda e, **kw: hie_mst(e, dag, n, seed, **kw),
+            lambda e, **kw: hie_mst_lite(e, dag, values, n, seed, **kw),
+        ):
+            want, want_warn, trace = traced(learn, edges)
+            assert traced(learn, swapped)[:2] == (want, want_warn)
+            skipped = [t["skipped"] for t in trace if t["decision"] == "scan_stopped"]
+            stop = len(edges) - sum(skipped)
+            if not stop:
+                continue
+            k, v = rng.randrange(stop), rng.randrange(n)
+            with_self = edges[:k] + [(v, v, edges[k][2])] + edges[k:]
+            got, got_warn, got_trace = traced(learn, with_self)
+            assert (got, got_warn) == (want, want_warn)
+            assert [t for t in got_trace if t["i"] == t["j"]] == [
+                {"decision": "rejected_cycle", "i": v, "j": v}
+            ]
+            assert [t for t in got_trace if t["i"] != t["j"]] == trace
+            assert learn_tan_structure(with_self, n, seed) == tan
+            self_pairs += 1
+    assert self_pairs > 300

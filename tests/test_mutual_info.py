@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from hietan.errors import DegenerateDistribution, IndexOutOfRange
 from hietan.hierarchy import build_dag
 from hietan.mutual_info import (
     JointCounts,
-    ScoredEdge,
     cmi,
     rank_edges,
 )
@@ -216,31 +213,34 @@ class TestRankEdges:
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, 50, 6)
         edges = rank_edges(ds, canonical_dag)
-        scores = [e.score for e in edges]
+        scores = [s for _, _, s in edges]
         assert scores == sorted(scores, reverse=True)
-        assert {(e.i, e.j) for e in edges} == {
+        assert sorted((i, j) for i, j, _ in edges) == [
             (i, j) for i in range(6) for j in range(i + 1, 6)
-        }
+        ]
+        assert all(
+            type(i) is int and type(j) is int and type(s) is float for i, j, s in edges
+        )
 
     def test_golden_order(self, canonical_dag):
         edges = rank_edges(golden_dataset(), canonical_dag, 1.0)
-        assert [(e.i, e.j) for e in edges[:7]] == GOLDEN_ORDER_7
-        assert (edges[0].i, edges[0].j) == (C, F)
+        assert [(i, j) for i, j, _ in edges[:7]] == GOLDEN_ORDER_7
+        assert edges[0][:2] == (C, F)
 
     def test_tie_break_lexicographic(self, canonical_dag):
         # All-identical columns give identical scores for every pair.
         values = np.tile(np.array([[1], [0], [1], [0]], dtype=np.uint8), (1, 6))
         ds = Dataset(values, np.array([0, 1, 0, 1], dtype=np.uint8))
         edges = rank_edges(ds, canonical_dag)
-        assert len({round(e.score, 15) for e in edges}) == 1
-        pairs = [(e.i, e.j) for e in edges]
+        assert len({round(s, 15) for _, _, s in edges}) == 1
+        pairs = [(i, j) for i, j, _ in edges]
         assert pairs == sorted(pairs)
 
     def test_scores_match_joint_counts_route(self, canonical_dag):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, 40, 6)
-        for e in rank_edges(ds, canonical_dag, 0.7):
-            assert e.score == cmi(joint_counts(ds, e.i, e.j), 0.7)
+        for i, j, s in rank_edges(ds, canonical_dag, 0.7):
+            assert s == cmi(joint_counts(ds, i, j), 0.7)
 
     @pytest.mark.parametrize("smoothing", SWEEP_SMOOTHING)
     def test_matches_per_pair_reference(self, smoothing):
@@ -256,9 +256,9 @@ class TestRankEdges:
         ds = tied_tables_dataset()
         assert not np.array_equal(joint_counts(ds, 0, 1).table, joint_counts(ds, 2, 3).table)
         edges = rank_edges(ds, build_dag(4, []))
-        score = {(e.i, e.j): e.score for e in edges}
+        score = {(i, j): s for i, j, s in edges}
         assert score[(0, 1)] == score[(2, 3)]
-        tied = [(e.i, e.j) for e in edges if e.score == score[(0, 1)]]
+        tied = [(i, j) for i, j, s in edges if s == score[(0, 1)]]
         assert tied == sorted(tied) and {(0, 1), (2, 3)} <= set(tied)
 
     def test_underflowing_smoothing_is_degenerate(self):
@@ -275,16 +275,3 @@ class TestRankEdges:
         with pytest.raises(ValueError, match="smoothing"):
             rank_edges(ds, canonical_dag, smoothing)
 
-
-def test_scored_edge_requires_ordered_pair():
-    with pytest.raises(ValueError):
-        ScoredEdge(3, 3, 0.1)
-
-
-def test_scored_edge_is_slotted_frozen_and_picklable():
-    edge = ScoredEdge(1, 4, 0.25)
-    assert not hasattr(edge, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        edge.score = 0.5
-    assert pickle.loads(pickle.dumps(edge)) == edge
-    assert edge == ScoredEdge(1, 4, 0.25) and edge != ScoredEdge(1, 4, 0.5)

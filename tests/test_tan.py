@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from hietan.errors import EmptyFeatureSet
-from hietan.mutual_info import ScoredEdge
 from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree, UnionFind
 
@@ -19,8 +18,8 @@ def roots(tree):
 
 def make_edges(scores):
     """scores: mapping (i, j) -> value for all pairs; returns the sorted list."""
-    edges = [ScoredEdge(i, j, s) for (i, j), s in scores.items()]
-    edges.sort(key=lambda e: (-e.score, e.i, e.j))
+    edges = [(i, j, s) for (i, j), s in scores.items()]
+    edges.sort(key=lambda e: (-e[2], e[0], e[1]))
     return edges
 
 
@@ -89,7 +88,7 @@ class TestLearnStructure:
             # Kruskal selection, replayed independently.
             uf = UnionFind(n)
             kruskal = {
-                (e.i, e.j) for e in edges if uf.union(e.i, e.j)
+                (i, j) for i, j, _ in edges if uf.union(i, j)
             }
             for seed in (0, 1, trial):
                 tree = learn_tan_structure(edges, n, seed)
@@ -122,7 +121,7 @@ class TestTotalScore:
     def test_unit_scores_count_edges(self):
         # Five edges with unit scores sum to 5.
         tree = DependencyTree((C, D, None, C, A, C))
-        edges = [ScoredEdge(i, j, 1.0) for i, j in combinations(range(6), 2)]
+        edges = [(i, j, 1.0) for i, j in combinations(range(6), 2)]
         assert tree_total_score(tree, edges) == 5.0
 
     def test_unknown_edge(self):
