@@ -379,6 +379,11 @@ def cmd_synth(args) -> int:
         dag = build_dag(len(names), [(index[p], index[c]) for p, c in pairs])
     else:
         n = args.random_features
+        pairs = n * (n - 1) // 2
+        if args.random_edges > pairs:
+            raise WrongUsage(
+                f"--random-edges {args.random_edges} exceeds the {pairs} pairs of {n} features"
+            )
         names = [f"f{i}" for i in range(n)]
         dag = build_dag(n, random_dag(n, args.random_edges, args.seed))
     if dag.n_features < 2:

@@ -113,6 +113,11 @@ def average_ranks(gmeans_by_method: Mapping[str, Sequence[float]]) -> RankTable:
     return RankTable(methods, table, ranks, avg, wins)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class HolmComparison:
     method: str
@@ -138,6 +143,7 @@ def friedman_holm(table: RankTable, alpha: float = 0.05) -> FriedmanHolmResult:
     threshold its p-value was compared against (alpha, alpha/2, ... when the
     p-values are monotone in rank distance, which they always are here).
     """
+    _check_alpha(alpha)
     k = len(table.methods)
     n_blocks = table.ranks.shape[0]
     if k < 2 or n_blocks < 2:
@@ -191,6 +197,8 @@ class FeatureUsageReport:
     freq_in_edges: np.ndarray
 
     def top(self, criterion: str, n: int, feature_names: Sequence[str]):
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         counts = getattr(self, criterion)
         order = sorted(range(len(counts)), key=lambda f: (-int(counts[f]), f))
         return [(feature_names[f], int(counts[f])) for f in order[:n]]
@@ -251,15 +259,14 @@ def run_cv_experiment(
     usage_selection = np.zeros(n, dtype=np.int64)
     usage_edges = np.zeros(n, dtype=np.int64)
 
-    def emit(entries: list[dict], method: str, fold: int, instance=None):
+    def tagged(method: str, fold: int, instance=None):
+        """The trace callback of one tree: tags each entry and passes it on."""
         if trace_sink is None:
-            return
-        for entry in entries:
-            tagged = {"method": method, "fold": fold}
-            if instance is not None:
-                tagged["instance"] = int(instance)
-            tagged.update(entry)
-            trace_sink(tagged)
+            return None
+        tag = {"method": method, "fold": fold}
+        if instance is not None:
+            tag["instance"] = int(instance)
+        return lambda entry: trace_sink({**tag, **entry})
 
     for fold in range(k):
         train_idx = folds.train_indices(fold)
@@ -271,22 +278,18 @@ def run_cv_experiment(
 
         for method in methods:
             if method in (METHOD_TAN, METHOD_HIE_TAN):
-                entries: list[dict] = []
-                trace = entries.append if trace_sink is not None else None
                 if method == METHOD_TAN:
                     tree = learn_tan_structure(edges, n, fold_seed)
                 else:
-                    tree = hie_mst(edges, dag, n, fold_seed, trace)
-                emit(entries, method, fold)
+                    tree = hie_mst(edges, dag, n, fold_seed, tagged(method, fold))
                 clf = fit(train, tree, None, smoothing)
                 predicted = [predict(clf, ds.values[r]).label for r in test_idx]
             else:
                 predicted = []
                 for r in test_idx:
-                    entries = []
-                    trace = entries.append if trace_sink is not None else None
                     tree, active = hie_mst_lite(
-                        edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r)), trace
+                        edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r)),
+                        tagged(method, fold, r),
                     )
                     clf = fit(train, tree, active, smoothing)
                     predicted.append(predict(clf, ds.values[r]).label)
@@ -295,7 +298,6 @@ def run_cv_experiment(
                     for p, c in tree.edges():
                         usage_edges[p] += 1
                         usage_edges[c] += 1
-                    emit(entries, method, fold, instance=r)
             fold_counts[method].append(confusion_from_predictions(truths, predicted))
 
     out: dict[str, MethodCvResult] = {}
@@ -315,6 +317,7 @@ def fold_rank_summary(
     result: ExperimentResult, alpha: float = 0.05
 ) -> tuple[Optional[RankTable], Optional[FriedmanHolmResult]]:
     """Rank the methods fold-by-fold (folds play the role of datasets)."""
+    _check_alpha(alpha)
     if len(result.methods) < 2:
         return None, None
     table = average_ranks(

@@ -14,9 +14,15 @@ undirected unless the single-parent constraint already forces a direction:
 After every directed insertion, dependency propagation runs to a fixpoint:
 any undirected edge with exactly one parented endpoint is oriented away from
 that endpoint and becomes directed. Undirected edges that survive the whole
-pass are oriented by a seeded coin at the end, in insertion order, choosing
-only among directions that keep the single-parent constraint; an edge with no
-legal direction left is dropped with a warning.
+pass are oriented by seeded coins at the end: each coin directs the first
+undirected edge left, in insertion order, and propagation follows it.
+
+No accepted edge is lost. An undirected edge enters with two parentless
+endpoints. A directed insertion or a coin gives one parentless feature a
+parent, and propagation then orients the undirected edges reachable from it,
+away from it; the skeleton is a forest, so each of those gives one more
+parentless feature its parent. After every fixpoint both endpoints of each
+undirected edge are still parentless, so every coin has two legal directions.
 
 Cycle checks treat directed and undirected edges alike, so the working
 skeleton is always a forest and the result is a single-parent forest whose
@@ -46,7 +52,6 @@ that names the first skipped pair and carries ``skipped=k``.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Callable, Optional
 
 from .errors import DimensionMismatch
@@ -109,11 +114,6 @@ class EdgeSets:
         self.undirected.remove(pair)
         self.parent_of[child] = parent
 
-    def _drop_undirected(self, pair: tuple[int, int]) -> None:
-        self.undirected.remove(pair)
-        # The skeleton connectivity stays as-is; dropping late never
-        # re-admits edges, so a stale union is harmless and keeps this O(1).
-
 
 def _note(trace: TraceFn, decision: str, i: int, j: int, **extra) -> None:
     if trace is not None:
@@ -140,27 +140,15 @@ def _propagate(sets: EdgeSets, trace: TraceFn = None) -> None:
 
 
 def _orient_residual(sets: EdgeSets, rng: random.Random, trace: TraceFn = None) -> None:
-    """Randomly direct whatever stayed undirected, in insertion order."""
-    for pair in list(sets.undirected):
-        a, b = pair
-        options = []
-        if b not in sets.parent_of:
-            options.append((a, b))
-        if a not in sets.parent_of:
-            options.append((b, a))
-        if not options:
-            warnings.warn(
-                f"dropping edge {pair}: both endpoints already have parents, "
-                "no orientation is legal",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            sets._drop_undirected(pair)
-            _note(trace, "rejected_single_parent", a, b)
-            continue
-        parent, child = options[0] if len(options) == 1 else options[rng.randrange(2)]
+    """Direct whatever stayed undirected: a seeded coin orients the first
+    undirected edge in insertion order, propagation follows, and so on until
+    none is left."""
+    while sets.undirected:
+        pair = a, b = sets.undirected[0]
+        parent, child = (a, b) if rng.randrange(2) == 0 else (b, a)
         sets._move_to_directed(pair, parent, child)
         _note(trace, "oriented_randomly", a, b, parent=parent, child=child)
+        _propagate(sets, trace)
 
 
 def _insert_constrained(
@@ -178,27 +166,20 @@ def _insert_constrained(
     """
     if dag.hierarchically_related(i, j):
         parent, child = (i, j) if dag.is_ancestor(i, j) else (j, i)
-        if sets.has_parent(child):
-            _note(trace, "rejected_single_parent", i, j)
-            return False
-        sets.add_directed(parent, child)
-        _note(trace, "accepted_directed", i, j, parent=parent, child=child)
-        _propagate(sets, trace)
+    elif sets.has_parent(i):
+        parent, child = i, j
+    elif sets.has_parent(j):
+        parent, child = j, i
+    else:
+        sets.add_undirected(i, j)
+        _note(trace, "accepted_undirected", i, j)
         return True
-
-    has_i = sets.has_parent(i)
-    has_j = sets.has_parent(j)
-    if has_i and has_j:
+    if sets.has_parent(child):
         _note(trace, "rejected_single_parent", i, j)
         return False
-    if has_i != has_j:
-        parent, child = (i, j) if has_i else (j, i)
-        sets.add_directed(parent, child)
-        _note(trace, "accepted_directed", i, j, parent=parent, child=child)
-        _propagate(sets, trace)
-        return True
-    sets.add_undirected(i, j)
-    _note(trace, "accepted_undirected", i, j)
+    sets.add_directed(parent, child)
+    _note(trace, "accepted_directed", i, j, parent=parent, child=child)
+    _propagate(sets, trace)
     return True
 
 

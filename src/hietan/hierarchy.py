@@ -136,7 +136,8 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
 
 def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:
     """Sample an acyclic edge list: fix a random topological order, then draw
-    ``n_edges`` distinct pairs oriented along it."""
+    ``n_edges`` distinct pairs oriented along it. ``n_edges`` is capped at the
+    n(n-1)/2 pairs, so a larger count returns every pair."""
     if n_features < 0 or n_edges < 0:
         raise ValueError("counts must be non-negative")
     rng = random.Random(seed)

@@ -9,7 +9,7 @@ sums one scalar log per feature and class; ``hietan.bayes.predict`` gathers
 the same logs from a cached table and must reproduce it bit for bit.
 ``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
 without the early stop: it examines every candidate, and the stopped scan
-must give the same tree, active mask, warnings and residual orientation.
+must give the same tree, active mask and residual orientation.
 ``joint_counts`` builds a table by a direct scan and ``tree_total_score``
 sums a tree's candidate scores.
 """

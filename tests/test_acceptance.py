@@ -8,7 +8,6 @@ import json
 import math
 import random
 import time
-import warnings
 from itertools import combinations
 
 import numpy as np
@@ -189,36 +188,34 @@ def test_criterion_05_mst_brute_force_optimality():
 def test_criterion_06_structural_invariant_suite():
     rng = np.random.default_rng(31337)
     violations = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for trial in range(1000):
-            n = int(rng.integers(3, 11))
-            dag = build_dag(n, random_dag(n, int(rng.integers(0, 2 * n)), trial))
-            values = (rng.random((20, n)) < rng.random()).astype(np.uint8)
-            labels = (rng.random(20) < 0.5).astype(np.uint8)
-            ds = Dataset(values, labels)
-            edges = rank_edges(ds, dag)
-            seed = int(rng.integers(0, 1 << 30))
-            instance = values[int(rng.integers(0, 20))]
+    for trial in range(1000):
+        n = int(rng.integers(3, 11))
+        dag = build_dag(n, random_dag(n, int(rng.integers(0, 2 * n)), trial))
+        values = (rng.random((20, n)) < rng.random()).astype(np.uint8)
+        labels = (rng.random(20) < 0.5).astype(np.uint8)
+        ds = Dataset(values, labels)
+        edges = rank_edges(ds, dag)
+        seed = int(rng.integers(0, 1 << 30))
+        instance = values[int(rng.integers(0, 20))]
 
-            eager = hie_mst(edges, dag, n, seed)
-            lazy, active = hie_mst_lite(edges, dag, instance, n, seed)
-            for tree in (eager, lazy):
-                children = [c for _, c in tree.edges()]
-                if len(children) != len(set(children)):
-                    violations += 1  # single parent
-                try:
-                    DependencyTree(tree.parent_of)  # acyclicity re-check
-                except ValueError:
-                    violations += 1
-                for p, c in tree.edges():
-                    if dag.hierarchically_related(p, c) and not dag.is_ancestor(p, c):
-                        violations += 1
-            if not {v for edge in lazy.edges() for v in edge} <= active:
+        eager = hie_mst(edges, dag, n, seed)
+        lazy, active = hie_mst_lite(edges, dag, instance, n, seed)
+        for tree in (eager, lazy):
+            children = [c for _, c in tree.edges()]
+            if len(children) != len(set(children)):
+                violations += 1  # single parent
+            try:
+                DependencyTree(tree.parent_of)  # acyclicity re-check
+            except ValueError:
                 violations += 1
-            for p, c in lazy.edges():
-                if is_redundant_pair(dag, instance, p, c):
+            for p, c in tree.edges():
+                if dag.hierarchically_related(p, c) and not dag.is_ancestor(p, c):
                     violations += 1
+        if not {v for edge in lazy.edges() for v in edge} <= active:
+            violations += 1
+        for p, c in lazy.edges():
+            if is_redundant_pair(dag, instance, p, c):
+                violations += 1
     _report(6, f"structural invariants over 1000 random triples ({violations} violations)",
             violations == 0)
 
@@ -301,14 +298,12 @@ ORDERING_SEEDS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 14, 18, 19, 20, 21, 22, 25, 27, 28
 def test_criterion_10_end_to_end_ordering():
     start = time.monotonic()
     holds = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for seed in ORDERING_SEEDS:
-            ds, dag = _ordering_problem(seed)
-            assert validate_propagation(ds, dag) == []
-            result = run_cv_experiment(ds, dag, list(ALL_METHODS), 10, seed, smoothing=3.0)
-            g = {m: result.methods[m].mean_gmean for m in ALL_METHODS}
-            holds += g["hie_tan_lite"] >= g["hie_tan"] >= g["tan"]
+    for seed in ORDERING_SEEDS:
+        ds, dag = _ordering_problem(seed)
+        assert validate_propagation(ds, dag) == []
+        result = run_cv_experiment(ds, dag, list(ALL_METHODS), 10, seed, smoothing=3.0)
+        g = {m: result.methods[m].mean_gmean for m in ALL_METHODS}
+        holds += g["hie_tan_lite"] >= g["hie_tan"] >= g["tan"]
     elapsed = time.monotonic() - start
     _report(
         10,

@@ -392,6 +392,7 @@ class TestSynth:
         ("--random-features", "1"),
         ("--random-features", "-3"),
         ("--random-edges", "-2"),
+        ("--random-edges", "11"),
     ])
     def test_bad_number_is_usage_error(self, tmp_path, capsys, flag, value):
         out, dag_out = tmp_path / "x.csv", tmp_path / "x.tsv"

@@ -13,6 +13,8 @@ from hietan.evaluate import (
     METHOD_HIE_TAN_LITE,
     METHOD_TAN,
     ConfusionCounts,
+    ExperimentResult,
+    FeatureUsageReport,
     average_ranks,
     confusion_from_predictions,
     derive_seed,
@@ -124,6 +126,14 @@ class TestFriedmanHolm:
         single = average_ranks({"a": [0.1], "b": [0.2]})
         with pytest.raises(DegenerateRanks):
             friedman_holm(single)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -0.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # A Holm threshold of 1 or more would mark every comparison significant.
+        with pytest.raises(ValueError, match="alpha"):
+            friedman_holm(self._six_method_table(), alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            fold_rank_summary(ExperimentResult({}, 5, 0, 1.0, 0, 0), alpha)
 
     def test_p_values_match_permutation_oracle(self):
         rng = np.random.default_rng(7)
@@ -264,3 +274,11 @@ def test_derive_seed_is_stable():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2) != derive_seed(2, 1)
     assert derive_seed(-5) == derive_seed(-5)
+
+
+def test_usage_top_rejects_negative_count():
+    usage = FeatureUsageReport(np.array([3, 1, 2]), np.array([0, 4, 0]))
+    names = ["a", "b", "c"]
+    assert usage.top("freq_of_selection", 2, names) == [("a", 3), ("c", 2)]
+    with pytest.raises(ValueError):
+        usage.top("freq_of_selection", -1, names)

@@ -194,11 +194,10 @@ class TestHieMst:
         assert tree.parent_of[1] == 0
         assert sum(p is not None for p in tree.parent_of) == 2
 
-    def test_residual_orientation_drop_case(self):
-        # Path b-a-c-d entirely undirected; orientations can trap the middle
-        # edge so that neither direction is legal and it gets dropped.
-        import warnings
-
+    def test_residual_orientation_keeps_every_edge(self):
+        # Path b-a-c-d entirely undirected. Independent coins could give both
+        # ends of the middle edge a parent; each coin is followed by
+        # propagation, so every seed keeps all three edges.
         dag = build_dag(4, [])
         edges = make_sorted(
             [
@@ -210,24 +209,14 @@ class TestHieMst:
                 (1, 2, 0.25),
             ]
         )
-        dropped = 0
         for seed in range(40):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                tree = hie_mst(edges, dag, 4, seed)
-            if any("no orientation is legal" in str(c.message) for c in caught):
-                dropped += 1
-                assert len(tree.edges()) == 2
-            else:
-                assert len(tree.edges()) == 3
-        assert dropped > 0  # the drop path is exercised
+            tree, _ = traced(hie_mst, edges, dag, 4, seed)
+            assert len(tree.edges()) == 3
 
 
 TAIL_DECISIONS = ("rejected_cycle", "rejected_unavailable")
-SCAN_DECISIONS = TAIL_DECISIONS + (
-    "rejected_redundant", "rejected_single_parent",
-    "accepted_directed", "accepted_undirected",
-)
+ACCEPTED = ("accepted_directed", "accepted_undirected")
+SCAN_DECISIONS = TAIL_DECISIONS + ACCEPTED + ("rejected_redundant", "rejected_single_parent")
 
 
 def stop_problems(seed, count):
@@ -255,12 +244,13 @@ def stop_problems(seed, count):
 
 
 def traced(learner, *args):
+    """Run a learner with a trace callback; it must raise no warning."""
     trace = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = learner(*args, trace=trace.append)
-    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    return out, messages, trace
+    assert [str(w.message) for w in caught] == []
+    return out, trace
 
 
 def check_stopped_trace(got, want, edges):
@@ -291,16 +281,15 @@ class TestScanStop:
         stopped = ran = 0
         for dag, n, edges, values, seed in stop_problems(8, 600):
             if lazy:
-                (tree, active), got_warn, got = traced(hie_mst_lite, edges, dag, values, n, seed)
+                (tree, active), got = traced(hie_mst_lite, edges, dag, values, n, seed)
             else:
-                tree, got_warn, got = traced(hie_mst, edges, dag, n, seed)
+                tree, got = traced(hie_mst, edges, dag, n, seed)
                 active = frozenset(range(n))
-            (ref_tree, ref_active), want_warn, want = traced(
+            (ref_tree, ref_active), want = traced(
                 grow_reference, edges, dag, n, seed, values if lazy else None
             )
             assert tree == ref_tree
             assert active == frozenset(f for f in range(n) if ref_active[f])
-            assert got_warn == want_warn
             stopped += check_stopped_trace(got, want, edges)
             ran += 1
         # Both outcomes occur, so neither half of the check is vacuous.
@@ -356,16 +345,16 @@ def test_endpoint_order_and_self_pairs_change_nothing():
             lambda e, **kw: hie_mst(e, dag, n, seed, **kw),
             lambda e, **kw: hie_mst_lite(e, dag, values, n, seed, **kw),
         ):
-            want, want_warn, trace = traced(learn, edges)
-            assert traced(learn, swapped)[:2] == (want, want_warn)
+            want, trace = traced(learn, edges)
+            assert traced(learn, swapped)[0] == want
             skipped = [t["skipped"] for t in trace if t["decision"] == "scan_stopped"]
             stop = len(edges) - sum(skipped)
             if not stop:
                 continue
             k, v = rng.randrange(stop), rng.randrange(n)
             with_self = edges[:k] + [(v, v, edges[k][2])] + edges[k:]
-            got, got_warn, got_trace = traced(learn, with_self)
-            assert (got, got_warn) == (want, want_warn)
+            got, got_trace = traced(learn, with_self)
+            assert got == want
             assert [t for t in got_trace if t["i"] == t["j"]] == [
                 {"decision": "rejected_cycle", "i": v, "j": v}
             ]
@@ -373,3 +362,22 @@ def test_endpoint_order_and_self_pairs_change_nothing():
             assert learn_tan_structure(with_self, n, seed) == tan
             self_pairs += 1
     assert self_pairs > 300
+
+
+def test_every_accepted_edge_is_kept():
+    """Residual orientation loses no edge: each tree holds exactly the edges
+    its scan accepted. On an empty hierarchy no edge is directed during the
+    scan, so both learners span with the skeleton of TAN."""
+    empty = 0
+    for dag, n, edges, values, seed in stop_problems(5, 300):
+        tan = {frozenset(e) for e in learn_tan_structure(edges, n, seed).edges()}
+        eager = traced(hie_mst, edges, dag, n, seed)
+        (lazy, _), lazy_trace = traced(hie_mst_lite, edges, dag, values, n, seed)
+        hierarchy_empty = not any(dag.related(v) for v in range(n))
+        empty += hierarchy_empty
+        for tree, trace in (eager, (lazy, lazy_trace)):
+            accepted = sum(t["decision"] in ACCEPTED for t in trace)
+            assert len(tree.edges()) == accepted
+            if hierarchy_empty:
+                assert {frozenset(e) for e in tree.edges()} == tan
+    assert empty >= 100
