@@ -125,7 +125,7 @@ def fit(
         if parent is not None and parent not in active_set:
             raise ValueError(f"feature {f} depends on inactive feature {parent}")
 
-    class_counts = np.bincount(ds.labels, minlength=2).astype(np.float64)
+    class_counts = np.array([total for _, _, total in ds._class_stats], dtype=np.float64)
     prior = (class_counts + smoothing) / (ds.n_instances + 2.0 * smoothing)
     prior.setflags(write=False)
 

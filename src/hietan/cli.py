@@ -11,6 +11,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +39,9 @@ from .evaluate import (
     run_cv_experiment,
 )
 from .hie_mst import hie_mst
-from .hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
+from .hierarchy import (
+    build_dag, dag_from_edge_names, dag_from_file, random_dag, read_dag_file, write_dag_file,
+)
 from .mutual_info import rank_edges
 from .tan import learn_tan_structure
 
@@ -73,6 +77,8 @@ _smoothing = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite 
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _alpha = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_folds = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_seed = _checked(int, lambda v: 0 <= v < 2**63, "an integer in [0, 2**63)")
 
 
 def _build_parser() -> _Parser:
@@ -89,8 +95,8 @@ def _build_parser() -> _Parser:
             choices=sorted(_METHOD_FLAGS) + ["all"],
         )
         if cv_flags:
-            p.add_argument("--folds", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--folds", type=_folds, default=10)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--smoothing", type=_smoothing, default=1.0)
 
     p_val = sub.add_parser("validate", help="check the hierarchy propagation rule")
@@ -130,7 +136,7 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--instances", type=_count, default=100)
     p_synth.add_argument("--leaf-density", type=_fraction, default=0.3)
     p_synth.add_argument("--class-noise", type=_fraction, default=0.05)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_seed, default=0)
     p_synth.add_argument("--out", required=True, help="output dataset CSV")
     return parser
 
@@ -147,13 +153,20 @@ def _methods_from_flag(flag: str) -> list[str]:
     return [_METHOD_FLAGS[flag]]
 
 
-def _check_folds(args) -> None:
-    if args.folds < 2:
-        raise WrongUsage(f"--folds must be at least 2, got {args.folds}")
-
-
 class WrongUsage(HieTanError):
     pass
+
+
+def _config(args, **extra) -> dict:
+    """The configuration echo shared by the cv and features reports."""
+    return {
+        "dataset": str(args.data),
+        "dag": str(args.dag),
+        "folds": args.folds,
+        "seed": args.seed,
+        "smoothing": args.smoothing,
+        **extra,
+    }
 
 
 def _json_dump(payload: dict, path) -> None:
@@ -163,8 +176,7 @@ def _json_dump(payload: dict, path) -> None:
 
 
 def cmd_validate(args) -> int:
-    ds = load_dataset(args.data)
-    dag = dag_from_file(args.dag, ds.feature_names)
+    ds, dag = _load_inputs(args)
     violations = validate_propagation(ds, dag)
     if not violations:
         print(f"{args.data}: consistent ({ds.n_instances} instances, "
@@ -197,34 +209,18 @@ def _usage_payload(usage: FeatureUsageReport, names) -> dict:
 
 
 def cmd_cv(args) -> int:
-    _check_folds(args)
     ds, dag = _load_inputs(args)
     methods = _methods_from_flag(args.method)
 
-    trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
-        sink = None
-        if trace_file is not None:
-            def sink(entry):
-                trace_file.write(json.dumps(entry, sort_keys=True) + "\n")
+    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace:
+        sink = trace and (lambda e: trace.write(json.dumps(e, sort_keys=True) + "\n"))
         result = run_cv_experiment(
             ds, dag, methods, args.folds, args.seed,
             smoothing=args.smoothing, trace_sink=sink,
         )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
     payload = {
-        "config": {
-            "dataset": str(args.data),
-            "dag": str(args.dag),
-            "methods": methods,
-            "folds": args.folds,
-            "seed": args.seed,
-            "smoothing": args.smoothing,
-            "alpha": args.alpha,
-        },
+        "config": _config(args, methods=methods, alpha=args.alpha),
         "library_version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "n_instances": result.n_instances,
@@ -234,8 +230,7 @@ def cmd_cv(args) -> int:
     for m, res in result.methods.items():
         payload["methods"][m] = {
             "folds": [
-                {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, "gmean": g}
-                for c, g in zip(res.fold_counts, res.fold_gmeans)
+                {**asdict(c), "gmean": g} for c, g in zip(res.fold_counts, res.fold_gmeans)
             ],
             "mean_gmean": res.mean_gmean,
         }
@@ -256,16 +251,7 @@ def cmd_cv(args) -> int:
             "control": holm.control,
             "friedman_statistic": holm.statistic,
             "friedman_p_value": holm.p_value,
-            "comparisons": [
-                {
-                    "method": c.method,
-                    "z": c.z,
-                    "p_value": c.p_value,
-                    "adjusted_alpha": c.adjusted_alpha,
-                    "significant": c.significant,
-                }
-                for c in holm.comparisons
-            ],
+            "comparisons": [asdict(c) for c in holm.comparisons],
         }
 
     _json_dump(payload, args.out)
@@ -321,7 +307,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_features(args) -> int:
-    _check_folds(args)
     if args.method not in ("all", "hie-tan-lite"):
         raise WrongMethod(
             f"the features report is defined for hie-tan-lite, not {args.method}"
@@ -345,14 +330,7 @@ def cmd_features(args) -> int:
             print(f"  {name:<24} {count}")
     if args.out:
         payload = {
-            "config": {
-                "dataset": str(args.data),
-                "dag": str(args.dag),
-                "method": "hie-tan-lite",
-                "folds": args.folds,
-                "seed": args.seed,
-                "smoothing": args.smoothing,
-            },
+            "config": _config(args, method="hie-tan-lite"),
             "library_version": __version__,
             "usage": _usage_payload(usage, names),
         }
@@ -365,18 +343,9 @@ def cmd_synth(args) -> int:
     if (args.dag is None) == (args.random_features is None):
         raise WrongUsage("give exactly one of --dag or --random-features")
     if args.dag is not None:
-        from .hierarchy import read_dag_file
-
         pairs = read_dag_file(args.dag)
-        names = []
-        seen = set()
-        for p, c in pairs:
-            for tok in (p, c):
-                if tok not in seen:
-                    seen.add(tok)
-                    names.append(tok)
-        index = {name: i for i, name in enumerate(names)}
-        dag = build_dag(len(names), [(index[p], index[c]) for p, c in pairs])
+        names = list(dict.fromkeys(tok for pair in pairs for tok in pair))
+        dag = dag_from_edge_names(pairs, names)
     else:
         n = args.random_features
         pairs = n * (n - 1) // 2

@@ -215,6 +215,10 @@ def _grow(
 ) -> tuple[DependencyTree, list[bool]]:
     """The greedy pass of both learners: eager with ``values=None``, lazy with
     an instance's values, returning the tree and the final active mask."""
+    if dag.n_features != n_features:
+        raise DimensionMismatch(
+            f"hierarchy has {dag.n_features} features, expected {n_features}"
+        )
     rng = random.Random(seed)
     sets = EdgeSets(n_features)
     active = [True] * n_features

@@ -135,12 +135,17 @@ class TestCv:
             outs.append(json.dumps(doc, indent=2, sort_keys=True))
         assert outs[0] == outs[1]
 
-    def test_folds_below_two_is_usage_error(self, synth_files, tmp_path):
+    def test_folds_below_two_is_usage_error(self, synth_files, tmp_path, capsys):
         data, dag = synth_files
-        assert main([
+        out = tmp_path / "x.json"
+        assert exit_code([
             "cv", "--data", str(data), "--dag", str(dag),
-            "--folds", "1", "--out", str(tmp_path / "x.json"),
+            "--folds", "1", "--out", str(out),
         ]) == 1
+        assert error_lines(capsys.readouterr().err) == [
+            "hietan cv: error: argument --folds: must be an integer >= 2, got '1'"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["2", "nan", "0", "1", "-0.5"])
     def test_alpha_outside_open_unit_interval_is_usage_error(
@@ -415,6 +420,26 @@ class TestSynth:
         ]
         assert not out.exists()
 
+    def test_dag_file_names_features_in_first_seen_order(self, tmp_path):
+        dag = tmp_path / "dag.tsv"
+        # Unsorted tokens, each repeated, plus a duplicate edge and a comment.
+        dag.write_text("zeta\talpha\n# comment\nmu\talpha\nzeta\tmu\nbeta\tzeta\nzeta\tmu\n")
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main([
+                "synth", "--dag", str(dag), "--instances", "40",
+                "--leaf-density", "0.5", "--seed", "4", "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        ds = load_dataset(tmp_path / "a.csv")
+        assert ds.feature_names == ("zeta", "alpha", "mu", "beta")
+        built = dag_from_file(dag, ds.feature_names)
+        assert built.edges == {(0, 1), (2, 1), (0, 2), (3, 0)}
+        assert validate_propagation(ds, built) == []
+        assert ds.values.any() and not ds.values.all()
+
     def test_deterministic(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -451,4 +476,28 @@ def test_bad_smoothing_is_usage_error(synth_files, tmp_path, capsys, command, va
               "--method", "hie-tan", "--smoothing", value, *extra, str(out)])
     assert exc.value.code == 1
     assert "error: argument --smoothing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "train", "features", "synth"])
+@pytest.mark.parametrize("value", ["-1", str(2**63)])
+def test_seed_outside_range_is_usage_error(synth_files, tmp_path, capsys, command, value):
+    data, dag = synth_files
+    out = tmp_path / "out"
+    argv = {
+        "cv": ["--data", str(data), "--dag", str(dag), "--folds", "3", "--out", str(out)],
+        "train": ["--data", str(data), "--dag", str(dag), "--method", "tan",
+                  "--model", str(out)],
+        "features": ["--data", str(data), "--dag", str(dag), "--folds", "3",
+                     "--out", str(out)],
+        "synth": ["--random-features", "5", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert exit_code([command, *argv, "--seed", value]) == 1
+    captured = capsys.readouterr()
+    assert error_lines(captured.err) == [
+        f"hietan {command}: error: argument --seed: "
+        f"must be an integer in [0, 2**63), got '{value}'"
+    ]
+    assert captured.out == ""
     assert not out.exists()

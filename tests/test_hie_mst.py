@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hietan.dataset import Dataset
+from hietan.errors import DimensionMismatch
 from hietan.hie_mst import EdgeSets, _propagate, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import rank_edges
@@ -381,3 +382,15 @@ def test_every_accepted_edge_is_kept():
             if hierarchy_empty:
                 assert {frozenset(e) for e in tree.edges()} == tan
     assert empty >= 100
+
+
+@pytest.mark.parametrize("dag_features, n_features", [(5, 7), (7, 5)])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_hierarchy_must_cover_exactly_the_features(dag_features, n_features, lazy):
+    dag = build_dag(dag_features, [(0, 1), (1, 2)])
+    edges = [(0, 1, 0.9), (2, 3, 0.5), (3, 4, 0.1)]
+    with pytest.raises(DimensionMismatch, match=f"hierarchy has {dag_features} features"):
+        if lazy:
+            hie_mst_lite(edges, dag, [0] * n_features, n_features, 0)
+        else:
+            hie_mst(edges, dag, n_features, 0)
