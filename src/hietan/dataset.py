@@ -67,13 +67,18 @@ class Dataset:
 
     @cached_property
     def _class_stats(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-        """Per class: (Gram matrix, column sums, row count) of its rows. The
-        arrays are read-only, so this is computed once per dataset."""
-        X = self.values.astype(np.int64)
+        """Per class: (Gram matrix, column sums, row count) of its rows, as
+        int64. The arrays are read-only, so this is computed once per dataset.
+
+        The products run in float64, where NumPy uses BLAS (an int64 matmul
+        does not), and are exact: every partial sum is an integer at most
+        n_instances < 2**53."""
+        X = self.values.astype(np.float64)
         stats = []
         for y in (0, 1):
             Xy = X[self.labels == y]
-            stats.append((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0]))
+            gram, ones = Xy.T @ Xy, Xy.sum(axis=0)
+            stats.append((gram.astype(np.int64), ones.astype(np.int64), Xy.shape[0]))
         return tuple(stats)
 
     def _pair_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -282,3 +282,16 @@ class TestPairCounts:
         rank_edges(ds, build_dag(4, []))
         fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3})
         assert ds._class_stats is stats
+
+    def test_statistics_are_exact_int64(self):
+        rng = np.random.default_rng(8)
+        values = (rng.random((90, 25)) < rng.random((1, 25))).astype(np.uint8)
+        labels = (rng.random(90) < 0.3).astype(np.uint8)
+        ds = Dataset(values, labels)
+        X = values.astype(np.int64)
+        for y, (gram, ones, total) in enumerate(ds._class_stats):
+            Xy = X[labels == y]
+            assert gram.dtype == np.int64 and ones.dtype == np.int64
+            assert np.array_equal(gram, Xy.T @ Xy)
+            assert np.array_equal(ones, Xy.sum(axis=0))
+            assert total == Xy.shape[0]

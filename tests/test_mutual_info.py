@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hietan.dataset import Dataset
+from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DegenerateDistribution, IndexOutOfRange
-from hietan.hierarchy import build_dag
+from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import (
+    _BLOCK,
     JointCounts,
     cmi,
     rank_edges,
@@ -115,6 +116,22 @@ class TestJointCounts:
             for j in range(5):
                 if i != j:
                     assert joint_counts(ds, i, j).table.sum() == 37
+
+    def test_stores_private_copy(self):
+        a = np.ones((2, 2, 2), dtype=np.int64)
+        counts = JointCounts(a, 8)
+        assert a.flags.writeable
+        a[0, 0, 0] = 5
+        assert counts.table[0, 0, 0] == 1
+        assert not counts.table.flags.writeable
+
+    # Truncated to int64, two cells of 1.5 would sum to the total of 8.
+    @pytest.mark.parametrize("first, last", [(1.5, 1.5), (np.nan, 1.0), (np.inf, 1.0)])
+    def test_rejects_non_integral_cells(self, first, last):
+        f = np.ones((2, 2, 2))
+        f[0, 0, 0], f[1, 1, 1] = first, last
+        with pytest.raises(ValueError, match="integers"):
+            JointCounts(f, 8)
 
     def test_bad_indices(self, tiny_consistent_dataset):
         with pytest.raises(IndexOutOfRange):
@@ -251,6 +268,21 @@ class TestRankEdges:
                     rank_edges(ds, dag, smoothing)
                 continue
             assert rank_edges(ds, dag, smoothing) == rank_edges_reference(ds, smoothing)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    @pytest.mark.parametrize("one_class", [False, True])
+    def test_memo_matches_reference_across_blocks(self, smoothing, one_class):
+        # 1 770 pairs span two summing blocks, and sparse columns repeat
+        # class slices within and across them.
+        ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 120, 0.3, 0.05, 11)
+        if one_class:
+            ds = Dataset(ds.values, np.zeros(ds.n_instances, dtype=np.uint8))
+        got = rank_edges(ds, build_dag(60, []), smoothing)
+        want = rank_edges_reference(ds, smoothing)
+        assert got == want
+        assert len(got) > _BLOCK
+        scores = np.array([s for _, _, s in got])
+        assert scores.tobytes() == np.array([s for _, _, s in want]).tobytes()
 
     def test_exact_tie_between_different_tables(self):
         ds = tied_tables_dataset()
