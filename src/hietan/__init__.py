@@ -12,7 +12,15 @@ information given the class):
 
 __version__ = "0.1.0"
 
-from .bayes import FittedClassifier, Prediction, fit, load_model, predict, save_model
+from .bayes import (
+    FittedClassifier,
+    Prediction,
+    fit,
+    load_model,
+    predict,
+    predict_batch,
+    save_model,
+)
 from .dataset import (
     Dataset,
     FoldAssignment,
@@ -75,6 +83,7 @@ __all__ = [
     "load_dataset",
     "load_model",
     "predict",
+    "predict_batch",
     "random_dag",
     "rank_edges",
     "repair_propagation",

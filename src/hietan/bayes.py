@@ -31,15 +31,17 @@ from .tree import DependencyTree
 
 
 class _LogTable(NamedTuple):
-    """Row 0 is the prior; row k > 0 is the k-th active feature. A row's two
-    cells for an instance x, extended by one trailing 0, sit in ``logs`` at
-    ``base[k] + x[sources[k]] * strides[k] + x[features[k]]``."""
+    """Row 0 is the prior; row k > 0 is the k-th active feature. For an
+    instance x, extended by one trailing 0, row k's log-probabilities of
+    class 0 and class 1 are the pair ``logs[base[k] + x[sources[k]] *
+    strides[k] + x[features[k]]]``. ``base`` and ``strides`` carry a rows
+    axis of length 1 to broadcast over a batch."""
 
-    logs: np.ndarray  # the prior's cells, then each active feature's CPT cells
-    base: np.ndarray  # (m + 1, 2): position of the row's first cell, per class
-    sources: np.ndarray  # the parent, or the feature itself for a root
-    strides: np.ndarray  # 2 for a parented feature, 0 for a root or the prior
-    features: np.ndarray  # the feature; the prior reads the trailing 0
+    logs: np.ndarray  # (cells, 2): the prior's pair, then each CPT's (parent, x) pairs
+    base: np.ndarray  # (m + 1, 1): the row's first pair
+    sources: np.ndarray  # (m + 1,): the parent, or the feature itself for a root
+    strides: np.ndarray  # (m + 1, 1): 2 for a parented feature, 0 for a root or the prior
+    features: np.ndarray  # (m + 1,): the feature; the prior reads the trailing 0
 
 
 @dataclass(frozen=True)
@@ -57,27 +59,33 @@ class FittedClassifier:
 
     @cached_property
     def _log_table(self) -> _LogTable:
-        """Every prior and CPT cell's log, laid out flat. Derived from the
-        public fields only; ``fit`` and ``model_from_dict`` make their arrays
-        read-only, so this is built once per classifier."""
+        """Every prior and CPT cell's log, in (class 0, class 1) pairs.
+        Derived from the public fields only; ``fit`` and ``model_from_dict``
+        make their arrays read-only, so this is built once per classifier."""
         n = self.n_features
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
         parented = np.array([p is not None for p in parents], dtype=bool)
         cells = np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active])
         # Scalar math.log per cell (np.log differs in the last bit); log 0 is -inf.
-        logs = np.full(cells.shape, -np.inf)
+        flat = np.full(cells.shape, -np.inf)
         live = cells > 0.0
-        logs[live] = list(map(math.log, cells[live].tolist()))
-        per_class = np.where(parented, 4, 2)  # (x) or (x_parent, x) cells per class
-        first = 2 + np.cumsum(2 * per_class) - 2 * per_class
+        flat[live] = list(map(math.log, cells[live].tolist()))
+        # ``flat`` holds each row's class-0 cells, then its class-1 cells: 1
+        # each for the prior, 2 (x) for a root, 4 (x_parent, x) for a
+        # parented feature. Pair every class-0 cell with its class-1 cell.
+        pairs = np.concatenate(([1], np.where(parented, 4, 2)))
+        base = np.cumsum(pairs) - pairs  # each row's first pair
+        row = np.repeat(np.arange(len(pairs)), pairs)  # each pair's row
+        # Row k's j-th pair is pair base[k] + j; its class-0 cell is 2 * base[k] + j.
+        class0 = np.arange(row.size) + base[row]
         return _LogTable(
-            logs=logs,
-            base=np.vstack(([0, 1], np.column_stack((first, first + per_class)))),
+            logs=flat[np.column_stack((class0, class0 + pairs[row]))],
+            base=base[:, None],
             sources=np.array(
                 [n] + [f if p is None else p for f, p in zip(active, parents)], dtype=np.intp
             ),
-            strides=np.concatenate(([0], 2 * parented)),
+            strides=np.concatenate(([0], 2 * parented)).astype(np.intp)[:, None],
             features=np.array((n,) + active, dtype=np.intp),
         )
 
@@ -153,29 +161,77 @@ def fit(
     )
 
 
+# Rows per gather in ``_log_posteriors``. Its index, term and running-sum
+# arrays take about 56 bytes per feature and row: 4.3 MB a chunk at 150
+# features.
+_CHUNK_ROWS = 512
+
+
+def _log_posteriors(clf: FittedClassifier, X: np.ndarray) -> np.ndarray:
+    """(rows, 2) log posteriors of the 0/1 rows of ``X``. Each class's sum
+    starts at the log prior and adds the active features' log-probabilities
+    strictly left to right, in ``active_features`` order."""
+    if X.shape[0] > _CHUNK_ROWS:
+        return np.concatenate([
+            _log_posteriors(clf, X[start : start + _CHUNK_ROWS])
+            for start in range(0, X.shape[0], _CHUNK_ROWS)
+        ])
+    t = clf._log_table
+    columns = np.zeros((clf.n_features + 1, X.shape[0]), dtype=np.intp)
+    columns[:-1] = X.T  # one row per feature, then the prior's 0
+    pair = columns.take(t.sources, axis=0)
+    pair *= t.strides
+    pair += columns.take(t.features, axis=0)
+    pair += t.base
+    # accumulate adds along axis 0 in order; a reduction may sum pairwise
+    # and change the bits.
+    return np.add.accumulate(t.logs.take(pair, axis=0), axis=0)[-1]
+
+
+def _first_non_binary(x: np.ndarray):
+    """The index of the first value of ``x`` that is not 0 or 1, or None."""
+    binary = (x == 0) | (x == 1)
+    return None if binary.all() else np.unravel_index(np.argmin(binary), x.shape)
+
+
 def predict(clf: FittedClassifier, instance) -> Prediction:
     """Log-posterior for both classes; ties break toward class 0.
 
-    Each class's sum starts at the log prior and adds the active features'
-    log-probabilities strictly left to right, in ``active_features`` order.
-    """
+    The batch kernel of ``predict_batch`` on one row."""
     x = np.asarray(instance)
     if x.shape != (clf.n_features,):
         raise DimensionMismatch(
             f"instance has shape {x.shape}, classifier expects {clf.n_features} values"
         )
-    binary = (x == 0) | (x == 1)
-    if not binary.all():
-        f = int(np.argmin(binary))
+    bad = _first_non_binary(x)
+    if bad is not None:
+        (f,) = bad
         raise NonBinaryValue(f"feature {f} has value {x.tolist()[f]!r}, not 0 or 1")
-    values = np.zeros(clf.n_features + 1, dtype=np.intp)
-    values[:-1] = x
-    t = clf._log_table
-    terms = t.logs[t.base + (values[t.sources] * t.strides + values[t.features])[:, None]]
-    # accumulate adds in row order; np.sum is pairwise and would change the bits.
-    log_post = np.add.accumulate(terms, axis=0)[-1].tolist()
+    log_post = _log_posteriors(clf, x[None, :])[0].tolist()
     label = 0 if log_post[0] >= log_post[1] else 1
     return Prediction(label, (log_post[0], log_post[1]))
+
+
+def predict_batch(clf: FittedClassifier, X) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (uint8) and (rows, 2) log posteriors for the rows of ``X``;
+    row r is bit for bit ``predict(clf, X[r])``, ties going to class 0.
+
+    Rows are scored a chunk at a time, so memory stays bounded."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != clf.n_features:
+        raise DimensionMismatch(
+            f"instances have shape {X.shape}, classifier expects rows of {clf.n_features} values"
+        )
+    bad = _first_non_binary(X)
+    if bad is not None:
+        r, f = bad
+        raise NonBinaryValue(
+            f"row {r}, feature {f} has value {X[r, f].item()!r}, not 0 or 1"
+        )
+    log_post = _log_posteriors(clf, X)
+    # Class 1 only where it is strictly more likely: ties go to class 0.
+    labels = (log_post[:, 0] < log_post[:, 1]).astype(np.uint8)
+    return labels, log_post
 
 
 def model_to_dict(clf: FittedClassifier) -> dict:

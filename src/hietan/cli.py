@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bayes import fit, load_model, predict, save_model
+from .bayes import fit, load_model, predict_batch, save_model
 from .dataset import (
     Dataset,
     generate_synthetic_with_rule,
@@ -131,8 +131,9 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--dag", help="existing hierarchy TSV to sample under")
     p_synth.add_argument("--random-features", type=_count,
                          help="generate a random hierarchy with this many features")
-    p_synth.add_argument("--random-edges", type=_count, default=0)
-    p_synth.add_argument("--dag-out", help="where to write a generated hierarchy")
+    p_synth.add_argument("--random-edges", type=_count,
+                         help="edges of the random hierarchy (default 0)")
+    p_synth.add_argument("--dag-out", help="where to write the random hierarchy")
     p_synth.add_argument("--instances", type=_count, default=100)
     p_synth.add_argument("--leaf-density", type=_fraction, default=0.3)
     p_synth.add_argument("--class-noise", type=_fraction, default=0.05)
@@ -291,12 +292,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     clf = load_model(args.model)
     values = load_instances(args.data, clf.feature_names)
+    labels, log_post = predict_batch(clf, values)
     lines = ["instance,label,log_posterior_0,log_posterior_1"]
-    for idx, row in enumerate(values):
-        pred = predict(clf, row)
-        lines.append(
-            f"{idx},{pred.label},{pred.log_posterior[0]!r},{pred.log_posterior[1]!r}"
-        )
+    lines += [
+        f"{idx},{label},{lp0!r},{lp1!r}"
+        for idx, (label, (lp0, lp1)) in enumerate(zip(labels.tolist(), log_post.tolist()))
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -342,24 +343,24 @@ def cmd_features(args) -> int:
 def cmd_synth(args) -> int:
     if (args.dag is None) == (args.random_features is None):
         raise WrongUsage("give exactly one of --dag or --random-features")
+    if args.dag is not None and (args.dag_out is not None or args.random_edges is not None):
+        raise WrongUsage("--dag-out and --random-edges go with --random-features, not --dag")
     if args.dag is not None:
         pairs = read_dag_file(args.dag)
         names = list(dict.fromkeys(tok for pair in pairs for tok in pair))
         dag = dag_from_edge_names(pairs, names)
     else:
-        n = args.random_features
+        n, edges = args.random_features, args.random_edges or 0
         pairs = n * (n - 1) // 2
-        if args.random_edges > pairs:
-            raise WrongUsage(
-                f"--random-edges {args.random_edges} exceeds the {pairs} pairs of {n} features"
-            )
+        if edges > pairs:
+            raise WrongUsage(f"--random-edges {edges} exceeds the {pairs} pairs of {n} features")
         names = [f"f{i}" for i in range(n)]
-        dag = build_dag(n, random_dag(n, args.random_edges, args.seed))
+        dag = build_dag(n, random_dag(n, edges, args.seed))
     if dag.n_features < 2:
         raise WrongUsage(
             f"need at least two features to plant a label rule, got {dag.n_features}"
         )
-    if args.dag is None and args.dag_out:
+    if args.dag_out:
         write_dag_file(args.dag_out, sorted(dag.edges), names)
         print(f"hierarchy written to {args.dag_out}")
 

@@ -1,7 +1,9 @@
 """Binary instance data: loading, hierarchy-consistency checks, folds, synthesis.
 
 The on-disk format is a plain CSV: a header row of feature names ending in a
-``class`` column, then rows of ``0``/``1`` tokens. No quoting; LF or CRLF.
+``class`` column, then rows of ``0``/``1`` tokens, with no quoting. Lines
+split where ``str.splitlines`` splits, whitespace around a token (what
+``str.strip`` removes) is ignored, and blank lines are skipped.
 A dataset is hierarchy-consistent when every instance that carries value 1 for
 a feature also carries value 1 for all of that feature's ancestors.
 """
@@ -10,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    HieTanError,
     MissingClassColumn,
     NonBinaryValue,
     ParseError,
@@ -108,11 +110,120 @@ def _binary_copy(array, what: str) -> np.ndarray:
     return np.array(a, dtype=np.uint8, order="C")
 
 
+# What ``str.isspace`` calls whitespace, and which of it ``str.splitlines``
+# ends a line at ("\r\n" is one break); a test checks both against Python.
+_WHITESPACE = (
+    "\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _whitespace_rules() -> tuple[bytes, tuple[tuple[bytes, bytes], ...]]:
+    """A ``bytes.translate`` table for one-byte whitespace, and (UTF-8 code,
+    replacement) pairs for the rest: a line break's last byte becomes b"\\n"
+    and every other whitespace byte b" ", so offsets stay those of the file."""
+    table = bytearray(range(256))
+    wide = []
+    for ch in _WHITESPACE:
+        code = ch.encode("utf-8")
+        repl = b" " * (len(code) - 1) + (b"\n" if ch in _LINE_BREAKS else b" ")
+        if len(code) == 1:
+            table[code[0]] = repl[0]
+        else:
+            wide.append((code, repl))
+    return bytes(table), tuple(wide)
+
+
+_ONE_BYTE_SPACES, _WIDE_SPACES = _whitespace_rules()
+
+
+def _normalise(data: bytes) -> bytes:
+    """``data`` with each line break's last byte turned into b"\\n" and all
+    other whitespace into b" ", ending in b"\\n". UTF-8 is self-synchronising,
+    so a multi-byte code only matches where that character is."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b" \n")
+    if not data.isascii():
+        for code, repl in _WIDE_SPACES:
+            data = data.replace(code, repl)
+    data = data.translate(_ONE_BYTE_SPACES)
+    # A last line without a break reads as if it had one.
+    return data if data.endswith(b"\n") else data + b"\n"
+
+
+def _scan_rows(s: np.ndarray, width: int) -> tuple[Optional[np.ndarray], Optional[int]]:
+    """Parse ``s``, a body with whitespace dropped and every line break one
+    b"\\n", into a (rows, width) uint8 table. Returns ``(table, None)`` when
+    every non-blank line is ``width`` tokens 0/1 joined by commas, else
+    ``(None, k)`` with ``s[k]`` a byte of the first line that is not.
+
+    Blank lines dropped, the valid body is rows of exactly 2 * width bytes,
+    "d,d,...,d\\n", so it is checked in a (rows, width, 2) view. Before the
+    first bad line every row fits that view, so the first byte that does not
+    lies on the first bad line."""
+    newline = s == ord("\n")
+    blank = newline.copy()  # a break that ends a line with nothing on it
+    blank[1:] &= newline[:-1]
+    del newline
+    kept = ~blank if blank.any() else None
+    rows = s if kept is None else s[kept]
+    pad = -rows.size % (2 * width)  # only ever on a bad body
+    if pad:
+        rows = np.concatenate((rows, np.zeros(pad, dtype=np.uint8)))
+    cells = rows.reshape(-1, width, 2)
+    table = cells[:, :, 0] - ord("0")  # uint8 arithmetic wraps bytes below b"0"
+    separators = cells[:, :, 1] == ord(",")
+    separators[:, -1] = cells[:, -1, 1] == ord("\n")
+    fits = table <= 1
+    fits &= separators
+    if fits.all():
+        return table, None
+    # The first (token, separator) cell that does not fit: its token is a
+    # digit on the first bad line, or the first byte that does not fit.
+    k = 2 * int(np.argmin(fits))
+    return None, k if kept is None else _nth_true(kept, k)
+
+
+def _nth_true(mask: np.ndarray, k: int) -> int:
+    """The index of the k-th (from 0) True of ``mask``, found a block at a
+    time so that no index array as long as ``mask`` is made."""
+    block = 1 << 20
+    for start in range(0, mask.size, block):
+        part = mask[start : start + block]
+        count = int(np.count_nonzero(part))
+        if k < count:
+            return start + int(np.flatnonzero(part)[k])
+        k -= count
+    raise IndexError("mask has too few True values")
+
+
+def _line_error(path, data: bytes, norm: bytes, at: int, width: int) -> HieTanError:
+    """The error the grammar gives for the line of ``data`` holding byte
+    ``at``, phrased from that line alone; ``norm`` is ``_normalise(data)``."""
+    lineno = norm.count(b"\n", 0, at) + 1
+    first = norm.rfind(b"\n", 0, at) + 1
+    last = norm.find(b"\n", at) + 1
+    raw = data[first:last].decode("utf-8").splitlines()[0]
+    tokens = [t.strip() for t in raw.split(",")]
+    if len(tokens) != width:
+        return ParseError(
+            f"{path}:{lineno}: expected {width} values, got {len(tokens)}", line=lineno
+        )
+    tok = next(t for t in tokens if t not in ("0", "1"))
+    return NonBinaryValue(f"{path}:{lineno}: value {tok!r} is not 0 or 1")
+
+
 def _read_csv(path, class_required: bool):
     """Parse a CSV file per the grammar above into (names, values, labels), with
-    line numbers in errors; labels are ``None`` if an optional class column is absent."""
-    text = read_utf8(path)
-    lines = text.splitlines()
+    line numbers in errors; labels are ``None`` if an optional class column is absent.
+
+    The header is read as text; the body is checked and converted as one
+    array, and only the first bad line, if any, is looked at as text."""
+    data = read_utf8(path).encode("utf-8")
+    norm = _normalise(data)
+    cut = norm.find(b"\n") + 1  # just past the header's line break
+    lines = data[:cut].decode("utf-8").splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: missing header row", line=1)
     header = [t.strip() for t in lines[0].split(",")]
@@ -127,28 +238,15 @@ def _read_csv(path, class_required: bool):
     n_features = len(names)
     width = n_features + labelled
 
-    rows: list[list[int]] = []
-    labels: list[int] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        tokens = [t.strip() for t in raw.split(",")]
-        if len(tokens) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} values, got {len(tokens)}",
-                line=lineno,
-            )
-        for tok in tokens:
-            if tok not in ("0", "1"):
-                raise NonBinaryValue(
-                    f"{path}:{lineno}: value {tok!r} is not 0 or 1"
-                )
-        rows.append([int(t) for t in tokens[:n_features]])
-        if labelled:
-            labels.append(int(tokens[-1]))
-
-    values = np.array(rows, dtype=np.uint8).reshape(len(rows), n_features)
-    return tuple(names), values, np.array(labels, dtype=np.uint8) if labelled else None
+    tight = norm.replace(b" ", b"")  # the same object when there is no whitespace
+    start = tight.find(b"\n") + 1
+    table, bad = _scan_rows(np.frombuffer(tight, dtype=np.uint8)[start:], width)
+    if table is None:
+        at = _nth_true(np.frombuffer(norm, dtype=np.uint8) != ord(" "), start + bad)
+        raise _line_error(path, data, norm, at, width)
+    if not labelled:
+        return tuple(names), table, None
+    return tuple(names), np.ascontiguousarray(table[:, :n_features]), table[:, -1].copy()
 
 
 def load_dataset(path) -> Dataset:
@@ -167,10 +265,18 @@ def load_instances(path, feature_names: Sequence[str]) -> np.ndarray:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    lines = [",".join(list(ds.feature_names) + ["class"])]
-    for row, label in zip(ds.values, ds.labels):
-        lines.append(",".join(str(int(v)) for v in row) + f",{int(label)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``ds`` in the CSV format above, with b"\\n" line ends. The body
+    is built as one (rows, columns, token + separator) byte array."""
+    cells = np.empty((ds.n_instances, ds.n_features + 1, 2), dtype=np.uint8)
+    cells[:, :-1, 0] = ds.values
+    cells[:, -1, 0] = ds.labels
+    cells[:, :, 0] += ord("0")
+    cells[:, :, 1] = ord(",")
+    cells[:, -1, 1] = ord("\n")
+    header = ",".join(list(ds.feature_names) + ["class"]) + "\n"
+    with open(path, "wb") as out:
+        out.write(header.encode("utf-8"))
+        out.write(cells.data)
 
 
 def subset(ds: Dataset, indices) -> Dataset:

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .bayes import fit, predict
+from .bayes import fit, predict, predict_batch
 from .dataset import Dataset, stratified_folds, subset, validate_propagation
 from .errors import (
     DegenerateRanks,
@@ -283,7 +283,7 @@ def run_cv_experiment(
                 else:
                     tree = hie_mst(edges, dag, n, fold_seed, tagged(method, fold))
                 clf = fit(train, tree, None, smoothing)
-                predicted = [predict(clf, ds.values[r]).label for r in test_idx]
+                predicted = predict_batch(clf, ds.values[test_idx])[0].tolist()
             else:
                 predicted = []
                 for r in test_idx:

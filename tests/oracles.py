@@ -5,23 +5,36 @@ scalar arithmetic; the block kernel in ``hietan.mutual_info`` must reproduce
 them bit for bit. ``fit_reference`` counts each CPT by a per-feature scan of
 the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
 per-class statistics and must reproduce it bit for bit. ``predict_reference``
-sums one scalar log per feature and class; ``hietan.bayes.predict`` gathers
-the same logs from a cached table and must reproduce it bit for bit.
+sums one scalar log per feature and class; ``hietan.bayes.predict`` and
+every row of ``predict_batch`` gather the same logs from a cached table and
+must reproduce it bit for bit.
 ``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
 without the early stop: it examines every candidate, and the stopped scan
 must give the same tree, active mask and residual orientation.
 ``joint_counts`` builds a table by a direct scan and ``tree_total_score``
-sums a tree's candidate scores.
+sums a tree's candidate scores. ``read_csv_reference`` splits a dataset file
+into lines and tokens with ``str`` methods and converts one token at a time;
+``hietan.dataset``'s array reader must give the same names, arrays and
+errors. ``save_dataset_reference`` formats one row at a time, and
+``save_dataset`` must write the same bytes.
 """
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
 from hietan.bayes import FittedClassifier, Prediction
 from hietan.dataset import Dataset
-from hietan.errors import DegenerateDistribution, HieTanError, IndexOutOfRange
+from hietan.errors import (
+    DegenerateDistribution,
+    HieTanError,
+    IndexOutOfRange,
+    MissingClassColumn,
+    NonBinaryValue,
+    ParseError,
+)
 from hietan.hie_mst import (
     EdgeSets,
     _deactivate_relatives,
@@ -30,6 +43,7 @@ from hietan.hie_mst import (
     _orient_residual,
     is_redundant_pair,
 )
+from hietan.hierarchy import read_utf8
 from hietan.mutual_info import JointCounts
 from hietan.tree import DependencyTree
 
@@ -196,3 +210,55 @@ def grow_reference(edges, dag, n_features, seed, values, trace):
     _orient_residual(sets, rng, trace)
     tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
     return tree, active
+
+
+def read_csv_reference(path, class_required: bool):
+    """(names, values, labels) of a dataset file by ``str.splitlines`` and
+    per-token ``strip``/``int``; labels are ``None`` if an optional class
+    column is absent. Blank lines are skipped; errors carry line numbers."""
+    text = read_utf8(path)
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError(f"{path}: missing header row", line=1)
+    header = [t.strip() for t in lines[0].split(",")]
+    labelled = header[-1] == "class"
+    if class_required and not labelled:
+        raise MissingClassColumn(
+            f"{path}: last header column must be 'class', got {header[-1]!r}"
+        )
+    names = header[:-1] if labelled else header
+    if len(set(names)) != len(names):
+        raise ParseError(f"{path}: duplicate feature names in header", line=1)
+    n_features = len(names)
+    width = n_features + labelled
+
+    rows: list[list[int]] = []
+    labels: list[int] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        tokens = [t.strip() for t in raw.split(",")]
+        if len(tokens) != width:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} values, got {len(tokens)}",
+                line=lineno,
+            )
+        for tok in tokens:
+            if tok not in ("0", "1"):
+                raise NonBinaryValue(
+                    f"{path}:{lineno}: value {tok!r} is not 0 or 1"
+                )
+        rows.append([int(t) for t in tokens[:n_features]])
+        if labelled:
+            labels.append(int(tokens[-1]))
+
+    values = np.array(rows, dtype=np.uint8).reshape(len(rows), n_features)
+    return tuple(names), values, np.array(labels, dtype=np.uint8) if labelled else None
+
+
+def save_dataset_reference(ds: Dataset, path) -> None:
+    """The dataset CSV, formatted one row at a time."""
+    lines = [",".join(list(ds.feature_names) + ["class"])]
+    for row, label in zip(ds.values, ds.labels):
+        lines.append(",".join(str(int(v)) for v in row) + f",{int(label)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from hietan.bayes import (
     model_from_dict,
     model_to_dict,
     predict,
+    predict_batch,
     save_model,
 )
 from hietan.dataset import Dataset
@@ -315,6 +316,77 @@ class TestPredict:
         clf = fit(ds, empty_tree(2))
         with pytest.raises(DimensionMismatch):
             predict(clf, [0, 1, 0])
+
+
+def assert_batch_matches_reference(clf, rows):
+    """``predict_batch`` gives, row by row, the labels and the bits of
+    ``predict_reference``; returns the log posteriors."""
+    labels, log_post = predict_batch(clf, rows)
+    want = [predict_reference(clf, row) for row in rows]
+    assert labels.dtype == np.uint8 and labels.shape == (len(rows),)
+    assert log_post.dtype == np.float64 and log_post.shape == (len(rows), 2)
+    assert labels.tolist() == [p.label for p in want]
+    expected = np.array([p.log_posterior for p in want], dtype=np.float64).reshape(-1, 2)
+    assert log_post.tobytes() == expected.tobytes()
+    return log_post
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_matches_scalar_reference(self, smoothing):
+        # Every other problem fits a lazy-style subset of active features.
+        rng = np.random.default_rng(41)
+        minus_inf = 0
+        for ds, tree, active in fit_sweep_problems():
+            clf = fit(ds, tree, active, smoothing)
+            rows = np.vstack((ds.values, rng.random((7, ds.n_features)) < 0.5))
+            minus_inf += np.isneginf(assert_batch_matches_reference(clf, rows)).sum()
+        # Only smoothing 0 gives zero probabilities, and with them -inf sums.
+        assert (minus_inf > 0) == (smoothing == 0.0)
+
+    def test_zero_and_one_rows(self):
+        rng = np.random.default_rng(3)
+        ds = Dataset((rng.random((30, 5)) < 0.5).astype(np.uint8),
+                     (rng.random(30) < 0.5).astype(np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 0, 1, None)), smoothing=0.5)
+        labels, log_post = predict_batch(clf, np.zeros((0, 5), dtype=np.uint8))
+        assert labels.shape == (0,) and log_post.shape == (0, 2)
+        row = ds.values[4]
+        labels, log_post = predict_batch(clf, row[None, :])
+        assert prediction_bits(predict(clf, row)) == (
+            labels[0], struct.pack("<dd", *log_post[0].tolist())
+        )
+        assert_batch_matches_reference(clf, ds.values[4:5])
+
+    def test_more_than_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        ds = Dataset((rng.random((40, 12)) < 0.4).astype(np.uint8),
+                     (rng.random(40) < 0.5).astype(np.uint8))
+        clf = fit(ds, random_forest(rng, range(12), 12), smoothing=1.0)
+        rows = (rng.random((2 * bayes._CHUNK_ROWS + 5, 12)) < 0.5).astype(np.uint8)
+        whole = assert_batch_matches_reference(clf, rows)
+        monkeypatch.setattr(bayes, "_CHUNK_ROWS", 7)
+        assert predict_batch(clf, rows)[1].tobytes() == whole.tobytes()
+        assert_batch_matches_reference(clf, rows[:50])
+
+    @pytest.mark.parametrize("value", [-1, 2, 0.5, math.nan])
+    def test_bad_value_names_row_and_feature(self, value):
+        rng = np.random.default_rng(6)
+        ds = Dataset((rng.random((16, 4)) < 0.5).astype(np.uint8),
+                     (rng.random(16) < 0.5).astype(np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 1, None)), smoothing=1.0)
+        rows = np.ones((6, 4))
+        rows[3, 2] = value
+        rows[5, 0] = value
+        with pytest.raises(NonBinaryValue, match=r"^row 3, feature 2 has value "):
+            predict_batch(clf, rows)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 5), (1, 2, 4)])
+    def test_rejects_wrong_shape(self, shape):
+        ds = Dataset(np.eye(4, dtype=np.uint8), np.array([0, 1, 0, 1], dtype=np.uint8))
+        clf = fit(ds, empty_tree(4))
+        with pytest.raises(DimensionMismatch):
+            predict_batch(clf, np.zeros(shape, dtype=np.uint8))
 
 
 class TestSerialization:

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from hietan.bayes import load_model
 from hietan.cli import main
-from hietan.dataset import load_dataset, validate_propagation
-from hietan.hierarchy import dag_from_file
+from hietan.dataset import load_dataset, load_instances, validate_propagation
+from hietan.hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
+
+from oracles import predict_reference
 
 TINY_CSV = """A,B,C,D,E,F,class
 1,1,1,1,1,1,0
@@ -220,6 +223,26 @@ class TestTrainPredict:
         assert len(lines) == ds.n_instances + 1
         assert lines[0].startswith("instance,label")
 
+    def test_predict_out_matches_per_row_reference(self, synth_files, tmp_path, capsys):
+        data, dag = synth_files
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--dag", str(dag),
+            "--method", "hie-tan", "--model", str(model),
+        ]) == 0
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        clf = load_model(model)
+        lines = ["instance,label,log_posterior_0,log_posterior_1"]
+        for idx, row in enumerate(load_instances(data, clf.feature_names)):
+            pred = predict_reference(clf, row)
+            lines.append(
+                f"{idx},{pred.label},{pred.log_posterior[0]!r},{pred.log_posterior[1]!r}"
+            )
+        assert len(lines) == 61
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_train_has_no_cv_flags(self, synth_files, tmp_path, capsys):
         data, dag = synth_files
         for flag in ("--folds", "--jobs"):
@@ -409,6 +432,24 @@ class TestSynth:
         (line,) = error_lines(capsys.readouterr().err)
         assert line.startswith(("error:", "hietan synth: error:"))
         assert not out.exists() and not dag_out.exists()
+
+    @pytest.mark.parametrize("extra", [["--dag-out", "copy.tsv"], ["--random-edges", "3"]])
+    def test_dag_rejects_random_hierarchy_flags(self, tmp_path, capsys, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        Path("dag.tsv").write_text(CANONICAL_TSV)
+        assert main(["synth", "--dag", "dag.tsv", *extra, "--out", "x.csv"]) == 1
+        assert error_lines(capsys.readouterr().err) == [
+            "error: --dag-out and --random-edges go with --random-features, not --dag"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dag.tsv"]
+
+    def test_random_features_write_dag_out(self, synth_files, tmp_path):
+        _, dag = synth_files
+        want = tmp_path / "want.tsv"
+        built = build_dag(8, random_dag(8, 9, 5))
+        write_dag_file(want, sorted(built.edges), [f"f{i}" for i in range(8)])
+        assert dag.read_bytes() == want.read_bytes()
+        assert dag.read_bytes().startswith(b"f")
 
     def test_dag_with_fewer_than_two_features_is_usage_error(self, tmp_path, capsys):
         dag = tmp_path / "empty.tsv"

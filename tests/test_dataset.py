@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hietan.dataset import (
+    _LINE_BREAKS,
+    _WHITESPACE,
+    _read_csv,
     Dataset,
     generate_synthetic,
     generate_synthetic_with_rule,
@@ -16,6 +19,7 @@ from hietan.dataset import (
 )
 from hietan.errors import (
     DimensionMismatch,
+    HieTanError,
     MissingClassColumn,
     NonBinaryValue,
     ParseError,
@@ -27,7 +31,7 @@ from hietan.mutual_info import rank_edges
 from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F
-from oracles import joint_counts
+from oracles import joint_counts, read_csv_reference, save_dataset_reference
 
 TINY_CSV = """A,B,C,D,E,F,class
 1,1,1,1,1,1,0
@@ -121,6 +125,144 @@ class TestLoad:
         assert ds.values.tolist() == [[0, 1], [1, 1], [1, 0]]
         assert ds.labels.tolist() == [0, 1, 1]
         assert np.array_equal(fit(ds, tree, None, 1.0).cpts[1], before)
+
+
+# Pieces of generated dataset files. Every break ``str.splitlines`` knows,
+# whitespace that ``str.strip`` removes but that does not end a line, and
+# tokens that are not 0 or 1.
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = ["", " ", "\t", "\x1f", "\xa0", "\u1680", "\u2003", "\u202f", "\u205f", "\u3000"]
+BAD_TOKENS = ["2", "01", "0 1", "\uff11", "", "a", "-1", "\ufeff0", "0\x00", "\u00e9"]
+
+
+@st.composite
+def csv_bytes(draw):
+    """A dataset file as bytes: mostly well formed, with a few of the ways a
+    header, a row, a line break or the encoding can go wrong."""
+    n = draw(st.integers(0, 4))
+    names = [f"f{i}" for i in range(n)]
+    header_kind = draw(st.sampled_from(
+        ["class"] * 6 + ["no class", "no class", "duplicate", "blank", "spaces", "none"]
+    ))
+    if header_kind == "duplicate" and names:
+        names.append(names[0])
+    if header_kind != "no class":
+        names.append("class")
+    pad = st.sampled_from(SPACES)
+    header = {"blank": "", "spaces": draw(pad) + " ", "none": None}.get(
+        header_kind, ",".join(draw(pad) + name + draw(pad) for name in names)
+    )
+    lines = [] if header is None else [header]
+    kinds = ["row", "row", "row", "blank"]
+    if draw(st.booleans()):
+        kinds += ["wide", "narrow", "bad"]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        tokens = [draw(st.sampled_from("01")) for _ in names]
+        if kind == "blank":
+            tokens = []
+        elif kind == "wide":
+            tokens.append("1")
+        elif kind == "narrow":
+            tokens = tokens[:-1]
+        elif kind == "bad" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        line = ",".join(draw(pad) + t + draw(pad) for t in tokens)
+        lines.append(line if tokens else draw(pad))
+    text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(BREAKS))  # no final line break
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xe2\x80"])) + data[at:]
+    return data
+
+
+def parse_outcome(parse, path, class_required):
+    """What a reader makes of a file: its names and arrays with their dtypes,
+    or its error's class, message and line."""
+    try:
+        names, values, labels = parse(path, class_required)
+    except HieTanError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        names,
+        values.dtype, values.shape, values.flags.c_contiguous, values.tobytes(),
+        None if labels is None else (labels.dtype, labels.shape, labels.tobytes()),
+    )
+
+
+class TestReaderMatchesReference:
+    @settings(
+        max_examples=400, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(csv_bytes())
+    @example(b"a,b,class\r0,1,1\f1 ,\xc2\xa00,0\xe2\x80\xa8\n\n  \n1,1,0")
+    @example(b"a,b,class\r\n0,1,1\x1c\x1d\x1e\xc2\x850,1,1\xe2\x80\xa9")
+    @example(b"a,class\n0 1,0\n")
+    @example(b"a,class\n\xef\xbc\x91,0\n")
+    @example(b"a,class\n0,1\n2,0\n1\n")
+    @example(b"a,class\n0,1\n0,1,1\n")
+    @example(b"a,class\n0,1\n,\n")
+    @example(b"a,b,class\n0,1,\n1,1,1\n")
+    @example(b"a,class")
+    @example(b"a,a,class\n")
+    @example(b"a,b\n0,1\n")
+    @example(b"\n a,class\n")
+    @example(b"")
+    @example(b"a,class\n0,1\n\xff\n")
+    def test_same_arrays_or_same_error(self, tmp_path, data):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        for class_required in (True, False):
+            assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
+                read_csv_reference, path, class_required
+            )
+
+    def test_whitespace_and_breaks_are_pythons(self):
+        chars = [chr(c) for c in range(0x110000)]
+        assert set(_WHITESPACE) == {c for c in chars if c.isspace()}
+        assert set(_LINE_BREAKS) == {c for c in chars if len(f"a{c}b".splitlines()) == 2}
+
+    @pytest.mark.parametrize("bad_row", [None, 19_990])
+    def test_large_file_matches_reference(self, tmp_path, bad_row):
+        # Over 2 MB, with spaces and blank lines, so that the scan and the
+        # offset of the bad line cross the reader's 1 MiB blocks.
+        rng = np.random.default_rng(8)
+        rows = [", ".join(map(str, row)) for row in rng.integers(0, 2, (20_000, 40)).tolist()]
+        if bad_row is not None:
+            rows[bad_row] = "7" + rows[bad_row][1:]
+        path = tmp_path / "d.csv"
+        header = ",".join(f"f{i}" for i in range(39)) + ",class"
+        path.write_text(header + "\n" + "\n\n".join(rows) + "\n")
+        for class_required in (True, False):
+            assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
+                read_csv_reference, path, class_required
+            )
+
+
+class TestSaveMatchesReference:
+    @pytest.mark.parametrize("rows, cols, seed", [
+        (0, 3, 0), (0, 1, 1), (1, 1, 2), (5, 1, 3), (1, 7, 4),
+        (37, 12, 5), (500, 400, 6), (123, 321, 7), (499, 2, 8),
+    ])
+    def test_same_bytes(self, tmp_path, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        ds = Dataset((rng.random((rows, cols)) < 0.4).astype(np.uint8),
+                     (rng.random(rows) < 0.5).astype(np.uint8),
+                     tuple(f"g\u00e9{i}" for i in range(cols)))
+        save_dataset(ds, tmp_path / "new.csv")
+        save_dataset_reference(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_no_features_round_trips(self, tmp_path):
+        ds = Dataset(np.zeros((3, 0), dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
+        save_dataset(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == b"class\n0\n1\n1\n"
+        again = load_dataset(tmp_path / "d.csv")
+        assert again.values.shape == (3, 0) and again.labels.tolist() == [0, 1, 1]
 
 
 class TestPropagation:
