@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bayes import fit, predict, predict_batch
 from .dataset import Dataset, stratified_folds, subset, validate_propagation
@@ -91,6 +90,8 @@ class RankTable:
 
 def average_ranks(gmeans_by_method: Mapping[str, Sequence[float]]) -> RankTable:
     """Tied average ranks per block (dataset), rank 1 for the highest GMean."""
+    from scipy import stats  # slow to import, and only the statistics need it
+
     methods = tuple(gmeans_by_method)
     if not methods:
         raise IncompleteTable("no methods in the table")
@@ -143,6 +144,8 @@ def friedman_holm(table: RankTable, alpha: float = 0.05) -> FriedmanHolmResult:
     threshold its p-value was compared against (alpha, alpha/2, ... when the
     p-values are monotone in rank distance, which they always are here).
     """
+    from scipy import stats
+
     _check_alpha(alpha)
     k = len(table.methods)
     n_blocks = table.ranks.shape[0]

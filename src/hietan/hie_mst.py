@@ -54,47 +54,55 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
+from .dataset import _binary_copy
 from .errors import DimensionMismatch
 from .hierarchy import FeatureDag
-from .tree import DependencyTree, UnionFind
+from .tree import DependencyTree
 
 TraceFn = Optional[Callable[[dict], None]]
 
 
 class EdgeSets:
-    """Working state of the constrained learner: undirected edges, the parent
-    map (one entry per directed edge, child -> parent), and a union-find over
-    the skeleton. ``live`` counts the skeleton components that still hold an
-    active feature; every feature starts active and alone."""
+    """Working state of the constrained learners: undirected edges, the parent
+    map (one entry per directed edge, child -> parent), and the components of
+    the skeleton (directed + undirected edges) as labels: ``comp[v]`` is v's
+    component label and ``members[label]`` lists the features with that label.
+    ``live`` counts the components that still hold an active feature; every
+    feature starts active and alone, labelled with its own index."""
 
-    __slots__ = ("undirected", "parent_of", "_uf", "_active_in", "live")
+    __slots__ = ("undirected", "parent_of", "comp", "members", "_active_in", "live")
 
     def __init__(self, n_features: int):
         self.undirected: list[tuple[int, int]] = []  # (a, b) with a < b
         self.parent_of: dict[int, int] = {}
-        self._uf = UnionFind(n_features)
-        self._active_in = [1] * n_features  # per union-find root
+        self.comp = list(range(n_features))
+        self.members = [[v] for v in range(n_features)]
+        self._active_in = [1] * n_features  # per component label
         self.live = n_features
 
     def _join(self, a: int, b: int) -> None:
-        uf, count = self._uf, self._active_in
-        ra, rb = uf.find(a), uf.find(b)
-        if not uf.union(ra, rb):
+        """Merge the components of a and b: the smaller one takes the larger
+        one's label, so no feature is relabelled more than log2(n) times."""
+        comp, members, count = self.comp, self.members, self._active_in
+        keep, gone = comp[a], comp[b]
+        if keep == gone:
             return
-        if count[ra] and count[rb]:
+        if len(members[keep]) < len(members[gone]):
+            keep, gone = gone, keep
+        for v in members[gone]:
+            comp[v] = keep
+        members[keep] += members[gone]
+        members[gone] = []
+        if count[keep] and count[gone]:
             self.live -= 1
-        count[uf.find(ra)] = count[ra] + count[rb]
+        count[keep] += count[gone]
 
     def deactivate(self, v: int) -> None:
         """Record that active feature ``v`` became inactive."""
-        root = self._uf.find(v)
-        self._active_in[root] -= 1
-        if not self._active_in[root]:
+        label = self.comp[v]
+        self._active_in[label] -= 1
+        if not self._active_in[label]:
             self.live -= 1
-
-    def connected(self, a: int, b: int) -> bool:
-        """True iff a and b share a component of the directed + undirected skeleton."""
-        return self._uf.connected(a, b)
 
     def has_parent(self, v: int) -> bool:
         return v in self.parent_of
@@ -221,17 +229,20 @@ def _grow(
         )
     rng = random.Random(seed)
     sets = EdgeSets(n_features)
+    comp = sets.comp
     active = [True] * n_features
     for pos, (i, j, _) in enumerate(edges):
         if sets.live <= 1:
             _note(trace, "scan_stopped", i, j, skipped=len(edges) - pos)
             break
-        if sets.connected(i, j):
-            _note(trace, "rejected_cycle", i, j)
+        if comp[i] == comp[j]:
+            if trace is not None:
+                _note(trace, "rejected_cycle", i, j)
             continue
         if values is not None:
             if not (active[i] and active[j]):
-                _note(trace, "rejected_unavailable", i, j)
+                if trace is not None:
+                    _note(trace, "rejected_unavailable", i, j)
                 continue
             if is_redundant_pair(dag, values, i, j):
                 _note(trace, "rejected_redundant", i, j)
@@ -273,7 +284,8 @@ def hie_mst_lite(
     """Learn one instance-specific tree and report the surviving features.
 
     ``edges`` is read as in ``hie_mst``: sorted ``(i, j, score)`` tuples in
-    either endpoint order.
+    either endpoint order. Every value of ``instance`` must equal 0 or 1
+    (``NonBinaryValue`` otherwise, as in ``predict``).
 
     Features removed as redundant contribute no likelihood factor when the
     instance is classified. On a hierarchy with no edges this degenerates to
@@ -281,7 +293,7 @@ def hie_mst_lite(
     and the two learners consume the seed identically, so their outputs
     coincide edge for edge.
     """
-    values = [int(v) for v in instance]
+    values = _binary_copy(instance, "instance values").tolist()
     if len(values) != n_features:
         raise DimensionMismatch(f"instance has {len(values)} values, expected {n_features}")
     tree, active = _grow(edges, dag, n_features, seed, values, trace)

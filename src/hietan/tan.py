@@ -2,8 +2,10 @@
 
 Ignores any feature hierarchy on purpose: the skeleton is the maximum
 spanning tree over the pre-sorted candidate edges (greedy Kruskal selection
-with union-find), the root is drawn uniformly at random under the seed, and
-every edge is oriented away from the root by breadth-first traversal.
+over the component labels of ``EdgeSets``, the structure the constrained
+learners grow theirs in), the root is drawn uniformly at random under the
+seed, and every edge is oriented away from the root by breadth-first
+traversal.
 """
 
 from __future__ import annotations
@@ -12,29 +14,32 @@ import random
 from collections import deque
 
 from .errors import EmptyFeatureSet
-from .tree import DependencyTree, UnionFind
+from .hie_mst import EdgeSets
+from .tree import DependencyTree
 
 
 def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTree:
     """Greedy maximum spanning tree plus seeded random root orientation.
 
     ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
-    output of ``rank_edges``); either endpoint may come first. The root is
-    the single draw ``random.Random(seed).randrange(n_features)``.
+    output of ``rank_edges``); either endpoint may come first. The scan stops
+    once the skeleton spans every feature. The root is the single draw
+    ``random.Random(seed).randrange(n_features)``.
     """
     if n_features <= 0:
         raise EmptyFeatureSet("cannot learn a structure over zero features")
-    uf = UnionFind(n_features)
-    adjacency: list[list[int]] = [[] for _ in range(n_features)]
-    picked = 0
+    sets = EdgeSets(n_features)
+    comp = sets.comp
     for i, j, _ in edges:
-        if picked == n_features - 1:
+        if sets.live <= 1:
             break
-        if uf.union(i, j):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-            picked += 1
+        if comp[i] != comp[j]:
+            sets.add_undirected(i, j)
 
+    adjacency: list[list[int]] = [[] for _ in range(n_features)]
+    for a, b in sets.undirected:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
     root = random.Random(seed).randrange(n_features)
     parent: list[int | None] = [None] * n_features
     visited = [False] * n_features

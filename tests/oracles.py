@@ -9,8 +9,12 @@ sums one scalar log per feature and class; ``hietan.bayes.predict`` and
 every row of ``predict_batch`` gather the same logs from a cached table and
 must reproduce it bit for bit.
 ``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
-without the early stop: it examines every candidate, and the stopped scan
-must give the same tree, active mask and residual orientation.
+without the early stop: it examines every candidate, with its own
+``UnionFind`` for the cycle check, and the stopped scan must give the same
+tree, active mask and residual orientation. ``tan_reference`` is TAN's
+Kruskal loop over ``UnionFind`` with a stop after n - 1 picks;
+``learn_tan_structure`` grows its skeleton in ``EdgeSets`` instead and must
+give the same tree.
 ``joint_counts`` builds a table by a direct scan and ``tree_total_score``
 sums a tree's candidate scores. ``read_csv_reference`` splits a dataset file
 into lines and tokens with ``str`` methods and converts one token at a time;
@@ -21,6 +25,7 @@ errors. ``save_dataset_reference`` formats one row at a time, and
 
 import math
 import random
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ from hietan.bayes import FittedClassifier, Prediction
 from hietan.dataset import Dataset
 from hietan.errors import (
     DegenerateDistribution,
+    EmptyFeatureSet,
     HieTanError,
     IndexOutOfRange,
     MissingClassColumn,
@@ -46,6 +52,36 @@ from hietan.hie_mst import (
 from hietan.hierarchy import read_utf8
 from hietan.mutual_info import JointCounts
 from hietan.tree import DependencyTree
+
+
+class UnionFind:
+    __slots__ = ("parent", "rank")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def connected(self, a: int, b: int) -> bool:
+        return self.find(a) == self.find(b)
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
 
 
 class UnknownEdge(HieTanError):
@@ -193,9 +229,10 @@ def grow_reference(edges, dag, n_features, seed, values, trace):
     instance's values, returning the tree and the final active mask."""
     rng = random.Random(seed)
     sets = EdgeSets(n_features)
+    uf = UnionFind(n_features)
     active = [True] * n_features
     for i, j, _ in edges:
-        if sets.connected(i, j):
+        if uf.connected(i, j):
             _note(trace, "rejected_cycle", i, j)
             continue
         if values is not None:
@@ -205,11 +242,49 @@ def grow_reference(edges, dag, n_features, seed, values, trace):
             if is_redundant_pair(dag, values, i, j):
                 _note(trace, "rejected_redundant", i, j)
                 continue
-        if _insert_constrained(sets, dag, i, j, trace) and values is not None:
-            _deactivate_relatives(dag, values, active, (i, j), trace)
+        if _insert_constrained(sets, dag, i, j, trace):
+            uf.union(i, j)
+            if values is not None:
+                _deactivate_relatives(dag, values, active, (i, j), trace)
     _orient_residual(sets, rng, trace)
     tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
     return tree, active
+
+
+def tan_reference(edges, n_features, seed):
+    """TAN as a Kruskal loop over ``UnionFind`` that stops after n - 1 picks,
+    the root drawn from the seed and every component oriented outward by
+    breadth-first traversal, leftover components from their lowest index."""
+    if n_features <= 0:
+        raise EmptyFeatureSet("cannot learn a structure over zero features")
+    uf = UnionFind(n_features)
+    adjacency: list[list[int]] = [[] for _ in range(n_features)]
+    picked = 0
+    for i, j, _ in edges:
+        if picked == n_features - 1:
+            break
+        if uf.union(i, j):
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+            picked += 1
+
+    root = random.Random(seed).randrange(n_features)
+    parent: list[int | None] = [None] * n_features
+    visited = [False] * n_features
+    starts = [root] + [v for v in range(n_features) if v != root]
+    for start in starts:
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adjacency[v]:
+                if not visited[w]:
+                    visited[w] = True
+                    parent[w] = v
+                    queue.append(w)
+    return DependencyTree(tuple(parent))
 
 
 def read_csv_reference(path, class_required: bool):

@@ -26,7 +26,7 @@ from hietan.hie_mst import hie_mst, hie_mst_lite, is_redundant_pair
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
 from hietan.mutual_info import cmi, rank_edges
 from hietan.tan import learn_tan_structure
-from hietan.tree import DependencyTree, UnionFind
+from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F
 from golden import (
@@ -37,7 +37,7 @@ from golden import (
     GOLDEN_ORDER_7,
     golden_dataset,
 )
-from oracles import joint_counts, tree_total_score
+from oracles import UnionFind, joint_counts, tree_total_score
 
 
 def _report(number, name, ok):

@@ -19,7 +19,7 @@ from oracles import grow_reference
 
 def dfs_connected(sets, a, b):
     """Connectivity oracle over the combined skeleton, independent of the
-    union-find inside EdgeSets."""
+    component labels inside EdgeSets."""
     adjacency = {}
     for c, p in sets.parent_of.items():
         adjacency.setdefault(p, set()).add(c)
@@ -47,11 +47,11 @@ class TestEdgeSetOps:
         sets = EdgeSets(6)
         for p, c in [(F, C), (E, A), (C, D), (D, B), (B, E)]:
             sets.add_directed(p, c)
-        assert sets.connected(F, B)
+        assert sets.comp[F] == sets.comp[B]
 
     def test_empty_sets_no_cycle(self):
         sets = EdgeSets(4)
-        assert not sets.connected(0, 3)
+        assert sets.comp[0] != sets.comp[3]
 
     def test_cycle_agrees_with_dfs_oracle(self):
         rng = random.Random(8)
@@ -60,7 +60,7 @@ class TestEdgeSetOps:
             sets = EdgeSets(n)
             for _ in range(rng.randrange(0, n)):
                 a, b = rng.sample(range(n), 2)
-                if sets.connected(a, b):
+                if sets.comp[a] == sets.comp[b]:
                     continue
                 if rng.random() < 0.5 and not sets.has_parent(b):
                     sets.add_directed(a, b)
@@ -68,7 +68,10 @@ class TestEdgeSetOps:
                     sets.add_undirected(a, b)
             for a in range(n):
                 for b in range(a + 1, n):
-                    assert sets.connected(a, b) == dfs_connected(sets, a, b)
+                    assert (sets.comp[a] == sets.comp[b]) == dfs_connected(sets, a, b)
+            # The labels partition the features.
+            assert all(v in sets.members[sets.comp[v]] for v in range(n))
+            assert sorted(v for group in sets.members for v in group) == list(range(n))
 
     def test_single_parent_checks(self):
         sets = EdgeSets(6)
@@ -335,7 +338,7 @@ def test_endpoint_order_and_self_pairs_change_nothing():
     """The learners read only the pair order of the candidates. Swapping
     endpoints leaves every tree and active set as it was, and a self-pair
     (v, v) met before the scan stops is traced as a cycle and changes nothing
-    else; TAN's union-find skips it."""
+    else; TAN skips it as it would a cycle."""
     rng = random.Random(12)
     self_pairs = 0
     for dag, n, edges, values, seed in stop_problems(12, 200):

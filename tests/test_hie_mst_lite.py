@@ -7,7 +7,7 @@ from hietan.dataset import Dataset
 from hietan.hie_mst import _deactivate_relatives, hie_mst, hie_mst_lite, is_redundant_pair
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import rank_edges
-from hietan.errors import IndexOutOfRange
+from hietan.errors import DimensionMismatch, IndexOutOfRange, NonBinaryValue
 
 from conftest import A, B, C, D, E, F
 from golden import (
@@ -193,3 +193,23 @@ class TestHieMstLite:
         replay = [hie_mst_lite(edges, canonical_dag, v, 6, k) for k, v in enumerate(instances)]
         for (t1, a1), (t2, a2) in zip(solo, replay):
             assert t1.parent_of == t2.parent_of and a1 == a2
+
+
+class TestInstanceValues:
+    @pytest.mark.parametrize("bad", [0.7, 2, float("nan")])
+    def test_rejects_values_other_than_0_and_1(self, bad):
+        dag = build_dag(3, [(0, 1)])
+        with pytest.raises(NonBinaryValue, match="instance values must be 0 or 1"):
+            hie_mst_lite([(0, 1, 0.5), (1, 2, 0.2)], dag, [bad, 0, 1], 3, 0)
+
+    def test_length_mismatch_names_both_sizes(self):
+        dag = build_dag(3, [(0, 1)])
+        with pytest.raises(DimensionMismatch, match="instance has 2 values, expected 3"):
+            hie_mst_lite([(0, 1, 0.5)], dag, [1, 0], 3, 0)
+
+    def test_accepts_bools_and_floats_equal_to_0_or_1(self):
+        dag = build_dag(3, [(0, 1)])
+        edges = [(0, 1, 0.5), (1, 2, 0.2), (0, 2, 0.1)]
+        want = hie_mst_lite(edges, dag, np.array([1, 0, 1], dtype=np.uint8), 3, 0)
+        assert hie_mst_lite(edges, dag, [True, False, True], 3, 0) == want
+        assert hie_mst_lite(edges, dag, [1.0, 0.0, 1.0], 3, 0) == want

@@ -6,10 +6,10 @@ import pytest
 
 from hietan.errors import EmptyFeatureSet
 from hietan.tan import learn_tan_structure
-from hietan.tree import DependencyTree, UnionFind
+from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F
-from oracles import UnknownEdge, tree_total_score
+from oracles import UnionFind, UnknownEdge, tan_reference, tree_total_score
 
 
 def roots(tree):
@@ -111,6 +111,27 @@ class TestLearnStructure:
             learn_tan_structure(edges, 7, 42).parent_of
             == learn_tan_structure(edges, 7, 42).parent_of
         )
+
+    def test_matches_union_find_reference_on_partial_lists(self):
+        """Candidate lists that need not span: random subsets of the pairs,
+        with repeats, self-pairs and either endpoint order, so leftover
+        components get oriented from their lowest index."""
+        rng = random.Random(2024)
+        partial = spanning = 0
+        for _ in range(600):
+            n, keep = rng.randrange(1, 13), rng.random()
+            pairs = [p for p in combinations(range(n), 2) if rng.random() < keep]
+            pairs += rng.choices(pairs, k=rng.randrange(len(pairs) + 1)) if pairs else []
+            pairs += [(v, v) for v in rng.choices(range(n), k=rng.randrange(3))]
+            rng.shuffle(pairs)
+            pairs = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in pairs]
+            edges = [(i, j, float(len(pairs) - k)) for k, (i, j) in enumerate(pairs)]
+            seed = rng.randrange(1 << 30)
+            tree = learn_tan_structure(edges, n, seed)
+            assert tree == tan_reference(edges, n, seed)
+            partial += len(roots(tree)) > 1
+            spanning += n > 1 and len(roots(tree)) == 1
+        assert partial > 150 and spanning > 150
 
 
 class TestTotalScore:
