@@ -66,11 +66,7 @@ class FittedClassifier:
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
         parented = np.array([p is not None for p in parents], dtype=bool)
-        cells = np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active])
-        # Scalar math.log per cell (np.log differs in the last bit); log 0 is -inf.
-        flat = np.full(cells.shape, -np.inf)
-        live = cells > 0.0
-        flat[live] = list(map(math.log, cells[live].tolist()))
+        flat = _logs(np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active]))
         # ``flat`` holds each row's class-0 cells, then its class-1 cells: 1
         # each for the prior, 2 (x) for a root, 4 (x_parent, x) for a
         # parented feature. Pair every class-0 cell with its class-1 cell.
@@ -96,13 +92,34 @@ class Prediction:
     log_posterior: tuple[float, float]
 
 
-def _safe_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
-    """Per-row (last axis) additive-smoothing normalisation; rows with zero
-    mass and zero smoothing become all-zero rather than NaN."""
+def _smoothed(counts: np.ndarray, rows, smoothing: float) -> np.ndarray:
+    """The smoothed estimate ``(count + s) / (row + 2s)`` of every cell, as
+    float64; a cell whose row has zero mass under zero smoothing is 0 rather
+    than NaN. ``rows`` broadcasts against ``counts``."""
     num = counts + smoothing
-    den = counts.sum(axis=-1, keepdims=True) + 2.0 * smoothing
+    den = rows + 2.0 * smoothing
     out = np.zeros_like(num, dtype=np.float64)
     np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def _safe_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    """Per-row (last axis) additive-smoothing normalisation."""
+    return _smoothed(counts, counts.sum(axis=-1, keepdims=True), smoothing)
+
+
+def _class_prior(ds: Dataset, smoothing: float) -> np.ndarray:
+    """P(y) for y = 0, 1, smoothed like every CPT cell."""
+    totals = np.array([total for _, _, total in ds._class_stats], dtype=np.float64)
+    return _smoothed(totals, ds.n_instances, smoothing)
+
+
+def _logs(cells: np.ndarray) -> np.ndarray:
+    """Scalar ``math.log`` of every cell (``np.log`` differs in the last
+    bit); log 0 is -inf."""
+    out = np.full(cells.shape, -np.inf)
+    live = cells > 0.0
+    out[live] = list(map(math.log, cells[live].tolist()))
     return out
 
 
@@ -133,8 +150,7 @@ def fit(
         if parent is not None and parent not in active_set:
             raise ValueError(f"feature {f} depends on inactive feature {parent}")
 
-    class_counts = np.array([total for _, _, total in ds._class_stats], dtype=np.float64)
-    prior = (class_counts + smoothing) / (ds.n_instances + 2.0 * smoothing)
+    prior = _class_prior(ds, smoothing)
     prior.setflags(write=False)
 
     # One gather from the dataset's cached statistics: (parent, f) tables, and
@@ -186,6 +202,50 @@ def _log_posteriors(clf: FittedClassifier, X: np.ndarray) -> np.ndarray:
     # accumulate adds along axis 0 in order; a reduction may sum pairwise
     # and change the bits.
     return np.add.accumulate(t.logs.take(pair, axis=0), axis=0)[-1]
+
+
+def _lazy_predict(
+    train: Dataset, X: np.ndarray, parents: np.ndarray, active: np.ndarray, smoothing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (uint8) and (rows, 2) log posteriors of the 0/1 rows of ``X``,
+    each under its own tree: ``parents[r, f]`` is f's parent in row r's tree
+    or -1 for a root, and ``active[r]`` masks the features row r is scored
+    on; an active feature's parent must be active, as in ``hie_mst_lite``'s
+    output. Row r is bit for bit ``predict(fit(train, tree_r, active_r,
+    smoothing), X[r])``, but no classifier is built: per class, each active
+    feature reads from ``train``'s cached statistics only the one cell that
+    row r selects, smoothed as ``fit`` does and logged as ``predict`` does.
+
+    Each class's sum runs strictly left to right from the log prior through
+    the features in index order, which is ``active_features`` order. An
+    inactive feature adds 0.0, which changes no value the sum can hold: every
+    term is <= 0 or -inf, and none is -0.0. The terms and their running sums
+    take 32 bytes per row and feature."""
+    smoothing = check_smoothing(smoothing)
+    at, features = np.nonzero(active)  # row by row, features ascending
+    source = parents[at, features]
+    parented = source >= 0
+    source = np.where(parented, source, features)  # a root reads its own diagonal
+    x_source = X[at, source].astype(bool)
+    x_feature = X[at, features].astype(bool)
+    cells = np.empty((features.size, 2))
+    for y, (gram, ones, total) in enumerate(train._class_stats):
+        # The count at x_source (the mass of the CPT row), at (x_source,
+        # x_feature = 1), and at the row's (x_source, x_feature). For a root
+        # the source is the feature itself, so the last is the count at
+        # x_feature, and the row's mass is the class total.
+        mass = np.where(x_source, ones[source], total - ones[source])
+        both = gram[source, features]
+        with_one = np.where(x_source, both, ones[features] - both)
+        count = np.where(x_feature, with_one, mass - with_one)
+        mass = np.where(parented, mass, total)
+        cells[:, y] = _smoothed(count.astype(np.float64), mass.astype(np.float64), smoothing)
+    terms = np.zeros((X.shape[0], X.shape[1] + 1, 2))
+    terms[:, 0] = _logs(_class_prior(train, smoothing))
+    terms[at, features + 1] = _logs(cells)
+    # accumulate adds along axis 1 in order; a reduction may sum pairwise.
+    log_post = np.add.accumulate(terms, axis=1)[:, -1]
+    return (log_post[:, 0] < log_post[:, 1]).astype(np.uint8), log_post
 
 
 def _first_non_binary(x: np.ndarray):

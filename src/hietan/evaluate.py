@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayes import fit, predict, predict_batch
+from .bayes import _lazy_predict, fit, predict_batch
 from .dataset import Dataset, stratified_folds, subset, validate_propagation
 from .errors import (
     DegenerateRanks,
@@ -238,11 +238,16 @@ def run_cv_experiment(
     """Stratified k-fold evaluation of the requested methods.
 
     Edges are ranked once per training fold and shared by all methods. The
-    eager learners build one tree per fold under ``derive_seed(seed, fold)``;
-    the lazy learner builds one tree per test instance under
-    ``derive_seed(seed, fold, instance_row)``. ``jobs`` is accepted and
-    ignored: every run is single-threaded, and the parameter stays only for
-    callers that still pass it.
+    eager learners build one tree per fold under ``derive_seed(seed, fold)``
+    and classify the fold's test rows with ``fit`` and ``predict_batch``.
+    The lazy learner builds one tree per test instance under
+    ``derive_seed(seed, fold, instance_row)``. One pass over the training
+    fold's cached statistics then classifies all of the fold's instances,
+    each exactly as ``predict(fit(train, tree, active, smoothing), instance)``
+    would, and the usage counts are added up from the same per-fold arrays
+    of parents and active features. ``jobs`` is accepted and ignored: every
+    run is single-threaded, and the parameter stays only for callers that
+    still pass it.
     """
     methods = list(dict.fromkeys(methods))
     for m in methods:
@@ -288,19 +293,24 @@ def run_cv_experiment(
                 clf = fit(train, tree, None, smoothing)
                 predicted = predict_batch(clf, ds.values[test_idx])[0].tolist()
             else:
-                predicted = []
-                for r in test_idx:
-                    tree, active = hie_mst_lite(
+                # Row k of these is test instance k's tree: each feature's
+                # parent (-1 for a root) and whether the feature stayed active.
+                parents = np.full((len(test_idx), n), -1, dtype=np.intp)
+                active = np.zeros((len(test_idx), n), dtype=bool)
+                for k, r in enumerate(test_idx):
+                    tree, kept = hie_mst_lite(
                         edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r)),
                         tagged(method, fold, r),
                     )
-                    clf = fit(train, tree, active, smoothing)
-                    predicted.append(predict(clf, ds.values[r]).label)
-                    for f in active:
-                        usage_selection[f] += 1
-                    for p, c in tree.edges():
-                        usage_edges[p] += 1
-                        usage_edges[c] += 1
+                    parents[k] = [-1 if p is None else p for p in tree.parent_of]
+                    active[k, list(kept)] = True
+                predicted = _lazy_predict(
+                    train, ds.values[test_idx], parents, active, smoothing
+                )[0].tolist()
+                usage_selection += np.bincount(np.nonzero(active)[1], minlength=n)
+                child = parents >= 0  # one per tree edge
+                usage_edges += np.bincount(np.nonzero(child)[1], minlength=n)
+                usage_edges += np.bincount(parents[child], minlength=n)
             fold_counts[method].append(confusion_from_predictions(truths, predicted))
 
     out: dict[str, MethodCvResult] = {}

@@ -55,7 +55,7 @@ import random
 from typing import Callable, Optional
 
 from .dataset import _binary_copy
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, IndexOutOfRange
 from .hierarchy import FeatureDag
 from .tree import DependencyTree
 
@@ -235,7 +235,15 @@ def _grow(
         if sets.live <= 1:
             _note(trace, "scan_stopped", i, j, skipped=len(edges) - pos)
             break
-        if comp[i] == comp[j]:
+        # An endpoint >= n fails this lookup. A negative one indexes from the
+        # end and raises only where the hierarchy is consulted (the redundancy
+        # gate, insertion): a range test per candidate cost about a tenth of
+        # the lazy learner's time.
+        try:
+            cycle = comp[i] == comp[j]
+        except IndexError:
+            raise IndexOutOfRange(f"candidate edge ({i}, {j}) outside [0, {n_features})") from None
+        if cycle:
             if trace is not None:
                 _note(trace, "rejected_cycle", i, j)
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .errors import EmptyFeatureSet
+from .errors import EmptyFeatureSet, IndexOutOfRange
 from .hie_mst import EdgeSets
 from .tree import DependencyTree
 
@@ -22,8 +22,10 @@ def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTr
     """Greedy maximum spanning tree plus seeded random root orientation.
 
     ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
-    output of ``rank_edges``); either endpoint may come first. The scan stops
-    once the skeleton spans every feature. The root is the single draw
+    output of ``rank_edges``); either endpoint may come first. A scanned
+    candidate with an endpoint outside ``[0, n_features)`` raises
+    ``IndexOutOfRange``. The scan stops once the skeleton spans every
+    feature. The root is the single draw
     ``random.Random(seed).randrange(n_features)``.
     """
     if n_features <= 0:
@@ -33,6 +35,8 @@ def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTr
     for i, j, _ in edges:
         if sets.live <= 1:
             break
+        if not (0 <= i < n_features and 0 <= j < n_features):
+            raise IndexOutOfRange(f"candidate edge ({i}, {j}) outside [0, {n_features})")
         if comp[i] != comp[j]:
             sets.add_undirected(i, j)
 

@@ -7,7 +7,11 @@ the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
 per-class statistics and must reproduce it bit for bit. ``predict_reference``
 sums one scalar log per feature and class; ``hietan.bayes.predict`` and
 every row of ``predict_batch`` gather the same logs from a cached table and
-must reproduce it bit for bit.
+must reproduce it bit for bit. ``lite_cv_reference`` is the
+``hie_tan_lite`` branch of ``run_cv_experiment`` as one ``fit`` and one
+``predict`` per test instance, with usage counted one feature and one edge
+endpoint at a time; the CV loop classifies each fold's instances in one pass
+and must give the same fold counts and usage.
 ``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
 without the early stop: it examines every candidate, with its own
 ``UnionFind`` for the cycle check, and the stopped scan must give the same
@@ -30,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hietan.bayes import FittedClassifier, Prediction
-from hietan.dataset import Dataset
+from hietan.bayes import FittedClassifier, Prediction, fit, predict
+from hietan.dataset import Dataset, stratified_folds, subset
 from hietan.errors import (
     DegenerateDistribution,
     EmptyFeatureSet,
@@ -41,16 +45,18 @@ from hietan.errors import (
     NonBinaryValue,
     ParseError,
 )
+from hietan.evaluate import confusion_from_predictions, derive_seed
 from hietan.hie_mst import (
     EdgeSets,
     _deactivate_relatives,
     _insert_constrained,
     _note,
     _orient_residual,
+    hie_mst_lite,
     is_redundant_pair,
 )
 from hietan.hierarchy import read_utf8
-from hietan.mutual_info import JointCounts
+from hietan.mutual_info import JointCounts, rank_edges
 from hietan.tree import DependencyTree
 
 
@@ -222,6 +228,36 @@ def predict_reference(clf: FittedClassifier, instance) -> Prediction:
             log_post[y] += _log(p)
     label = 0 if log_post[0] >= log_post[1] else 1
     return Prediction(label, (log_post[0], log_post[1]))
+
+
+def lite_cv_reference(ds: Dataset, dag, k: int, seed: int, smoothing: float):
+    """``run_cv_experiment``'s ``hie_tan_lite`` method by a per-instance
+    loop: per test instance one tree, one ``fit`` and one ``predict``, then
+    one ``+= 1`` per active feature and per edge endpoint. Returns the fold
+    confusion counts, the selection counts and the edge counts."""
+    folds = stratified_folds(ds, k, seed)
+    n = ds.n_features
+    counts = []
+    usage_selection = np.zeros(n, dtype=np.int64)
+    usage_edges = np.zeros(n, dtype=np.int64)
+    for fold in range(k):
+        train = subset(ds, folds.train_indices(fold))
+        test_idx = folds.test_indices(fold)
+        edges = rank_edges(train, dag, smoothing)
+        predicted = []
+        for r in test_idx:
+            tree, active = hie_mst_lite(
+                edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r))
+            )
+            clf = fit(train, tree, active, smoothing)
+            predicted.append(predict(clf, ds.values[r]).label)
+            for f in active:
+                usage_selection[f] += 1
+            for p, c in tree.edges():
+                usage_edges[p] += 1
+                usage_edges[c] += 1
+        counts.append(confusion_from_predictions(ds.labels[test_idx], predicted))
+    return counts, usage_selection, usage_edges
 
 
 def grow_reference(edges, dag, n_features, seed, values, trace):

@@ -8,6 +8,7 @@ import pytest
 
 from hietan import bayes
 from hietan.bayes import (
+    Prediction,
     fit,
     load_model,
     model_from_dict,
@@ -16,8 +17,11 @@ from hietan.bayes import (
     predict_batch,
     save_model,
 )
-from hietan.dataset import Dataset
+from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
 from hietan.errors import DimensionMismatch, EmptyTrainingSet, NonBinaryValue, ParseError
+from hietan.hie_mst import hie_mst_lite
+from hietan.hierarchy import build_dag, random_dag
+from hietan.mutual_info import rank_edges
 from hietan.tree import DependencyTree
 
 from oracles import fit_reference, predict_reference
@@ -387,6 +391,81 @@ class TestPredictBatch:
         clf = fit(ds, empty_tree(4))
         with pytest.raises(DimensionMismatch):
             predict_batch(clf, np.zeros(shape, dtype=np.uint8))
+
+
+def lazy_arrays(lazy, n):
+    """``_lazy_predict``'s (parents, active) arrays for (tree, active) pairs."""
+    parents = np.full((len(lazy), n), -1, dtype=np.intp)
+    active = np.zeros((len(lazy), n), dtype=bool)
+    for k, (tree, kept) in enumerate(lazy):
+        parents[k] = [-1 if p is None else p for p in tree.parent_of]
+        active[k, sorted(kept)] = True
+    return parents, active
+
+
+def lazy_folds(seed, smoothing):
+    """Every lazy test instance of one seeded synthetic problem, fold by
+    fold: the training set, the test rows and each row's (tree, active)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 13))
+    dag = build_dag(n, random_dag(n, int(rng.integers(n, 2 * n)), seed))
+    ds = generate_synthetic(dag, int(rng.integers(24, 49)), 0.3, 0.1, seed)
+    folds = stratified_folds(ds, 3, seed)
+    for fold in range(3):
+        train = subset(ds, folds.train_indices(fold))
+        rows = ds.values[folds.test_indices(fold)]
+        edges = rank_edges(train, dag, smoothing)
+        lazy = [hie_mst_lite(edges, dag, row, n, seed + k) for k, row in enumerate(rows)]
+        yield train, rows, lazy
+
+
+def assert_lazy_matches_fit(train, rows, lazy, smoothing):
+    """Each row of ``_lazy_predict`` equals ``predict(fit(...))`` and the
+    scalar oracles, bit for bit; returns the rows' predictions."""
+    labels, log_post = bayes._lazy_predict(
+        train, rows, *lazy_arrays(lazy, train.n_features), smoothing
+    )
+    got = [Prediction(int(y), tuple(lp)) for y, lp in zip(labels.tolist(), log_post.tolist())]
+    for pred, row, (tree, active) in zip(got, rows, lazy):
+        want = predict(fit(train, tree, active, smoothing), row)
+        oracle = predict_reference(fit_reference(train, tree, active, smoothing), row)
+        assert pred == want == oracle
+        assert prediction_bits(pred) == prediction_bits(want) == prediction_bits(oracle)
+    return got
+
+
+class TestLazyPredict:
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0, 3.0])
+    def test_every_lazy_instance_matches_fit_and_predict(self, smoothing):
+        instances = minus_inf = 0
+        for seed in range(20):
+            for train, rows, lazy in lazy_folds(seed, smoothing):
+                got = assert_lazy_matches_fit(train, rows, lazy, smoothing)
+                instances += len(got)
+                minus_inf += sum(-math.inf in pred.log_posterior for pred in got)
+        assert instances > 500
+        # Only smoothing 0 gives zero probabilities.
+        assert (minus_inf > 0) == (smoothing == 0.0)
+
+    def test_zero_counts_and_zero_rows_at_smoothing_zero(self):
+        # Class 0 never has x0 = 0, so under 0 -> 1 its row at x0 = 0 has no
+        # mass (a zero denominator); class 1 never has (x0, x1) = (1, 0), a
+        # zero count in a row with mass.
+        values = np.array(
+            [[1, 0, 0], [1, 1, 1], [1, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 0]],
+            dtype=np.uint8,
+        )
+        train = Dataset(values, np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8))
+        tree = DependencyTree((None, 0, None))
+        assert fit(train, tree, None, 0.0).cpts[1][0, 0].tolist() == [0.0, 0.0]
+        rows = np.array([[(k >> b) & 1 for b in range(3)] for k in range(8)], dtype=np.uint8)
+        for active in ({0, 1, 2}, {0, 1}, {2}, set()):
+            lazy = [(tree, frozenset(active))] * len(rows)
+            got = assert_lazy_matches_fit(train, rows, lazy, 0.0)
+            if 1 in active:
+                # x0 = 0 rules out class 0; (x0, x1) = (1, 0) rules out class 1.
+                assert got[0].log_posterior[0] == -math.inf
+                assert got[1].log_posterior[1] == -math.inf
 
 
 class TestSerialization:

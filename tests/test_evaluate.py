@@ -25,6 +25,8 @@ from hietan.evaluate import (
 )
 from hietan.hierarchy import build_dag, random_dag
 
+from oracles import lite_cv_reference
+
 
 class TestGmean:
     def test_perfect(self):
@@ -268,6 +270,21 @@ def test_usage_counts_cover_surviving_features(canonical_dag):
     usage = result.methods[METHOD_HIE_TAN_LITE].usage
     for f in (0, 1, 4, 5):  # A, B, E, F
         assert int(usage.freq_of_selection[f]) >= 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lite_matches_per_instance_reference(seed):
+    """Fold counts and usage of the fold-at-once lazy pass equal those of one
+    fit and predict per instance with usage counted one by one."""
+    ds, dag = small_problem(seed=seed, n_features=9, n_instances=48)
+    smoothing = (0.0, 0.5, 1.0)[seed % 3]
+    result = run_cv_experiment(ds, dag, [METHOD_HIE_TAN_LITE], 4, seed, smoothing)
+    counts, selection, edges = lite_cv_reference(ds, dag, 4, seed, smoothing)
+    lite = result.methods[METHOD_HIE_TAN_LITE]
+    assert list(lite.fold_counts) == counts
+    assert lite.usage.freq_of_selection.tolist() == selection.tolist()
+    assert lite.usage.freq_in_edges.tolist() == edges.tolist()
+    assert edges.sum() > 0
 
 
 def test_derive_seed_is_stable():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hietan.dataset import Dataset
-from hietan.errors import DimensionMismatch
+from hietan.errors import DimensionMismatch, IndexOutOfRange
 from hietan.hie_mst import EdgeSets, _propagate, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import rank_edges
@@ -397,3 +397,16 @@ def test_hierarchy_must_cover_exactly_the_features(dag_features, n_features, laz
             hie_mst_lite(edges, dag, [0] * n_features, n_features, 0)
         else:
             hie_mst(edges, dag, n_features, 0)
+
+
+@pytest.mark.parametrize("edges", [[(-1, 0, 1.0), (0, 1, 0.5)], [(0, 3, 1.0)]])
+@pytest.mark.parametrize("learner", ["tan", "hie_mst", "hie_mst_lite"])
+def test_first_candidate_outside_range_raises(edges, learner):
+    dag = build_dag(3, [])
+    learn = {
+        "tan": lambda: learn_tan_structure(edges, 3, 0),
+        "hie_mst": lambda: hie_mst(edges, dag, 3, 0),
+        "hie_mst_lite": lambda: hie_mst_lite(edges, dag, [0, 1, 0], 3, 0),
+    }[learner]
+    with pytest.raises(IndexOutOfRange):
+        learn()
