@@ -293,24 +293,23 @@ def run_cv_experiment(
                 clf = fit(train, tree, None, smoothing)
                 predicted = predict_batch(clf, ds.values[test_idx])[0].tolist()
             else:
-                # Row k of these is test instance k's tree: each feature's
+                # Each row of these is one test instance's tree: each feature's
                 # parent (-1 for a root) and whether the feature stayed active.
                 parents = np.full((len(test_idx), n), -1, dtype=np.intp)
                 active = np.zeros((len(test_idx), n), dtype=bool)
-                for k, r in enumerate(test_idx):
+                for row, r in enumerate(test_idx):
                     tree, kept = hie_mst_lite(
                         edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r)),
                         tagged(method, fold, r),
                     )
-                    parents[k] = [-1 if p is None else p for p in tree.parent_of]
-                    active[k, list(kept)] = True
+                    parents[row] = [-1 if p is None else p for p in tree.parent_of]
+                    active[row, list(kept)] = True
                 predicted = _lazy_predict(
                     train, ds.values[test_idx], parents, active, smoothing
                 )[0].tolist()
-                usage_selection += np.bincount(np.nonzero(active)[1], minlength=n)
+                usage_selection += active.sum(axis=0)
                 child = parents >= 0  # one per tree edge
-                usage_edges += np.bincount(np.nonzero(child)[1], minlength=n)
-                usage_edges += np.bincount(parents[child], minlength=n)
+                usage_edges += child.sum(axis=0) + np.bincount(parents[child], minlength=n)
             fold_counts[method].append(confusion_from_predictions(truths, predicted))
 
     out: dict[str, MethodCvResult] = {}

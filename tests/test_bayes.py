@@ -447,6 +447,15 @@ class TestLazyPredict:
         # Only smoothing 0 gives zero probabilities.
         assert (minus_inf > 0) == (smoothing == 0.0)
 
+    def test_chunked_rows_match(self, monkeypatch):
+        # Rows are scored _CHUNK_ROWS at a time; shrink the chunk so each
+        # fold is split, some chunks short.
+        monkeypatch.setattr(bayes, "_CHUNK_ROWS", 3)
+        for seed in range(3):
+            for train, rows, lazy in lazy_folds(seed, 1.0):
+                assert len(rows) > 3
+                assert_lazy_matches_fit(train, rows, lazy, 1.0)
+
     def test_zero_counts_and_zero_rows_at_smoothing_zero(self):
         # Class 0 never has x0 = 0, so under 0 -> 1 its row at x0 = 0 has no
         # mass (a zero denominator); class 1 never has (x0, x1) = (1, 0), a

@@ -230,6 +230,19 @@ class TestRunCv:
         assert usage is not None
         assert int(usage.freq_of_selection.max()) <= ds.n_instances
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_result_keeps_k_with_tiny_test_folds(self, k):
+        # Five instances per class: at k = 5 every test fold has 2 rows, one
+        # per class. Neither the fold count nor Holm depends on their number.
+        dag = build_dag(6, [])
+        values = (np.random.default_rng(2).random((10, 6)) < 0.5).astype(np.uint8)
+        ds = Dataset(values, np.array([0, 1] * 5, dtype=np.uint8))
+        result = run_cv_experiment(ds, dag, list(ALL_METHODS), k, seed=0)
+        assert result.k == k
+        assert all(len(r.fold_counts) == k for r in result.methods.values())
+        _, holm = fold_rank_summary(result)
+        assert holm is not None
+
     def test_unknown_method(self):
         ds, dag = small_problem()
         with pytest.raises(ValueError):
