@@ -22,16 +22,21 @@ the one kernel, ``_slice_terms``, and then sums each pair's eight gathered
 terms in fixed-size blocks; ``cmi`` is the same kernel on one table's two
 slices. The result is bit-identical to scoring every pair on its own: the
 kernel computes the same terms whichever pair a slice came from, and the
-final sum is ``math.fsum``, which is exactly rounded and so independent of
-the order of its terms.
+final sum is exactly rounded and so independent of the order of its terms.
 
 Within the kernel, the element-wise steps (smoothed probabilities, marginals,
 ratios) are single IEEE operations, so NumPy computes them exactly as scalar
-code would. The order-sensitive steps stay scalar: ``math.fsum`` for P(y) and
-for the final sum, so the result is independent of summation order (this is
-what makes cmi(i, j) == cmi(j, i) bit-exact and keeps exact ties between
-different tables tied), and ``math.log`` for the logarithms, because
-vectorised logs differ in the last bit between CPUs and the ranking must not.
+code would. The sums for P(y) and for each pair's score are correctly
+rounded: ``_exact_sums`` computes them with element-wise error-free
+transformations and certifies each row's result, and any row it cannot
+certify goes to ``math.fsum``. Either way a row gets the one double nearest
+its exact sum, which is what ``math.fsum`` returns, so the scores are the
+bits of a per-pair ``fsum``. That is what makes cmi(i, j) == cmi(j, i)
+bit-exact and keeps exact ties between different tables tied (NumPy's own
+summation order splits such ties in the last bit); ``cmi`` sums its one
+table with ``math.fsum`` directly. The logarithms stay scalar through
+``math.log``, because vectorised logs differ in the last bit between CPUs
+and the ranking must not.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from .dataset import Dataset
 from .errors import DegenerateDistribution, DimensionMismatch
 from .hierarchy import FeatureDag
 
-# Pairs per block of the final sum in rank_edges: bounds the gathered terms
-# and their Python rows to a few hundred kilobytes whatever the number of
-# features.
-_BLOCK = 1024
+# Pairs per block of the final sum in rank_edges. _exact_sums holds the eight
+# gathered term columns and about a dozen float64 temporaries at once, some
+# 160 bytes per pair, so a block takes under a megabyte whatever the number
+# of features.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ def _slice_terms(slices: np.ndarray, n: int, smoothing: float) -> np.ndarray:
         raise DegenerateDistribution("no instances and no smoothing")
     d = slices.shape[0]
     p = ((slices + smoothing) / (float(n) + 8.0 * smoothing)).reshape(d, 2, 2)
-    p_y = _each(math.fsum, p.reshape(d, 4)).reshape(d, 1, 1)
+    p_y = _exact_sums(p.reshape(d, 4).T).reshape(d, 1, 1)
     p_iy = p[:, :, :1] + p[:, :, 1:]
     p_jy = p[:, :1, :] + p[:, 1:, :]
     num, den = p * p_y, p_iy * p_jy
@@ -124,6 +130,53 @@ def _distinct_slices(
     n11, ones_i, ones_j = key // (k * k), sums[key // k % k], sums[key % k]
     slices = np.stack([total - ones_i - ones_j + n11, ones_j - n11, ones_i - n11, n11], axis=1)
     return slices, index
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the exact error a + b - s (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _exact_sums(columns) -> np.ndarray:
+    """Each row's correctly rounded sum over ``columns`` (m >= 2 equal-length
+    1-d float64 arrays), bit for bit what ``math.fsum`` returns for the row.
+
+    Two VecSum cascades (Ogita, Rump and Oishi 2005) run in lockstep: the
+    first leaves the running sum sigma and the exact error of each step, the
+    second folds those errors into e and second-level errors q, so a row's
+    exact sum is sigma + e + sum(q). With r = fl(sigma + e) and its exact
+    residual rho, that sum is r + rho + sum(q). A row is certified when every
+    q is 0 (then r is the IEEE round-half-even of the exact sum, which is
+    fsum's rounding), or when a bound on |rho + sum(q)| is below half the gap
+    from |r| to the next double toward zero (then r is the only double that
+    close, and no tie is possible). The bound sums |q| in floating point and
+    inflates it by the (2m u) error of that sum and a further 2**-40 for the
+    two roundings of the bound itself. Other rows fall back to ``math.fsum``,
+    as do rows whose r is zero (fsum, not IEEE addition, picks the sign of a
+    zero sum) or not finite (fsum decides whether to raise).
+    Only element-wise IEEE operations are used, so the bits do not depend on
+    the CPU or the order of the rows.
+    """
+    columns = list(columns)
+    m = len(columns)
+    sigma, e = _two_sum(columns[0], columns[1])
+    q_sum = np.zeros_like(sigma)
+    for x in columns[2:]:
+        sigma, err = _two_sum(sigma, x)
+        e, q = _two_sum(e, err)
+        q_sum += np.abs(q)
+    r, rho = _two_sum(sigma, e)
+    magnitude = np.abs(r)
+    gap = magnitude - np.nextafter(magnitude, 0.0)
+    bound = (np.abs(rho) + q_sum * (1.0 + 2.0 * m * 2.0**-53)) * (1.0 + 2.0**-40)
+    certified = (q_sum == 0.0) | (bound + bound < gap)
+    certified &= (magnitude > 0.0) & (magnitude < math.inf)
+    fallback = np.flatnonzero(~certified)
+    if fallback.size:
+        r[fallback] = _each(math.fsum, np.stack([c[fallback] for c in columns], axis=1))
+    return r
 
 
 def _each(fn, a: np.ndarray) -> np.ndarray:
@@ -160,12 +213,15 @@ def rank_edges(
     memo = []
     for gram, ones, total in ds._class_stats:
         slices, index = _distinct_slices(gram, ones, total, i, j)
-        memo.append((_slice_terms(slices, ds.n_instances, smoothing), index))
+        memo.append((_slice_terms(slices, ds.n_instances, smoothing).T.copy(), index))
     scores = np.empty(i.shape[0])
     for start in range(0, i.shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
-        rows = np.concatenate([terms[index[block]] for terms, index in memo], axis=1)
-        scores[block] = _each(math.fsum, rows)
+        scores[block] = _exact_sums(
+            [column for terms, index in memo for column in terms[:, index[block]]]
+        )
     del memo  # before the output list, which sets the peak memory
-    order = np.lexsort((j, i, -scores))
+    # triu_indices yields the pairs in ascending (i, j) order, so a stable
+    # sort breaks exact ties by (i, j).
+    order = np.argsort(-scores, kind="stable")
     return list(zip(i[order].tolist(), j[order].tolist(), scores[order].tolist()))

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hietan import mutual_info
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DegenerateDistribution, IndexOutOfRange
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import (
-    _BLOCK,
     JointCounts,
+    _exact_sums,
     cmi,
     rank_edges,
 )
@@ -94,6 +95,81 @@ def tied_tables_dataset():
         rows += [a + b for a, b in zip(left, right)]
         labels += [y] * len(left)
     return Dataset(np.array(rows, dtype=np.uint8), np.array(labels, dtype=np.uint8))
+
+
+def assert_same_scores(got, want):
+    scores = np.array([s for _, _, s in got])
+    assert scores.tobytes() == np.array([s for _, _, s in want]).tobytes()
+
+
+def assert_exact_sums(rows: np.ndarray):
+    """``_exact_sums`` over the columns of ``rows`` gives the bits of fsum."""
+    want = np.array([math.fsum(r) for r in rows.tolist()])
+    assert _exact_sums(list(rows.T)).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def hard_rows(rng, n, m):
+    """Rows of m floats built to stress exact summation: heavy cancellation,
+    dyadic halfway ties, magnitudes from 1e-300 to 1e300, zeros of both signs
+    and subnormals."""
+    kind = rng.integers(0, 5, n)
+    sign = rng.choice([-1.0, 1.0], (n, m))
+    rows = sign * rng.random((n, m)) * 10.0 ** rng.integers(-300, 300, (n, m))
+    big = rng.standard_normal((n, 1)) * 10.0 ** rng.integers(-30, 30, (n, 1))
+    cancel = np.concatenate(
+        [big, -big, big * sign[:, 2:] * 2.0 ** -rng.integers(40, 120, (n, m - 2))], axis=1
+    )
+    k = rng.integers(-900, 900, (n, 1)).astype(float)
+    tie = np.concatenate([
+        2.0 ** k,
+        sign[:, :1] * 2.0 ** (k - 53),
+        rng.choice([-1.0, 0.0, 1.0], (n, m - 2)) * 2.0 ** (k - rng.integers(54, 110, (n, m - 2))),
+    ], axis=1)
+    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308], (n, m))
+    tiny *= rng.integers(1, 4, (n, m))
+    for code, part in enumerate((cancel, tie, tiny), start=1):
+        rows[kind == code] = part[kind == code]
+    # Shuffle within rows so the large and tied terms are not always first.
+    return rng.permuted(rows, axis=1)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The rows ``_exact_sums`` hands to ``math.fsum``."""
+    rows, each = [], mutual_info._each
+
+    def recording(fn, a):
+        if fn is math.fsum:
+            rows.extend(a.tolist())
+        return each(fn, a)
+
+    monkeypatch.setattr(mutual_info, "_each", recording)
+    return rows
+
+
+class TestExactSums:
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                              min_value=-1e300, max_value=1e300),
+                    min_size=2, max_size=8))
+    def test_matches_fsum(self, row):
+        assert_exact_sums(np.array([row]))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_fsum_on_hard_rows(self, m, fallbacks):
+        rows = hard_rows(np.random.default_rng(100 + m), 20_000, m)
+        assert_exact_sums(rows)
+        # Both branches ran: most rows certified, some sent to fsum.
+        assert 0 < len(fallbacks) < rows.shape[0] // 2
+
+    def test_uncertified_row_falls_back(self, fallbacks):
+        # Round-half-even of 1 + 2**-53 gives 1.0, so a double-double sum
+        # (1.0, 2**-53) rounds to 1.0; the 2**-106 breaks the tie upward.
+        row = [1.0, 2.0**-53, 2.0**-106]
+        assert (1.0 + 2.0**-53) + 2.0**-106 == 1.0
+        got = _exact_sums([np.array([x]) for x in row])
+        assert fallbacks == [row]
+        assert got.tolist() == [1.0000000000000002] == [math.fsum(row)]
 
 
 class TestJointCounts:
@@ -271,18 +347,28 @@ class TestRankEdges:
 
     @pytest.mark.parametrize("smoothing", [0.0, 1.0])
     @pytest.mark.parametrize("one_class", [False, True])
-    def test_memo_matches_reference_across_blocks(self, smoothing, one_class):
-        # 1 770 pairs span two summing blocks, and sparse columns repeat
-        # class slices within and across them.
+    def test_memo_matches_reference_across_blocks(self, smoothing, one_class, monkeypatch):
+        # With blocks of 500, the 1 770 pairs span four summing blocks, the
+        # last one short, and sparse columns repeat class slices within and
+        # across them.
+        monkeypatch.setattr(mutual_info, "_BLOCK", 500)
         ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 120, 0.3, 0.05, 11)
         if one_class:
             ds = Dataset(ds.values, np.zeros(ds.n_instances, dtype=np.uint8))
         got = rank_edges(ds, build_dag(60, []), smoothing)
         want = rank_edges_reference(ds, smoothing)
         assert got == want
-        assert len(got) > _BLOCK
-        scores = np.array([s for _, _, s in got])
-        assert scores.tobytes() == np.array([s for _, _, s in want]).tobytes()
+        assert len(got) > 3 * mutual_info._BLOCK
+        assert_same_scores(got, want)
+
+    def test_matches_reference_at_real_block_size(self):
+        # 4 950 pairs: one full block of the real size and a short one.
+        ds = generate_synthetic(build_dag(100, random_dag(100, 60, 12)), 150, 0.3, 0.05, 12)
+        got = rank_edges(ds, build_dag(100, []))
+        want = rank_edges_reference(ds, 1.0)
+        assert got == want
+        assert len(got) > mutual_info._BLOCK
+        assert_same_scores(got, want)
 
     def test_exact_tie_between_different_tables(self):
         ds = tied_tables_dataset()
