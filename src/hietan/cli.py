@@ -42,7 +42,7 @@ from .hie_mst import hie_mst
 from .hierarchy import (
     build_dag, dag_from_edge_names, dag_from_file, random_dag, read_dag_file, write_dag_file,
 )
-from .mutual_info import rank_edges
+from .mutual_info import _ranked_pairs
 from .tan import learn_tan_structure
 
 _METHOD_FLAGS = {
@@ -274,7 +274,7 @@ def cmd_train(args) -> int:
             "instance, so there is no single model to save (use cv/features)"
         )
     ds, dag = _load_inputs(args)
-    edges = rank_edges(ds, dag, args.smoothing)
+    edges = _ranked_pairs(ds, dag, args.smoothing)
     seed = derive_seed(args.seed, 0)
     if _METHOD_FLAGS[method] == METHOD_TAN:
         tree = learn_tan_structure(edges, ds.n_features, seed)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .hie_mst import hie_mst, hie_mst_lite
 from .hierarchy import FeatureDag
-from .mutual_info import rank_edges
+from .mutual_info import _ranked_pairs
 from .tan import learn_tan_structure
 
 METHOD_TAN = "tan"
@@ -200,6 +200,12 @@ class FeatureUsageReport:
     freq_in_edges: np.ndarray
 
     def top(self, criterion: str, n: int, feature_names: Sequence[str]):
+        """The ``n`` features with the highest count under ``criterion``
+        (``"freq_of_selection"`` or ``"freq_in_edges"``), ties by index."""
+        if criterion not in ("freq_of_selection", "freq_in_edges"):
+            raise ValueError(
+                f"criterion must be 'freq_of_selection' or 'freq_in_edges', got {criterion!r}"
+            )
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         counts = getattr(self, criterion)
@@ -280,7 +286,7 @@ def run_cv_experiment(
         train_idx = folds.train_indices(fold)
         test_idx = folds.test_indices(fold)
         train = subset(ds, train_idx)
-        edges = rank_edges(train, dag, smoothing)
+        edges = _ranked_pairs(train, dag, smoothing)
         fold_seed = derive_seed(seed, fold)
         truths = ds.labels[test_idx]
 

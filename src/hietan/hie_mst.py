@@ -274,7 +274,10 @@ def hie_mst(
 
     ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
     output of ``rank_edges``); either endpoint may come first, and only the
-    order of the list is read. The result may have fewer
+    order of the list is read. Any sized sequence that can be iterated more
+    than once in that order will do, such as the chunked ranking of the CV
+    loop; ``len`` is read only for the trace's ``skipped`` count. The result
+    may have fewer
     than ``n_features - 1`` edges: constraint rejections can exhaust the
     candidates, and leftover features simply become roots.
     """
@@ -292,8 +295,10 @@ def hie_mst_lite(
     """Learn one instance-specific tree and report the surviving features.
 
     ``edges`` is read as in ``hie_mst``: sorted ``(i, j, score)`` tuples in
-    either endpoint order. Every value of ``instance`` must equal 0 or 1
-    (``NonBinaryValue`` otherwise, as in ``predict``).
+    either endpoint order, in a list or any re-iterable sized sequence. A
+    fold's test instances share one such sequence. Every value of
+    ``instance`` must equal 0 or 1 (``NonBinaryValue`` otherwise, as in
+    ``predict``).
 
     Features removed as redundant contribute no likelihood factor when the
     instance is classified. On a hierarchy with no edges this degenerates to

@@ -22,7 +22,9 @@ def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTr
     """Greedy maximum spanning tree plus seeded random root orientation.
 
     ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
-    output of ``rank_edges``); either endpoint may come first. A scanned
+    output of ``rank_edges``); either endpoint may come first. Any sized
+    sequence that can be iterated more than once in that order will do, such
+    as the chunked ranking of the CV loop. A scanned
     candidate with an endpoint outside ``[0, n_features)`` raises
     ``IndexOutOfRange``. The scan stops once the skeleton spans every
     feature. The root is the single draw

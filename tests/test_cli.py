@@ -6,10 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from hietan.bayes import load_model
+from hietan import mutual_info
+from hietan.bayes import fit, load_model, save_model
 from hietan.cli import main
 from hietan.dataset import load_dataset, load_instances, validate_propagation
+from hietan.evaluate import derive_seed
+from hietan.hie_mst import hie_mst
 from hietan.hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
+from hietan.mutual_info import rank_edges
+from hietan.tan import learn_tan_structure
 
 from oracles import predict_reference
 
@@ -206,6 +211,38 @@ class TestNonUtf8Input:
 
 
 class TestTrainPredict:
+    @pytest.mark.parametrize("first_chunk", [None, 1])
+    @pytest.mark.parametrize("method", ["tan", "hie-tan"])
+    def test_train_model_matches_full_ranking(self, tmp_path, capsys, monkeypatch,
+                                              method, first_chunk):
+        # train reads the ranking chunk by chunk; its model must be the one
+        # the full rank_edges list gives, byte for byte.
+        data, dag_path = tmp_path / "d.csv", tmp_path / "h.tsv"
+        assert main([
+            "synth", "--random-features", "30", "--random-edges", "40",
+            "--dag-out", str(dag_path), "--instances", "80", "--seed", "3",
+            "--out", str(data),
+        ]) == 0
+        if first_chunk is not None:
+            monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: first_chunk)
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--data", str(data), "--dag", str(dag_path), "--method", method,
+            "--seed", "4", "--smoothing", "0.5", "--model", str(model),
+        ]) == 0
+        ds = load_dataset(data)
+        dag = dag_from_file(dag_path, ds.feature_names)
+        edges = rank_edges(ds, dag, 0.5)
+        seed = derive_seed(4, 0)
+        if method == "tan":
+            tree = learn_tan_structure(edges, ds.n_features, seed)
+        else:
+            tree = hie_mst(edges, dag, ds.n_features, seed)
+        want = tmp_path / "want.json"
+        save_model(fit(ds, tree, None, 0.5), want)
+        assert len(tree.edges()) > 1
+        assert model.read_bytes() == want.read_bytes()
+
     def test_train_then_predict(self, synth_files, tmp_path, capsys):
         data, dag = synth_files
         model = tmp_path / "model.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hietan import mutual_info
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import (
     DegenerateRanks,
@@ -314,3 +315,39 @@ def test_usage_top_rejects_negative_count():
     assert usage.top("freq_of_selection", 2, names) == [("a", 3), ("c", 2)]
     with pytest.raises(ValueError):
         usage.top("freq_of_selection", -1, names)
+
+
+@pytest.mark.parametrize("criterion", ["top", "freq", "__class__", ""])
+def test_usage_top_rejects_unknown_criterion(criterion):
+    usage = FeatureUsageReport(np.array([3, 1, 2]), np.array([0, 4, 0]))
+    assert usage.top("freq_in_edges", 1, ["a", "b", "c"]) == [("b", 4)]
+    with pytest.raises(ValueError, match="criterion"):
+        usage.top(criterion, 3, ["a", "b", "c"])
+
+
+def _cv_doc(result):
+    return {
+        m: (r.fold_counts, r.fold_gmeans, r.mean_gmean,
+            None if r.usage is None else
+            (r.usage.freq_of_selection.tolist(), r.usage.freq_in_edges.tolist()))
+        for m, r in result.methods.items()
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cv_is_the_same_at_tiny_ranking_chunks(seed, monkeypatch):
+    """Chunk boundaries of the fold's ranking change neither the results nor
+    the trace."""
+    ds, dag = small_problem(seed=seed, n_features=14, n_instances=40)
+
+    def run():
+        trace = []
+        result = run_cv_experiment(ds, dag, list(ALL_METHODS), 4, seed, 0.5,
+                                   trace_sink=trace.append)
+        return _cv_doc(result), trace
+
+    want = run()
+    monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: 1)
+    got = run()
+    assert got == want
+    assert len(want[1]) > 0

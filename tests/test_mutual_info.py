@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import (
     JointCounts,
     _exact_sums,
+    _ranked_pairs,
     cmi,
     rank_edges,
 )
@@ -393,3 +396,85 @@ class TestRankEdges:
         with pytest.raises(ValueError, match="smoothing"):
             rank_edges(ds, canonical_dag, smoothing)
 
+
+
+def tie_heavy_dataset():
+    """Sixteen features with large groups of exactly tied pairs: six random
+    columns, three copies of column 0, two of column 1, three all-zero and
+    two all-one columns (every pair with a constant column scores exactly 0
+    without smoothing)."""
+    rng = np.random.default_rng(23)
+    base = (rng.random((40, 6)) < 0.4).astype(np.uint8)
+    zeros, ones = np.zeros((40, 3), np.uint8), np.ones((40, 2), np.uint8)
+    values = np.hstack([base, base[:, [0, 0, 0, 1, 1]], zeros, ones])
+    return Dataset(values, (rng.random(40) < 0.5).astype(np.uint8))
+
+
+class TestRankedPairs:
+    """``_ranked_pairs`` sorts chunk by chunk; whatever the chunk sizes, its
+    order is ``rank_edges``'s, bit for bit."""
+
+    @pytest.mark.parametrize("first", [1, 3])
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_tiny_chunks_match_reference(self, monkeypatch, first, smoothing):
+        monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: first)
+        ds = tie_heavy_dataset()
+        want = rank_edges_reference(ds, smoothing)
+        # Tie groups far larger than the first chunks, so chunk boundaries
+        # fall inside them.
+        assert max(Counter(s for _, _, s in want).values()) >= 20
+        ranked = _ranked_pairs(ds, build_dag(16, []), smoothing)
+        assert len(ranked) == len(want) == 120
+        got = list(ranked)
+        assert got == want
+        assert_same_scores(got, want)
+        assert len(ranked._chunks) > 3
+        assert list(ranked) == want  # a second read of the cached chunks
+
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_partial_then_full_read(self, monkeypatch, first):
+        monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: first)
+        ds = tie_heavy_dataset()
+        want = rank_edges_reference(ds, 0.0)
+        ranked = _ranked_pairs(ds, build_dag(16, []), 0.0)
+        assert list(itertools.islice(ranked, 5)) == want[:5]
+        built = sum(map(len, ranked._chunks))
+        assert 5 <= built < len(want)
+        assert len(ranked) == len(want)
+        assert list(ranked) == want
+        assert ranked.tolist() == want
+
+    @pytest.mark.parametrize("first", [1, 3])
+    def test_interleaved_iterators(self, monkeypatch, first):
+        monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: first)
+        ds = tie_heavy_dataset()
+        want = rank_edges_reference(ds, 0.0)
+        ranked = _ranked_pairs(ds, build_dag(16, []), 0.0)
+        a, b = iter(ranked), iter(ranked)
+        got_a, got_b = [], []
+        while len(got_b) < len(want):
+            got_a += itertools.islice(a, 2)
+            got_b += itertools.islice(b, 3)
+        got_a += a
+        assert got_a == want and got_b == want
+        assert_same_scores(got_a, want)
+
+    def test_tolist_after_partial_read_sorts_the_rest_at_once(self, monkeypatch):
+        monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: 3)
+        ds = tie_heavy_dataset()
+        ranked = _ranked_pairs(ds, build_dag(16, []), 1.0)
+        next(iter(ranked))
+        assert len(ranked._chunks) == 1
+        got = ranked.tolist()
+        assert len(ranked._chunks) == 2
+        assert got == rank_edges_reference(ds, 1.0)
+
+    def test_default_first_chunk_is_a_prefix(self):
+        ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 120, 0.3, 0.05, 11)
+        ranked = _ranked_pairs(ds, build_dag(60, []))
+        want = rank_edges_reference(ds, 1.0)
+        assert next(iter(ranked)) == want[0]
+        assert 4 * 60 <= len(ranked._chunks[0]) < len(want) // 2
+        got = list(ranked)
+        assert got == want
+        assert_same_scores(got, want)
