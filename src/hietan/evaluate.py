@@ -22,7 +22,7 @@ from .errors import (
     IncompleteTable,
     UndefinedClassSide,
 )
-from .hie_mst import hie_mst, hie_mst_lite
+from .hie_mst import _grow, hie_mst
 from .hierarchy import FeatureDag
 from .mutual_info import _ranked_pairs
 from .tan import learn_tan_structure
@@ -247,12 +247,15 @@ def run_cv_experiment(
     eager learners build one tree per fold under ``derive_seed(seed, fold)``
     and classify the fold's test rows with ``fit`` and ``predict_batch``.
     The lazy learner builds one tree per test instance under
-    ``derive_seed(seed, fold, instance_row)``. One pass over the training
-    fold's cached statistics then classifies all of the fold's instances,
-    each exactly as ``predict(fit(train, tree, active, smoothing), instance)``
-    would, and the usage counts are added up from the same per-fold arrays
-    of parents and active features. ``jobs`` is accepted and ignored: every
-    run is single-threaded, and the parameter stays only for callers that
+    ``derive_seed(seed, fold, instance_row)`` with the learners' shared pass,
+    called directly: the ranked pairs and the dataset's rows need none of
+    ``hie_mst_lite``'s checks, and each tree stays a row of parents. One pass
+    over the training fold's cached statistics then classifies all of the
+    fold's instances, each exactly as
+    ``predict(fit(train, tree, active, smoothing), instance)`` would, and the
+    usage counts are added up from the same per-fold arrays of parents and
+    active features. ``jobs`` is accepted and ignored: every run is
+    single-threaded, and the parameter stays only for callers that
     still pass it.
     """
     methods = list(dict.fromkeys(methods))
@@ -301,15 +304,13 @@ def run_cv_experiment(
             else:
                 # Each row of these is one test instance's tree: each feature's
                 # parent (-1 for a root) and whether the feature stayed active.
-                parents = np.full((len(test_idx), n), -1, dtype=np.intp)
-                active = np.zeros((len(test_idx), n), dtype=bool)
+                parents = np.empty((len(test_idx), n), dtype=np.intp)
+                active = np.empty((len(test_idx), n), dtype=bool)
                 for row, r in enumerate(test_idx):
-                    tree, kept = hie_mst_lite(
-                        edges, dag, ds.values[r], n, derive_seed(seed, fold, int(r)),
-                        tagged(method, fold, r),
+                    parents[row], active[row] = _grow(
+                        edges, dag, derive_seed(seed, fold, int(r)),
+                        ds.values[r].tolist(), tagged(method, fold, r),
                     )
-                    parents[row] = [-1 if p is None else p for p in tree.parent_of]
-                    active[row, list(kept)] = True
                 predicted = _lazy_predict(
                     train, ds.values[test_idx], parents, active, smoothing
                 )[0].tolist()

@@ -11,18 +11,22 @@ undirected unless the single-parent constraint already forces a direction:
 * exactly one parented     -> oriented away from the parented endpoint;
 * neither parented         -> kept undirected for now.
 
-After every directed insertion, dependency propagation runs to a fixpoint:
-any undirected edge with exactly one parented endpoint is oriented away from
-that endpoint and becomes directed. Undirected edges that survive the whole
-pass are oriented by seeded coins at the end: each coin directs the first
-undirected edge left, in insertion order, and propagation follows it.
+After every directed insertion, dependency propagation orients each
+undirected edge with exactly one parented endpoint away from that endpoint,
+until none is left. Undirected edges that survive the whole pass are oriented
+by seeded coins at the end: each coin directs the first undirected edge left,
+in insertion order, and propagation follows it.
 
 No accepted edge is lost. An undirected edge enters with two parentless
 endpoints. A directed insertion or a coin gives one parentless feature a
 parent, and propagation then orients the undirected edges reachable from it,
 away from it; the skeleton is a forest, so each of those gives one more
-parentless feature its parent. After every fixpoint both endpoints of each
-undirected edge are still parentless, so every coin has two legal directions.
+parentless feature its parent. Once propagation is done, both endpoints of
+each undirected edge are still parentless, so every coin has two legal
+directions. That is also why propagation only walks the undirected tree
+hanging from the newly parented feature: no other undirected edge has a
+parented endpoint. Its trace entries still come in the order of an
+insertion-order pass over all undirected edges, repeated until nothing moves.
 
 Cycle checks treat directed and undirected edges alike, so the working
 skeleton is always a forest and the result is a single-parent forest whose
@@ -47,6 +51,17 @@ candidate is accepted; nor does a rejection change any state, so the tree,
 the active mask and the residual orientation are those of a full scan. The
 trace replaces the k >= 1 skipped rejections with one ``scan_stopped`` entry
 that names the first skipped pair and carries ``skipped=k``.
+
+All three learners (TAN too, on no hierarchy) share one scan, ``_scan``: a
+single loop over plain lists (component labels, parents with -1 for none,
+the active mask) and an insertion-ordered dict of undirected edges, with the
+constraint branches, both lazy gates and the deactivation written inline and
+the hierarchy read straight from its closure bits. It never range-checks an
+endpoint: the public learners check the whole candidate list once per call,
+and the CV loop's ranked pairs are in range by construction. The CV loop
+calls ``_grow`` once per lazy test instance and writes the parent and active
+lists straight into its per-fold arrays, with no ``DependencyTree``,
+``frozenset`` or value check per instance.
 """
 
 from __future__ import annotations
@@ -55,212 +70,162 @@ import random
 from typing import Callable, Optional
 
 from .dataset import _binary_copy
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch
 from .hierarchy import FeatureDag
+from .mutual_info import _check_endpoints
 from .tree import DependencyTree
 
 TraceFn = Optional[Callable[[dict], None]]
 
 
-class EdgeSets:
-    """Working state of the constrained learners: undirected edges, the parent
-    map (one entry per directed edge, child -> parent), and the components of
-    the skeleton (directed + undirected edges) as labels: ``comp[v]`` is v's
-    component label and ``members[label]`` lists the features with that label.
-    ``live`` counts the components that still hold an active feature; every
-    feature starts active and alone, labelled with its own index."""
+def _scan(edges, anc, desc, related, values: Optional[list[int]], trace: TraceFn):
+    """The greedy pass over the candidates: eager with ``values=None``, lazy
+    with an instance's 0/1 values. ``anc``/``desc`` are the hierarchy's
+    closure bits and ``related`` its relative lists (read only when lazy).
 
-    __slots__ = ("undirected", "parent_of", "comp", "members", "_active_in", "live")
-
-    def __init__(self, n_features: int):
-        self.undirected: list[tuple[int, int]] = []  # (a, b) with a < b
-        self.parent_of: dict[int, int] = {}
-        self.comp = list(range(n_features))
-        self.members = [[v] for v in range(n_features)]
-        self._active_in = [1] * n_features  # per component label
-        self.live = n_features
-
-    def _join(self, a: int, b: int) -> None:
-        """Merge the components of a and b: the smaller one takes the larger
-        one's label, so no feature is relabelled more than log2(n) times."""
-        comp, members, count = self.comp, self.members, self._active_in
-        keep, gone = comp[a], comp[b]
+    Returns ``(parent, active, undirected, adj)``: each feature's parent (-1
+    for none) and whether it stayed active, the edges still undirected as
+    ``(a, b)`` with a < b mapped to their scan position, in insertion order,
+    and the neighbours each feature gained through an undirected edge (still
+    listed once that edge is directed)."""
+    n = len(anc)
+    comp = list(range(n))  # component label of each feature
+    members = [[v] for v in range(n)]  # features of each label
+    active_in = [1] * n  # active features of each label
+    live = n  # labels with an active feature
+    parent = [-1] * n
+    active = [True] * n
+    undirected: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    lazy = values is not None
+    for pos, (i, j, _) in enumerate(edges):
+        if live <= 1:
+            if trace is not None:
+                trace({"decision": "scan_stopped", "i": i, "j": j, "skipped": len(edges) - pos})
+            break
+        keep, gone = comp[i], comp[j]
         if keep == gone:
-            return
+            if trace is not None:
+                trace({"decision": "rejected_cycle", "i": i, "j": j})
+            continue
+        if lazy and not (active[i] and active[j]):
+            if trace is not None:
+                trace({"decision": "rejected_unavailable", "i": i, "j": j})
+            continue
+        if (anc[j] | desc[j]) >> i & 1:
+            if lazy and values[i] == values[j]:
+                if trace is not None:
+                    trace({"decision": "rejected_redundant", "i": i, "j": j})
+                continue
+            p, c = (i, j) if anc[j] >> i & 1 else (j, i)
+        elif parent[i] >= 0:
+            p, c = i, j
+        elif parent[j] >= 0:
+            p, c = j, i
+        else:
+            p = -1
+        if p >= 0 and parent[c] >= 0:
+            if trace is not None:
+                trace({"decision": "rejected_single_parent", "i": i, "j": j})
+            continue
+        # Join the two components; the smaller takes the larger's label, so
+        # no feature is relabelled more than log2(n) times. Both endpoints
+        # are active, so both components were live.
         if len(members[keep]) < len(members[gone]):
             keep, gone = gone, keep
         for v in members[gone]:
             comp[v] = keep
         members[keep] += members[gone]
-        members[gone] = []
-        if count[keep] and count[gone]:
-            self.live -= 1
-        count[keep] += count[gone]
+        active_in[keep] += active_in[gone]
+        live -= 1
+        if p < 0:
+            undirected[(i, j) if i < j else (j, i)] = pos
+            adj[i].append(j)
+            adj[j].append(i)
+            if trace is not None:
+                trace({"decision": "accepted_undirected", "i": i, "j": j})
+        else:
+            parent[c] = p
+            if trace is not None:
+                trace({"decision": "accepted_directed", "i": i, "j": j, "parent": p, "child": c})
+            _orient_away(c, parent, undirected, adj, trace)
+        if lazy:
+            # Deactivate the relatives that duplicate an endpoint's value. An
+            # accepted related pair carries two values, so neither endpoint
+            # can match the other's.
+            for v in (i, j):
+                val = values[v]
+                for u in related[v]:
+                    if active[u] and values[u] == val:
+                        active[u] = False
+                        label = comp[u]
+                        active_in[label] -= 1
+                        if not active_in[label]:
+                            live -= 1
+                        if trace is not None:
+                            trace({"decision": "relative_removed", "i": i, "j": j,
+                                   "feature": u, "endpoint": v})
+    return parent, active, undirected, adj
 
-    def deactivate(self, v: int) -> None:
-        """Record that active feature ``v`` became inactive."""
-        label = self.comp[v]
-        self._active_in[label] -= 1
-        if not self._active_in[label]:
-            self.live -= 1
 
-    def has_parent(self, v: int) -> bool:
-        return v in self.parent_of
+def _orient_away(c: int, parent: list[int], undirected: dict, adj: list[list[int]],
+                 trace: TraceFn) -> None:
+    """Direct every undirected edge reachable from feature ``c`` away from it.
 
-    def add_directed(self, parent: int, child: int) -> None:
-        if child in self.parent_of:
-            raise ValueError(f"feature {child} already has a parent")
-        self.parent_of[child] = parent
-        self._join(parent, child)
-
-    def add_undirected(self, a: int, b: int) -> None:
-        pair = (a, b) if a < b else (b, a)
-        self.undirected.append(pair)
-        self._join(a, b)
-
-    def _move_to_directed(self, pair: tuple[int, int], parent: int, child: int) -> None:
-        self.undirected.remove(pair)
-        self.parent_of[child] = parent
-
-
-def _note(trace: TraceFn, decision: str, i: int, j: int, **extra) -> None:
+    Those edges form one tree of the undirected forest, so a walk from ``c``
+    meets each of them from the endpoint nearer ``c``, its parent. The trace
+    entries follow the insertion-order passes that a fixpoint over all
+    undirected edges would make: an edge is oriented in the pass that
+    oriented the edge leading to it, when it was inserted after that edge,
+    and in the next pass otherwise."""
+    moved = []
+    stack = [(c, 1, -1)]  # (feature, pass, position of the edge that reached it)
+    while stack:
+        v, k, s = stack.pop()
+        for w in adj[v]:
+            key = (v, w) if v < w else (w, v)
+            pos = undirected.pop(key, None)
+            if pos is not None:
+                parent[w] = v
+                kw = k + (pos < s)
+                stack.append((w, kw, pos))
+                if trace is not None:
+                    moved.append((kw, pos, key, v, w))
     if trace is not None:
-        entry = {"decision": decision, "i": i, "j": j}
-        entry.update(extra)
-        trace(entry)
+        for _, _, (a, b), p, ch in sorted(moved):
+            trace({"decision": "oriented_by_propagation", "i": a, "j": b,
+                   "parent": p, "child": ch})
 
 
-def _propagate(sets: EdgeSets, trace: TraceFn = None) -> None:
-    """Run dependency propagation to a fixpoint, in place."""
-    moved = True
-    while moved:
-        moved = False
-        for pair in list(sets.undirected):
-            a, b = pair
-            has_a = a in sets.parent_of
-            has_b = b in sets.parent_of
-            if has_a == has_b:
-                continue
-            parent, child = (a, b) if has_a else (b, a)
-            sets._move_to_directed(pair, parent, child)
-            _note(trace, "oriented_by_propagation", a, b, parent=parent, child=child)
-            moved = True
+def _grow(edges, dag: FeatureDag, seed: int, values: Optional[list[int]], trace: TraceFn):
+    """The constrained learners' pass: ``_scan`` over ``dag``, then seeded
+    coins for the residual undirected edges. Returns the parent list (-1 for
+    a root) and the active mask. Nothing is checked here."""
+    parent, active, undirected, adj = _scan(
+        edges, dag.ancestor_bits, dag.descendant_bits, dag.related_ixs, values, trace
+    )
+    rng = random.Random(seed)
+    while undirected:
+        a, b = next(iter(undirected))
+        p, c = (a, b) if rng.randrange(2) == 0 else (b, a)
+        del undirected[a, b]
+        parent[c] = p
+        if trace is not None:
+            trace({"decision": "oriented_randomly", "i": a, "j": b, "parent": p, "child": c})
+        _orient_away(c, parent, undirected, adj, trace)
+    return parent, active
 
 
-def _orient_residual(sets: EdgeSets, rng: random.Random, trace: TraceFn = None) -> None:
-    """Direct whatever stayed undirected: a seeded coin orients the first
-    undirected edge in insertion order, propagation follows, and so on until
-    none is left."""
-    while sets.undirected:
-        pair = a, b = sets.undirected[0]
-        parent, child = (a, b) if rng.randrange(2) == 0 else (b, a)
-        sets._move_to_directed(pair, parent, child)
-        _note(trace, "oriented_randomly", a, b, parent=parent, child=child)
-        _propagate(sets, trace)
+def _as_tree(parent: list[int]) -> DependencyTree:
+    return DependencyTree(tuple(None if p < 0 else p for p in parent))
 
 
-def _insert_constrained(
-    sets: EdgeSets,
-    dag: FeatureDag,
-    i: int,
-    j: int,
-    trace: TraceFn,
-) -> bool:
-    """Apply the constraint branches to one non-cycle-creating edge.
-
-    Runs propagation to a fixpoint after every directed insertion. Returns
-    True iff the edge entered the working sets (directed or undirected), so
-    the lazy learner knows when to deactivate redundant relatives.
-    """
-    if dag.hierarchically_related(i, j):
-        parent, child = (i, j) if dag.is_ancestor(i, j) else (j, i)
-    elif sets.has_parent(i):
-        parent, child = i, j
-    elif sets.has_parent(j):
-        parent, child = j, i
-    else:
-        sets.add_undirected(i, j)
-        _note(trace, "accepted_undirected", i, j)
-        return True
-    if sets.has_parent(child):
-        _note(trace, "rejected_single_parent", i, j)
-        return False
-    sets.add_directed(parent, child)
-    _note(trace, "accepted_directed", i, j, parent=parent, child=child)
-    _propagate(sets, trace)
-    return True
-
-
-def is_redundant_pair(dag: FeatureDag, values, a: int, b: int) -> bool:
-    """True iff the features are hierarchically related and carry the same
-    value in this instance."""
-    return dag.hierarchically_related(a, b) and int(values[a]) == int(values[b])
-
-
-def _deactivate_relatives(
-    dag: FeatureDag, values, active: list[bool], edge: tuple[int, int], trace: TraceFn = None
-) -> set[int]:
-    """Clear ``active`` for every ancestor/descendant of the edge's endpoints
-    that shares that endpoint's value (the endpoints stay active), and return
-    the features this call deactivated."""
-    i, j = edge
-    removed = set()
-    for v in (i, j):
-        val = values[v]
-        for u in dag.related(v):
-            if u == i or u == j:
-                continue
-            if active[u] and values[u] == val:
-                active[u] = False
-                removed.add(u)
-                _note(trace, "relative_removed", i, j, feature=u, endpoint=v)
-    return removed
-
-
-def _grow(
-    edges: list, dag: FeatureDag, n_features: int, seed: int,
-    values: Optional[list[int]], trace: TraceFn,
-) -> tuple[DependencyTree, list[bool]]:
-    """The greedy pass of both learners: eager with ``values=None``, lazy with
-    an instance's values, returning the tree and the final active mask."""
+def _check_inputs(edges, dag: FeatureDag, n_features: int) -> None:
     if dag.n_features != n_features:
         raise DimensionMismatch(
             f"hierarchy has {dag.n_features} features, expected {n_features}"
         )
-    rng = random.Random(seed)
-    sets = EdgeSets(n_features)
-    comp = sets.comp
-    active = [True] * n_features
-    for pos, (i, j, _) in enumerate(edges):
-        if sets.live <= 1:
-            _note(trace, "scan_stopped", i, j, skipped=len(edges) - pos)
-            break
-        # An endpoint >= n fails this lookup. A negative one indexes from the
-        # end and raises only where the hierarchy is consulted (the redundancy
-        # gate, insertion): a range test per candidate cost about a tenth of
-        # the lazy learner's time.
-        try:
-            cycle = comp[i] == comp[j]
-        except IndexError:
-            raise IndexOutOfRange(f"candidate edge ({i}, {j}) outside [0, {n_features})") from None
-        if cycle:
-            if trace is not None:
-                _note(trace, "rejected_cycle", i, j)
-            continue
-        if values is not None:
-            if not (active[i] and active[j]):
-                if trace is not None:
-                    _note(trace, "rejected_unavailable", i, j)
-                continue
-            if is_redundant_pair(dag, values, i, j):
-                _note(trace, "rejected_redundant", i, j)
-                continue
-        if _insert_constrained(sets, dag, i, j, trace) and values is not None:
-            for u in _deactivate_relatives(dag, values, active, (i, j), trace):
-                sets.deactivate(u)
-    _orient_residual(sets, rng, trace)
-    tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
-    return tree, active
+    _check_endpoints(edges, n_features)
 
 
 def hie_mst(
@@ -276,12 +241,14 @@ def hie_mst(
     output of ``rank_edges``); either endpoint may come first, and only the
     order of the list is read. Any sized sequence that can be iterated more
     than once in that order will do, such as the chunked ranking of the CV
-    loop; ``len`` is read only for the trace's ``skipped`` count. The result
-    may have fewer
+    loop; ``len`` is read only for the trace's ``skipped`` count. An endpoint
+    outside ``[0, n_features)`` anywhere in the list raises
+    ``IndexOutOfRange`` before the scan starts. The result may have fewer
     than ``n_features - 1`` edges: constraint rejections can exhaust the
     candidates, and leftover features simply become roots.
     """
-    return _grow(edges, dag, n_features, seed, None, trace)[0]
+    _check_inputs(edges, dag, n_features)
+    return _as_tree(_grow(edges, dag, seed, None, trace)[0])
 
 
 def hie_mst_lite(
@@ -294,9 +261,9 @@ def hie_mst_lite(
 ) -> tuple[DependencyTree, frozenset[int]]:
     """Learn one instance-specific tree and report the surviving features.
 
-    ``edges`` is read as in ``hie_mst``: sorted ``(i, j, score)`` tuples in
-    either endpoint order, in a list or any re-iterable sized sequence. A
-    fold's test instances share one such sequence. Every value of
+    ``edges`` is read and checked as in ``hie_mst``: sorted ``(i, j, score)``
+    tuples in either endpoint order, in a list or any re-iterable sized
+    sequence. A fold's test instances share one such sequence. Every value of
     ``instance`` must equal 0 or 1 (``NonBinaryValue`` otherwise, as in
     ``predict``).
 
@@ -309,5 +276,6 @@ def hie_mst_lite(
     values = _binary_copy(instance, "instance values").tolist()
     if len(values) != n_features:
         raise DimensionMismatch(f"instance has {len(values)} values, expected {n_features}")
-    tree, active = _grow(edges, dag, n_features, seed, values, trace)
-    return tree, frozenset(f for f in range(n_features) if active[f])
+    _check_inputs(edges, dag, n_features)
+    parent, active = _grow(edges, dag, seed, values, trace)
+    return _as_tree(parent), frozenset(f for f in range(n_features) if active[f])

@@ -13,12 +13,16 @@ must reproduce it bit for bit. ``lite_cv_reference`` is the
 endpoint at a time; the CV loop classifies each fold's instances in one pass
 and must give the same fold counts and usage.
 ``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
-without the early stop: it examines every candidate, with its own
-``UnionFind`` for the cycle check, and the stopped scan must give the same
-tree, active mask and residual orientation. ``tan_reference`` is TAN's
-Kruskal loop over ``UnionFind`` with a stop after n - 1 picks;
-``learn_tan_structure`` grows its skeleton in ``EdgeSets`` instead and must
-give the same tree.
+written step by step and without the early stop: it examines every
+candidate, checks cycles with its own ``UnionFind``, keeps its edges in an
+``EdgeSets`` (a parent map and an undirected list), applies each constraint
+in ``insert_constrained``, propagates to a fixpoint over every undirected
+edge in ``propagate`` and deactivates relatives in ``deactivate_relatives``.
+The library's flat scan must give the same tree, active mask, residual
+orientation and trace, order included. ``tan_reference`` is TAN's Kruskal
+loop over ``UnionFind`` with a stop after n - 1 picks; ``learn_tan_structure``
+runs the constrained learners' scan on no hierarchy instead and must give
+the same tree.
 ``joint_counts`` builds a table by a direct scan and ``tree_total_score``
 sums a tree's candidate scores. ``read_csv_reference`` splits a dataset file
 into lines and tokens with ``str`` methods and converts one token at a time;
@@ -46,15 +50,7 @@ from hietan.errors import (
     ParseError,
 )
 from hietan.evaluate import confusion_from_predictions, derive_seed
-from hietan.hie_mst import (
-    EdgeSets,
-    _deactivate_relatives,
-    _insert_constrained,
-    _note,
-    _orient_residual,
-    hie_mst_lite,
-    is_redundant_pair,
-)
+from hietan.hie_mst import hie_mst_lite
 from hietan.hierarchy import read_utf8
 from hietan.mutual_info import JointCounts, rank_edges
 from hietan.tree import DependencyTree
@@ -260,29 +256,140 @@ def lite_cv_reference(ds: Dataset, dag, k: int, seed: int, smoothing: float):
     return counts, usage_selection, usage_edges
 
 
+class EdgeSets:
+    """The constrained learners' working edges: undirected edges as (a, b)
+    with a < b in insertion order, and the parent map, child -> parent."""
+
+    __slots__ = ("undirected", "parent_of")
+
+    def __init__(self):
+        self.undirected: list[tuple[int, int]] = []
+        self.parent_of: dict[int, int] = {}
+
+    def has_parent(self, v: int) -> bool:
+        return v in self.parent_of
+
+    def add_directed(self, parent: int, child: int) -> None:
+        if child in self.parent_of:
+            raise ValueError(f"feature {child} already has a parent")
+        self.parent_of[child] = parent
+
+    def add_undirected(self, a: int, b: int) -> None:
+        self.undirected.append((a, b) if a < b else (b, a))
+
+    def move_to_directed(self, pair: tuple[int, int], parent: int, child: int) -> None:
+        self.undirected.remove(pair)
+        self.parent_of[child] = parent
+
+
+def note(trace, decision: str, i: int, j: int, **extra) -> None:
+    if trace is not None:
+        entry = {"decision": decision, "i": i, "j": j}
+        entry.update(extra)
+        trace(entry)
+
+
+def propagate(sets: EdgeSets, trace=None) -> None:
+    """Run dependency propagation to a fixpoint, in place: insertion-order
+    passes over every undirected edge until none moves."""
+    moved = True
+    while moved:
+        moved = False
+        for pair in list(sets.undirected):
+            a, b = pair
+            has_a = a in sets.parent_of
+            has_b = b in sets.parent_of
+            if has_a == has_b:
+                continue
+            parent, child = (a, b) if has_a else (b, a)
+            sets.move_to_directed(pair, parent, child)
+            note(trace, "oriented_by_propagation", a, b, parent=parent, child=child)
+            moved = True
+
+
+def orient_residual(sets: EdgeSets, rng: random.Random, trace=None) -> None:
+    """Direct whatever stayed undirected: a seeded coin orients the first
+    undirected edge in insertion order, propagation follows, and so on until
+    none is left."""
+    while sets.undirected:
+        pair = a, b = sets.undirected[0]
+        parent, child = (a, b) if rng.randrange(2) == 0 else (b, a)
+        sets.move_to_directed(pair, parent, child)
+        note(trace, "oriented_randomly", a, b, parent=parent, child=child)
+        propagate(sets, trace)
+
+
+def insert_constrained(sets: EdgeSets, dag, i: int, j: int, trace) -> bool:
+    """Apply the constraint branches to one non-cycle-creating edge, with
+    propagation to a fixpoint after every directed insertion. True iff the
+    edge entered the working sets (directed or undirected)."""
+    if dag.hierarchically_related(i, j):
+        parent, child = (i, j) if dag.is_ancestor(i, j) else (j, i)
+    elif sets.has_parent(i):
+        parent, child = i, j
+    elif sets.has_parent(j):
+        parent, child = j, i
+    else:
+        sets.add_undirected(i, j)
+        note(trace, "accepted_undirected", i, j)
+        return True
+    if sets.has_parent(child):
+        note(trace, "rejected_single_parent", i, j)
+        return False
+    sets.add_directed(parent, child)
+    note(trace, "accepted_directed", i, j, parent=parent, child=child)
+    propagate(sets, trace)
+    return True
+
+
+def is_redundant_pair(dag, values, a: int, b: int) -> bool:
+    """True iff the features are hierarchically related and carry the same
+    value in this instance."""
+    return dag.hierarchically_related(a, b) and int(values[a]) == int(values[b])
+
+
+def deactivate_relatives(dag, values, active: list[bool], edge: tuple[int, int],
+                         trace=None) -> set[int]:
+    """Clear ``active`` for every ancestor/descendant of the edge's endpoints
+    that shares that endpoint's value (the endpoints stay active), and return
+    the features this call deactivated."""
+    i, j = edge
+    removed = set()
+    for v in (i, j):
+        val = values[v]
+        for u in dag.related(v):
+            if u == i or u == j:
+                continue
+            if active[u] and values[u] == val:
+                active[u] = False
+                removed.add(u)
+                note(trace, "relative_removed", i, j, feature=u, endpoint=v)
+    return removed
+
+
 def grow_reference(edges, dag, n_features, seed, values, trace):
     """The full-scan greedy pass: eager with ``values=None``, lazy with an
     instance's values, returning the tree and the final active mask."""
     rng = random.Random(seed)
-    sets = EdgeSets(n_features)
+    sets = EdgeSets()
     uf = UnionFind(n_features)
     active = [True] * n_features
     for i, j, _ in edges:
         if uf.connected(i, j):
-            _note(trace, "rejected_cycle", i, j)
+            note(trace, "rejected_cycle", i, j)
             continue
         if values is not None:
             if not (active[i] and active[j]):
-                _note(trace, "rejected_unavailable", i, j)
+                note(trace, "rejected_unavailable", i, j)
                 continue
             if is_redundant_pair(dag, values, i, j):
-                _note(trace, "rejected_redundant", i, j)
+                note(trace, "rejected_redundant", i, j)
                 continue
-        if _insert_constrained(sets, dag, i, j, trace):
+        if insert_constrained(sets, dag, i, j, trace):
             uf.union(i, j)
             if values is not None:
-                _deactivate_relatives(dag, values, active, (i, j), trace)
-    _orient_residual(sets, rng, trace)
+                deactivate_relatives(dag, values, active, (i, j), trace)
+    orient_residual(sets, rng, trace)
     tree = DependencyTree(tuple(sets.parent_of.get(f) for f in range(n_features)))
     return tree, active
 

@@ -22,7 +22,7 @@ from hietan.dataset import (
     validate_propagation,
 )
 from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_experiment
-from hietan.hie_mst import hie_mst, hie_mst_lite, is_redundant_pair
+from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
 from hietan.mutual_info import cmi, rank_edges
 from hietan.tan import learn_tan_structure
@@ -37,7 +37,7 @@ from golden import (
     GOLDEN_ORDER_7,
     golden_dataset,
 )
-from oracles import UnionFind, joint_counts, tree_total_score
+from oracles import UnionFind, is_redundant_pair, joint_counts, tree_total_score
 
 
 def _report(number, name, ok):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,31 @@ class TestCv:
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert lines and all("decision" in e for e in lines)
         assert {e["method"] for e in lines} == {"hie_tan_lite"}
+
+    def test_pinned_outputs(self, tmp_path, monkeypatch, capsys):
+        """The trace and the report of one fixed problem, byte for byte: a
+        change to the learners that moves any decision, its order or any
+        count shows here. Paths are relative, as the report echoes them."""
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "synth", "--random-features", "24", "--random-edges", "40",
+            "--dag-out", "dag.tsv", "--instances", "120", "--leaf-density", "0.5",
+            "--class-noise", "0.05", "--seed", "2", "--out", "synth.csv",
+        ]) == 0
+        assert main([
+            "cv", "--data", "synth.csv", "--dag", "dag.tsv", "--method", "all",
+            "--folds", "3", "--seed", "2", "--out", "results.json",
+            "--trace", "trace.jsonl",
+        ]) == 0
+        doc = json.loads(Path("results.json").read_text())
+        del doc["generated_at"]
+        report = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        assert hashlib.sha256(Path("trace.jsonl").read_bytes()).hexdigest() == (
+            "7cd84ec77da90ae4fb6934c95469ba6cc671df0fca821e9fddf7e41f98aec8c3"
+        )
+        assert hashlib.sha256(report).hexdigest() == (
+            "fece7d98a6cb92c969a0f74d831dea3972a7649324083d7234272ea76ba27cf9"
+        )
 
 
 class TestNonUtf8Input:

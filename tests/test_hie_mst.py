@@ -5,37 +5,39 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hietan.dataset import Dataset
+from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DimensionMismatch, IndexOutOfRange
-from hietan.hie_mst import EdgeSets, _propagate, hie_mst, hie_mst_lite
+from hietan.evaluate import derive_seed
+from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import rank_edges
+from hietan.mutual_info import _RankedPairs, rank_edges
 from hietan.tan import learn_tan_structure
 
-from conftest import A, B, C, D, E, F
+from conftest import A, B, C, D, E, F, CANONICAL_EDGES
 from golden import GOLDEN_CHAIN_PARENTS, golden_dataset
-from oracles import grow_reference
+from oracles import EdgeSets, grow_reference, propagate
 
 
-def dfs_connected(sets, a, b):
-    """Connectivity oracle over the combined skeleton, independent of the
-    component labels inside EdgeSets."""
-    adjacency = {}
-    for c, p in sets.parent_of.items():
-        adjacency.setdefault(p, set()).add(c)
-        adjacency.setdefault(c, set()).add(p)
-    for u, v in sets.undirected:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    seen = {a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        for w in adjacency.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return b in seen
+def skeleton_components(n, pairs):
+    """Each feature's component over the skeleton edges ``pairs``, labelled
+    by the component's first feature: a DFS, independent of the learners'
+    own component labels."""
+    adjacency = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if label[w] < 0:
+                    label[w] = start
+                    stack.append(w)
+    return label
 
 
 def make_sorted(scored):
@@ -43,38 +45,46 @@ def make_sorted(scored):
 
 
 class TestEdgeSetOps:
+    """The scan's component labels, read from its decisions (a candidate is
+    rejected as a cycle exactly when a DFS over the edges accepted so far
+    connects its endpoints), and the reference's parent map."""
+
     def test_walkthrough_cycle(self):
-        sets = EdgeSets(6)
-        for p, c in [(F, C), (E, A), (C, D), (D, B), (B, E)]:
-            sets.add_directed(p, c)
-        assert sets.comp[F] == sets.comp[B]
+        # The golden chain's five edges join F and B, so F--B closes a cycle.
+        # A seventh feature keeps the skeleton from spanning, so the scan
+        # does not stop before F--B.
+        dag = build_dag(7, CANONICAL_EDGES)
+        pairs = [(F, C), (E, A), (C, D), (D, B), (B, E), (F, B)]
+        edges = [(i, j, 6.0 - k) for k, (i, j) in enumerate(pairs)]
+        tree, trace = traced(hie_mst, edges, dag, 7, 0)
+        assert [t["decision"] for t in trace] == ["accepted_directed"] * 5 + ["rejected_cycle"]
+        assert tree.parent_of == GOLDEN_CHAIN_PARENTS + (None,)
 
     def test_empty_sets_no_cycle(self):
-        sets = EdgeSets(4)
-        assert sets.comp[0] != sets.comp[3]
+        _, trace = traced(hie_mst, [(0, 3, 1.0)], build_dag(4, []), 4, 0)
+        assert trace[0] == {"decision": "accepted_undirected", "i": 0, "j": 3}
 
     def test_cycle_agrees_with_dfs_oracle(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            n = rng.randrange(3, 12)
-            sets = EdgeSets(n)
-            for _ in range(rng.randrange(0, n)):
-                a, b = rng.sample(range(n), 2)
-                if sets.comp[a] == sets.comp[b]:
+        checked = 0
+        for k, (dag, n, edges, values, seed) in enumerate(stop_problems(8, 300)):
+            lazy = k % 2
+            if lazy:
+                _, trace = traced(hie_mst_lite, edges, dag, values, n, seed)
+            else:
+                _, trace = traced(hie_mst, edges, dag, n, seed)
+            accepted = []
+            for t in trace:
+                if t["decision"] not in SCAN_DECISIONS:
                     continue
-                if rng.random() < 0.5 and not sets.has_parent(b):
-                    sets.add_directed(a, b)
-                else:
-                    sets.add_undirected(a, b)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    assert (sets.comp[a] == sets.comp[b]) == dfs_connected(sets, a, b)
-            # The labels partition the features.
-            assert all(v in sets.members[sets.comp[v]] for v in range(n))
-            assert sorted(v for group in sets.members for v in group) == list(range(n))
+                label = skeleton_components(n, accepted)
+                assert (label[t["i"]] == label[t["j"]]) == (t["decision"] == "rejected_cycle")
+                if t["decision"] in ACCEPTED:
+                    accepted.append((t["i"], t["j"]))
+                checked += 1
+        assert checked > 3000
 
     def test_single_parent_checks(self):
-        sets = EdgeSets(6)
+        sets = EdgeSets()
         assert not sets.has_parent(C)
         sets.add_directed(F, C)
         assert sets.has_parent(C)
@@ -84,13 +94,15 @@ class TestEdgeSetOps:
 
 
 class TestPropagation:
+    """The reference fixpoint the learners' propagation must reproduce."""
+
     def test_orients_away_from_parented_endpoint(self):
         # One parented endpoint: F->C directed, then C--A orients as C->A.
-        sets = EdgeSets(6)
+        sets = EdgeSets()
         sets.add_directed(F, C)
         sets.add_undirected(C, A)
         trace = []
-        _propagate(sets, trace.append)
+        propagate(sets, trace.append)
         assert sets.parent_of == {C: F, A: C}
         assert sets.undirected == []
         assert trace == [{"decision": "oriented_by_propagation", "i": A, "j": C,
@@ -98,29 +110,29 @@ class TestPropagation:
 
     def test_keeps_edge_between_two_parents(self):
         # Both endpoints are parents of something, so F--E stays put.
-        sets = EdgeSets(6)
+        sets = EdgeSets()
         sets.add_directed(F, C)
         sets.add_directed(E, A)
         sets.add_undirected(F, E)
-        _propagate(sets)
+        propagate(sets)
         assert sets.undirected == [(E, F)]
         assert sets.parent_of == {C: F, A: E}
 
     def test_no_undirected_edges_noop(self):
-        sets = EdgeSets(3)
+        sets = EdgeSets()
         sets.add_directed(0, 1)
-        _propagate(sets)
+        propagate(sets)
         assert sets.parent_of == {1: 0} and sets.undirected == []
 
     def test_fixpoint(self):
-        sets = EdgeSets(8)
+        sets = EdgeSets()
         sets.add_undirected(1, 2)
         sets.add_undirected(2, 3)
         sets.add_undirected(3, 4)
         sets.add_directed(0, 1)
-        _propagate(sets)
+        propagate(sets)
         once = (dict(sets.parent_of), list(sets.undirected))
-        _propagate(sets)
+        propagate(sets)
         assert (sets.parent_of, sets.undirected) == once
         # The whole chain cascades into directed edges.
         assert sets.parent_of == {1: 0, 2: 1, 3: 2, 4: 3}
@@ -311,27 +323,35 @@ class TestScanStop:
         assert [t["decision"] for t in trace[4:]] == ["oriented_randomly"] * 3
 
     def test_live_counts_components_with_an_active_feature(self):
-        rng = random.Random(4)
-        for trial in range(200):
-            n = rng.randrange(1, 12)
-            sets = EdgeSets(n)
-            active = [True] * n
-            for _ in range(rng.randrange(3 * n)):
-                a, b = rng.randrange(n), rng.randrange(n)
-                if rng.random() < 0.3:
-                    if active[a]:
-                        active[a] = False
-                        sets.deactivate(a)
-                elif a != b and not dfs_connected(sets, a, b):
-                    if rng.random() < 0.5 and b not in sets.parent_of:
-                        sets.add_directed(a, b)
-                    else:
-                        sets.add_undirected(a, b)
-                components = set()
-                for v in range(n):
-                    if active[v]:
-                        components.add(min(u for u in range(n) if dfs_connected(sets, u, v)))
-                assert sets.live == len(components)
+        """The scan stops before the first candidate at which at most one
+        skeleton component holds an active feature, and not earlier. The
+        components and the active mask are replayed by DFS from the full
+        scan's decisions."""
+        stopped = 0
+        for k, (dag, n, edges, values, seed) in enumerate(stop_problems(4, 400)):
+            lazy = k % 2
+            if lazy:
+                _, got = traced(hie_mst_lite, edges, dag, values, n, seed)
+            else:
+                _, got = traced(hie_mst, edges, dag, n, seed)
+            _, full = traced(grow_reference, edges, dag, n, seed, values if lazy else None)
+            accepted, active = [], [True] * n
+            stop, pos = None, 0
+            for t in full:
+                if t["decision"] == "relative_removed":
+                    active[t["feature"]] = False
+                elif t["decision"] in SCAN_DECISIONS:
+                    label = skeleton_components(n, accepted)
+                    if len({label[v] for v in range(n) if active[v]}) <= 1:
+                        stop = pos
+                        break
+                    if t["decision"] in ACCEPTED:
+                        accepted.append((t["i"], t["j"]))
+                    pos += 1
+            skipped = [t["skipped"] for t in got if t["decision"] == "scan_stopped"]
+            assert skipped == ([] if stop is None else [len(edges) - stop])
+            stopped += stop is not None
+        assert 100 < stopped < 400
 
 
 def test_endpoint_order_and_self_pairs_change_nothing():
@@ -410,3 +430,76 @@ def test_first_candidate_outside_range_raises(edges, learner):
     }[learner]
     with pytest.raises(IndexOutOfRange):
         learn()
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("learner", ["tan", "hie_mst", "hie_mst_lite"])
+def test_candidate_outside_range_raises_before_the_scan(learner, bad):
+    """An endpoint outside [0, n) raises wherever it sits in the list: right
+    after the first accept (where a negative one used to be read as feature
+    n - 1), or past the point where the scan stops. A ranked sequence is
+    checked from its index arrays, without sorting any of it."""
+    dag = build_dag(3, [])
+    learn = {
+        "tan": lambda e: learn_tan_structure(e, 3, 0),
+        "hie_mst": lambda e: hie_mst(e, dag, 3, 0),
+        "hie_mst_lite": lambda e: hie_mst_lite(e, dag, [0, 1, 0], 3, 0),
+    }[learner]
+    for edges in ([(0, 2, 1.0), (bad, 0, 0.5), (0, 1, 0.2)],
+                  [(0, 2, 1.0), (1, 2, 0.5), (0, bad, 0.2)]):
+        with pytest.raises(IndexOutOfRange, match=r"candidate edge \(.*\) outside \[0, 3\)"):
+            learn(edges)
+    ranked = _RankedPairs(np.array([0, 1, 0]), np.array([2, 2, bad]), np.array([1.0, 0.5, 0.2]), 1)
+    with pytest.raises(IndexOutOfRange, match=rf"candidate edge \(0, {bad}\)"):
+        learn(ranked)
+    assert ranked._chunks == []
+
+
+def learner_matches_reference(edges, dag, n, seed, values):
+    """Run ``hie_mst`` (``values=None``) or ``hie_mst_lite`` and the full-scan
+    reference: the same tree, the same active mask and the same trace, order
+    included, apart from the folded tail of a stopped scan."""
+    if values is None:
+        tree, got = traced(hie_mst, edges, dag, n, seed)
+        active = frozenset(range(n))
+    else:
+        (tree, active), got = traced(hie_mst_lite, edges, dag, values, n, seed)
+    (ref_tree, ref_active), want = traced(grow_reference, edges, dag, n, seed, values)
+    assert tree == ref_tree
+    assert active == frozenset(f for f in range(n) if ref_active[f])
+    check_stopped_trace(got, want, edges)
+    return tree, active, got
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_sized_problem_matches_reference(seed):
+    """60 features under a dense hierarchy (3 edges per feature, against the
+    benchmark's 1.7), data drawn consistent with it as the benchmark draws
+    its own, and every instance of the data learned as a lazy instance."""
+    n = 60
+    dag = build_dag(n, random_dag(n, 3 * n, seed))
+    ds = generate_synthetic(dag, 80, 0.3, 0.05, seed)
+    edges = rank_edges(ds, dag)
+    learner_matches_reference(edges, dag, n, seed, None)
+    propagated = 0
+    for r, values in enumerate(ds.values.tolist()):
+        _, _, trace = learner_matches_reference(edges, dag, n, derive_seed(seed, r), values)
+        propagated += sum(t["decision"] == "oriented_by_propagation" for t in trace)
+    assert propagated > 100
+
+
+def test_edge_cases_match_reference():
+    """All-0 and all-1 instances under a dense, a chain and an edgeless
+    hierarchy; on the edgeless one the lazy learner is the eager one, edge
+    for edge and decision for decision."""
+    n = 60
+    order = random.Random(6).sample(range(n), n)
+    for edge_list in (random_dag(n, 3 * n, 6), list(zip(order, order[1:])), []):
+        dag = build_dag(n, edge_list)
+        ds = generate_synthetic(dag, 80, 0.3, 0.05, 6)
+        edges = rank_edges(ds, dag)
+        eager, _, eager_trace = learner_matches_reference(edges, dag, n, 6, None)
+        for values in ([0] * n, [1] * n, ds.values[0].tolist()):
+            tree, active, trace = learner_matches_reference(edges, dag, n, 6, values)
+            if not edge_list:
+                assert (tree, active, trace) == (eager, frozenset(range(n)), eager_trace)

