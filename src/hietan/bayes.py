@@ -4,7 +4,9 @@ The class is a parent of every feature. Root features use P(x | y); features
 with a tree parent use P(x | y, parent value). All tables are maximum
 likelihood with additive smoothing per cell, and prediction accumulates in
 log space (GO-style datasets have hundreds of features, so products in
-probability space underflow).
+probability space underflow). One kernel, ``_log_posteriors``, sums the log
+terms of every prediction: eager rows gather theirs from the classifier's
+cached logs, ``_lazy_predict`` builds its own from the training statistics.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _first_non_binary
 from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
@@ -28,20 +30,6 @@ from .errors import (
 )
 from .mutual_info import check_smoothing
 from .tree import DependencyTree
-
-
-class _LogTable(NamedTuple):
-    """Row 0 is the prior; row k > 0 is the k-th active feature. For an
-    instance x, extended by one trailing 0, row k's log-probabilities of
-    class 0 and class 1 are the pair ``logs[base[k] + x[sources[k]] *
-    strides[k] + x[features[k]]]``. ``base`` and ``strides`` carry a rows
-    axis of length 1 to broadcast over a batch."""
-
-    logs: np.ndarray  # (cells, 2): the prior's pair, then each CPT's (parent, x) pairs
-    base: np.ndarray  # (m + 1, 1): the row's first pair
-    sources: np.ndarray  # (m + 1,): the parent, or the feature itself for a root
-    strides: np.ndarray  # (m + 1, 1): 2 for a parented feature, 0 for a root or the prior
-    features: np.ndarray  # (m + 1,): the feature; the prior reads the trailing 0
 
 
 @dataclass(frozen=True)
@@ -58,32 +46,46 @@ class FittedClassifier:
         return self.tree.n_features
 
     @cached_property
-    def _log_table(self) -> _LogTable:
-        """Every prior and CPT cell's log, in (class 0, class 1) pairs.
+    def _log_cpts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(logs, sources, features, first)``. ``logs`` is (m + 1, 2, 2, 2)
+        over (x_source, x, y): row 0 the log prior, row k the log CPT of the
+        k-th active feature, which reads x_source at column ``sources[k]``
+        (its parent, or itself for a root) and x at ``features[k]``. A root's
+        (y, x) CPT repeats over x_source and the prior over both; the prior
+        reads a trailing 0 column. ``first[0, k]`` = 4k, row k's first pair in
+        ``logs.reshape(-1, 2)``. Each prior and CPT cell is logged once.
         Derived from the public fields only; ``fit`` and ``model_from_dict``
         make their arrays read-only, so this is built once per classifier."""
         n = self.n_features
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
-        parented = np.array([p is not None for p in parents], dtype=bool)
         flat = _logs(np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active]))
-        # ``flat`` holds each row's class-0 cells, then its class-1 cells: 1
-        # each for the prior, 2 (x) for a root, 4 (x_parent, x) for a
-        # parented feature. Pair every class-0 cell with its class-1 cell.
-        pairs = np.concatenate(([1], np.where(parented, 4, 2)))
-        base = np.cumsum(pairs) - pairs  # each row's first pair
-        row = np.repeat(np.arange(len(pairs)), pairs)  # each pair's row
-        # Row k's j-th pair is pair base[k] + j; its class-0 cell is 2 * base[k] + j.
-        class0 = np.arange(row.size) + base[row]
-        return _LogTable(
-            logs=flat[np.column_stack((class0, class0 + pairs[row]))],
-            base=base[:, None],
-            sources=np.array(
-                [n] + [f if p is None else p for f, p in zip(active, parents)], dtype=np.intp
-            ),
-            strides=np.concatenate(([0], 2 * parented)).astype(np.intp)[:, None],
-            features=np.array((n,) + active, dtype=np.intp),
+        # Each row's strides over (x_source, x, y) in its cells of ``flat``:
+        # the prior's (y), a root's (y, x), a parented feature's (y, x_parent, x).
+        strides = np.array(
+            [(0, 0, 1)] + [(0, 1, 2) if p is None else (2, 1, 4) for p in parents], dtype=np.intp
         )
+        sizes = 2 * strides[:, 2]
+        cells = (np.cumsum(sizes) - sizes)[:, None] + strides @ np.indices((2, 2, 2)).reshape(3, 8)
+        sources = [n] + [f if p is None else p for f, p in zip(active, parents)]
+        return (
+            flat[cells].reshape(-1, 2, 2, 2),
+            np.array(sources, dtype=np.intp),
+            np.array((n,) + active, dtype=np.intp),
+            np.arange(0, 4 * len(sources), 4)[None, :],
+        )
+
+    def _log_terms(self, X: np.ndarray) -> np.ndarray:
+        """(rows, m + 1, 2) log terms of the 0/1 rows of ``X``: the log prior,
+        then each active feature's CPT log in ``active_features`` order."""
+        logs, sources, features, first = self._log_cpts
+        columns = np.zeros((X.shape[0], X.shape[1] + 1), dtype=np.intp)
+        columns[:, :-1] = X  # the features, then the prior's 0
+        pair = columns.take(sources, axis=1)
+        pair += pair
+        pair += columns.take(features, axis=1)
+        pair += first  # row k's pair at (x_source, x) is 4k + 2 x_source + x
+        return logs.reshape(-1, 2).take(pair, axis=0)
 
 
 @dataclass(frozen=True)
@@ -177,31 +179,25 @@ def fit(
     )
 
 
-# Rows per gather in ``_log_posteriors``. Its index, term and running-sum
-# arrays take about 56 bytes per feature and row: 4.3 MB a chunk at 150
-# features.
+# Rows per chunk in ``_log_posteriors``. A lazy chunk peaks at about 260
+# bytes per active cell (135 MB for 512 rows of 1000 active features), most of
+# it count tables and scalar logs; an eager one at about 56 bytes per term.
 _CHUNK_ROWS = 512
 
 
-def _log_posteriors(clf: FittedClassifier, X: np.ndarray) -> np.ndarray:
-    """(rows, 2) log posteriors of the 0/1 rows of ``X``. Each class's sum
-    starts at the log prior and adds the active features' log-probabilities
-    strictly left to right, in ``active_features`` order."""
-    if X.shape[0] > _CHUNK_ROWS:
+def _log_posteriors(terms: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """(rows, 2) log posteriors, ``_CHUNK_ROWS`` rows at a time: ``arrays``
+    hold one row per instance, ``terms`` turns a chunk of rows of each into
+    their (rows, k, 2) log terms, and each class's sum runs strictly left to
+    right along k. Every prediction sums its terms here."""
+    if len(arrays[0]) > _CHUNK_ROWS:
         return np.concatenate([
-            _log_posteriors(clf, X[start : start + _CHUNK_ROWS])
-            for start in range(0, X.shape[0], _CHUNK_ROWS)
+            _log_posteriors(terms, *(a[start : start + _CHUNK_ROWS] for a in arrays))
+            for start in range(0, len(arrays[0]), _CHUNK_ROWS)
         ])
-    t = clf._log_table
-    columns = np.zeros((clf.n_features + 1, X.shape[0]), dtype=np.intp)
-    columns[:-1] = X.T  # one row per feature, then the prior's 0
-    pair = columns.take(t.sources, axis=0)
-    pair *= t.strides
-    pair += columns.take(t.features, axis=0)
-    pair += t.base
-    # accumulate adds along axis 0 in order; a reduction may sum pairwise
-    # and change the bits.
-    return np.add.accumulate(t.logs.take(pair, axis=0), axis=0)[-1]
+    # accumulate adds along axis 1 in order; a reduction may sum pairwise and
+    # change the bits.
+    return np.add.accumulate(terms(*arrays), axis=1)[:, -1]
 
 
 def _lazy_predict(
@@ -215,54 +211,34 @@ def _lazy_predict(
     smoothing), X[r])``, but no classifier is built: per class, each active
     feature reads from ``train``'s cached statistics only the one cell that
     row r selects, smoothed as ``fit`` does and logged as ``predict`` does.
-    Ties go to class 0."""
-    log_post = _lazy_log_posteriors(train, X, parents, active, check_smoothing(smoothing))
+    Row r's n + 1 terms are the log prior and then one per feature in index
+    order, which is ``active_features`` order; an inactive feature adds 0.0,
+    which changes no value the sum can hold: every term is <= 0 or -inf, and
+    none is -0.0. Ties go to class 0."""
+    smoothing = check_smoothing(smoothing)
+    prior = _logs(_class_prior(train, smoothing))
+
+    def terms(X: np.ndarray, parents: np.ndarray, active: np.ndarray) -> np.ndarray:
+        at, features = np.nonzero(active)  # row by row, features ascending
+        source = parents[at, features]
+        root = source < 0
+        source[root] = features[root]  # a root reads its own diagonal table
+        cell = np.arange(features.size)
+        # The CPT row each cell selects, over (x_feature, y); a root's row is
+        # the diagonal's, whose mass is its count rather than the class total.
+        rows = train._pair_counts(source, features)[cell, X[at, source]]
+        count = rows[cell, X[at, features]]  # (cells, y)
+        mass = rows.sum(axis=1)
+        mass[root] = [total for _, _, total in train._class_stats]
+        out = np.zeros((X.shape[0], X.shape[1] + 1, 2))
+        out[:, 0] = prior
+        out[at, features + 1] = _logs(
+            _smoothed(count.astype(np.float64), mass.astype(np.float64), smoothing)
+        )
+        return out
+
+    log_post = _log_posteriors(terms, X, parents, active)
     return (log_post[:, 0] < log_post[:, 1]).astype(np.uint8), log_post
-
-
-def _lazy_log_posteriors(
-    train: Dataset, X: np.ndarray, parents: np.ndarray, active: np.ndarray, smoothing: float
-) -> np.ndarray:
-    """``_lazy_predict``'s log posteriors, ``_CHUNK_ROWS`` rows at a time.
-
-    Each class's sum runs strictly left to right from the log prior through
-    the features in index order, which is ``active_features`` order. An
-    inactive feature adds 0.0, which changes no value the sum can hold: every
-    term is <= 0 or -inf, and none is -0.0. A chunk peaks at about 260
-    bytes per active cell (135 MB for 512 rows of 1000 active features), most
-    of it the count tables and the scalar logs."""
-    if X.shape[0] > _CHUNK_ROWS:
-        return np.concatenate([
-            _lazy_log_posteriors(
-                train, X[start : start + _CHUNK_ROWS], parents[start : start + _CHUNK_ROWS],
-                active[start : start + _CHUNK_ROWS], smoothing,
-            )
-            for start in range(0, X.shape[0], _CHUNK_ROWS)
-        ])
-    at, features = np.nonzero(active)  # row by row, features ascending
-    source = parents[at, features]
-    root = source < 0
-    source[root] = features[root]  # a root reads its own diagonal table
-    cell = np.arange(features.size)
-    # The CPT row each cell selects, over (x_feature, y); a root's row is the
-    # diagonal's, whose mass is its count rather than the class total.
-    rows = train._pair_counts(source, features)[cell, X[at, source]]
-    count = rows[cell, X[at, features]]  # (cells, y)
-    mass = rows.sum(axis=1)
-    mass[root] = [total for _, _, total in train._class_stats]
-    terms = np.zeros((X.shape[0], X.shape[1] + 1, 2))
-    terms[:, 0] = _logs(_class_prior(train, smoothing))
-    terms[at, features + 1] = _logs(
-        _smoothed(count.astype(np.float64), mass.astype(np.float64), smoothing)
-    )
-    # accumulate adds along axis 1 in order; a reduction may sum pairwise.
-    return np.add.accumulate(terms, axis=1)[:, -1]
-
-
-def _first_non_binary(x: np.ndarray):
-    """The index of the first value of ``x`` that is not 0 or 1, or None."""
-    binary = (x == 0) | (x == 1)
-    return None if binary.all() else np.unravel_index(np.argmin(binary), x.shape)
 
 
 def predict(clf: FittedClassifier, instance) -> Prediction:
@@ -274,11 +250,10 @@ def predict(clf: FittedClassifier, instance) -> Prediction:
         raise DimensionMismatch(
             f"instance has shape {x.shape}, classifier expects {clf.n_features} values"
         )
-    bad = _first_non_binary(x)
-    if bad is not None:
-        (f,) = bad
+    f = _first_non_binary(x)
+    if f is not None:
         raise NonBinaryValue(f"feature {f} has value {x.tolist()[f]!r}, not 0 or 1")
-    log_post = _log_posteriors(clf, x[None, :])[0].tolist()
+    log_post = _log_posteriors(clf._log_terms, x[None, :])[0].tolist()
     label = 0 if log_post[0] >= log_post[1] else 1
     return Prediction(label, (log_post[0], log_post[1]))
 
@@ -295,11 +270,9 @@ def predict_batch(clf: FittedClassifier, X) -> tuple[np.ndarray, np.ndarray]:
         )
     bad = _first_non_binary(X)
     if bad is not None:
-        r, f = bad
-        raise NonBinaryValue(
-            f"row {r}, feature {f} has value {X[r, f].item()!r}, not 0 or 1"
-        )
-    log_post = _log_posteriors(clf, X)
+        r, f = divmod(bad, X.shape[1])
+        raise NonBinaryValue(f"row {r}, feature {f} has value {X[r, f].item()!r}, not 0 or 1")
+    log_post = _log_posteriors(clf._log_terms, X)
     # Class 1 only where it is strictly more likely: ties go to class 0.
     labels = (log_post[:, 0] < log_post[:, 1]).astype(np.uint8)
     return labels, log_post

@@ -98,13 +98,19 @@ class Dataset:
         return tables
 
 
+def _first_non_binary(a: np.ndarray) -> Optional[int]:
+    """The flat (C-order) index of the first value of ``a`` that is not 0 or
+    1, or None."""
+    binary = (a == 0) | (a == 1)
+    return None if binary.all() else int(np.argmin(binary))
+
+
 def _binary_copy(array, what: str) -> np.ndarray:
     """A private C-contiguous ``uint8`` copy of ``array``, whose every value
     must equal 0 or 1 (so 0.7, 256 and NaN are rejected, not cast)."""
     a = np.asarray(array)
-    binary = (a == 0) | (a == 1)
-    if not binary.all():
-        k = int(np.argmin(binary))
+    k = _first_non_binary(a)
+    if k is not None:
         bad = a.reshape(-1)[k : k + 1].tolist()[0]
         raise NonBinaryValue(f"{what} must be 0 or 1, got {bad!r}")
     return np.array(a, dtype=np.uint8, order="C")

@@ -52,14 +52,6 @@ class FeatureDag:
                 f"feature index {i} outside [0, {self.n_features})"
             )
 
-    def ancestors(self, i: int) -> frozenset[int]:
-        self._check(i)
-        return frozenset(_iter_bits(self.ancestor_bits[i]))
-
-    def descendants(self, i: int) -> frozenset[int]:
-        self._check(i)
-        return frozenset(_iter_bits(self.descendant_bits[i]))
-
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff ``a`` lies on some upward path from ``b``."""
         self._check(a)
@@ -71,11 +63,6 @@ class FeatureDag:
         self._check(a)
         self._check(b)
         return bool((self.ancestor_bits[b] | self.descendant_bits[b]) >> a & 1)
-
-    def related(self, i: int) -> tuple[int, ...]:
-        """Ancestors and descendants of ``i``, ascending."""
-        self._check(i)
-        return self.related_ixs[i]
 
     @property
     def sink_features(self) -> tuple[int, ...]:

@@ -6,8 +6,9 @@ them bit for bit. ``fit_reference`` counts each CPT by a per-feature scan of
 the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
 per-class statistics and must reproduce it bit for bit. ``predict_reference``
 sums one scalar log per feature and class; ``hietan.bayes.predict`` and
-every row of ``predict_batch`` gather the same logs from a cached table and
-must reproduce it bit for bit. ``lite_cv_reference`` is the
+every row of ``predict_batch`` gather the same logs from the classifier's
+cached (m + 1, 2, 2, 2) log array, sum them in ``bayes._log_posteriors``
+and must reproduce it bit for bit. ``lite_cv_reference`` is the
 ``hie_tan_lite`` branch of ``run_cv_experiment`` as one ``fit`` and one
 ``predict`` per test instance, with usage counted one feature and one edge
 endpoint at a time; the CV loop classifies each fold's instances in one pass
@@ -342,6 +343,16 @@ def insert_constrained(sets: EdgeSets, dag, i: int, j: int, trace) -> bool:
     return True
 
 
+def relatives(dag, v: int, kind: str) -> tuple[int, ...]:
+    """``v``'s "ancestors", "descendants" or both ("related") in ``dag``,
+    ascending, read from its closure: the set bits of ``ancestor_bits[v]``
+    or ``descendant_bits[v]``, or ``related_ixs[v]``."""
+    if kind == "related":
+        return dag.related_ixs[v]
+    bits = {"ancestors": dag.ancestor_bits, "descendants": dag.descendant_bits}[kind][v]
+    return tuple(u for u in range(dag.n_features) if bits >> u & 1)
+
+
 def is_redundant_pair(dag, values, a: int, b: int) -> bool:
     """True iff the features are hierarchically related and carry the same
     value in this instance."""
@@ -357,7 +368,7 @@ def deactivate_relatives(dag, values, active: list[bool], edge: tuple[int, int],
     removed = set()
     for v in (i, j):
         val = values[v]
-        for u in dag.related(v):
+        for u in relatives(dag, v, "related"):
             if u == i or u == j:
                 continue
             if active[u] and values[u] == val:

@@ -249,10 +249,10 @@ class TestPredict:
         ds = Dataset((rng.random((20, 4)) < 0.5).astype(np.uint8),
                      (rng.random(20) < 0.5).astype(np.uint8))
         clf = fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3})
-        table = clf._log_table
+        table = clf._log_cpts
         for row in ds.values:
             predict(clf, row)
-        assert clf._log_table is table
+        assert clf._log_cpts is table
         assert len(logged) == 2 + 4 + 8 + 8  # prior, root 0, parented 2 and 3
 
     def test_empty_active_features_uses_prior(self):
@@ -475,6 +475,50 @@ class TestLazyPredict:
                 # x0 = 0 rules out class 0; (x0, x1) = (1, 0) rules out class 1.
                 assert got[0].log_posterior[0] == -math.inf
                 assert got[1].log_posterior[1] == -math.inf
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, bayes._CHUNK_ROWS, bayes._CHUNK_ROWS + 1],
+        ids=["0", "1", "chunk", "chunk+1"],
+    )
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-active", "subset-active"])
+    def test_lazy_equals_eager_on_one_tree(self, n_rows, subset):
+        # One tree and one active set on every row: the lazy pass and the
+        # eager batch must give the same labels and bits.
+        rng = np.random.default_rng(17 + n_rows)
+        n = 10
+        train = Dataset((rng.random((60, n)) < 0.4).astype(np.uint8),
+                        (rng.random(60) < 0.5).astype(np.uint8))
+        active = sorted(rng.choice(n, 6, replace=False).tolist()) if subset else list(range(n))
+        tree = random_forest(rng, active, n)
+        X = (rng.random((n_rows, n)) < 0.5).astype(np.uint8)
+        parents, mask = lazy_arrays([(tree, frozenset(active))] * n_rows, n)
+        for smoothing in (0.0, 1.0):
+            lazy_labels, lazy_post = bayes._lazy_predict(train, X, parents, mask, smoothing)
+            labels, log_post = predict_batch(fit(train, tree, active, smoothing), X)
+            assert lazy_labels.dtype == labels.dtype and lazy_labels.tolist() == labels.tolist()
+            assert lazy_post.shape == log_post.shape == (n_rows, 2)
+            assert lazy_post.tobytes() == log_post.tobytes()
+
+    def test_active_features_sum_in_listed_order(self):
+        # A model document may list its active features in any order; each
+        # class's sum must follow that order, not feature index order.
+        rng = np.random.default_rng(23)
+        ds = Dataset((rng.random((40, 6)) < 0.5).astype(np.uint8),
+                     (rng.random(40) < 0.5).astype(np.uint8))
+        doc = model_to_dict(fit(ds, DependencyTree((None, 0, 0, 2, None, 4)), smoothing=0.5))
+        listed = model_from_dict({**doc, "active_features": [5, 3, 0, 4, 2, 1]})
+        ascending = model_from_dict(doc)
+        assert listed.active_features == (5, 3, 0, 4, 2, 1)
+        rows = (rng.random((200, 6)) < 0.5).astype(np.uint8)
+        for row in rows:
+            assert prediction_bits(predict(listed, row)) == prediction_bits(
+                predict_reference(listed, row)
+            )
+        log_post = assert_batch_matches_reference(listed, rows)
+        # The order shows in the bits, so a re-sorted sum would fail above.
+        assert log_post.tobytes() != predict_batch(ascending, rows)[1].tobytes()
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ from hietan.hierarchy import (
 )
 
 from conftest import A, B, C, D, E, F
+from oracles import relatives
 
 
 def bfs_ancestors(n, edges, v):
@@ -33,19 +34,19 @@ def bfs_ancestors(n, edges, v):
 
 class TestBuildDag:
     def test_canonical_ancestors_of_d(self, canonical_dag):
-        assert canonical_dag.ancestors(D) == {C, A, F, E}
+        assert set(relatives(canonical_dag, D, "ancestors")) == {C, A, F, E}
 
     def test_no_edges_empty_closures(self):
         dag = build_dag(5, [])
         for v in range(5):
-            assert dag.ancestors(v) == frozenset()
-            assert dag.descendants(v) == frozenset()
+            assert relatives(dag, v, "ancestors") == ()
+            assert relatives(dag, v, "descendants") == ()
 
     def test_random_dag_matches_bfs_oracle(self):
         edges = random_dag(12, 20, seed=5)
         dag = build_dag(12, edges)
         for v in range(12):
-            assert dag.ancestors(v) == bfs_ancestors(12, edges, v)
+            assert set(relatives(dag, v, "ancestors")) == bfs_ancestors(12, edges, v)
 
     def test_rejects_cycles(self):
         with pytest.raises(CyclicHierarchy):
@@ -62,7 +63,7 @@ class TestBuildDag:
                 continue
             dag = build_dag(n, edges)
             # Inject a back-edge from a feature onto one of its ancestors.
-            pools = [(v, a) for v in range(n) for a in dag.ancestors(v)]
+            pools = [(v, a) for v in range(n) for a in relatives(dag, v, "ancestors")]
             if not pools:
                 continue
             v, a = pools[rng.randrange(len(pools))]
@@ -92,7 +93,7 @@ class TestBuildDag:
             edges = random_dag(n, rng.randrange(0, 3 * n), seed=trial)
             dag = build_dag(n, edges)
             for v in range(n):
-                assert dag.ancestors(v) == bfs_ancestors(n, edges, v)
+                assert set(relatives(dag, v, "ancestors")) == bfs_ancestors(n, edges, v)
 
 
 class TestQueries:
@@ -121,8 +122,11 @@ class TestQueries:
         assert not canonical_dag.hierarchically_related(A, C)
 
     def test_related_lists_both_directions(self, canonical_dag):
-        assert set(canonical_dag.related(C)) == {F, E, D}
-        assert set(canonical_dag.related(D)) == {A, C, E, F}
+        assert set(relatives(canonical_dag, C, "related")) == {F, E, D}
+        assert set(relatives(canonical_dag, D, "related")) == {A, C, E, F}
+        for v in range(6):
+            up, down = (relatives(canonical_dag, v, k) for k in ("ancestors", "descendants"))
+            assert relatives(canonical_dag, v, "related") == tuple(sorted(up + down))
 
     def test_sink_features(self, canonical_dag):
         assert canonical_dag.sink_features == (B, D)
