@@ -46,17 +46,17 @@ class FittedClassifier:
         return self.tree.n_features
 
     @cached_property
-    def _log_cpts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(logs, sources, features, first)``. ``logs`` is (m + 1, 2, 2, 2)
-        over (x_source, x, y): row 0 the log prior, row k the log CPT of the
-        k-th active feature, which reads x_source at column ``sources[k]``
-        (its parent, or itself for a root) and x at ``features[k]``. A root's
-        (y, x) CPT repeats over x_source and the prior over both; the prior
-        reads a trailing 0 column. ``first[0, k]`` = 4k, row k's first pair in
-        ``logs.reshape(-1, 2)``. Each prior and CPT cell is logged once.
-        Derived from the public fields only; ``fit`` and ``model_from_dict``
-        make their arrays read-only, so this is built once per classifier."""
-        n = self.n_features
+    def _log_cpts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(pairs, sources, features, first, n)``. ``pairs`` is an (m + 1, 2,
+        2, 2) log array over (x_source, x, y), kept as its (4(m + 1), 2) (y)
+        pairs: row 0 the log prior, row k the log CPT of the k-th active
+        feature, which reads x_source at column ``sources[k]`` (its parent, or
+        itself for a root) and x at ``features[k]``. A root's (y, x) CPT
+        repeats over x_source and the prior over both, so the prior reads
+        column 0. ``first[0, k]`` = 4k, row k's first pair; n is the row
+        length. Each prior and CPT cell is logged once. Derived from the
+        public fields only; ``fit`` and ``model_from_dict`` make their arrays
+        read-only, so this is built once per classifier."""
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
         flat = _logs(np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active]))
@@ -67,25 +67,28 @@ class FittedClassifier:
         )
         sizes = 2 * strides[:, 2]
         cells = (np.cumsum(sizes) - sizes)[:, None] + strides @ np.indices((2, 2, 2)).reshape(3, 8)
-        sources = [n] + [f if p is None else p for f, p in zip(active, parents)]
+        sources = [0] + [f if p is None else p for f, p in zip(active, parents)]
         return (
-            flat[cells].reshape(-1, 2, 2, 2),
+            flat[cells].reshape(-1, 2),
             np.array(sources, dtype=np.intp),
-            np.array((n,) + active, dtype=np.intp),
+            np.array((0,) + active, dtype=np.intp),
             np.arange(0, 4 * len(sources), 4)[None, :],
+            self.n_features,
         )
 
     def _log_terms(self, X: np.ndarray) -> np.ndarray:
         """(rows, m + 1, 2) log terms of the 0/1 rows of ``X``: the log prior,
         then each active feature's CPT log in ``active_features`` order."""
-        logs, sources, features, first = self._log_cpts
-        columns = np.zeros((X.shape[0], X.shape[1] + 1), dtype=np.intp)
-        columns[:, :-1] = X  # the features, then the prior's 0
-        pair = columns.take(sources, axis=1)
-        pair += pair
-        pair += columns.take(features, axis=1)
+        pairs, sources, features, first, n = self._log_cpts
+        if n == 0:  # no column 0 to read: the prior is every row's one term
+            return np.broadcast_to(pairs[0], (X.shape[0], 1, 2))
+        X = X.astype(np.uint8, copy=False)  # a bool code would add as OR
+        code = X.take(sources, axis=1)
+        code += code
+        code += X.take(features, axis=1)  # 2 x_source + x, as uint8
+        pair = code.astype(np.intp)
         pair += first  # row k's pair at (x_source, x) is 4k + 2 x_source + x
-        return logs.reshape(-1, 2).take(pair, axis=0)
+        return pairs.take(pair, axis=0)
 
 
 @dataclass(frozen=True)
@@ -246,16 +249,14 @@ def predict(clf: FittedClassifier, instance) -> Prediction:
 
     The batch kernel of ``predict_batch`` on one row."""
     x = np.asarray(instance)
-    if x.shape != (clf.n_features,):
-        raise DimensionMismatch(
-            f"instance has shape {x.shape}, classifier expects {clf.n_features} values"
-        )
+    n = clf._log_cpts[-1]
+    if x.shape != (n,):
+        raise DimensionMismatch(f"instance has shape {x.shape}, classifier expects {n} values")
     f = _first_non_binary(x)
     if f is not None:
         raise NonBinaryValue(f"feature {f} has value {x.tolist()[f]!r}, not 0 or 1")
-    log_post = _log_posteriors(clf._log_terms, x[None, :])[0].tolist()
-    label = 0 if log_post[0] >= log_post[1] else 1
-    return Prediction(label, (log_post[0], log_post[1]))
+    log0, log1 = _log_posteriors(clf._log_terms, x[None, :])[0].tolist()
+    return Prediction(0 if log0 >= log1 else 1, (log0, log1))
 
 
 def predict_batch(clf: FittedClassifier, X) -> tuple[np.ndarray, np.ndarray]:

@@ -101,8 +101,9 @@ class Dataset:
 def _first_non_binary(a: np.ndarray) -> Optional[int]:
     """The flat (C-order) index of the first value of ``a`` that is not 0 or
     1, or None."""
-    binary = (a == 0) | (a == 1)
-    return None if binary.all() else int(np.argmin(binary))
+    # An unsigned or bool value is binary exactly when it is <= 1.
+    binary = a <= 1 if a.dtype.kind in "ub" else (a == 0) | (a == 1)
+    return None if np.count_nonzero(binary) == binary.size else int(np.argmin(binary))
 
 
 def _binary_copy(array, what: str) -> np.ndarray:

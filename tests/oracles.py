@@ -7,8 +7,10 @@ the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
 per-class statistics and must reproduce it bit for bit. ``predict_reference``
 sums one scalar log per feature and class; ``hietan.bayes.predict`` and
 every row of ``predict_batch`` gather the same logs from the classifier's
-cached (m + 1, 2, 2, 2) log array, sum them in ``bayes._log_posteriors``
-and must reproduce it bit for bit. ``lite_cv_reference`` is the
+cached (m + 1, 2, 2, 2) log array (the prior's row repeats over both
+values, so it reads column 0; each term's code 2 x_source + x is built as
+``uint8`` from the row), sum them in ``bayes._log_posteriors`` and must
+reproduce it bit for bit. ``lite_cv_reference`` is the
 ``hie_tan_lite`` branch of ``run_cv_experiment`` as one ``fit`` and one
 ``predict`` per test instance, with usage counted one feature and one edge
 endpoint at a time; the CV loop classifies each fold's instances in one pass

@@ -166,14 +166,20 @@ class TestFit:
 
 
 def row_forms(row):
-    """The same 0/1 row as each input type ``predict`` accepts."""
+    """The same 0/1 row as each input type ``predict`` accepts, including a
+    read-only array and a strided row of a Fortran-ordered matrix."""
+    read_only = np.array(row, dtype=np.uint8)
+    read_only.setflags(write=False)
     return (
         np.asarray(row, dtype=np.uint8),
         np.asarray(row, dtype=np.int64),
         np.asarray(row, dtype=np.float64),
+        np.where(np.asarray(row) == 1, 1.0, -0.0),
         [int(v) for v in row],
         tuple(int(v) for v in row),
         [bool(v) for v in row],
+        read_only,
+        np.asfortranarray(np.stack([row, row]))[0],
     )
 
 
@@ -226,6 +232,21 @@ class TestPredict:
                 row = [(code >> f) & 1 for f in range(n)]
                 want = prediction_bits(predict_reference(clf, row))
                 assert prediction_bits(predict(clf, row)) == want
+
+    @pytest.mark.parametrize("n, active", [(0, None), (3, ())], ids=["no-features", "prior-only"])
+    def test_prior_only_classifiers(self, n, active):
+        # With no feature there is no column 0 for the prior to read; with no
+        # active feature the prior is the only term.
+        ds = Dataset(np.eye(3, n, dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8))
+        clf = fit(ds, empty_tree(n), active, smoothing=1.0)
+        prior = Prediction(1, (math.log(2 / 5), math.log(3 / 5)))
+        rows = np.eye(2, n, dtype=np.uint8)
+        for row in rows:
+            assert prediction_bits(predict_reference(clf, row)) == prediction_bits(prior)
+            for form in row_forms(row):
+                assert prediction_bits(predict(clf, form)) == prediction_bits(prior)
+        assert_batch_matches_reference(clf, rows)
+        assert_batch_matches_reference(clf, rows[:0])
 
     @pytest.mark.parametrize("value", [-1, 2, 0.7, math.nan])
     @pytest.mark.parametrize("position", [3, 1], ids=["root", "parent"])
@@ -372,6 +393,25 @@ class TestPredictBatch:
         monkeypatch.setattr(bayes, "_CHUNK_ROWS", 7)
         assert predict_batch(clf, rows)[1].tobytes() == whole.tobytes()
         assert_batch_matches_reference(clf, rows[:50])
+
+    def test_input_forms_agree_bit_for_bit(self):
+        # Every parent is 1 in some rows, so a code built as bool
+        # (2 x_source + x as a logical OR) would read the wrong cell.
+        rng = np.random.default_rng(12)
+        tree = DependencyTree((None, 0, 1, 1, None, 4, 0, 6, None))
+        ds = Dataset((rng.random((40, 9)) < 0.5).astype(np.uint8),
+                     (rng.random(40) < 0.5).astype(np.uint8))
+        clf = fit(ds, tree, smoothing=0.5)
+        rows = (rng.random((24, 9)) < 0.5).astype(np.uint8)
+        labels, log_post = predict_batch(clf, rows)
+        assert_batch_matches_reference(clf, rows)
+        read_only = rows.copy()
+        read_only.setflags(write=False)
+        for X in (rows.astype(bool), np.where(rows == 1, 1.0, -0.0), np.asfortranarray(rows),
+                  read_only):
+            other = predict_batch(clf, X)
+            assert other[0].tobytes() == labels.tobytes()
+            assert other[1].tobytes() == log_post.tobytes()
 
     @pytest.mark.parametrize("value", [-1, 2, 0.5, math.nan])
     def test_bad_value_names_row_and_feature(self, value):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from hietan.dataset import (
     _LINE_BREAKS,
     _WHITESPACE,
+    _first_non_binary,
     _read_csv,
     Dataset,
     generate_synthetic,
@@ -437,3 +440,38 @@ class TestPairCounts:
             assert np.array_equal(gram, Xy.T @ Xy)
             assert np.array_equal(ones, Xy.sum(axis=0))
             assert total == Xy.shape[0]
+
+
+# Values each dtype can hold, binary and not: wrap-around and sign
+# extremes, NaN, and -0.0 (which equals 0).
+_CODED_VALUES = {
+    "uint8": [0, 1, 2, 255],
+    "uint16": [0, 1, 2, 255, 65535],
+    "bool": [False, True],
+    "int8": [0, 1, -1, 2, 127, -128],
+    "int64": [0, 1, -1, 2, 255],
+    "float64": [0.0, 1.0, -0.0, 0.5, -1.0, 2.0, 255.0, math.nan],
+}
+
+
+@st.composite
+def coded_arrays(draw):
+    """A 1-d or 2-d array, C or Fortran order, of one of ``_CODED_VALUES``'s
+    dtypes, binary only about half the time."""
+    dtype = draw(st.sampled_from(sorted(_CODED_VALUES)))
+    pool = _CODED_VALUES[dtype] if draw(st.booleans()) else _CODED_VALUES[dtype][:2]
+    shape = draw(st.sampled_from([(0,), (1,), (9,), (0, 3), (3, 4), (5, 2)]))
+    values = draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    a = np.array(values, dtype=dtype).reshape(shape)
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+class TestFirstNonBinary:
+    @settings(max_examples=400, derandomize=True)
+    @given(coded_arrays())
+    def test_matches_scalar_scan(self, a):
+        # The two-comparison rule, one value at a time in C order.
+        flat = a.reshape(-1).tolist()
+        want = next((k for k, v in enumerate(flat) if not (v == 0 or v == 1)), None)
+        assert _first_non_binary(a) == want
