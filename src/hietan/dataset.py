@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     TooFewInstances,
 )
-from .hierarchy import FeatureDag, _iter_bits, read_utf8
+from .hierarchy import FeatureDag, _iter_bits, read_utf8_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,37 +159,48 @@ def _normalise(data: bytes) -> bytes:
     return data if data.endswith(b"\n") else data + b"\n"
 
 
-def _scan_rows(s: np.ndarray, width: int) -> tuple[Optional[np.ndarray], Optional[int]]:
-    """Parse ``s``, a body with whitespace dropped and every line break one
-    b"\\n", into a (rows, width) uint8 table. Returns ``(table, None)`` when
-    every non-blank line is ``width`` tokens 0/1 joined by commas, else
-    ``(None, k)`` with ``s[k]`` a byte of the first line that is not.
+# A body cell is a (token, separator) byte pair read as one little-endian
+# uint16, token in the low byte; "<u2" keeps that true on big-endian hosts.
+_CELL = np.dtype("<u2")
+# Cells checked and converted at a time, so that temporaries stay small.
+_BLOCK_CELLS = 1 << 17
 
-    Blank lines dropped, the valid body is rows of exactly 2 * width bytes,
-    "d,d,...,d\\n", so it is checked in a (rows, width, 2) view. Before the
-    first bad line every row fits that view, so the first byte that does not
-    lies on the first bad line."""
-    newline = s == ord("\n")
-    blank = newline.copy()  # a break that ends a line with nothing on it
-    blank[1:] &= newline[:-1]
-    del newline
-    kept = ~blank if blank.any() else None
-    rows = s if kept is None else s[kept]
-    pad = -rows.size % (2 * width)  # only ever on a bad body
-    if pad:
-        rows = np.concatenate((rows, np.zeros(pad, dtype=np.uint8)))
-    cells = rows.reshape(-1, width, 2)
-    table = cells[:, :, 0] - ord("0")  # uint8 arithmetic wraps bytes below b"0"
-    separators = cells[:, :, 1] == ord(",")
-    separators[:, -1] = cells[:, -1, 1] == ord("\n")
-    fits = table <= 1
-    fits &= separators
-    if fits.all():
-        return table, None
-    # The first (token, separator) cell that does not fit: its token is a
-    # digit on the first bad line, or the first byte that does not fit.
-    k = 2 * int(np.argmin(fits))
-    return None, k if kept is None else _nth_true(kept, k)
+
+def _scan_rows(
+    s: np.ndarray, width: int, labelled: bool
+) -> tuple[Optional[tuple[np.ndarray, Optional[np.ndarray]]], Optional[int]]:
+    """Parse ``s``, body bytes with no whitespace but b"\\n" and no blank
+    line, into (values, labels) uint8 arrays; labels are ``None`` unless
+    ``labelled``, when the last of the ``width`` columns holds them. Returns
+    ``((values, labels), None)`` when every line is ``width`` tokens 0/1
+    joined by commas and ends in b"\\n", else ``(None, k)`` with ``s[k]`` a
+    byte of the first line that is not.
+
+    Such a body is rows of exactly 2 * width bytes, "d,d,...,d\\n", so it is
+    checked as a (rows, width) table of cells: a cell fits when ``cell | 1``
+    is b"1," (b"1\\n" in the last column), which only the tokens b"0" and
+    b"1" give. Before the first bad line every row fills one table row, so
+    the first cell that does not fit, or the bytes after the last whole row,
+    lie on the first bad line."""
+    rows = s.size // (2 * width)
+    cells = s[: rows * 2 * width].view(_CELL).reshape(rows, width)
+    fit = np.frombuffer(b"1," * (width - 1) + b"1\n", dtype=_CELL)
+    n_features = width - labelled
+    values = np.empty((rows, n_features), dtype=np.uint8)
+    labels = np.empty(rows, dtype=np.uint8) if labelled else None
+    step = max(1, _BLOCK_CELLS // width)
+    for r in range(0, rows, step):
+        block = cells[r : r + step]
+        fits = (block | 1) == fit
+        if not fits.all():
+            return None, 2 * (r * width + int(np.argmin(fits)))
+        tokens = block.view(np.uint8)  # bytes again, token at even columns
+        np.subtract(tokens[:, : 2 * n_features : 2], ord("0"), out=values[r : r + step])
+        if labelled:
+            np.subtract(tokens[:, -2], ord("0"), out=labels[r : r + step])
+    if cells.size * 2 != s.size:
+        return None, cells.size * 2
+    return (values, labels), None
 
 
 def _nth_true(mask: np.ndarray, k: int) -> int:
@@ -226,11 +237,20 @@ def _read_csv(path, class_required: bool):
     line numbers in errors; labels are ``None`` if an optional class column is absent.
 
     The header is read as text; the body is checked and converted as one
-    array, and only the first bad line, if any, is looked at as text."""
-    data = read_utf8(path).encode("utf-8")
-    norm = _normalise(data)
-    cut = norm.find(b"\n") + 1  # just past the header's line break
+    array by ``_scan_rows``, and only the first bad line, if any, is looked
+    at as text. When the header's line ends at the file's first b"\\n", the
+    raw body is scanned first: if it fits, it is the canonical form that
+    ``save_dataset`` writes, which ``_normalise`` would leave as it is, so
+    its table is the answer. Any other file is normalised, its spaces and
+    blank lines are dropped, and the same scan runs on what is left."""
+    data = read_utf8_bytes(path)
+    cut = data.find(b"\n") + 1  # just past the header's line break, if it is b"\n"
     lines = data[:cut].decode("utf-8").splitlines()
+    norm = None
+    if len(lines) != 1:  # the header's line break is not the first b"\n"
+        norm = _normalise(data)
+        cut = norm.find(b"\n") + 1
+        lines = data[:cut].decode("utf-8").splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: missing header row", line=1)
     header = [t.strip() for t in lines[0].split(",")]
@@ -242,18 +262,27 @@ def _read_csv(path, class_required: bool):
     names = header[:-1] if labelled else header
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate feature names in header", line=1)
-    n_features = len(names)
-    width = n_features + labelled
+    width = len(names) + labelled
 
+    if norm is None:
+        table, _ = _scan_rows(np.frombuffer(data, dtype=np.uint8)[cut:], width, labelled)
+        if table is not None:
+            return (tuple(names), *table)
+        norm = _normalise(data)
     tight = norm.replace(b" ", b"")  # the same object when there is no whitespace
     start = tight.find(b"\n") + 1
-    table, bad = _scan_rows(np.frombuffer(tight, dtype=np.uint8)[start:], width)
+    s = np.frombuffer(tight, dtype=np.uint8)[start:]
+    blank = s == ord("\n")  # a break that ends a line with nothing on it
+    blank[1:] &= s[:-1] == ord("\n")
+    kept = ~blank if blank.any() else None
+    del blank
+    table, bad = _scan_rows(s if kept is None else s[kept], width, labelled)
     if table is None:
+        if kept is not None:
+            bad = _nth_true(kept, bad)
         at = _nth_true(np.frombuffer(norm, dtype=np.uint8) != ord(" "), start + bad)
         raise _line_error(path, data, norm, at, width)
-    if not labelled:
-        return tuple(names), table, None
-    return tuple(names), np.ascontiguousarray(table[:, :n_features]), table[:, -1].copy()
+    return (tuple(names), *table)
 
 
 def load_dataset(path) -> Dataset:

@@ -135,18 +135,28 @@ def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]
     return [(order[a], order[b]) for a, b in picked]
 
 
-def read_utf8(path) -> str:
-    """The text of a UTF-8 file; any other bytes raise :class:`ParseError`
-    with the line of the first undecodable byte."""
+def read_utf8_bytes(path) -> bytes:
+    """The bytes of a UTF-8 file, checked but not decoded: any other bytes
+    raise :class:`ParseError` with the line of the first undecodable byte.
+    An ASCII file is valid as it stands; any other is decoded only to check."""
     data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})",
-            line=line,
-        ) from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines are counted as ``str.splitlines`` splits the valid text
+            # before the bad byte; the "x" stands for the line that holds it.
+            line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(
+                f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+                line=line,
+            ) from None
+    return data
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file, with the errors of :func:`read_utf8_bytes`."""
+    return read_utf8_bytes(path).decode("utf-8")
 
 
 def read_dag_file(path) -> list[tuple[str, str]]:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hietan import dataset
 from hietan.dataset import (
+    _BLOCK_CELLS,
     _LINE_BREAKS,
     _WHITESPACE,
     _first_non_binary,
@@ -182,6 +184,56 @@ def csv_bytes(draw):
     return data
 
 
+@st.composite
+def saved_datasets(draw):
+    """A dataset of 0-4 features and 0-6 rows, with names whose lengths give
+    headers of both byte parities, some of them not ASCII."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.integers(0, 6))
+    bits = st.lists(st.integers(0, 1), min_size=rows * (n + 1), max_size=rows * (n + 1))
+    cells = np.array(draw(bits), dtype=np.uint8).reshape(rows, n + 1)
+    names = [draw(st.sampled_from(["", "g", "gg", "\u00e9"])) + str(i) for i in range(n)]
+    return Dataset(cells[:, :n], cells[:, n], tuple(names))
+
+
+@st.composite
+def one_edit(draw, data: bytes):
+    """``data``, a file as ``save_dataset`` writes it, as it is or with one
+    edit: a bad token or separator, a byte deleted or inserted, one CRLF, a
+    space, a blank line, or no final break."""
+    kind = draw(st.sampled_from(
+        ["replace", "delete", "insert", "crlf", "space", "blank", "no final break", "none"]
+    ))
+    body = data.find(b"\n") + 1
+    breaks = [k for k in range(len(data)) if data[k] == ord("\n")]
+    if kind == "replace" and body < len(data):
+        # b"-" and b"\v" differ from b"," and b"\n" only in the bit that
+        # a token's check masks.
+        at = draw(st.integers(body, len(data) - 1))
+        bad = draw(st.sampled_from(
+            [b"-", b"\v", b"2", b"a", b" ", b"\x00", b"/", b"\xc3\xa9", b"00"]
+        ))
+        return data[:at] + bad + data[at + 1 :]
+    if kind == "delete":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + data[at + 1 :]
+    if kind in ("insert", "space"):
+        at = draw(st.integers(0, len(data)))
+        byte = b" " if kind == "space" else draw(
+            st.sampled_from([b"0", b"1", b",", b"\n", b"\r", b"2"])
+        )
+        return data[:at] + byte + data[at:]
+    if kind == "crlf":
+        at = draw(st.sampled_from(breaks))
+        return data[:at] + b"\r" + data[at:]
+    if kind == "blank":
+        at = draw(st.sampled_from(breaks)) + 1
+        return data[:at] + b"\n" + data[at:]
+    if kind == "no final break":
+        return data[:-1]
+    return data
+
+
 def parse_outcome(parse, path, class_required):
     """What a reader makes of a file: its names and arrays with their dtypes,
     or its error's class, message and line."""
@@ -224,6 +276,70 @@ class TestReaderMatchesReference:
                 read_csv_reference, path, class_required
             )
 
+    @settings(
+        max_examples=400, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(saved_datasets(), st.booleans(), st.data())
+    def test_canonical_file_with_one_edit(self, tmp_path, ds, labelled, data):
+        # The reader's raw scan accepts a canonical body as it stands; one
+        # edit must send it to the general path with the same outcome.
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        saved = path.read_bytes()
+        if not labelled:  # the class column becomes one more feature
+            cut = saved.find(b"\n")
+            saved = saved[: cut - len("class")] + b"h" + saved[cut:]
+        path.write_bytes(data.draw(one_edit(saved)))
+        for class_required in (True, False):
+            assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
+                read_csv_reference, path, class_required
+            )
+
+    @pytest.mark.parametrize("name", ["a", "ab"], ids=["even header", "odd header"])
+    @pytest.mark.parametrize("bad", [None, b"2", b"\n"])
+    def test_body_at_either_byte_parity(self, tmp_path, name, bad):
+        # An odd-length header leaves the body's uint16 cells unaligned.
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.integers(0, 2, (50, 3)).astype(np.uint8),
+                     rng.integers(0, 2, 50).astype(np.uint8), (name, "b", "c"))
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        data = path.read_bytes()
+        assert (data.find(b"\n") + 1) % 2 == (name == "ab")
+        if bad is not None:
+            at = data.find(b"\n") + 1 + 40 * 8 + 2
+            data = data[:at] + bad + data[at + 1 :]
+        path.write_bytes(data)
+        for class_required in (True, False):
+            outcome = parse_outcome(_read_csv, path, class_required)
+            assert outcome == parse_outcome(read_csv_reference, path, class_required)
+            if bad is None:
+                assert outcome[2] == (50, 3)
+            else:
+                assert f"{path}:42: " in outcome[1]
+
+    def test_canonical_file_is_not_normalised(self, tmp_path, monkeypatch):
+        def refuse(data):
+            raise AssertionError("a canonical file was normalised")
+
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,class\n0,1,1\n1,1,0\n")
+        monkeypatch.setattr(dataset, "_normalise", refuse)
+        names, values, labels = _read_csv(path, class_required=True)
+        assert names == ("a", "b") and values.tolist() == [[0, 1], [1, 1]]
+        assert labels.tolist() == [1, 0]
+
+    def test_one_crlf_is_normalised(self, tmp_path, monkeypatch):
+        calls = []
+        normalise = dataset._normalise
+        monkeypatch.setattr(dataset, "_normalise", lambda data: calls.append(data) or normalise(data))
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,class\n0,1,1\r\n1,1,0\n")
+        names, values, labels = _read_csv(path, class_required=True)
+        assert values.tolist() == [[0, 1], [1, 1]] and labels.tolist() == [1, 0]
+        assert calls == [path.read_bytes()]
+
     def test_whitespace_and_breaks_are_pythons(self):
         chars = [chr(c) for c in range(0x110000)]
         assert set(_WHITESPACE) == {c for c in chars if c.isspace()}
@@ -244,6 +360,37 @@ class TestReaderMatchesReference:
             assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
                 read_csv_reference, path, class_required
             )
+
+    @pytest.mark.parametrize("bad_row", [None, 19_990])
+    def test_large_canonical_file_matches_reference(self, tmp_path, bad_row):
+        # 20 000 x 40 cells cross the raw scan's blocks, and a bad token near
+        # the end sends the file through the general path.
+        assert 20_000 * 40 > 2 * _BLOCK_CELLS
+        rng = np.random.default_rng(9)
+        ds = Dataset(rng.integers(0, 2, (20_000, 39)).astype(np.uint8),
+                     rng.integers(0, 2, 20_000).astype(np.uint8))
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        if bad_row is not None:
+            data = bytearray(path.read_bytes())
+            data[data.find(b"\n") + 1 + 80 * bad_row] = ord("7")
+            path.write_bytes(data)
+        for class_required in (True, False):
+            outcome = parse_outcome(_read_csv, path, class_required)
+            assert outcome == parse_outcome(read_csv_reference, path, class_required)
+            if bad_row is None:
+                assert outcome[2] == (20_000, 39)
+            else:
+                assert outcome[:2] == (NonBinaryValue, f"{path}:19992: value '7' is not 0 or 1")
+
+
+@pytest.mark.parametrize("brk", BREAKS, ids=repr)
+def test_non_utf8_byte_reported_on_its_line(tmp_path, brk):
+    path = tmp_path / "d.csv"
+    path.write_bytes(f"a,class{brk}0,1{brk}".encode() + b"\xff,1" + brk.encode())
+    with pytest.raises(ParseError, match=":3: not UTF-8 text") as err:
+        load_dataset(path)
+    assert err.value.line == 3
 
 
 class TestSaveMatchesReference:

@@ -152,6 +152,16 @@ class TestDagFile:
             read_dag_file(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("brk", [
+        "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ], ids=repr)
+    def test_non_utf8_byte_reported_on_its_line(self, tmp_path, brk):
+        path = tmp_path / "hier.tsv"
+        path.write_bytes(f"# edges{brk}a\tb{brk}".encode() + b"c\t\xff" + brk.encode())
+        with pytest.raises(ParseError, match=":3: not UTF-8 text") as err:
+            read_dag_file(path)
+        assert err.value.line == 3
+
     def test_unknown_features_dropped_with_warning(self):
         pairs = [("A", "B"), ("A", "ghost")]
         with pytest.warns(UserWarning, match="ghost"):
