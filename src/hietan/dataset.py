@@ -37,8 +37,25 @@ class Dataset:
     class_names: tuple[str, str] = ("0", "1")
 
     def __post_init__(self):
-        vals = _binary_copy(self.values, "feature values")
-        labs = _binary_copy(self.labels, "class labels")
+        self._adopt(
+            _binary_copy(self.values, "feature values"),
+            _binary_copy(self.labels, "class labels"),
+        )
+
+    @classmethod
+    def _own(cls, values, labels, feature_names, class_names=("0", "1")) -> Dataset:
+        """A dataset over arrays the library has just built: private,
+        C-contiguous, binary ``uint8``. They are taken as they are; only a
+        caller's arrays need ``_binary_copy``'s check and copy."""
+        ds = cls.__new__(cls)
+        object.__setattr__(ds, "feature_names", feature_names)
+        object.__setattr__(ds, "class_names", class_names)
+        ds._adopt(values, labels)
+        return ds
+
+    def _adopt(self, vals: np.ndarray, labs: np.ndarray) -> None:
+        """Check the shapes and names, and make the private binary ``uint8``
+        arrays ``vals`` and ``labs`` the read-only data of this dataset."""
         if vals.ndim != 2:
             raise DimensionMismatch("values must be a 2-d instance-by-feature matrix")
         if labs.shape != (vals.shape[0],):
@@ -288,7 +305,7 @@ def _read_csv(path, class_required: bool):
 def load_dataset(path) -> Dataset:
     """Load a labelled dataset; the ``class`` column is mandatory."""
     names, values, labels = _read_csv(path, class_required=True)
-    return Dataset(values, labels, names)
+    return Dataset._own(values, labels, names)
 
 
 def load_instances(path, feature_names: Sequence[str]) -> np.ndarray:
@@ -317,7 +334,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def subset(ds: Dataset, indices) -> Dataset:
     idx = np.asarray(indices, dtype=np.int64)
-    return Dataset(ds.values[idx], ds.labels[idx], ds.feature_names, ds.class_names)
+    # Indexing makes new C-contiguous copies of arrays already checked.
+    return Dataset._own(ds.values[idx], ds.labels[idx], ds.feature_names, ds.class_names)
 
 
 def validate_propagation(ds: Dataset, dag: FeatureDag) -> list[tuple[int, int, int]]:

@@ -21,27 +21,34 @@ symmetric in (i, j). Terms with zero joint probability contribute nothing.
 The score is a sum of eight terms, four per class, and the four terms of
 class y depend only on that class's *slice*: its four counts over
 (x_i, x_j), plus the instance total and the smoothing, which are fixed for a
-call. Many pairs share a slice (a slice is fixed by the pair's n11 count and
-its two column sums), so ``rank_edges`` scores each distinct slice once with
-the one kernel, ``_slice_terms``, and then sums each pair's eight gathered
-terms in fixed-size blocks; ``cmi`` is the same kernel on one table's two
-slices. The result is bit-identical to scoring every pair on its own: the
-kernel computes the same terms whichever pair a slice came from, and the
-final sum is exactly rounded and so independent of the order of its terms.
+call. Many pairs share a slice: a slice is fixed by the pair's n11 count and
+its two column sums, and as the score is symmetric in (i, j) the two sums are
+taken unordered. So ``rank_edges`` scores each distinct slice once with the
+one kernel, ``_slice_terms``, and sums each slice's four terms once into a
+pair (hi, lo) whose exact sum is the slice's exact sum. Each pair's score is
+then the correctly rounded sum of its two slices' (hi, lo): four gathered
+columns, summed in fixed-size blocks. ``cmi`` is the same kernel on one
+table's two slices. The result is bit-identical to scoring every pair on its
+own: the kernel computes the same terms whichever pair a slice came from
+(swapping i and j only permutes them), and the final sum is exactly rounded
+and so independent of the order and grouping of its terms.
 
 Within the kernel, the element-wise steps (smoothed probabilities, marginals,
 ratios) are single IEEE operations, so NumPy computes them exactly as scalar
 code would. The sums for P(y) and for each pair's score are correctly
 rounded: ``_exact_sums`` computes them with element-wise error-free
 transformations and certifies each row's result, and any row it cannot
-certify goes to ``math.fsum``. Either way a row gets the one double nearest
-its exact sum, which is what ``math.fsum`` returns, so the scores are the
-bits of a per-pair ``fsum``. That is what makes cmi(i, j) == cmi(j, i)
-bit-exact and keeps exact ties between different tables tied (NumPy's own
-summation order splits such ties in the last bit); ``cmi`` sums its one
-table with ``math.fsum`` directly. The logarithms stay scalar through
-``math.log``, because vectorised logs differ in the last bit between CPUs
-and the ranking must not.
+certify goes to ``math.fsum``. A slice's (hi, lo) comes from the same
+cascade, ``_vec_sum``, and is used only when the cascade proves hi + lo
+exact; a pair that touches a slice it cannot prove takes ``math.fsum`` over
+its eight terms instead. Either way a pair gets the one double nearest its
+exact sum, which is what ``math.fsum`` returns, so the scores are the bits
+of a per-pair ``fsum``. That is what makes cmi(i, j) == cmi(j, i) bit-exact
+and keeps exact ties between different tables tied (NumPy's own summation
+order splits such ties in the last bit); ``cmi`` sums its one table with
+``math.fsum`` directly. The logarithms stay scalar through ``math.log``,
+because vectorised logs differ in the last bit between CPUs and the ranking
+must not.
 """
 
 from __future__ import annotations
@@ -56,10 +63,10 @@ from .dataset import Dataset
 from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange
 from .hierarchy import FeatureDag
 
-# Pairs per block of the final sum in rank_edges. _exact_sums holds the eight
-# gathered term columns and about a dozen float64 temporaries at once, some
-# 160 bytes per pair, so a block takes under a megabyte whatever the number
-# of features.
+# Pairs per block of the final sum in rank_edges. _exact_sums holds the four
+# gathered (hi, lo) columns and under ten float64 temporaries at once, some
+# 100 bytes per pair, so a block takes under half a megabyte whatever the
+# number of features.
 _BLOCK = 4096
 
 
@@ -123,16 +130,28 @@ def _distinct_slices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (d, 4) slices of one class over pairs (i[k], j[k]), in the
     cell order of ``_slice_terms``, and the index of each pair's slice."""
-    # A pair's slice is fixed by n11 and its two column sums, so key it as
-    # n11 * k**2 + r_i * k + r_j, where r ranks the column sums among their k
-    # distinct values. As k <= min(n_features, n_y + 1), the key is below
+    # A pair's slice is fixed by n11 and its two column sums. Swapping i and j
+    # only permutes the slice's four terms, bit for bit, and the pair sum is
+    # exactly rounded, so the column sums are taken unordered: the key is
+    # n11 * k**2 + min(r_i, r_j) * k + max(r_i, r_j), where r ranks the column
+    # sums among their k distinct values, and a pair whose r_i > r_j gets the
+    # slice of (j, i). As k <= min(n_features, n_y + 1), the key is below
     # (n_y + 1) * k**2 <= ((n_y + 1) * n_features) ** 1.5: it can wrap int64
     # only if (n_y + 1) * n_features >= 2**42, and the float copy of the
     # class's rows that its Gram matrix came from would then take 35 TB.
     sums, rank = np.unique(ones, return_inverse=True)
     k = sums.shape[0]
-    key, index = np.unique(gram[i, j] * (k * k) + rank[i] * k + rank[j],
-                           return_inverse=True)
+    # Built in place as n11 * k**2 + r_i + r_j + min(r_i, r_j) * (k - 1), and
+    # only the key outlives this: np.unique's working copies set the peak.
+    low, high = rank[i], rank[j]
+    key = gram[i, j] * (k * k)
+    key += low
+    key += high
+    np.minimum(low, high, out=low)
+    low *= k - 1
+    key += low
+    del low, high
+    key, index = np.unique(key, return_inverse=True)
     n11, ones_i, ones_j = key // (k * k), sums[key // k % k], sums[key % k]
     slices = np.stack([total - ones_i - ones_j + n11, ones_j - n11, ones_i - n11, n11], axis=1)
     return slices, index
@@ -145,39 +164,62 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - b_part)) + (b - b_part)
 
 
-def _exact_sums(columns) -> np.ndarray:
-    """Each row's correctly rounded sum over ``columns`` (m >= 2 equal-length
-    1-d float64 arrays), bit for bit what ``math.fsum`` returns for the row.
+def _vec_sum(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's sum over ``columns`` (m >= 2 equal-length 1-d float64
+    arrays) as (r, rho, q_abs): the exact sum is r + rho + sum(q), where
+    r = fl(sigma + e), rho is its exact residual and q_abs = sum |q| in
+    floating point, which is 0 exactly when every q is 0.
 
     Two VecSum cascades (Ogita, Rump and Oishi 2005) run in lockstep: the
     first leaves the running sum sigma and the exact error of each step, the
     second folds those errors into e and second-level errors q, so a row's
-    exact sum is sigma + e + sum(q). With r = fl(sigma + e) and its exact
-    residual rho, that sum is r + rho + sum(q). A row is certified when every
-    q is 0 (then r is the IEEE round-half-even of the exact sum, which is
-    fsum's rounding), or when a bound on |rho + sum(q)| is below half the gap
-    from |r| to the next double toward zero (then r is the only double that
-    close, and no tie is possible). The bound sums |q| in floating point and
-    inflates it by the (2m u) error of that sum and a further 2**-40 for the
-    two roundings of the bound itself. Other rows fall back to ``math.fsum``,
-    as do rows whose r is zero (fsum, not IEEE addition, picks the sign of a
-    zero sum) or not finite (fsum decides whether to raise).
+    exact sum is sigma + e + sum(q). This holds while no step overflows; one
+    that does leaves r or q_abs infinite or NaN.
+    """
+    columns = iter(columns)
+    sigma, e = _two_sum(next(columns), next(columns))
+    q_abs = np.zeros_like(sigma)
+    for x in columns:
+        sigma, err = _two_sum(sigma, x)
+        e, q = _two_sum(e, err)
+        q_abs += np.abs(q)
+    r, rho = _two_sum(sigma, e)
+    return r, rho, q_abs
+
+
+def _slice_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of the (d, 4) slice ``terms`` summed once, as (hi, lo, exact).
+    Where ``exact`` (every q of ``_vec_sum`` was 0, and hi is finite),
+    hi + lo is the row's exact sum: hi is its correct rounding and lo the
+    exact residual. Elsewhere hi and lo are not to be used."""
+    hi, lo, q_abs = _vec_sum(terms.T)
+    return hi, lo, (q_abs == 0.0) & (np.abs(hi) < math.inf)
+
+
+def _exact_sums(columns) -> np.ndarray:
+    """Each row's correctly rounded sum over ``columns`` (m >= 2 equal-length
+    1-d float64 arrays), bit for bit what ``math.fsum`` returns for the row.
+
+    ``_vec_sum`` gives the exact sum as r + rho + sum(q). A row is certified
+    when every q is 0 (then r is the IEEE round-half-even of the exact sum,
+    which is fsum's rounding), or when a bound on |rho + sum(q)| is below
+    half the gap from |r| to the next double toward zero (then r is the only
+    double that close, and no tie is possible). The bound sums |q| in
+    floating point and inflates it by the (2m u) error of that sum and a
+    further 2**-40 for the two roundings of the bound itself. Other rows fall
+    back to ``math.fsum``, as do rows whose r is zero (fsum, not IEEE
+    addition, picks the sign of a zero sum) or not finite (fsum decides
+    whether to raise).
     Only element-wise IEEE operations are used, so the bits do not depend on
     the CPU or the order of the rows.
     """
     columns = list(columns)
     m = len(columns)
-    sigma, e = _two_sum(columns[0], columns[1])
-    q_sum = np.zeros_like(sigma)
-    for x in columns[2:]:
-        sigma, err = _two_sum(sigma, x)
-        e, q = _two_sum(e, err)
-        q_sum += np.abs(q)
-    r, rho = _two_sum(sigma, e)
+    r, rho, q_abs = _vec_sum(columns)
     magnitude = np.abs(r)
     gap = magnitude - np.nextafter(magnitude, 0.0)
-    bound = (np.abs(rho) + q_sum * (1.0 + 2.0 * m * 2.0**-53)) * (1.0 + 2.0**-40)
-    certified = (q_sum == 0.0) | (bound + bound < gap)
+    bound = (np.abs(rho) + q_abs * (1.0 + 2.0 * m * 2.0**-53)) * (1.0 + 2.0**-40)
+    certified = (q_abs == 0.0) | (bound + bound < gap)
     certified &= (magnitude > 0.0) & (magnitude < math.inf)
     fallback = np.flatnonzero(~certified)
     if fallback.size:
@@ -306,16 +348,24 @@ def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _Rank
     # triu_indices yields the pairs in ascending (i, j) order, which is the
     # order _RankedPairs breaks exact ties by.
     i, j = np.triu_indices(n, 1)
-    memo = []
+    classes = []
     for gram, ones, total in ds._class_stats:
         slices, index = _distinct_slices(gram, ones, total, i, j)
-        memo.append((_slice_terms(slices, ds.n_instances, smoothing).T.copy(), index))
+        terms = _slice_terms(slices, ds.n_instances, smoothing)
+        classes.append((terms, *_slice_sums(terms), index))
+    (terms0, hi0, lo0, exact0, index0), (terms1, hi1, lo1, exact1, index1) = classes
+    # Each pair sums its two slices' (hi, lo): the same exact sum as its
+    # eight terms, so the same correctly rounded score.
     scores = np.empty(i.shape[0])
     for start in range(0, i.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        scores[block] = _exact_sums(
-            [column for terms, index in memo for column in terms[:, index[block]]]
-        )
+        a, b = index0[start : start + _BLOCK], index1[start : start + _BLOCK]
+        scores[start : start + _BLOCK] = _exact_sums([hi0[a], lo0[a], hi1[b], lo1[b]])
+    # A pair with a slice whose (hi, lo) is not exact takes fsum over its
+    # eight terms instead.
+    inexact = np.flatnonzero(~exact0[index0] | ~exact1[index1])
+    if inexact.size:
+        rows = np.hstack([terms0[index0[inexact]], terms1[index1[inexact]]])
+        scores[inexact] = _each(math.fsum, rows)
     return _RankedPairs(i, j, scores, _first_chunk(n))
 
 

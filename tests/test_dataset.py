@@ -108,7 +108,9 @@ class TestLoad:
         with pytest.raises(NonBinaryValue):
             Dataset(np.full((1, 1), 2), np.zeros(1))
 
-    @pytest.mark.parametrize("bad", [0.7, 256, float("nan"), -1], ids=["0.7", "256", "nan", "-1"])
+    @pytest.mark.parametrize(
+        "bad", [0.7, 2, 256, float("nan"), -1], ids=["0.7", "2", "256", "nan", "-1"]
+    )
     @pytest.mark.parametrize("column", ["values", "labels"])
     def test_constructor_rejects_non_binary(self, column, bad):
         values = np.zeros((2, 2))
@@ -544,6 +546,24 @@ def test_subset_keeps_metadata():
     assert sub.n_instances == 3
     assert sub.feature_names == ds.feature_names
     assert np.array_equal(sub.values, ds.values[[0, 2, 4]])
+
+
+def test_loaded_and_subset_arrays_are_not_checked_again(tmp_path, monkeypatch):
+    ds = _balanced_dataset(6, 6, n_features=4, seed=1)
+    save_dataset(ds, tmp_path / "d.csv")
+
+    def refuse(array, what):
+        raise AssertionError(f"{what} checked and copied again")
+
+    monkeypatch.setattr(dataset, "_binary_copy", refuse)
+    for got in (load_dataset(tmp_path / "d.csv"), subset(ds, [5, 0, 2])):
+        for a in (got.values, got.labels):
+            assert a.dtype == np.uint8 and a.flags.c_contiguous
+            assert not a.flags.writeable
+    assert np.array_equal(load_dataset(tmp_path / "d.csv").values, ds.values)
+    assert subset(ds, [5, 0, 2]).labels.tolist() == ds.labels[[5, 0, 2]].tolist()
+    with pytest.raises(DimensionMismatch):
+        subset(ds, [[0, 1]])
 
 
 class TestPairCounts:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hietan.mutual_info import (
     JointCounts,
     _exact_sums,
     _ranked_pairs,
+    _slice_sums,
     cmi,
     rank_edges,
 )
@@ -173,6 +175,34 @@ class TestExactSums:
         got = _exact_sums([np.array([x]) for x in row])
         assert fallbacks == [row]
         assert got.tolist() == [1.0000000000000002] == [math.fsum(row)]
+
+
+def slice_rows():
+    """Rows of four floats: any magnitude up to 1e+-300, subnormals, and a
+    large term cancelled by its negation, in any order."""
+    wide = st.floats(min_value=-1e300, max_value=1e300)
+    tiny = st.floats(min_value=-1e-300, max_value=1e-300)
+    term = st.one_of(wide, tiny)
+    cancel = st.tuples(wide, term, term).map(lambda t: [t[0], t[1], -t[0], t[2]])
+    return st.one_of(st.lists(term, min_size=4, max_size=4), cancel).flatmap(st.permutations)
+
+
+class TestSliceSums:
+    def test_exact_rows_sum_exactly(self):
+        seen = set()
+
+        @settings(max_examples=300, derandomize=True)
+        @given(st.lists(slice_rows(), min_size=1, max_size=30))
+        def check(rows):
+            hi, lo, exact = _slice_sums(np.array(rows))
+            for row, h, l, e in zip(rows, hi.tolist(), lo.tolist(), exact.tolist()):
+                seen.add(e)
+                if e:
+                    assert Fraction(h) + Fraction(l) == sum(map(Fraction, row))
+                    assert h == math.fsum(row)
+
+        check()
+        assert seen == {True, False}
 
 
 class TestJointCounts:
@@ -395,6 +425,61 @@ class TestRankEdges:
         ds = random_dataset(np.random.default_rng(3), 20, 6)
         with pytest.raises(ValueError, match="smoothing"):
             rank_edges(ds, canonical_dag, smoothing)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_inexact_slices_fall_back_to_fsum(self, smoothing, monkeypatch, fallbacks):
+        # Half the slices, drawn by a seeded coin, are marked inexact and get
+        # a NaN (hi, lo), so their pairs' scores must come from fsum alone.
+        rng = np.random.default_rng(29)
+        sums = mutual_info._slice_sums
+        marked = []
+
+        def half_inexact(terms):
+            hi, lo, exact = sums(terms)
+            assert exact.all()
+            off = rng.random(exact.shape[0]) < 0.5
+            marked.append(int(off.sum()))
+            return np.where(off, np.nan, hi), np.where(off, np.nan, lo), exact & ~off
+
+        monkeypatch.setattr(mutual_info, "_slice_sums", half_inexact)
+        monkeypatch.setattr(mutual_info, "_BLOCK", 500)
+        ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 120, 0.3, 0.05, 11)
+        got = _ranked_pairs(ds, build_dag(60, []), smoothing).tolist()
+        want = rank_edges_reference(ds, smoothing)
+        assert got == want
+        assert_same_scores(got, want)
+        assert len(marked) == 2 and min(marked) > 0
+        eight = sum(len(row) == 8 for row in fallbacks)
+        assert 0 < eight < len(want)
+
+    def test_swapped_column_sums_share_a_slice(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(8), 14, 16)
+        n = ds.n_features
+        ordered, unordered = [], []
+        for y in (0, 1):
+            X = ds.values[ds.labels == y].astype(np.int64)
+            ones, gram = X.sum(axis=0), X.T @ X
+            pairs = [(gram[i, j], ones[i], ones[j]) for i in range(n) for j in range(i + 1, n)]
+            ordered.append(len(set(pairs)))
+            unordered.append(len({(n11, frozenset((a, b))) for n11, a, b in pairs}))
+        # Some pairs share n11 and carry each other's column sums swapped.
+        assert ordered[0] > unordered[0] and ordered[1] > unordered[1]
+        distinct = mutual_info._distinct_slices
+        counted = []
+
+        def counting(*args):
+            slices, index = distinct(*args)
+            counted.append(slices.shape[0])
+            return slices, index
+
+        monkeypatch.setattr(mutual_info, "_distinct_slices", counting)
+        for smoothing in (0.0, 1.0):
+            counted.clear()
+            got = rank_edges(ds, build_dag(n, []), smoothing)
+            assert counted == unordered
+            want = rank_edges_reference(ds, smoothing)
+            assert got == want
+            assert_same_scores(got, want)
 
 
 
