@@ -475,7 +475,7 @@ def generate_synthetic_with_rule(
     )
     a, b = sorted(int(x) for x in rng.choice(candidates, size=2, replace=False))
     for _ in range(100):
-        if not dag.hierarchically_related(a, b):
+        if not (dag.ancestor_bits[b] | dag.descendant_bits[b]) >> a & 1:
             break
         a, b = sorted(int(x) for x in rng.choice(candidates, size=2, replace=False))
     rule = PlantedRule(a, b)

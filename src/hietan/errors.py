@@ -38,8 +38,7 @@ class TooFewInstances(HieTanError):
 
 
 class DegenerateDistribution(HieTanError):
-    """Probabilities cannot be estimated: no data and no smoothing, or a
-    smoothing so small that they underflow."""
+    """Probabilities cannot be estimated: no data and no smoothing."""
 
 
 class EmptyFeatureSet(HieTanError):

@@ -58,12 +58,6 @@ class FeatureDag:
         self._check(b)
         return bool(self.ancestor_bits[b] >> a & 1)
 
-    def hierarchically_related(self, a: int, b: int) -> bool:
-        """True iff one of the two features is an ancestor of the other."""
-        self._check(a)
-        self._check(b)
-        return bool((self.ancestor_bits[b] | self.descendant_bits[b]) >> a & 1)
-
     @property
     def sink_features(self) -> tuple[int, ...]:
         """Features with no descendants (the most specific terms)."""

@@ -8,51 +8,34 @@ The learners stop after a few n of the n(n-1)/2 pairs, so the CV loop and
 same order, bit for bit, sorted one chunk at a time only as far as a learner
 reads. ``rank_edges`` is that object read in full.
 
-For a feature pair (X_i, X_j) and class Y the score is
+The score of a pair (X_i, X_j) given class Y is the CMI, with natural logs,
 
     sum over (x_i, x_j, y) of  P(x_i, x_j, y) * log( P(x_i, x_j | y)
-                                                     / (P(x_i | y) P(x_j | y)) )
+                                                     / (P(x_i | y) P(x_j | y)) ),
 
-with natural logarithms. Probabilities are plug-in estimates from the 8-cell
-contingency table with additive smoothing applied per joint cell; marginals
-derive from the smoothed joint, so the score is non-negative and exactly
-symmetric in (i, j). Terms with zero joint probability contribute nothing.
+of the 8-cell contingency table with additive smoothing s per joint cell;
+marginals derive from the smoothed joint. Each score is this CMI computed
+exactly, for the exact binary value of s, and rounded once to a double, so
+it is non-negative, exactly symmetric in (i, j), and +0.0 exactly when each
+class slice factorises. With N instances, N' = N + 8s and T(x) = x ln x, it
+is the count form (Chow & Liu 1968; Friedman, Geiger & Goldszmidt 1997)
 
-The score is a sum of eight terms, four per class, and the four terms of
-class y depend only on that class's *slice*: its four counts over
-(x_i, x_j), plus the instance total and the smoothing, which are fixed for a
-call. Many pairs share a slice: a slice is fixed by the pair's n11 count and
-its two column sums, and as the score is symmetric in (i, j) the two sums are
-taken unordered. So ``rank_edges`` scores each distinct slice once with the
-one kernel, ``_slice_terms``, and sums each slice's four terms once into a
-pair (hi, lo) whose exact sum is the slice's exact sum. Each pair's score is
-then the correctly rounded sum of its two slices' (hi, lo): four gathered
-columns, summed in fixed-size blocks. ``cmi`` is the same kernel on one
-table's two slices. The result is bit-identical to scoring every pair on its
-own: the kernel computes the same terms whichever pair a slice came from
-(swapping i and j only permutes them), and the final sum is exactly rounded
-and so independent of the order and grouping of its terms.
+    N' * CMI(i, j) = sum over the 8 cells of T(c + s)
+                     + sum over y of T(N_y + 4s)  -  A_i  -  A_j,
+    A_i = sum over y and x of T(c_{i,y,x} + 2s),
 
-Within the kernel, the element-wise steps (smoothed probabilities, marginals,
-ratios) are single IEEE operations, so NumPy computes them exactly as scalar
-code would. The sums for P(y) and for each pair's score are correctly
-rounded: ``_exact_sums`` computes them with element-wise error-free
-transformations and certifies each row's result, and any row it cannot
-certify goes to ``math.fsum``. A slice's (hi, lo) comes from the same
-cascade, ``_vec_sum``, and is used only when the cascade proves hi + lo
-exact; a pair that touches a slice it cannot prove takes ``math.fsum`` over
-its eight terms instead. Either way a pair gets the one double nearest its
-exact sum, which is what ``math.fsum`` returns, so the scores are the bits
-of a per-pair ``fsum``. That is what makes cmi(i, j) == cmi(j, i) bit-exact
-and keeps exact ties between different tables tied (NumPy's own summation
-order splits such ties in the last bit); ``cmi`` sums its one table with
-``math.fsum`` directly. The logarithms stay scalar through ``math.log``,
-because vectorised logs differ in the last bit between CPUs and the ranking
-must not.
+with c_{i,y,x} the count of x_i = x in class y. ``_tables`` holds each
+T(x) / N' a fold needs as 2**_BITS * T(x) / N' within one unit, from integer
+log series (``_logs``; no libm, so no platform dependence). ``_scores`` sums
+a pair's 18 entries exactly in int64 limbs and rounds once, certified when
+no other double lies within the 18 units of error. Other pairs are settled
+exactly: +0.0 if every class slice factorises, (c00 + s)(c11 + s) =
+(c01 + s)(c10 + s) in exact rationals, else by ``decimal``.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,12 +46,17 @@ from .dataset import Dataset
 from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange
 from .hierarchy import FeatureDag
 
-# Pairs per block of the final sum in rank_edges. _exact_sums holds the four
-# gathered (hi, lo) columns and under ten float64 temporaries at once, some
-# 100 bytes per pair, so a block takes under half a megabyte whatever the
-# number of features.
+# Pairs per block of the pair sums: a block's cell counts, gathered limbs
+# and float temporaries take some 250 bytes a pair, about a megabyte.
 _BLOCK = 4096
-
+# Fraction bits of the fixed-point entries, split as V = hi * 2**_LIMB + lo,
+# 0 <= lo < 2**_LIMB. As |ln x| < 745 for any x a double smoothing makes and
+# each term's weights x / N' sum to 1, a pair's 18 hi limbs sum to under
+# 2**60 in absolute value and its lo limbs to under 2**57. After the carry,
+# hi < 2**48 as CMI < 1, so both limbs convert to float64 exactly.
+_BITS = 100
+_LIMB = 52
+_PAIR_ERROR = 18.0  # a pair's 18 entries, each within one unit
 
 @dataclass(frozen=True)
 class JointCounts:
@@ -103,140 +91,166 @@ def check_smoothing(smoothing: float) -> float:
     return value
 
 
-def _slice_terms(slices: np.ndarray, n: int, smoothing: float) -> np.ndarray:
-    """The four CMI terms of each (d, 4) class slice: counts of one class in
-    cells (x_i, x_j) = 00, 01, 10, 11 of a table that sums to ``n``."""
+def _atanh(p: int, q: int, bits: int) -> int:
+    """2**bits * atanh(p / q) for 0 <= 3p <= q, by its series with every
+    quotient rounded down: under 2**8 units low for bits <= 300, as each of
+    at most bits / log2(9) + 1 terms loses under 2.2 units and the tail 1.3."""
+    p2, q2 = p * p, q * q
+    power, total, k = (p << bits) // q, 0, 1
+    while power:
+        total += power // k
+        power, k = power * p2 // q2, k + 2
+    return total
+
+
+def _logs(keys, den: int, bits: int) -> dict[int, int]:
+    """2**bits * ln(k / den), within 2**9 * (2**11 + len(keys)) units, for
+    each positive k of ``keys``, with ``den`` a power of two. In ascending
+    order, x = k / den takes ln(x - 1) + 2 atanh(1 / (2x - 1)) when
+    ln(x - 1) is known and x - 1 >= 1 (adding under 2**9 units), and else
+    e ln 2 + 2 atanh((y - 1) / (y + 1)) for x = 2**e * y, y in [1, 2)
+    (under 2**20 units, as |e| < 1100)."""
+    ln2, logs = 2 * _atanh(1, 3, bits), {}
+    for k in sorted(keys):
+        if k >= 2 * den and k - den in logs:
+            logs[k] = logs[k - den] + 2 * _atanh(den, 2 * k - den, bits)
+        else:
+            e = k.bit_length() - den.bit_length()
+            top, bottom = (k, den << e) if e >= 0 else (k << -e, den)
+            logs[k] = e * ln2 + 2 * _atanh(top - bottom, top + bottom, bits)
+    return logs
+
+
+def _cells(stats, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(2, 4, pairs) int64 counts of pairs (i[k], j[k]) per class in cells
+    (x_i, x_j) = 00, 01, 10, 11, from per-class (Gram, column sums, rows)."""
+    out = np.empty((2, 4, i.shape[0]), dtype=np.int64)
+    flat = i * stats[0][0].shape[1] + j  # gram[i, j] of a C-ordered Gram matrix
+    for (gram, ones, total), (n00, n01, n10, n11) in zip(stats, out):
+        np.take(gram, flat, out=n11)
+        ones_i = ones[i]
+        np.subtract(ones_i, n11, out=n10)
+        np.subtract(ones[j], n11, out=n01)
+        np.subtract(total, ones_i, out=ones_i)
+        np.subtract(ones_i, n01, out=n00)
+    return out
+
+
+def _limbs(values) -> np.ndarray:
+    """(2, len) int64 limbs (hi, lo) of fixed-point integers."""
+    mask = (1 << _LIMB) - 1
+    return np.array([[v >> _LIMB for v in values], [v & mask for v in values]], dtype=np.int64)
+
+
+def _tables(stats, n: int, smoothing: float, cell_counts):
+    """Limbs of the entries 2**_BITS * T(x) / N', each rounded to within
+    half a unit and with under a quarter unit of log error: T(c + s) for the
+    counts c of ``cell_counts`` (zero at other counts up to the largest
+    class), -A_f for each feature f, and the class terms summed."""
+    a, den = smoothing.as_integer_ratio()  # s = a / den
+    totals = [total for _, _, total in stats]
+    margins = {int(c) for _, ones, total in stats for c in np.concatenate([ones, total - ones])}
+    keys = {c * den + a for c in cell_counts} | {t * den + 4 * a for t in totals}
+    keys = (keys | {c * den + 2 * a for c in margins}) - {0}  # T(0) = 0
+    extra = 11 + (len(keys) + 2048).bit_length()
+    logs, unit = _logs(keys, den, _BITS + extra), (n * den + 8 * a) << extra
+
+    def entry(k: int) -> int:  # x / N' = k / (N den + 8a) for x = k / den
+        return (2 * k * logs[k] + unit) // (2 * unit) if k else 0
+
+    cells, margin = [0] * (max(totals) + 1), [0] * (max(totals) + 1)
+    for c in cell_counts:
+        cells[c] = entry(c * den + a)
+    for c in margins:
+        margin[c] = entry(c * den + 2 * a)
+    margin = _limbs(margin)
+    feature = -sum(margin[:, ones] + margin[:, total - ones] for _, ones, total in stats)
+    return _limbs(cells), feature, _limbs([sum(entry(t * den + 4 * a) for t in totals)])
+
+
+def _scores(stats, n: int, smoothing: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The correctly rounded CMI of each pair (i[k], j[k]) over per-class
+    ``stats`` of ``n`` instances, as float64."""
     if n == 0 and smoothing == 0:
         raise DegenerateDistribution("no instances and no smoothing")
-    d = slices.shape[0]
-    p = ((slices + smoothing) / (float(n) + 8.0 * smoothing)).reshape(d, 2, 2)
-    p_y = _exact_sums(p.reshape(d, 4).T).reshape(d, 1, 1)
-    p_iy = p[:, :, :1] + p[:, :, 1:]
-    p_jy = p[:, :1, :] + p[:, 1:, :]
-    num, den = p * p_y, p_iy * p_jy
-    live = p != 0.0
-    # A tiny positive smoothing can underflow a product of a live cell to 0,
-    # which would score the pair inf (or fail the log).
-    if np.any(live & ((num == 0.0) | (den == 0.0))):
-        raise DegenerateDistribution(f"smoothing {smoothing!r} underflows the probabilities")
-    # Zero-probability cells contribute nothing: their ratio stays 1, log 0.
-    ratio = np.divide(num, den, out=np.ones_like(p), where=live)
-    logs = _each(math.log, ratio.ravel()).reshape(p.shape)
-    return (p * logs).reshape(d, 4)
+    # Every count up to the largest class when the pairs are many enough to
+    # meet most of them, else only the counts they have.
+    top = max(total for _, _, total in stats)
+    needed = np.unique(_cells(stats, i, j)).tolist() if 8 * len(i) <= top else range(top + 1)
+    cells, feature, constant = _tables(stats, n, smoothing, needed)
+    scores, loose = np.empty(i.shape[0], dtype=np.float64), []
+    for start in range(0, i.shape[0], _BLOCK):
+        a, b = i[start : start + _BLOCK], j[start : start + _BLOCK]
+        counts = _cells(stats, a, b).reshape(8, -1)
+        hi, lo = (cells[k][counts].sum(axis=0) + feature[k][a] + feature[k][b] + constant[k]
+                  for k in (0, 1))
+        hi += lo >> _LIMB
+        lo &= (1 << _LIMB) - 1
+        # hi * 2**52 + lo = whole + rest exactly, rounded to total with exact
+        # error (Fast2Sum: |whole| >= 2**52 > rest, or whole = 0). Certified
+        # when the exact sum, within |error| + 18 units, lies inside total's
+        # rounding interval (the narrower half-gap, below; the factor covers
+        # the bound's rounding).
+        whole, rest = hi * 2.0**_LIMB, lo.astype(np.float64)
+        total = whole + rest
+        bound = (np.abs(rest - (total - whole)) + _PAIR_ERROR) * (2.0 + 2.0**-39)
+        certified = (total > 0.0) & (bound < total - np.nextafter(total, 0.0))
+        scores[start : start + _BLOCK] = total * 2.0**-_BITS
+        loose.append(start + np.flatnonzero(~certified))
+    loose = np.concatenate(loose)
+    slices = np.moveaxis(_cells(stats, i[loose], j[loose]), 2, 0).tolist()
+    for k, classes in zip(loose.tolist(), slices):
+        scores[k] = _exact_score(classes, n, smoothing)
+    return scores
 
 
-def _distinct_slices(
-    gram: np.ndarray, ones: np.ndarray, total: int, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (d, 4) slices of one class over pairs (i[k], j[k]), in the
-    cell order of ``_slice_terms``, and the index of each pair's slice."""
-    # A pair's slice is fixed by n11 and its two column sums. Swapping i and j
-    # only permutes the slice's four terms, bit for bit, and the pair sum is
-    # exactly rounded, so the column sums are taken unordered: the key is
-    # n11 * k**2 + min(r_i, r_j) * k + max(r_i, r_j), where r ranks the column
-    # sums among their k distinct values, and a pair whose r_i > r_j gets the
-    # slice of (j, i). As k <= min(n_features, n_y + 1), the key is below
-    # (n_y + 1) * k**2 <= ((n_y + 1) * n_features) ** 1.5: it can wrap int64
-    # only if (n_y + 1) * n_features >= 2**42, and the float copy of the
-    # class's rows that its Gram matrix came from would then take 35 TB.
-    sums, rank = np.unique(ones, return_inverse=True)
-    k = sums.shape[0]
-    # Built in place as n11 * k**2 + r_i + r_j + min(r_i, r_j) * (k - 1), and
-    # only the key outlives this: np.unique's working copies set the peak.
-    low, high = rank[i], rank[j]
-    key = gram[i, j] * (k * k)
-    key += low
-    key += high
-    np.minimum(low, high, out=low)
-    low *= k - 1
-    key += low
-    del low, high
-    key, index = np.unique(key, return_inverse=True)
-    n11, ones_i, ones_j = key // (k * k), sums[key // k % k], sums[key % k]
-    slices = np.stack([total - ones_i - ones_j + n11, ones_j - n11, ones_i - n11, n11], axis=1)
-    return slices, index
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = fl(a + b) and the exact error a + b - s (Knuth's TwoSum)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
-def _vec_sum(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's sum over ``columns`` (m >= 2 equal-length 1-d float64
-    arrays) as (r, rho, q_abs): the exact sum is r + rho + sum(q), where
-    r = fl(sigma + e), rho is its exact residual and q_abs = sum |q| in
-    floating point, which is 0 exactly when every q is 0.
-
-    Two VecSum cascades (Ogita, Rump and Oishi 2005) run in lockstep: the
-    first leaves the running sum sigma and the exact error of each step, the
-    second folds those errors into e and second-level errors q, so a row's
-    exact sum is sigma + e + sum(q). This holds while no step overflows; one
-    that does leaves r or q_abs infinite or NaN.
-    """
-    columns = iter(columns)
-    sigma, e = _two_sum(next(columns), next(columns))
-    q_abs = np.zeros_like(sigma)
-    for x in columns:
-        sigma, err = _two_sum(sigma, x)
-        e, q = _two_sum(e, err)
-        q_abs += np.abs(q)
-    r, rho = _two_sum(sigma, e)
-    return r, rho, q_abs
-
-
-def _slice_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row of the (d, 4) slice ``terms`` summed once, as (hi, lo, exact).
-    Where ``exact`` (every q of ``_vec_sum`` was 0, and hi is finite),
-    hi + lo is the row's exact sum: hi is its correct rounding and lo the
-    exact residual. Elsewhere hi and lo are not to be used."""
-    hi, lo, q_abs = _vec_sum(terms.T)
-    return hi, lo, (q_abs == 0.0) & (np.abs(hi) < math.inf)
-
-
-def _exact_sums(columns) -> np.ndarray:
-    """Each row's correctly rounded sum over ``columns`` (m >= 2 equal-length
-    1-d float64 arrays), bit for bit what ``math.fsum`` returns for the row.
-
-    ``_vec_sum`` gives the exact sum as r + rho + sum(q). A row is certified
-    when every q is 0 (then r is the IEEE round-half-even of the exact sum,
-    which is fsum's rounding), or when a bound on |rho + sum(q)| is below
-    half the gap from |r| to the next double toward zero (then r is the only
-    double that close, and no tie is possible). The bound sums |q| in
-    floating point and inflates it by the (2m u) error of that sum and a
-    further 2**-40 for the two roundings of the bound itself. Other rows fall
-    back to ``math.fsum``, as do rows whose r is zero (fsum, not IEEE
-    addition, picks the sign of a zero sum) or not finite (fsum decides
-    whether to raise).
-    Only element-wise IEEE operations are used, so the bits do not depend on
-    the CPU or the order of the rows.
-    """
-    columns = list(columns)
-    m = len(columns)
-    r, rho, q_abs = _vec_sum(columns)
-    magnitude = np.abs(r)
-    gap = magnitude - np.nextafter(magnitude, 0.0)
-    bound = (np.abs(rho) + q_abs * (1.0 + 2.0 * m * 2.0**-53)) * (1.0 + 2.0**-40)
-    certified = (q_abs == 0.0) | (bound + bound < gap)
-    certified &= (magnitude > 0.0) & (magnitude < math.inf)
-    fallback = np.flatnonzero(~certified)
-    if fallback.size:
-        r[fallback] = _each(math.fsum, np.stack([c[fallback] for c in columns], axis=1))
-    return r
-
-
-def _each(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each element (1-d) or each row (2-d) of ``a``."""
-    return np.fromiter(map(fn, a.tolist()), np.float64, a.shape[0])
+def _exact_score(classes, n: int, smoothing: float) -> float:
+    """The correctly rounded CMI of one pair's per-class cells (00, 01, 10,
+    11): +0.0 if every class slice factorises in exact rationals, else the
+    count form in ``decimal`` at doubling precision until its rounding is
+    certain. At p digits each x = c + ms, ``Decimal.ln`` (correctly rounded),
+    product and sum err by half a unit in the p-th digit: the sum by under
+    10.5 * 10**(1 - p) times the sum of x (|ln x| + 2), which the slack covers
+    10**4-fold. Doubling ends, as a nonzero linear form in logs of rationals
+    is transcendental (Baker's theorem) and so no rounding boundary."""
+    a, den = smoothing.as_integer_ratio()
+    if all((c00 * den + a) * (c11 * den + a) == (c01 * den + a) * (c10 * den + a)
+           for c00, c01, c10, c11 in classes):
+        return 0.0
+    s, digits = decimal.Decimal(smoothing), 40
+    while True:
+        # Context methods only: Decimal operators round to the thread's context.
+        ctx = decimal.Context(prec=digits)
+        total = weight = decimal.Decimal(0)
+        for c00, c01, c10, c11 in classes:
+            rows, cols = (c00 + c01, c10 + c11), (c00 + c10, c01 + c11)
+            terms = [(c, 1, ctx.add) for c in (c00, c01, c10, c11)] + [(sum(rows), 4, ctx.add)]
+            for c, m, add in terms + [(c, 2, ctx.subtract) for c in rows + cols]:
+                x = ctx.add(c, ctx.multiply(m, s))
+                if x:
+                    ln = x.ln(ctx)
+                    total = add(total, ctx.multiply(x, ln))
+                    weight = ctx.add(weight, ctx.multiply(x, ctx.add(ctx.abs(ln), 2)))
+        scale = ctx.add(n, ctx.multiply(8, s))
+        value = ctx.divide(total, scale)
+        slack = ctx.divide(ctx.multiply(weight, ctx.scaleb(1, 5 - digits)), scale)
+        low, high = float(ctx.subtract(value, slack)), float(ctx.add(value, slack))
+        if low == high:
+            return high
+        digits *= 2
 
 
 def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
-    """Conditional mutual information estimate from smoothed counts."""
+    """Conditional mutual information estimate from smoothed counts,
+    correctly rounded: ``rank_edges``'s kernel on this one table."""
     smoothing = check_smoothing(smoothing)
-    slices = np.moveaxis(counts.table, 2, 0).reshape(2, 4)
-    return math.fsum(_slice_terms(slices, int(counts.n), smoothing).ravel().tolist())
+    stats = []
+    for t in np.moveaxis(counts.table, 2, 0):  # per class, [x_i, x_j]
+        ones = np.array([t[1].sum(), t[:, 1].sum()], dtype=np.int64)
+        gram = np.array([[ones[0], t[1, 1]], [t[1, 1], ones[1]]], dtype=np.int64)
+        stats.append((gram, ones, int(t.sum())))
+    pair = np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
+    return float(_scores(stats, int(counts.n), smoothing, *pair)[0])
 
 
 def _first_chunk(n_features: int) -> int:
@@ -348,24 +362,7 @@ def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _Rank
     # triu_indices yields the pairs in ascending (i, j) order, which is the
     # order _RankedPairs breaks exact ties by.
     i, j = np.triu_indices(n, 1)
-    classes = []
-    for gram, ones, total in ds._class_stats:
-        slices, index = _distinct_slices(gram, ones, total, i, j)
-        terms = _slice_terms(slices, ds.n_instances, smoothing)
-        classes.append((terms, *_slice_sums(terms), index))
-    (terms0, hi0, lo0, exact0, index0), (terms1, hi1, lo1, exact1, index1) = classes
-    # Each pair sums its two slices' (hi, lo): the same exact sum as its
-    # eight terms, so the same correctly rounded score.
-    scores = np.empty(i.shape[0])
-    for start in range(0, i.shape[0], _BLOCK):
-        a, b = index0[start : start + _BLOCK], index1[start : start + _BLOCK]
-        scores[start : start + _BLOCK] = _exact_sums([hi0[a], lo0[a], hi1[b], lo1[b]])
-    # A pair with a slice whose (hi, lo) is not exact takes fsum over its
-    # eight terms instead.
-    inexact = np.flatnonzero(~exact0[index0] | ~exact1[index1])
-    if inexact.size:
-        rows = np.hstack([terms0[index0[inexact]], terms1[index1[inexact]]])
-        scores[inexact] = _each(math.fsum, rows)
+    scores = _scores(ds._class_stats, ds.n_instances, smoothing, i, j)
     return _RankedPairs(i, j, scores, _first_chunk(n))
 
 

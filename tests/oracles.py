@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the library against.
 
-``cmi_reference`` and ``rank_edges_reference`` score one pair at a time with
-scalar arithmetic; the block kernel in ``hietan.mutual_info`` must reproduce
-them bit for bit. ``fit_reference`` counts each CPT by a per-feature scan of
+``cmi_reference`` and ``rank_edges_reference`` score one pair at a time by
+the probability form of the CMI, with exact rational probabilities and
+80-digit Decimal logarithms, rounded once; the fixed-point count form in
+``hietan.mutual_info`` must reproduce them bit for bit. ``fit_reference``
+counts each CPT by a per-feature scan of
 the rows; ``hietan.bayes.fit`` gathers the same counts from the dataset's
 per-class statistics and must reproduce it bit for bit. ``predict_reference``
 sums one scalar log per feature and class; ``hietan.bayes.predict`` and
@@ -34,9 +36,12 @@ errors. ``save_dataset_reference`` formats one row at a time, and
 ``save_dataset`` must write the same bytes.
 """
 
+import decimal
+import functools
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -109,62 +114,86 @@ def joint_counts(ds: Dataset, i: int, j: int) -> JointCounts:
     return JointCounts(table, ds.n_instances)
 
 
+# Digits of the Decimal reference. At Decimal's default 28 digits the
+# probability form of an exactly independent table came out negative.
+REFERENCE_DIGITS = 80
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_log(r: Fraction) -> decimal.Decimal:
+    """ln r to REFERENCE_DIGITS significant digits for an exact positive
+    rational r. Near 1 it sums the series of 2 atanh((r - 1) / (r + 1)),
+    as ``Decimal.ln`` of r rounded to REFERENCE_DIGITS digits would lose the
+    digits of r - 1."""
+    ctx = decimal.Context(prec=REFERENCE_DIGITS + 5)
+    z = (r - 1) / (r + 1)
+    if abs(z) > Fraction(1, 10):
+        return ctx.divide(r.numerator, r.denominator).ln(ctx)
+    with decimal.localcontext(ctx):
+        z = decimal.Decimal(z.numerator) / z.denominator
+        total, power, k = decimal.Decimal(0), z, 1
+        while power and abs(power) >= abs(total).scaleb(-REFERENCE_DIGITS - 5):
+            total += power / k
+            power, k = power * z * z, k + 2
+        return 2 * total
+
+
+@functools.lru_cache(maxsize=None)
+def _class_part(cells: tuple[int, int, int, int], n: int, smoothing: float) -> decimal.Decimal:
+    """One class's four terms p(a, b, y) ln(p(a, b | y) / (p(a | y) p(b | y)))
+    from its cells (a, b) = 00, 01, 10, 11, with exact rational
+    probabilities and REFERENCE_DIGITS-digit logarithms. A term whose ratio
+    is exactly 1 is exactly 0."""
+    s = Fraction(smoothing)
+    p = [[(cells[2 * a + b] + s) / (n + 8 * s) for b in (0, 1)] for a in (0, 1)]
+    p_y = sum(p[0]) + sum(p[1])
+    total = decimal.Decimal(0)
+    with decimal.localcontext(decimal.Context(prec=REFERENCE_DIGITS)):
+        for a in (0, 1):
+            for b in (0, 1):
+                p_ab, p_a, p_b = p[a][b], p[a][0] + p[a][1], p[0][b] + p[1][b]
+                if p_ab == 0 or p_ab * p_y == p_a * p_b:
+                    continue
+                ln = _reference_log(p_ab * p_y / (p_a * p_b))
+                total += decimal.Decimal(p_ab.numerator) / p_ab.denominator * ln
+    return total
+
+
 def cmi_reference(counts: JointCounts, smoothing: float = 1.0) -> float:
-    """Scalar conditional mutual information, one pair at a time."""
+    """Conditional mutual information in its probability form, from exact
+    rational probabilities and REFERENCE_DIGITS-digit Decimal logarithms,
+    rounded once to a double; independent of the count form the library
+    uses."""
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     n = int(counts.n)
     if n == 0 and smoothing == 0:
         raise DegenerateDistribution("no instances and no smoothing")
-    t = counts.table
-    denom = float(n) + 8.0 * float(smoothing)
-    p = [
-        [
-            [(float(t[xi, xj, y]) + smoothing) / denom for y in (0, 1)]
-            for xj in (0, 1)
-        ]
-        for xi in (0, 1)
+    t = counts.table.tolist()
+    parts = [
+        _class_part(tuple(t[a][b][y] for a in (0, 1) for b in (0, 1)), n, float(smoothing))
+        for y in (0, 1)
     ]
-    terms = []
-    for y in (0, 1):
-        p_y = math.fsum(p[xi][xj][y] for xi in (0, 1) for xj in (0, 1))
-        for xi in (0, 1):
-            p_iy = p[xi][0][y] + p[xi][1][y]
-            for xj in (0, 1):
-                p_joint = p[xi][xj][y]
-                if p_joint == 0.0:
-                    continue
-                p_jy = p[0][xj][y] + p[1][xj][y]
-                terms.append(p_joint * math.log(p_joint * p_y / (p_iy * p_jy)))
-    return math.fsum(terms)
+    with decimal.localcontext(decimal.Context(prec=REFERENCE_DIGITS)):
+        return float(parts[0] + parts[1])
 
 
 def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[tuple[int, int, float]]:
-    """Per-pair loop: one table, one scalar score and one (i, j, score)
-    triple per pair, sorted descending by score, then ascending by (i, j)."""
+    """Per-pair loop: one table, one ``cmi_reference`` score and one
+    (i, j, score) triple per pair, sorted descending by score, then
+    ascending by (i, j)."""
     n = ds.n_features
-    X = ds.values.astype(np.int64)
-    per_class = []
-    for y in (0, 1):
-        Xy = X[ds.labels == y]
-        per_class.append((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0]))
-
     out: list[tuple[int, int, float]] = []
-    table = np.empty((2, 2, 2), dtype=np.int64)
     for i in range(n - 1):
         for j in range(i + 1, n):
-            for y, (gram, ones, total) in enumerate(per_class):
-                n11 = int(gram[i, j])
-                n10 = int(ones[i]) - n11
-                n01 = int(ones[j]) - n11
-                table[1, 1, y] = n11
-                table[1, 0, y] = n10
-                table[0, 1, y] = n01
-                table[0, 0, y] = total - n11 - n10 - n01
-            counts = JointCounts(table.copy(), ds.n_instances)
-            out.append((i, j, cmi_reference(counts, smoothing)))
+            out.append((i, j, cmi_reference(joint_counts(ds, i, j), smoothing)))
     out.sort(key=lambda e: (-e[2], e[0], e[1]))
     return out
+
+
+def hierarchically_related(dag, a: int, b: int) -> bool:
+    """True iff one of the two features is an ancestor of the other."""
+    return dag.is_ancestor(a, b) or dag.is_ancestor(b, a)
 
 
 def tree_total_score(tree, edges) -> float:
@@ -326,7 +355,7 @@ def insert_constrained(sets: EdgeSets, dag, i: int, j: int, trace) -> bool:
     """Apply the constraint branches to one non-cycle-creating edge, with
     propagation to a fixpoint after every directed insertion. True iff the
     edge entered the working sets (directed or undirected)."""
-    if dag.hierarchically_related(i, j):
+    if hierarchically_related(dag, i, j):
         parent, child = (i, j) if dag.is_ancestor(i, j) else (j, i)
     elif sets.has_parent(i):
         parent, child = i, j
@@ -358,7 +387,7 @@ def relatives(dag, v: int, kind: str) -> tuple[int, ...]:
 def is_redundant_pair(dag, values, a: int, b: int) -> bool:
     """True iff the features are hierarchically related and carry the same
     value in this instance."""
-    return dag.hierarchically_related(a, b) and int(values[a]) == int(values[b])
+    return hierarchically_related(dag, a, b) and int(values[a]) == int(values[b])
 
 
 def deactivate_relatives(dag, values, active: list[bool], edge: tuple[int, int],

@@ -37,7 +37,13 @@ from golden import (
     GOLDEN_ORDER_7,
     golden_dataset,
 )
-from oracles import UnionFind, is_redundant_pair, joint_counts, tree_total_score
+from oracles import (
+    UnionFind,
+    hierarchically_related,
+    is_redundant_pair,
+    joint_counts,
+    tree_total_score,
+)
 
 
 def _report(number, name, ok):
@@ -209,7 +215,7 @@ def test_criterion_06_structural_invariant_suite():
             except ValueError:
                 violations += 1
             for p, c in tree.edges():
-                if dag.hierarchically_related(p, c) and not dag.is_ancestor(p, c):
+                if hierarchically_related(dag, p, c) and not dag.is_ancestor(p, c):
                     violations += 1
         if not {v for edge in lazy.edges() for v in edge} <= active:
             violations += 1

@@ -556,17 +556,18 @@ class TestSynth:
         assert paths[0] == paths[1]
 
 
-def test_underflowing_smoothing_is_an_error(tmp_path, capsys):
-    # A and B are 0 in every class-0 row, so smoothing 1e-200 underflows.
+def test_tiny_smoothing_runs(tmp_path):
+    # A and B are 0 in every class-0 row. Smoothing 1e-200 used to underflow
+    # the float probabilities of the ranking; the exact scores have no such
+    # limit, so cv runs.
     data = tmp_path / "data.csv"
     dag = tmp_path / "dag.tsv"
     data.write_text("A,B,class\n" + "0,0,0\n" * 12 + "1,0,1\n1,1,1\n0,1,1\n" * 4)
     dag.write_text("")
     out = tmp_path / "out.json"
     assert main(["cv", "--data", str(data), "--dag", str(dag), "--folds", "3",
-                 "--smoothing", "1e-200", "--out", str(out)]) == 1
-    assert "error: smoothing 1e-200 underflows" in capsys.readouterr().err
-    assert not out.exists()
+                 "--smoothing", "1e-200", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("command", ["cv", "train"])

@@ -13,7 +13,7 @@ from hietan.hierarchy import (
 )
 
 from conftest import A, B, C, D, E, F
-from oracles import relatives
+from oracles import hierarchically_related, relatives
 
 
 def bfs_ancestors(n, edges, v):
@@ -108,18 +108,18 @@ class TestQueries:
             canonical_dag.is_ancestor(0, 6)
 
     def test_hierarchically_related(self, canonical_dag):
-        assert not canonical_dag.hierarchically_related(C, A)
-        assert canonical_dag.hierarchically_related(F, C)
-        assert canonical_dag.hierarchically_related(C, F)
+        assert not hierarchically_related(canonical_dag, C, A)
+        assert hierarchically_related(canonical_dag, F, C)
+        assert hierarchically_related(canonical_dag, C, F)
         for v in range(6):
-            assert not canonical_dag.hierarchically_related(v, v)
+            assert not hierarchically_related(canonical_dag, v, v)
 
     def test_directions_follow_dag(self, canonical_dag):
         # The learners orient a related pair ancestor -> descendant.
         assert canonical_dag.is_ancestor(F, C) and not canonical_dag.is_ancestor(C, F)
         assert canonical_dag.is_ancestor(E, A) and not canonical_dag.is_ancestor(A, E)
         assert canonical_dag.is_ancestor(A, D) and not canonical_dag.is_ancestor(D, A)
-        assert not canonical_dag.hierarchically_related(A, C)
+        assert not hierarchically_related(canonical_dag, A, C)
 
     def test_related_lists_both_directions(self, canonical_dag):
         assert set(relatives(canonical_dag, C, "related")) == {F, E, D}

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 from collections import Counter
@@ -12,20 +13,14 @@ from hietan import mutual_info
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DegenerateDistribution, IndexOutOfRange
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import (
-    JointCounts,
-    _exact_sums,
-    _ranked_pairs,
-    _slice_sums,
-    cmi,
-    rank_edges,
-)
+from hietan.mutual_info import JointCounts, _ranked_pairs, cmi, rank_edges
 
 from conftest import C, D, E, F
-from golden import GOLDEN_ORDER_7, golden_dataset
+from golden import GOLDEN_ORDER_7, GOLDEN_SCORES_12, golden_dataset, golden_scores_dataset
 from oracles import cmi_reference, joint_counts, rank_edges_reference
 
 SWEEP_SMOOTHING = [0.0, 0.25, 0.7, 1.0, 3.0]
+EXACT_SMOOTHING = [0.0, 1e-3, 0.5, 1.0, 3.0]
 BAD_SMOOTHING = [-1.0, math.nan, math.inf]
 
 
@@ -78,7 +73,7 @@ def sweep_datasets():
 
 
 # Class 0 never has x_i = 1 or x_j = 1: under smoothing 1e-200, p_iy * p_jy
-# underflows to 0 in a live cell.
+# underflows to 0 in a live cell of float probabilities.
 UNDERFLOW_CELLS = [[[50, 0], [0, 0]], [[0, 25], [0, 25]]]
 
 
@@ -105,104 +100,6 @@ def tied_tables_dataset():
 def assert_same_scores(got, want):
     scores = np.array([s for _, _, s in got])
     assert scores.tobytes() == np.array([s for _, _, s in want]).tobytes()
-
-
-def assert_exact_sums(rows: np.ndarray):
-    """``_exact_sums`` over the columns of ``rows`` gives the bits of fsum."""
-    want = np.array([math.fsum(r) for r in rows.tolist()])
-    assert _exact_sums(list(rows.T)).view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-def hard_rows(rng, n, m):
-    """Rows of m floats built to stress exact summation: heavy cancellation,
-    dyadic halfway ties, magnitudes from 1e-300 to 1e300, zeros of both signs
-    and subnormals."""
-    kind = rng.integers(0, 5, n)
-    sign = rng.choice([-1.0, 1.0], (n, m))
-    rows = sign * rng.random((n, m)) * 10.0 ** rng.integers(-300, 300, (n, m))
-    big = rng.standard_normal((n, 1)) * 10.0 ** rng.integers(-30, 30, (n, 1))
-    cancel = np.concatenate(
-        [big, -big, big * sign[:, 2:] * 2.0 ** -rng.integers(40, 120, (n, m - 2))], axis=1
-    )
-    k = rng.integers(-900, 900, (n, 1)).astype(float)
-    tie = np.concatenate([
-        2.0 ** k,
-        sign[:, :1] * 2.0 ** (k - 53),
-        rng.choice([-1.0, 0.0, 1.0], (n, m - 2)) * 2.0 ** (k - rng.integers(54, 110, (n, m - 2))),
-    ], axis=1)
-    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308], (n, m))
-    tiny *= rng.integers(1, 4, (n, m))
-    for code, part in enumerate((cancel, tie, tiny), start=1):
-        rows[kind == code] = part[kind == code]
-    # Shuffle within rows so the large and tied terms are not always first.
-    return rng.permuted(rows, axis=1)
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The rows ``_exact_sums`` hands to ``math.fsum``."""
-    rows, each = [], mutual_info._each
-
-    def recording(fn, a):
-        if fn is math.fsum:
-            rows.extend(a.tolist())
-        return each(fn, a)
-
-    monkeypatch.setattr(mutual_info, "_each", recording)
-    return rows
-
-
-class TestExactSums:
-    @settings(max_examples=300, derandomize=True)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                              min_value=-1e300, max_value=1e300),
-                    min_size=2, max_size=8))
-    def test_matches_fsum(self, row):
-        assert_exact_sums(np.array([row]))
-
-    @pytest.mark.parametrize("m", range(2, 9))
-    def test_matches_fsum_on_hard_rows(self, m, fallbacks):
-        rows = hard_rows(np.random.default_rng(100 + m), 20_000, m)
-        assert_exact_sums(rows)
-        # Both branches ran: most rows certified, some sent to fsum.
-        assert 0 < len(fallbacks) < rows.shape[0] // 2
-
-    def test_uncertified_row_falls_back(self, fallbacks):
-        # Round-half-even of 1 + 2**-53 gives 1.0, so a double-double sum
-        # (1.0, 2**-53) rounds to 1.0; the 2**-106 breaks the tie upward.
-        row = [1.0, 2.0**-53, 2.0**-106]
-        assert (1.0 + 2.0**-53) + 2.0**-106 == 1.0
-        got = _exact_sums([np.array([x]) for x in row])
-        assert fallbacks == [row]
-        assert got.tolist() == [1.0000000000000002] == [math.fsum(row)]
-
-
-def slice_rows():
-    """Rows of four floats: any magnitude up to 1e+-300, subnormals, and a
-    large term cancelled by its negation, in any order."""
-    wide = st.floats(min_value=-1e300, max_value=1e300)
-    tiny = st.floats(min_value=-1e-300, max_value=1e-300)
-    term = st.one_of(wide, tiny)
-    cancel = st.tuples(wide, term, term).map(lambda t: [t[0], t[1], -t[0], t[2]])
-    return st.one_of(st.lists(term, min_size=4, max_size=4), cancel).flatmap(st.permutations)
-
-
-class TestSliceSums:
-    def test_exact_rows_sum_exactly(self):
-        seen = set()
-
-        @settings(max_examples=300, derandomize=True)
-        @given(st.lists(slice_rows(), min_size=1, max_size=30))
-        def check(rows):
-            hi, lo, exact = _slice_sums(np.array(rows))
-            for row, h, l, e in zip(rows, hi.tolist(), lo.tolist(), exact.tolist()):
-                seen.add(e)
-                if e:
-                    assert Fraction(h) + Fraction(l) == sum(map(Fraction, row))
-                    assert h == math.fsum(row)
-
-        check()
-        assert seen == {True, False}
 
 
 class TestJointCounts:
@@ -309,14 +206,29 @@ class TestCmi:
         with pytest.raises(ValueError, match="smoothing"):
             cmi(counts, smoothing)
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.integers(0, 300), min_size=8, max_size=8),
+           st.sampled_from(EXACT_SMOOTHING))
+    def test_matches_decimal_reference(self, cells, smoothing):
+        counts = JointCounts(np.array(cells).reshape(2, 2, 2), sum(cells))
+        if counts.n == 0 and smoothing == 0.0:
+            return
+        got = cmi(counts, smoothing)
+        assert got.hex() == cmi_reference(counts, smoothing).hex()
+        # Exactly symmetric: swapping the two features transposes each slice.
+        swapped = JointCounts(counts.table.transpose(1, 0, 2), counts.n)
+        assert cmi(swapped, smoothing).hex() == got.hex()
+
     @pytest.mark.parametrize("cells, smoothing", [
         (UNDERFLOW_CELLS, 1e-200),
         # Class 1 holds 2 of 100 rows: p * p_y underflows in its empty cells.
         ([[[49, 0], [0, 1]], [[0, 1], [49, 0]]], 1e-320),
     ])
-    def test_underflowing_smoothing_is_degenerate(self, cells, smoothing):
-        with pytest.raises(DegenerateDistribution, match="underflow"):
-            cmi(JointCounts(np.array(cells), 100), smoothing)
+    def test_underflowing_smoothing_matches_reference(self, cells, smoothing):
+        # Float probabilities underflow here; the exact score does not.
+        counts = JointCounts(np.array(cells), 100)
+        got = cmi(counts, smoothing)
+        assert 0.0 < got == cmi_reference(counts, smoothing)
 
     def test_exact_conditional_independence_gives_zero(self):
         # counts[a, b, c] = row_c[a] * col_c[b] is exactly product-form per class
@@ -326,7 +238,22 @@ class TestCmi:
                 for b in (0, 1):
                     table[a, b, c] = row[a] * col[b]
         counts = JointCounts(table, int(table.sum()))
-        assert abs(cmi(counts, smoothing=0.0)) < 1e-12
+        assert cmi(counts, smoothing=0.0).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("slices, smoothing", [
+        # Per class, cells 00, 01, 10, 11 with (c00 + s)(c11 + s) =
+        # (c01 + s)(c10 + s) exactly.
+        ([[3, 7, 5, 11], [1, 5, 2, 8]], 1.0),
+        ([[1, 4, 2, 7], [0, 2, 1, 7]], 0.5),
+        ([[9, 0, 0, 0], [0, 0, 0, 0]], 0.0),
+        ([[4, 4, 4, 4], [2, 2, 2, 2]], 1e-3),
+    ])
+    def test_factorising_tables_score_positive_zero(self, slices, smoothing, monkeypatch):
+        table = np.array(slices).reshape(2, 2, 2).transpose(1, 2, 0)
+        counts = JointCounts(table, int(table.sum()))
+        assert counts.table[1, 0, 0] == slices[0][2]
+        monkeypatch.setattr(mutual_info, "decimal", None)  # never reached
+        assert cmi(counts, smoothing).hex() == "0x0.0p+0"
 
 
 class TestRankEdges:
@@ -412,13 +339,13 @@ class TestRankEdges:
         tied = [(i, j) for i, j, s in edges if s == score[(0, 1)]]
         assert tied == sorted(tied) and {(0, 1), (2, 3)} <= set(tied)
 
-    def test_underflowing_smoothing_is_degenerate(self):
+    def test_underflowing_smoothing_matches_reference(self):
         code = np.arange(8).reshape(2, 2, 2)
         rows = np.repeat(code.ravel(), np.array(UNDERFLOW_CELLS).ravel())
         values = np.stack([rows // 4, rows // 2 % 2], axis=1).astype(np.uint8)
         ds = Dataset(values, (rows % 2).astype(np.uint8))
-        with pytest.raises(DegenerateDistribution, match="underflow"):
-            rank_edges(ds, build_dag(2, []), 1e-200)
+        got = rank_edges(ds, build_dag(2, []), 1e-200)
+        assert got == rank_edges_reference(ds, 1e-200) and got[0][2] > 0.0
 
     @pytest.mark.parametrize("smoothing", BAD_SMOOTHING)
     def test_rejects_bad_smoothing(self, canonical_dag, smoothing):
@@ -426,61 +353,125 @@ class TestRankEdges:
         with pytest.raises(ValueError, match="smoothing"):
             rank_edges(ds, canonical_dag, smoothing)
 
+    def test_golden_scores(self):
+        # Bits of the exact scores, pinned so that every platform must give
+        # them: no score depends on the C library's log.
+        ds = golden_scores_dataset()
+        got = _ranked_pairs(ds, build_dag(12, []), 1.0)._scores
+        assert [x.hex() for x in got.tolist()] == GOLDEN_SCORES_12
+        want = [cmi_reference(joint_counts(ds, i, j), 1.0).hex()
+                for i in range(12) for j in range(i + 1, 12)]
+        assert want == GOLDEN_SCORES_12
+
+
+def record_exact_scores(monkeypatch):
+    """Wrap ``mutual_info._exact_score``, the path of pairs the fixed-point
+    sum cannot certify, and return the list its results go to."""
+    results, exact_score = [], mutual_info._exact_score
+
+    def recording(*args):
+        results.append(exact_score(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mutual_info, "_exact_score", recording)
+    return results
+
+
+def factorises(slices, smoothing):
+    """Every class slice (c00, c01, c10, c11) satisfies (c00 + s)(c11 + s) =
+    (c01 + s)(c10 + s) in exact rationals."""
+    s = Fraction(smoothing)
+    return all((a + s) * (d + s) == (b + s) * (c + s) for a, b, c, d in slices)
+
+
+def slices_of(ds, i, j):
+    t = joint_counts(ds, i, j).table
+    return [[t[0, 0, y], t[0, 1, y], t[1, 0, y], t[1, 1, y]] for y in (0, 1)]
+
+
+class TestBranches:
+    """Each pair is certified from the fixed-point sum, or found exactly
+    independent, or scored in Decimal; every branch gives the reference's
+    bits."""
+
     @pytest.mark.parametrize("smoothing", [0.0, 1.0])
-    def test_inexact_slices_fall_back_to_fsum(self, smoothing, monkeypatch, fallbacks):
-        # Half the slices, drawn by a seeded coin, are marked inexact and get
-        # a NaN (hi, lo), so their pairs' scores must come from fsum alone.
-        rng = np.random.default_rng(29)
-        sums = mutual_info._slice_sums
-        marked = []
-
-        def half_inexact(terms):
-            hi, lo, exact = sums(terms)
-            assert exact.all()
-            off = rng.random(exact.shape[0]) < 0.5
-            marked.append(int(off.sum()))
-            return np.where(off, np.nan, hi), np.where(off, np.nan, lo), exact & ~off
-
-        monkeypatch.setattr(mutual_info, "_slice_sums", half_inexact)
-        monkeypatch.setattr(mutual_info, "_BLOCK", 500)
-        ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 120, 0.3, 0.05, 11)
-        got = _ranked_pairs(ds, build_dag(60, []), smoothing).tolist()
+    def test_certified_unless_exactly_independent(self, smoothing, monkeypatch):
+        ds = tie_heavy_dataset()
         want = rank_edges_reference(ds, smoothing)
+        exact = record_exact_scores(monkeypatch)
+        monkeypatch.setattr(mutual_info, "decimal", None)  # Decimal is never reached
+        got = rank_edges(ds, build_dag(16, []), smoothing)
         assert got == want
         assert_same_scores(got, want)
-        assert len(marked) == 2 and min(marked) > 0
-        eight = sum(len(row) == 8 for row in fallbacks)
-        assert 0 < eight < len(want)
+        independent = [(i, j) for i, j, _ in got if factorises(slices_of(ds, i, j), smoothing)]
+        # Only the exactly independent pairs leave the certified path, and
+        # they score +0.0.
+        assert len(exact) == len(independent) and not any(exact)
+        assert {(i, j, 0.0) for i, j in independent} <= set(got)
+        assert all(math.copysign(1.0, s) == 1.0 for _, _, s in got)
+        if smoothing == 0.0:
+            assert len(independent) > 20
+        else:
+            assert not independent
 
-    def test_swapped_column_sums_share_a_slice(self, monkeypatch):
-        ds = random_dataset(np.random.default_rng(8), 14, 16)
-        n = ds.n_features
-        ordered, unordered = [], []
-        for y in (0, 1):
-            X = ds.values[ds.labels == y].astype(np.int64)
-            ones, gram = X.sum(axis=0), X.T @ X
-            pairs = [(gram[i, j], ones[i], ones[j]) for i in range(n) for j in range(i + 1, n)]
-            ordered.append(len(set(pairs)))
-            unordered.append(len({(n11, frozenset((a, b))) for n11, a, b in pairs}))
-        # Some pairs share n11 and carry each other's column sums swapped.
-        assert ordered[0] > unordered[0] and ordered[1] > unordered[1]
-        distinct = mutual_info._distinct_slices
-        counted = []
+    @pytest.mark.parametrize("smoothing", EXACT_SMOOTHING)
+    def test_uncertified_pairs_fall_back_to_decimal(self, smoothing, monkeypatch):
+        # A bound no sum can meet sends every pair to the exact path: exactly
+        # independent pairs score +0.0, all others come from Decimal.
+        ds = tie_heavy_dataset()
+        ds = Dataset(ds.values[:, 4:12], ds.labels)
+        want = rank_edges_reference(ds, smoothing)
+        monkeypatch.setattr(mutual_info, "_PAIR_ERROR", 2.0**90)
+        exact = record_exact_scores(monkeypatch)
+        got = rank_edges(ds, build_dag(8, []), smoothing)
+        assert got == want
+        assert_same_scores(got, want)
+        assert len(exact) == len(want) and any(exact)
 
-        def counting(*args):
-            slices, index = distinct(*args)
-            counted.append(slices.shape[0])
-            return slices, index
+    def test_decimal_precision_grows_until_certain(self, monkeypatch):
+        # The first precision leaves the rounding open for this tiny score;
+        # the doubling loop settles it.
+        counts = JointCounts(np.array(UNDERFLOW_CELLS), 100)
+        want = cmi_reference(counts, 1e-200)
+        contexts = []
+        context = mutual_info.decimal.Context
 
-        monkeypatch.setattr(mutual_info, "_distinct_slices", counting)
-        for smoothing in (0.0, 1.0):
-            counted.clear()
-            got = rank_edges(ds, build_dag(n, []), smoothing)
-            assert counted == unordered
-            want = rank_edges_reference(ds, smoothing)
-            assert got == want
-            assert_same_scores(got, want)
+        def recording(prec):
+            contexts.append(prec)
+            return context(prec=prec)
 
+        monkeypatch.setattr(mutual_info.decimal, "Context", recording)
+        assert cmi(counts, 1e-200) == want
+        assert len(contexts) > 1 and contexts == sorted(contexts)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1e-3, 1.0, 1e-200, 1e300])
+    def test_table_entries_within_one_unit(self, smoothing):
+        # Every fixed-point entry is within one unit of 2**_BITS * T(x) / N',
+        # computed here in Decimal at 80 digits.
+        ds = random_dataset(np.random.default_rng(31), 70, 5)
+        stats, n = ds._class_stats, ds.n_instances
+        top = max(total for _, _, total in stats)
+        (cells_hi, cells_lo), (feature_hi, feature_lo), _ = mutual_info._tables(
+            stats, n, smoothing, range(top + 1)
+        )
+        ctx = decimal.Context(prec=80)
+        s = decimal.Decimal(smoothing)
+        scale = ctx.divide(2**mutual_info._BITS, ctx.add(n, ctx.multiply(8, s)))
+
+        def exact(c, m):
+            x = ctx.add(c, ctx.multiply(m, s))
+            return ctx.multiply(scale, ctx.multiply(x, x.ln(ctx))) if x else 0
+
+        limb = 2**mutual_info._LIMB
+        for c in range(top + 1):
+            entry = int(cells_hi[c]) * limb + int(cells_lo[c])
+            assert abs(entry - exact(c, 1)) < 1
+        for f in range(ds.n_features):
+            entry = int(feature_hi[f]) * limb + int(feature_lo[f])
+            with decimal.localcontext(ctx):
+                want = -sum(exact(c, 2) for _, ones, total in stats
+                            for c in (int(ones[f]), total - int(ones[f])))
+                assert abs(entry - want) < 4
 
 
 def tie_heavy_dataset():
