@@ -224,8 +224,9 @@ class TestCmi:
         # Class 1 holds 2 of 100 rows: p * p_y underflows in its empty cells.
         ([[[49, 0], [0, 1]], [[0, 1], [49, 0]]], 1e-320),
     ])
-    def test_underflowing_smoothing_matches_reference(self, cells, smoothing):
-        # Float probabilities underflow here; the exact score does not.
+    def test_underflowing_smoothing_is_degenerate(self, cells, smoothing):
+        # Degenerate only for float probabilities, which underflow here; the
+        # exact score does not, and gives the reference's bits.
         counts = JointCounts(np.array(cells), 100)
         got = cmi(counts, smoothing)
         assert 0.0 < got == cmi_reference(counts, smoothing)
@@ -339,7 +340,9 @@ class TestRankEdges:
         tied = [(i, j) for i, j, s in edges if s == score[(0, 1)]]
         assert tied == sorted(tied) and {(0, 1), (2, 3)} <= set(tied)
 
-    def test_underflowing_smoothing_matches_reference(self):
+    def test_underflowing_smoothing_is_degenerate(self):
+        # Float probabilities underflow on this dataset; the exact scores
+        # do not, and match the reference.
         code = np.arange(8).reshape(2, 2, 2)
         rows = np.repeat(code.ravel(), np.array(UNDERFLOW_CELLS).ravel())
         values = np.stack([rows // 4, rows // 2 % 2], axis=1).astype(np.uint8)
@@ -352,6 +355,41 @@ class TestRankEdges:
         ds = random_dataset(np.random.default_rng(3), 20, 6)
         with pytest.raises(ValueError, match="smoothing"):
             rank_edges(ds, canonical_dag, smoothing)
+
+    def test_swapped_column_sums_share_a_slice(self):
+        ds = random_dataset(np.random.default_rng(8), 14, 16)
+        n = ds.n_features
+        ordered, unordered, key, exact = [], [], {}, {}
+        for y in (0, 1):
+            X = ds.values[ds.labels == y].astype(np.int64)
+            ones, gram = X.sum(axis=0), X.T @ X
+            pairs = [(gram[i, j], ones[i], ones[j]) for i in range(n) for j in range(i + 1, n)]
+            ordered.append(len(set(pairs)))
+            unordered.append(len({(n11, frozenset((a, b))) for n11, a, b in pairs}))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    key.setdefault((i, j), []).append(
+                        (int(gram[i, j]), *sorted((int(ones[i]), int(ones[j])))))
+                    exact.setdefault((i, j), []).append(
+                        (int(gram[i, j]), int(ones[i]), int(ones[j])))
+        # Some pairs share n11 and carry each other's column sums swapped.
+        assert ordered[0] > unordered[0] and ordered[1] > unordered[1]
+        groups = {}
+        for pair, k in key.items():
+            groups.setdefault(tuple(k), []).append(pair)
+        shared = [g for g in groups.values() if len(g) > 1]
+        # Pairs grouped only through a swap: their slices differ as ordered.
+        assert any(len({tuple(exact[p]) for p in g}) > 1 for g in shared)
+        for smoothing in (0.0, 1.0):
+            got = rank_edges(ds, build_dag(n, []), smoothing)
+            want = rank_edges_reference(ds, smoothing)
+            assert got == want
+            assert_same_scores(got, want)
+            # Pairs whose class slices agree up to transposition share the
+            # score's bits.
+            score = {(i, j): s for i, j, s in got}
+            for group in shared:
+                assert len({score[p].hex() for p in group}) == 1
 
     def test_golden_scores(self):
         # Bits of the exact scores, pinned so that every platform must give
