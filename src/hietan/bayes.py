@@ -28,7 +28,7 @@ from .errors import (
     NonBinaryValue,
     ParseError,
 )
-from .mutual_info import check_smoothing
+from .mutual_info import _cells, check_smoothing
 from .tree import DependencyTree
 
 
@@ -161,8 +161,9 @@ def fit(
     # One gather from the dataset's cached statistics: (parent, f) tables, and
     # for a root the diagonal (f, f) table, whose copy axis sums out to (y, x).
     sources = [f if parent is None else parent for f, parent in zip(active, parents)]
-    tables = ds._pair_counts(np.array(sources, dtype=np.intp), np.array(active, dtype=np.intp))
-    counts = np.moveaxis(tables, 3, 1).astype(np.float64, order="C")  # (m, y, x_parent, x)
+    cells = _cells(ds._class_stats, np.array(sources, np.intp), np.array(active, np.intp))
+    counts = np.moveaxis(cells.reshape(2, 2, 2, -1), 3, 0)  # (m, y, x_parent, x)
+    counts = counts.astype(np.float64, order="C")
     parented = _safe_rows(counts, smoothing)
     roots = _safe_rows(counts.sum(axis=2), smoothing)
     parented.setflags(write=False)  # the CPTs below are views and inherit this
@@ -227,11 +228,12 @@ def _lazy_predict(
         root = source < 0
         source[root] = features[root]  # a root reads its own diagonal table
         cell = np.arange(features.size)
-        # The CPT row each cell selects, over (x_feature, y); a root's row is
+        # The CPT row each cell selects, over (y, x_feature); a root's row is
         # the diagonal's, whose mass is its count rather than the class total.
-        rows = train._pair_counts(source, features)[cell, X[at, source]]
-        count = rows[cell, X[at, features]]  # (cells, y)
-        mass = rows.sum(axis=1)
+        tables = _cells(train._class_stats, source, features).reshape(2, 2, 2, -1)
+        rows = tables[:, X[at, source], :, cell]
+        count = rows[cell, :, X[at, features]]  # (cells, y)
+        mass = rows.sum(axis=2)
         mass[root] = [total for _, _, total in train._class_stats]
         out = np.zeros((X.shape[0], X.shape[1] + 1, 2))
         out[:, 0] = prior

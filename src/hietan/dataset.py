@@ -100,20 +100,6 @@ class Dataset:
             stats.append((gram.astype(np.int64), ones.astype(np.int64), Xy.shape[0]))
         return tuple(stats)
 
-    def _pair_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """(m, 2, 2, 2) counts over (x_i, x_j, y) for index arrays ``i``,
-        ``j``; any order, and ``i == j`` gives a diagonal table."""
-        tables = np.empty((len(i), 2, 2, 2), dtype=np.int64)
-        for y, (gram, ones, total) in enumerate(self._class_stats):
-            n11 = gram[i, j]
-            n10 = ones[i] - n11
-            n01 = ones[j] - n11
-            tables[:, 1, 1, y] = n11
-            tables[:, 1, 0, y] = n10
-            tables[:, 0, 1, y] = n01
-            tables[:, 0, 0, y] = total - n11 - n10 - n01
-        return tables
-
 
 def _first_non_binary(a: np.ndarray) -> Optional[int]:
     """The flat (C-order) index of the first value of ``a`` that is not 0 or
@@ -134,46 +120,13 @@ def _binary_copy(array, what: str) -> np.ndarray:
     return np.array(a, dtype=np.uint8, order="C")
 
 
-# What ``str.isspace`` calls whitespace, and which of it ``str.splitlines``
-# ends a line at ("\r\n" is one break); a test checks both against Python.
+# What ``str.isspace`` calls whitespace; a test checks it against Python.
 _WHITESPACE = (
     "\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
     "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-_LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _whitespace_rules() -> tuple[bytes, tuple[tuple[bytes, bytes], ...]]:
-    """A ``bytes.translate`` table for one-byte whitespace, and (UTF-8 code,
-    replacement) pairs for the rest: a line break's last byte becomes b"\\n"
-    and every other whitespace byte b" ", so offsets stay those of the file."""
-    table = bytearray(range(256))
-    wide = []
-    for ch in _WHITESPACE:
-        code = ch.encode("utf-8")
-        repl = b" " * (len(code) - 1) + (b"\n" if ch in _LINE_BREAKS else b" ")
-        if len(code) == 1:
-            table[code[0]] = repl[0]
-        else:
-            wide.append((code, repl))
-    return bytes(table), tuple(wide)
-
-
-_ONE_BYTE_SPACES, _WIDE_SPACES = _whitespace_rules()
-
-
-def _normalise(data: bytes) -> bytes:
-    """``data`` with each line break's last byte turned into b"\\n" and all
-    other whitespace into b" ", ending in b"\\n". UTF-8 is self-synchronising,
-    so a multi-byte code only matches where that character is."""
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b" \n")
-    if not data.isascii():
-        for code, repl in _WIDE_SPACES:
-            data = data.replace(code, repl)
-    data = data.translate(_ONE_BYTE_SPACES)
-    # A last line without a break reads as if it had one.
-    return data if data.endswith(b"\n") else data + b"\n"
+# A ``str.translate`` table that deletes all whitespace but "\n".
+_NO_SPACE = dict.fromkeys(map(ord, _WHITESPACE.replace("\n", "")))
 
 
 # A body cell is a (token, separator) byte pair read as one little-endian
@@ -220,27 +173,9 @@ def _scan_rows(
     return (values, labels), None
 
 
-def _nth_true(mask: np.ndarray, k: int) -> int:
-    """The index of the k-th (from 0) True of ``mask``, found a block at a
-    time so that no index array as long as ``mask`` is made."""
-    block = 1 << 20
-    for start in range(0, mask.size, block):
-        part = mask[start : start + block]
-        count = int(np.count_nonzero(part))
-        if k < count:
-            return start + int(np.flatnonzero(part)[k])
-        k -= count
-    raise IndexError("mask has too few True values")
-
-
-def _line_error(path, data: bytes, norm: bytes, at: int, width: int) -> HieTanError:
-    """The error the grammar gives for the line of ``data`` holding byte
-    ``at``, phrased from that line alone; ``norm`` is ``_normalise(data)``."""
-    lineno = norm.count(b"\n", 0, at) + 1
-    first = norm.rfind(b"\n", 0, at) + 1
-    last = norm.find(b"\n", at) + 1
-    raw = data[first:last].decode("utf-8").splitlines()[0]
-    tokens = [t.strip() for t in raw.split(",")]
+def _line_error(path, line: str, lineno: int, width: int) -> HieTanError:
+    """The error the grammar gives for ``line``, line ``lineno`` of the file."""
+    tokens = [t.strip() for t in line.split(",")]
     if len(tokens) != width:
         return ParseError(
             f"{path}:{lineno}: expected {width} values, got {len(tokens)}", line=lineno
@@ -257,17 +192,17 @@ def _read_csv(path, class_required: bool):
     array by ``_scan_rows``, and only the first bad line, if any, is looked
     at as text. When the header's line ends at the file's first b"\\n", the
     raw body is scanned first: if it fits, it is the canonical form that
-    ``save_dataset`` writes, which ``_normalise`` would leave as it is, so
-    its table is the answer. Any other file is normalised, its spaces and
-    blank lines are dropped, and the same scan runs on what is left."""
+    ``save_dataset`` writes, and its table is the answer. Any other file is
+    split by ``str.splitlines``, its blank lines (those ``str.strip``
+    empties) are dropped, and the kept lines are joined by "\\n" with all
+    other whitespace deleted by ``str.translate``; that body is scanned the
+    same way, and a bad line is phrased from its own text."""
     data = read_utf8_bytes(path)
     cut = data.find(b"\n") + 1  # just past the header's line break, if it is b"\n"
     lines = data[:cut].decode("utf-8").splitlines()
-    norm = None
-    if len(lines) != 1:  # the header's line break is not the first b"\n"
-        norm = _normalise(data)
-        cut = norm.find(b"\n") + 1
-        lines = data[:cut].decode("utf-8").splitlines()
+    raw = len(lines) == 1  # the header's line ends at the first b"\n"
+    if not raw:
+        lines = data.decode("utf-8").splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: missing header row", line=1)
     header = [t.strip() for t in lines[0].split(",")]
@@ -281,24 +216,17 @@ def _read_csv(path, class_required: bool):
         raise ParseError(f"{path}: duplicate feature names in header", line=1)
     width = len(names) + labelled
 
-    if norm is None:
+    if raw:
         table, _ = _scan_rows(np.frombuffer(data, dtype=np.uint8)[cut:], width, labelled)
         if table is not None:
             return (tuple(names), *table)
-        norm = _normalise(data)
-    tight = norm.replace(b" ", b"")  # the same object when there is no whitespace
-    start = tight.find(b"\n") + 1
-    s = np.frombuffer(tight, dtype=np.uint8)[start:]
-    blank = s == ord("\n")  # a break that ends a line with nothing on it
-    blank[1:] &= s[:-1] == ord("\n")
-    kept = ~blank if blank.any() else None
-    del blank
-    table, bad = _scan_rows(s if kept is None else s[kept], width, labelled)
+        lines = data.decode("utf-8").splitlines()
+    kept = [k for k in range(1, len(lines)) if lines[k].strip()]
+    body = "\n".join([lines[k] for k in kept] + [""]).translate(_NO_SPACE).encode("utf-8")
+    table, bad = _scan_rows(np.frombuffer(body, dtype=np.uint8), width, labelled)
     if table is None:
-        if kept is not None:
-            bad = _nth_true(kept, bad)
-        at = _nth_true(np.frombuffer(norm, dtype=np.uint8) != ord(" "), start + bad)
-        raise _line_error(path, data, norm, at, width)
+        k = kept[body.count(b"\n", 0, bad)]
+        raise _line_error(path, lines[k], k + 1, width)
     return (tuple(names), *table)
 
 

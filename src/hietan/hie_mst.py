@@ -273,9 +273,10 @@ def hie_mst_lite(
     and the two learners consume the seed identically, so their outputs
     coincide edge for edge.
     """
-    values = _binary_copy(instance, "instance values").tolist()
-    if len(values) != n_features:
-        raise DimensionMismatch(f"instance has {len(values)} values, expected {n_features}")
+    values = _binary_copy(instance, "instance values")
+    if values.shape != (n_features,):
+        got = f"{values.size} values" if values.ndim == 1 else f"shape {values.shape}"
+        raise DimensionMismatch(f"instance has {got}, expected {n_features}")
     _check_inputs(edges, dag, n_features)
-    parent, active = _grow(edges, dag, seed, values, trace)
+    parent, active = _grow(edges, dag, seed, values.tolist(), trace)
     return _as_tree(parent), frozenset(f for f in range(n_features) if active[f])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hietan import dataset
 from hietan.dataset import (
     _BLOCK_CELLS,
-    _LINE_BREAKS,
     _WHITESPACE,
     _first_non_binary,
     _read_csv,
@@ -32,7 +31,7 @@ from hietan.errors import (
 )
 from hietan.bayes import fit
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import rank_edges
+from hietan.mutual_info import _cells, rank_edges
 from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F
@@ -321,31 +320,47 @@ class TestReaderMatchesReference:
             else:
                 assert f"{path}:42: " in outcome[1]
 
-    def test_canonical_file_is_not_normalised(self, tmp_path, monkeypatch):
-        def refuse(data):
-            raise AssertionError("a canonical file was normalised")
+    @staticmethod
+    def spy_on_scans(monkeypatch) -> list[tuple[bytes, bool]]:
+        """For every body ``_read_csv`` hands to ``_scan_rows``: its bytes,
+        and whether it is a view of the bytes read from the file."""
+        calls, files = [], []
+        scan, read = dataset._scan_rows, dataset.read_utf8_bytes
 
+        def read_spy(path):
+            files.append(read(path))
+            return files[-1]
+
+        def scan_spy(s, width, labelled):
+            own = np.shares_memory(s, np.frombuffer(files[-1], dtype=np.uint8))
+            calls.append((s.tobytes(), own))
+            return scan(s, width, labelled)
+
+        monkeypatch.setattr(dataset, "read_utf8_bytes", read_spy)
+        monkeypatch.setattr(dataset, "_scan_rows", scan_spy)
+        return calls
+
+    def test_canonical_file_is_not_normalised(self, tmp_path, monkeypatch):
+        calls = self.spy_on_scans(monkeypatch)
         path = tmp_path / "d.csv"
         path.write_text("a,b,class\n0,1,1\n1,1,0\n")
-        monkeypatch.setattr(dataset, "_normalise", refuse)
         names, values, labels = _read_csv(path, class_required=True)
         assert names == ("a", "b") and values.tolist() == [[0, 1], [1, 1]]
         assert labels.tolist() == [1, 0]
+        assert calls == [(b"0,1,1\n1,1,0\n", True)]  # one scan, of the file's own bytes
 
     def test_one_crlf_is_normalised(self, tmp_path, monkeypatch):
-        calls = []
-        normalise = dataset._normalise
-        monkeypatch.setattr(dataset, "_normalise", lambda data: calls.append(data) or normalise(data))
+        calls = self.spy_on_scans(monkeypatch)
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,b,class\n0,1,1\r\n1,1,0\n")
         names, values, labels = _read_csv(path, class_required=True)
         assert values.tolist() == [[0, 1], [1, 1]] and labels.tolist() == [1, 0]
-        assert calls == [path.read_bytes()]
+        # The raw scan fails, and the body rebuilt from the lines is scanned.
+        assert calls == [(b"0,1,1\r\n1,1,0\n", True), (b"0,1,1\n1,1,0\n", False)]
 
     def test_whitespace_and_breaks_are_pythons(self):
         chars = [chr(c) for c in range(0x110000)]
         assert set(_WHITESPACE) == {c for c in chars if c.isspace()}
-        assert set(_LINE_BREAKS) == {c for c in chars if len(f"a{c}b".splitlines()) == 2}
 
     @pytest.mark.parametrize("bad_row", [None, 19_990])
     def test_large_file_matches_reference(self, tmp_path, bad_row):
@@ -580,11 +595,11 @@ class TestPairCounts:
             # the pair table (f, f + n).
             twin = Dataset(np.hstack([values, values]), labels)
             i, j = (a.ravel() for a in np.indices((n, n)))
-            tables = ds._pair_counts(i, j)
-            assert tables.shape == (n * n, 2, 2, 2)
+            cells = _cells(ds._class_stats, i, j)
+            assert cells.shape == (2, 4, n * n)
             for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-                want = joint_counts(twin, a, b + n if a == b else b).table
-                assert tables[k].tolist() == want.tolist()
+                want = joint_counts(twin, a, b + n if a == b else b).table  # (x_i, x_j, y)
+                assert cells[:, :, k].tolist() == want.reshape(4, 2).T.tolist()
 
     def test_statistics_computed_once(self):
         rng = np.random.default_rng(2)

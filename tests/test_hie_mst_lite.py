@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,14 @@ class TestInstanceValues:
         dag = build_dag(3, [(0, 1)])
         with pytest.raises(DimensionMismatch, match="instance has 2 values, expected 3"):
             hie_mst_lite([(0, 1, 0.5)], dag, [1, 0], 3, 0)
+
+    @pytest.mark.parametrize("n, instance", [(1, [[1]]), (2, [[0, 1], [0, 1]])])
+    def test_rejects_a_2d_instance(self, n, instance):
+        dag = build_dag(n, [])
+        edges = [(0, 1, 0.5)] if n == 2 else []
+        want = f"instance has shape {np.shape(instance)}, expected {n}"
+        with pytest.raises(DimensionMismatch, match=re.escape(want)):
+            hie_mst_lite(edges, dag, instance, n, 0)
 
     def test_accepts_bools_and_floats_equal_to_0_or_1(self):
         dag = build_dag(3, [(0, 1)])
