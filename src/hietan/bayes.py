@@ -4,9 +4,9 @@ The class is a parent of every feature. Root features use P(x | y); features
 with a tree parent use P(x | y, parent value). All tables are maximum
 likelihood with additive smoothing per cell, and prediction accumulates in
 log space (GO-style datasets have hundreds of features, so products in
-probability space underflow). One kernel, ``_log_posteriors``, sums the log
-terms of every prediction: eager rows gather theirs from the classifier's
-cached logs, ``_lazy_predict`` builds its own from the training statistics.
+probability space underflow). ``fit`` and ``_lazy_predict`` estimate CPTs
+with ``_cpts`` and lay out their logs with ``_log_pairs``, and one kernel,
+``_log_posteriors``, sums the terms that every prediction gathers there.
 """
 
 from __future__ import annotations
@@ -47,29 +47,22 @@ class FittedClassifier:
 
     @cached_property
     def _log_cpts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(pairs, sources, features, first, n)``. ``pairs`` is an (m + 1, 2,
-        2, 2) log array over (x_source, x, y), kept as its (4(m + 1), 2) (y)
-        pairs: row 0 the log prior, row k the log CPT of the k-th active
-        feature, which reads x_source at column ``sources[k]`` (its parent, or
-        itself for a root) and x at ``features[k]``. A root's (y, x) CPT
-        repeats over x_source and the prior over both, so the prior reads
-        column 0. ``first[0, k]`` = 4k, row k's first pair; n is the row
-        length. Each prior and CPT cell is logged once. Derived from the
-        public fields only; ``fit`` and ``model_from_dict`` make their arrays
-        read-only, so this is built once per classifier."""
+        """``(pairs, sources, features, first, n)``: the ``_log_pairs`` of the
+        prior and the active features' CPTs, whose row k reads x_source at
+        column ``sources[k]`` (its parent, or itself for a root; 0 for the
+        prior) and x at ``features[k]``, from pair ``first[0, k]`` = 4k on; n
+        is the row length. ``fit`` and ``model_from_dict`` make the public
+        fields read-only, so this is built once per classifier."""
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
-        flat = _logs(np.concatenate([self.class_prior] + [self.cpts[f].ravel() for f in active]))
-        # Each row's strides over (x_source, x, y) in its cells of ``flat``:
-        # the prior's (y), a root's (y, x), a parented feature's (y, x_parent, x).
-        strides = np.array(
-            [(0, 0, 1)] + [(0, 1, 2) if p is None else (2, 1, 4) for p in parents], dtype=np.intp
-        )
-        sizes = 2 * strides[:, 2]
-        cells = (np.cumsum(sizes) - sizes)[:, None] + strides @ np.indices((2, 2, 2)).reshape(3, 8)
+        root = np.array([p is None for p in parents], dtype=bool)
+        # Each CPT over (y, x_source, x); a root's (y, x) repeats over x_source.
+        tables = np.empty((len(active), 2, 2, 2))
+        for mask, shape in ((root, (-1, 2, 1, 2)), (~root, (-1, 2, 2, 2))):
+            tables[mask] = np.reshape([self.cpts[f] for f, m in zip(active, mask) if m], shape)
         sources = [0] + [f if p is None else p for f, p in zip(active, parents)]
         return (
-            flat[cells].reshape(-1, 2),
+            _log_pairs(self.class_prior, tables, root),
             np.array(sources, dtype=np.intp),
             np.array((0,) + active, dtype=np.intp),
             np.arange(0, 4 * len(sources), 4)[None, :],
@@ -97,26 +90,32 @@ class Prediction:
     log_posterior: tuple[float, float]
 
 
-def _smoothed(counts: np.ndarray, rows, smoothing: float) -> np.ndarray:
+def _safe_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
     """The smoothed estimate ``(count + s) / (row + 2s)`` of every cell, as
-    float64; a cell whose row has zero mass under zero smoothing is 0 rather
-    than NaN. ``rows`` broadcasts against ``counts``."""
+    float64, where a row is the last axis; a cell whose row has zero mass
+    under zero smoothing is 0 rather than NaN."""
     num = counts + smoothing
-    den = rows + 2.0 * smoothing
+    den = counts.sum(axis=-1, keepdims=True) + 2.0 * smoothing
     out = np.zeros_like(num, dtype=np.float64)
     np.divide(num, den, out=out, where=den > 0)
     return out
 
 
-def _safe_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
-    """Per-row (last axis) additive-smoothing normalisation."""
-    return _smoothed(counts, counts.sum(axis=-1, keepdims=True), smoothing)
-
-
 def _class_prior(ds: Dataset, smoothing: float) -> np.ndarray:
     """P(y) for y = 0, 1, smoothed like every CPT cell."""
     totals = np.array([total for _, _, total in ds._class_stats], dtype=np.float64)
-    return _smoothed(totals, ds.n_instances, smoothing)
+    return _safe_rows(totals, smoothing)
+
+
+def _cpts(stats, sources: np.ndarray, features: np.ndarray, smoothing: float) -> np.ndarray:
+    """(m, y, x_source, x) smoothed CPT cells of each ``features[k]`` given
+    ``sources[k]``, in one gather from the per-class statistics ``stats``. A
+    root's source is the feature itself: its diagonal (x_f, x_f) table, summed
+    over x_source, gives its (y, x) counts, repeated over x_source."""
+    counts = np.moveaxis(_cells(stats, sources, features).reshape(2, 2, 2, -1), 3, 0)
+    root = sources == features
+    counts[root] = counts[root].sum(axis=2, keepdims=True)
+    return _safe_rows(counts.astype(np.float64, order="C"), smoothing)
 
 
 def _logs(cells: np.ndarray) -> np.ndarray:
@@ -126,6 +125,19 @@ def _logs(cells: np.ndarray) -> np.ndarray:
     live = cells > 0.0
     out[live] = list(map(math.log, cells[live].tolist()))
     return out
+
+
+def _log_pairs(prior: np.ndarray, tables: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The (4(m + 1), 2) log pairs over y of the prior and the m (y,
+    x_source, x) CPTs ``tables``, where ``root[k]`` marks a table that
+    repeats over x_source: pair 4k + 2 x_source + x is row k's, row 0 being
+    the prior, repeated over both values. Each distinct cell is logged once:
+    the prior's 2, a root's 4 and a parented table's 8."""
+    out = np.empty((len(tables) + 1, 2, 2, 2))  # (row, x_source, x, y)
+    out[0] = _logs(prior)
+    out[1:][root] = np.moveaxis(_logs(tables[root][:, :, :1]), 1, 3)
+    out[1:][~root] = np.moveaxis(_logs(tables[~root]), 1, 3)
+    return out.reshape(-1, 2)
 
 
 def fit(
@@ -158,18 +170,11 @@ def fit(
     prior = _class_prior(ds, smoothing)
     prior.setflags(write=False)
 
-    # One gather from the dataset's cached statistics: (parent, f) tables, and
-    # for a root the diagonal (f, f) table, whose copy axis sums out to (y, x).
-    sources = [f if parent is None else parent for f, parent in zip(active, parents)]
-    cells = _cells(ds._class_stats, np.array(sources, np.intp), np.array(active, np.intp))
-    counts = np.moveaxis(cells.reshape(2, 2, 2, -1), 3, 0)  # (m, y, x_parent, x)
-    counts = counts.astype(np.float64, order="C")
-    parented = _safe_rows(counts, smoothing)
-    roots = _safe_rows(counts.sum(axis=2), smoothing)
-    parented.setflags(write=False)  # the CPTs below are views and inherit this
-    roots.setflags(write=False)
+    sources = np.array([f if p is None else p for f, p in zip(active, parents)], np.intp)
+    tables = _cpts(ds._class_stats, sources, np.array(active, np.intp), smoothing)
+    tables.setflags(write=False)  # the CPTs below are views and inherit this
     cpts = {
-        f: roots[k] if parent is None else parented[k]
+        f: tables[k, :, 0] if parent is None else tables[k]
         for k, (f, parent) in enumerate(zip(active, parents))
     }
 
@@ -183,9 +188,9 @@ def fit(
     )
 
 
-# Rows per chunk in ``_log_posteriors``. A lazy chunk peaks at about 260
-# bytes per active cell (135 MB for 512 rows of 1000 active features), most of
-# it count tables and scalar logs; an eager one at about 56 bytes per term.
+# Rows per chunk in ``_log_posteriors``. An eager chunk peaks at about 56 bytes
+# per term, a lazy one at about 40 when its rows share CPTs as ``hie_mst_lite``'s
+# do (20.6 MB for 512 rows of 1000 features) and 450 per cell with its own CPT.
 _CHUNK_ROWS = 512
 
 
@@ -212,34 +217,27 @@ def _lazy_predict(
     or -1 for a root, and ``active[r]`` masks the features row r is scored
     on; an active feature's parent must be active, as in ``hie_mst_lite``'s
     output. Row r is bit for bit ``predict(fit(train, tree_r, active_r,
-    smoothing), X[r])``, but no classifier is built: per class, each active
-    feature reads from ``train``'s cached statistics only the one cell that
-    row r selects, smoothed as ``fit`` does and logged as ``predict`` does.
+    smoothing), X[r])``, but no classifier is built: each chunk gathers its
+    cells from the logs of its distinct (source, feature) CPTs.
     Row r's n + 1 terms are the log prior and then one per feature in index
     order, which is ``active_features`` order; an inactive feature adds 0.0,
     which changes no value the sum can hold: every term is <= 0 or -inf, and
     none is -0.0. Ties go to class 0."""
     smoothing = check_smoothing(smoothing)
-    prior = _logs(_class_prior(train, smoothing))
+    prior = _class_prior(train, smoothing)
 
     def terms(X: np.ndarray, parents: np.ndarray, active: np.ndarray) -> np.ndarray:
         at, features = np.nonzero(active)  # row by row, features ascending
         source = parents[at, features]
-        root = source < 0
-        source[root] = features[root]  # a root reads its own diagonal table
-        cell = np.arange(features.size)
-        # The CPT row each cell selects, over (y, x_feature); a root's row is
-        # the diagonal's, whose mass is its count rather than the class total.
-        tables = _cells(train._class_stats, source, features).reshape(2, 2, 2, -1)
-        rows = tables[:, X[at, source], :, cell]
-        count = rows[cell, :, X[at, features]]  # (cells, y)
-        mass = rows.sum(axis=2)
-        mass[root] = [total for _, _, total in train._class_stats]
+        np.copyto(source, features, where=source < 0)  # a root reads its diagonal table
+        # Each distinct (source, feature) key is one CPT; cell k reads CPT cpt[k].
+        key = source * X.shape[1] + features
+        _, first, cpt = np.unique(key, return_index=True, return_inverse=True)
+        tables = _cpts(train._class_stats, source[first], features[first], smoothing)
+        pairs = _log_pairs(prior, tables, source[first] == features[first])
         out = np.zeros((X.shape[0], X.shape[1] + 1, 2))
-        out[:, 0] = prior
-        out[at, features + 1] = _logs(
-            _smoothed(count.astype(np.float64), mass.astype(np.float64), smoothing)
-        )
+        out[:, 0] = pairs[0]
+        out[at, features + 1] = pairs[4 * cpt + 4 + 2 * X[at, source] + X[at, features]]
         return out
 
     log_post = _log_posteriors(terms, X, parents, active)
@@ -300,33 +298,39 @@ def _read_only(values) -> np.ndarray:
     return table
 
 
+def _index(value) -> int:
+    """A model document's feature index: an int, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"feature index {value!r} is not an integer")
+    return int(value)
+
+
 def model_from_dict(doc: dict) -> FittedClassifier:
     """Rebuild a classifier from ``model_to_dict`` output; anything else,
     including a table whose shape does not fit the tree, is a ParseError."""
     if not isinstance(doc, dict) or doc.get("format") != "hietan-model":
         raise ParseError("not a hietan model document")
     try:
-        feature_names = tuple(doc["feature_names"])
-        tree = DependencyTree(
-            tuple(None if p is None else int(p) for p in doc["tree"])
-        )
+        names = doc["feature_names"]
+        tree = DependencyTree(tuple(None if p is None else _index(p) for p in doc["tree"]))
         prior = _read_only(doc["class_prior"])
-        cpts = {int(f): _read_only(t) for f, t in doc["cpts"].items()}
-        smoothing = float(doc["smoothing"])
-        active = tuple(int(f) for f in doc["active_features"])
+        tables = {key: _read_only(t) for key, t in doc["cpts"].items()}
+        smoothing = check_smoothing(doc["smoothing"])
+        active = tuple(_index(f) for f in doc["active_features"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed hietan model: {exc!r}") from exc
 
     n = tree.n_features
-    if len(feature_names) != n:
-        raise ParseError(f"tree covers {n} features, model names {len(feature_names)}")
+    if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
+        raise ParseError(f"feature names must be a list of {n} strings, as the tree has")
     if prior.shape != (2,):
         raise ParseError(f"class prior has shape {prior.shape}, expected (2,)")
     active_set = set(active)
     if len(active_set) != len(active) or not all(0 <= f < n for f in active):
         raise ParseError(f"active features must be distinct indices in [0, {n})")
-    if set(cpts) != active_set:
+    if set(tables) != {str(f) for f in active}:
         raise ParseError("CPT keys differ from the active features")
+    cpts = {f: tables[str(f)] for f in active}
     for f in active:
         parent = tree.parent_of[f]
         want = (2, 2) if parent is None else (2, 2, 2)
@@ -343,7 +347,7 @@ def model_from_dict(doc: dict) -> FittedClassifier:
         cpts=cpts,
         smoothing=smoothing,
         active_features=active,
-        feature_names=feature_names,
+        feature_names=tuple(names),
     )
 
 

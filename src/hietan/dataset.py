@@ -34,35 +34,33 @@ class Dataset:
     values: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...] = ()
-    class_names: tuple[str, str] = ("0", "1")
 
     def __post_init__(self):
         self._adopt(
             _binary_copy(self.values, "feature values"),
             _binary_copy(self.labels, "class labels"),
+            self.feature_names,
         )
 
     @classmethod
-    def _own(cls, values, labels, feature_names, class_names=("0", "1")) -> Dataset:
+    def _own(cls, values, labels, feature_names) -> Dataset:
         """A dataset over arrays the library has just built: private,
         C-contiguous, binary ``uint8``. They are taken as they are; only a
         caller's arrays need ``_binary_copy``'s check and copy."""
         ds = cls.__new__(cls)
-        object.__setattr__(ds, "feature_names", feature_names)
-        object.__setattr__(ds, "class_names", class_names)
-        ds._adopt(values, labels)
+        ds._adopt(values, labels, feature_names)
         return ds
 
-    def _adopt(self, vals: np.ndarray, labs: np.ndarray) -> None:
-        """Check the shapes and names, and make the private binary ``uint8``
-        arrays ``vals`` and ``labs`` the read-only data of this dataset."""
+    def _adopt(self, vals: np.ndarray, labs: np.ndarray, names) -> None:
+        """Check the shapes and ``names``, and make them and the private binary
+        ``uint8`` arrays ``vals`` and ``labs`` this dataset's read-only data."""
         if vals.ndim != 2:
             raise DimensionMismatch("values must be a 2-d instance-by-feature matrix")
         if labs.shape != (vals.shape[0],):
             raise DimensionMismatch(
                 f"{vals.shape[0]} instances but {labs.shape[0]} labels"
             )
-        names = tuple(self.feature_names)
+        names = tuple(names)
         if not names:
             names = tuple(f"f{i}" for i in range(vals.shape[1]))
         if len(names) != vals.shape[1]:
@@ -74,7 +72,6 @@ class Dataset:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
     def n_instances(self) -> int:
@@ -263,7 +260,7 @@ def save_dataset(ds: Dataset, path) -> None:
 def subset(ds: Dataset, indices) -> Dataset:
     idx = np.asarray(indices, dtype=np.int64)
     # Indexing makes new C-contiguous copies of arrays already checked.
-    return Dataset._own(ds.values[idx], ds.labels[idx], ds.feature_names, ds.class_names)
+    return Dataset._own(ds.values[idx], ds.labels[idx], ds.feature_names)
 
 
 def validate_propagation(ds: Dataset, dag: FeatureDag) -> list[tuple[int, int, int]]:
@@ -301,9 +298,7 @@ def repair_propagation(ds: Dataset, dag: FeatureDag) -> Dataset:
             f"dataset has {ds.n_features} features, hierarchy has {dag.n_features}"
         )
     hit = ds.values.astype(np.int32) @ _closure_matrix(dag)
-    return Dataset(
-        (hit > 0).astype(np.uint8), ds.labels, ds.feature_names, ds.class_names
-    )
+    return Dataset((hit > 0).astype(np.uint8), ds.labels, ds.feature_names)
 
 
 @dataclass(frozen=True, eq=False)

@@ -445,7 +445,8 @@ def lazy_arrays(lazy, n):
 
 def lazy_folds(seed, smoothing):
     """Every lazy test instance of one seeded synthetic problem, fold by
-    fold: the training set, the test rows and each row's (tree, active)."""
+    fold: the training set, the test rows and each row's (tree, active).
+    The last row repeats the first with no active feature."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 13))
     dag = build_dag(n, random_dag(n, int(rng.integers(n, 2 * n)), seed))
@@ -456,7 +457,7 @@ def lazy_folds(seed, smoothing):
         rows = ds.values[folds.test_indices(fold)]
         edges = rank_edges(train, dag, smoothing)
         lazy = [hie_mst_lite(edges, dag, row, n, seed + k) for k, row in enumerate(rows)]
-        yield train, rows, lazy
+        yield train, np.concatenate([rows, rows[:1]]), lazy + [(empty_tree(n), frozenset())]
 
 
 def assert_lazy_matches_fit(train, rows, lazy, smoothing):
@@ -481,6 +482,11 @@ class TestLazyPredict:
         for seed in range(20):
             for train, rows, lazy in lazy_folds(seed, smoothing):
                 got = assert_lazy_matches_fit(train, rows, lazy, smoothing)
+                # A row with no active feature scores exactly the log prior.
+                prior = fit(train, lazy[-1][0], (), smoothing).class_prior.tolist()
+                log_prior = tuple(math.log(p) if p else -math.inf for p in prior)
+                assert got[-1].log_posterior == log_prior
+                assert assert_lazy_matches_fit(train, rows[:0], [], smoothing) == []
                 instances += len(got)
                 minus_inf += sum(-math.inf in pred.log_posterior for pred in got)
         assert instances > 500
@@ -495,6 +501,29 @@ class TestLazyPredict:
             for train, rows, lazy in lazy_folds(seed, 1.0):
                 assert len(rows) > 3
                 assert_lazy_matches_fit(train, rows, lazy, 1.0)
+
+    def test_each_distinct_cpt_logged_once_per_chunk(self, monkeypatch):
+        # Per chunk: the prior's 2 cells, then 4 per distinct root and 8 per
+        # distinct (parent, feature) pair, however many rows share them.
+        logged = []
+        monkeypatch.setattr(
+            bayes, "math", SimpleNamespace(log=lambda p: logged.append(p) or math.log(p))
+        )
+        monkeypatch.setattr(bayes, "_CHUNK_ROWS", 4)
+        for seed in range(3):
+            for train, rows, lazy in lazy_folds(seed, 1.0):
+                parents, active = lazy_arrays(lazy, train.n_features)
+                want = 0
+                for start in range(0, len(rows), 4):
+                    at, features = np.nonzero(active[start : start + 4])
+                    cpts = set(zip(parents[start + at, features].tolist(), features.tolist()))
+                    want += 2 + sum(4 if p < 0 else 8 for p, _ in cpts)
+                logged.clear()
+                bayes._lazy_predict(train, rows, parents, active, 1.0)
+                assert len(logged) == want
+                logged.clear()
+                bayes._lazy_predict(train, rows[:0], parents[:0], active[:0], 1.0)
+                assert len(logged) == 2
 
     def test_zero_counts_and_zero_rows_at_smoothing_zero(self):
         # Class 0 never has x0 = 0, so under 0 -> 1 its row at x0 = 0 has no
@@ -606,11 +635,23 @@ class TestSerialization:
             lambda d: d["cpts"].update({"1": [[0.5], [0.5, 0.5]]}),
             lambda d: d["cpts"].update({"2": [[[1.5, -0.5]] * 2] * 2}),
             lambda d: (d["cpts"].pop("0"), d.update(active_features=[1, 2])),
+            lambda d: d.update(tree=[None, 0.7, 0.2]),
+            lambda d: d.update(tree=[None, False, True]),
+            lambda d: d.update(active_features=[0, 1.5, 2.9]),
+            lambda d: d.update(active_features=[False, True, 2]),
+            lambda d: d["cpts"].update({"01": d["cpts"].pop("1")}),
+            lambda d: d.update(smoothing=-3.0),
+            lambda d: d.update(smoothing=math.nan),
+            lambda d: d.update(feature_names="abc"),
+            lambda d: d.update(feature_names=[0, 1, 2]),
         ],
         ids=[
             "no-format", "no-cpts", "tree-length", "tree-cycle", "prior-shape",
             "prior-nan", "cpt-keys", "duplicate-active", "root-shape",
             "parented-shape", "ragged-cpt", "cpt-range", "inactive-parent",
+            "tree-float", "tree-bool", "active-float", "active-bool",
+            "cpt-key-zero-padded", "smoothing-negative",
+            "smoothing-nan", "names-string", "names-not-strings",
         ],
     )
     def test_rejects_malformed_documents(self, corrupt):
