@@ -28,7 +28,7 @@ from .errors import (
     NonBinaryValue,
     ParseError,
 )
-from .mutual_info import _cells, check_smoothing
+from .mutual_info import _NUMBERS, _cells, check_smoothing
 from .tree import DependencyTree
 
 
@@ -293,7 +293,11 @@ def model_to_dict(clf: FittedClassifier) -> dict:
 
 
 def _read_only(values) -> np.ndarray:
-    table = np.array(values, dtype=np.float64)
+    """A model document's probability table: numbers, not bools."""
+    cells = np.array(values, dtype=object)
+    if not all(isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in cells.flat):
+        raise TypeError(f"probability table {values!r} holds a value that is not a number")
+    table = cells.astype(np.float64)
     table.setflags(write=False)
     return table
 
@@ -317,7 +321,7 @@ def model_from_dict(doc: dict) -> FittedClassifier:
         tables = {key: _read_only(t) for key, t in doc["cpts"].items()}
         smoothing = check_smoothing(doc["smoothing"])
         active = tuple(_index(f) for f in doc["active_features"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed hietan model: {exc!r}") from exc
 
     n = tree.n_features
@@ -341,6 +345,10 @@ def model_from_dict(doc: dict) -> FittedClassifier:
     for table in (prior, *cpts.values()):
         if not np.all((table >= 0.0) & (table <= 1.0)):
             raise ParseError("probabilities must lie in [0, 1]")
+        # A row sums to 1, or is zero at smoothing 0 (``_safe_rows``'s zero-mass rows).
+        rows = table.sum(axis=-1)
+        if not np.all((abs(rows - 1.0) <= 2.0**-51) | ((rows == 0.0) & (smoothing == 0.0))):
+            raise ParseError("each probability row must sum to 1")
     return FittedClassifier(
         tree=tree,
         class_prior=prior,

@@ -99,18 +99,13 @@ def average_ranks(gmeans_by_method: Mapping[str, Sequence[float]]) -> RankTable:
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise IncompleteTable("methods cover different numbers of datasets")
-    (n_blocks,) = lengths
-    if n_blocks == 0:
+    if lengths == {0}:
         raise IncompleteTable("the table has no datasets")
     table = np.column_stack(columns)
-    ranks = np.vstack(
-        [stats.rankdata(-table[b], method="average") for b in range(n_blocks)]
-    )
-    avg = {m: float(ranks[:, idx].mean()) for idx, m in enumerate(methods)}
-    row_max = table.max(axis=1)
-    wins = {
-        m: int(np.sum(table[:, idx] == row_max)) for idx, m in enumerate(methods)
-    }
+    ranks = stats.rankdata(-table, method="average", axis=1)
+    best = table == table.max(axis=1, keepdims=True)
+    avg = {m: float(ranks[:, k].mean()) for k, m in enumerate(methods)}
+    wins = {m: int(best[:, k].sum()) for k, m in enumerate(methods)}
     return RankTable(methods, table, ranks, avg, wins)
 
 

@@ -26,16 +26,15 @@ is the count form (Chow & Liu 1968; Friedman, Geiger & Goldszmidt 1997)
 
 with c_{i,y,x} the count of x_i = x in class y. ``_tables`` holds each
 T(x) / N' a fold needs as 2**_BITS * T(x) / N' within one unit, from integer
-log series (``_logs``; no libm, so no platform dependence). ``_scores`` sums
-a pair's 18 entries exactly in int64 limbs and rounds once, certified when
-no other double lies within the 18 units of error. Other pairs are settled
-exactly: +0.0 if every class slice factorises, (c00 + s)(c11 + s) =
-(c01 + s)(c10 + s) in exact rationals, else by ``decimal``.
+log series (``_entries``; no libm, so no platform dependence). ``_scores``
+sums a pair's 18 entries exactly in int64 limbs and rounds once, certified
+when no other double lies within the 18 units of error. Other pairs are
+settled exactly: +0.0 if every class slice factorises, (c00 + s)(c11 + s) =
+(c01 + s)(c10 + s) in exact rationals, else by ``_entries`` at more bits.
 """
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,7 +55,8 @@ _BLOCK = 4096
 # hi < 2**48 as CMI < 1, so both limbs convert to float64 exactly.
 _BITS = 100
 _LIMB = 52
-_PAIR_ERROR = 18.0  # a pair's 18 entries, each within one unit
+_PAIR_ERROR = 18  # a pair's 18 entries, each within one unit
+_NUMBERS = (int, float, np.integer, np.floating)  # a bool is an int: checks exclude it
 
 @dataclass(frozen=True)
 class JointCounts:
@@ -83,8 +83,10 @@ class JointCounts:
 
 
 def check_smoothing(smoothing: float) -> float:
-    """Return the additive smoothing as a float, rejecting negative, NaN and
-    infinite values."""
+    """The additive smoothing as a float: a Python or NumPy int or float, not
+    a bool (else ``TypeError``), finite and non-negative (else ``ValueError``)."""
+    if isinstance(smoothing, bool) or not isinstance(smoothing, _NUMBERS):
+        raise TypeError(f"smoothing must be a real number, got {smoothing!r}")
     value = float(smoothing)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"smoothing must be finite and non-negative, got {smoothing!r}")
@@ -93,7 +95,7 @@ def check_smoothing(smoothing: float) -> float:
 
 def _atanh(p: int, q: int, bits: int) -> int:
     """2**bits * atanh(p / q) for 0 <= 3p <= q, by its series with every
-    quotient rounded down: under 2**8 units low for bits <= 300, as each of
+    quotient rounded down: under ``bits`` units low for bits >= 12, as each of
     at most bits / log2(9) + 1 terms loses under 2.2 units and the tail 1.3."""
     p2, q2 = p * p, q * q
     power, total, k = (p << bits) // q, 0, 1
@@ -104,12 +106,12 @@ def _atanh(p: int, q: int, bits: int) -> int:
 
 
 def _logs(keys, den: int, bits: int) -> dict[int, int]:
-    """2**bits * ln(k / den), within 2**9 * (2**11 + len(keys)) units, for
-    each positive k of ``keys``, with ``den`` a power of two. In ascending
-    order, x = k / den takes ln(x - 1) + 2 atanh(1 / (2x - 1)) when
-    ln(x - 1) is known and x - 1 >= 1 (adding under 2**9 units), and else
+    """2**bits * ln(k / den), within 2 * bits * (2**11 + len(keys)) units,
+    for each positive k of ``keys``, with ``den`` a power of two. In
+    ascending order, x = k / den takes ln(x - 1) + 2 atanh(1 / (2x - 1)) when
+    ln(x - 1) is known and x - 1 >= 1 (adding under 2 * bits units), and else
     e ln 2 + 2 atanh((y - 1) / (y + 1)) for x = 2**e * y, y in [1, 2)
-    (under 2**20 units, as |e| < 1100)."""
+    (under 2 * bits * 2**11 units, as |e| < 1100)."""
     ln2, logs = 2 * _atanh(1, 3, bits), {}
     for k in sorted(keys):
         if k >= 2 * den and k - den in logs:
@@ -142,30 +144,32 @@ def _limbs(values) -> np.ndarray:
     return np.array([[v >> _LIMB for v in values], [v & mask for v in values]], dtype=np.int64)
 
 
+def _entries(keys, n: int, a: int, den: int, bits: int) -> dict[int, int]:
+    """2**bits * T(k / den) / N', N' = n + 8a / den, for each k of ``keys``
+    within one unit: rounded, with under a quarter unit of log error, as each
+    weight k / (n den + 8a) is at most 1 and extra <= bits (under 2**80 keys)
+    makes 2 (bits + extra)(2**11 + len(keys)) <= 2**(extra - 2)."""
+    keys = set(keys) - {0}  # T(0) = 0
+    extra = 4 + bits.bit_length() + (len(keys) + 2048).bit_length()
+    logs, unit = _logs(keys, den, bits + extra), (n * den + 8 * a) << extra
+    entries = {k: (2 * k * logs[k] + unit) // (2 * unit) for k in keys}
+    entries[0] = 0
+    return entries
+
+
 def _tables(stats, n: int, smoothing: float, cell_counts):
-    """Limbs of the entries 2**_BITS * T(x) / N', each rounded to within
-    half a unit and with under a quarter unit of log error: T(c + s) for the
-    counts c of ``cell_counts`` (zero at other counts up to the largest
+    """Limbs of the ``_entries`` at _BITS: T(c + s) for the counts c of
+    ``cell_counts`` (zero or T(c + s) at other counts up to the largest
     class), -A_f for each feature f, and the class terms summed."""
     a, den = smoothing.as_integer_ratio()  # s = a / den
     totals = [total for _, _, total in stats]
     margins = {int(c) for _, ones, total in stats for c in np.concatenate([ones, total - ones])}
     keys = {c * den + a for c in cell_counts} | {t * den + 4 * a for t in totals}
-    keys = (keys | {c * den + 2 * a for c in margins}) - {0}  # T(0) = 0
-    extra = 11 + (len(keys) + 2048).bit_length()
-    logs, unit = _logs(keys, den, _BITS + extra), (n * den + 8 * a) << extra
-
-    def entry(k: int) -> int:  # x / N' = k / (N den + 8a) for x = k / den
-        return (2 * k * logs[k] + unit) // (2 * unit) if k else 0
-
-    cells, margin = [0] * (max(totals) + 1), [0] * (max(totals) + 1)
-    for c in cell_counts:
-        cells[c] = entry(c * den + a)
-    for c in margins:
-        margin[c] = entry(c * den + 2 * a)
-    margin = _limbs(margin)
+    entry = _entries(keys | {c * den + 2 * a for c in margins}, n, a, den, _BITS)
+    cells = _limbs([entry.get(c * den + a, 0) for c in range(max(totals) + 1)])
+    margin = _limbs([entry.get(c * den + 2 * a, 0) for c in range(max(totals) + 1)])
     feature = -sum(margin[:, ones] + margin[:, total - ones] for _, ones, total in stats)
-    return _limbs(cells), feature, _limbs([sum(entry(t * den + 4 * a) for t in totals)])
+    return cells, feature, _limbs([sum(entry[t * den + 4 * a] for t in totals)])
 
 
 def _scores(stats, n: int, smoothing: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -207,37 +211,28 @@ def _scores(stats, n: int, smoothing: float, i: np.ndarray, j: np.ndarray) -> np
 def _exact_score(classes, n: int, smoothing: float) -> float:
     """The correctly rounded CMI of one pair's per-class cells (00, 01, 10,
     11): +0.0 if every class slice factorises in exact rationals, else the
-    count form in ``decimal`` at doubling precision until its rounding is
-    certain. At p digits each x = c + ms, ``Decimal.ln`` (correctly rounded),
-    product and sum err by half a unit in the p-th digit: the sum by under
-    10.5 * 10**(1 - p) times the sum of x (|ln x| + 2), which the slack covers
-    10**4-fold. Doubling ends, as a nonzero linear form in logs of rationals
-    is transcendental (Baker's theorem) and so no rounding boundary."""
+    sum of its 18 signed ``_entries`` as Python ints at 2 * _BITS bits,
+    doubling until the sum's error cannot change its rounding. The sum lies
+    within 18 units of 2**bits * CMI, and int / int division rounds
+    correctly, so equal roundings of its two ends are the CMI's. Doubling
+    ends, as a nonzero linear form in logs of rationals is transcendental
+    (Baker's theorem) and so no rounding boundary."""
     a, den = smoothing.as_integer_ratio()
     if all((c00 * den + a) * (c11 * den + a) == (c01 * den + a) * (c10 * den + a)
            for c00, c01, c10, c11 in classes):
         return 0.0
-    s, digits = decimal.Decimal(smoothing), 40
-    while True:
-        # Context methods only: Decimal operators round to the thread's context.
-        ctx = decimal.Context(prec=digits)
-        total = weight = decimal.Decimal(0)
-        for c00, c01, c10, c11 in classes:
-            rows, cols = (c00 + c01, c10 + c11), (c00 + c10, c01 + c11)
-            terms = [(c, 1, ctx.add) for c in (c00, c01, c10, c11)] + [(sum(rows), 4, ctx.add)]
-            for c, m, add in terms + [(c, 2, ctx.subtract) for c in rows + cols]:
-                x = ctx.add(c, ctx.multiply(m, s))
-                if x:
-                    ln = x.ln(ctx)
-                    total = add(total, ctx.multiply(x, ln))
-                    weight = ctx.add(weight, ctx.multiply(x, ctx.add(ctx.abs(ln), 2)))
-        scale = ctx.add(n, ctx.multiply(8, s))
-        value = ctx.divide(total, scale)
-        slack = ctx.divide(ctx.multiply(weight, ctx.scaleb(1, 5 - digits)), scale)
-        low, high = float(ctx.subtract(value, slack)), float(ctx.add(value, slack))
-        if low == high:
-            return high
-        digits *= 2
+    plus, minus = [], []  # the keys k of the count form's terms T(k / den)
+    for c00, c01, c10, c11 in classes:
+        rows = c00 + c01, c10 + c11
+        plus += [c * den + a for c in (c00, c01, c10, c11)] + [sum(rows) * den + 4 * a]
+        minus += [c * den + 2 * a for c in rows + (c00 + c10, c01 + c11)]
+    bits, low, high = _BITS, 0.0, 1.0
+    while low != high:
+        bits *= 2
+        entry = _entries(plus + minus, n, a, den, bits)
+        total = sum(map(entry.get, plus)) - sum(map(entry.get, minus))
+        low, high = (total - _PAIR_ERROR) / 2**bits, (total + _PAIR_ERROR) / 2**bits
+    return high
 
 
 def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from hietan import bayes
 from hietan.bayes import (
+    FittedClassifier,
     Prediction,
     fit,
     load_model,
@@ -128,6 +129,11 @@ class TestFit:
         with pytest.raises(ValueError, match="smoothing"):
             fit(ds, empty_tree(1), smoothing=smoothing)
 
+    def test_rejects_non_numeric_smoothing(self):
+        ds = Dataset(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))
+        with pytest.raises(TypeError, match="smoothing"):
+            fit(ds, empty_tree(1), smoothing="1")
+
     @pytest.mark.parametrize("smoothing", [0.0, 0.25, 1.0, 3.0])
     def test_matches_bincount_reference(self, smoothing):
         zero_rows = 0
@@ -210,24 +216,22 @@ class TestPredict:
     def test_matches_scalar_reference_on_random_tables(self):
         # About 1 uniform random cell in 300 has an np.log that differs from
         # math.log in the last bit. Sums of one to three terms keep such a
-        # bit, so only scalar logs pass this.
+        # bit, so only scalar logs pass this. The tables are not
+        # distributions, which ``model_from_dict`` would reject, so the
+        # classifier is built directly.
         rng = np.random.default_rng(17)
         for _ in range(300):
             n = int(rng.integers(1, 4))
             tree = random_forest(rng, range(n), n)
-            clf = model_from_dict({
-                "format": "hietan-model",
-                "version": 1,
-                "feature_names": [f"f{i}" for i in range(n)],
-                "smoothing": 1.0,
-                "class_prior": rng.random(2).tolist(),
-                "tree": list(tree.parent_of),
-                "active_features": list(range(n)),
-                "cpts": {
-                    str(f): rng.random((2, 2) if p is None else (2, 2, 2)).tolist()
-                    for f, p in enumerate(tree.parent_of)
-                },
-            })
+            clf = FittedClassifier(
+                tree=tree,
+                class_prior=rng.random(2),
+                cpts={f: rng.random((2, 2) if p is None else (2, 2, 2))
+                      for f, p in enumerate(tree.parent_of)},
+                smoothing=1.0,
+                active_features=tuple(range(n)),
+                feature_names=tuple(f"f{i}" for i in range(n)),
+            )
             for code in range(2**n):
                 row = [(code >> f) & 1 for f in range(n)]
                 want = prediction_bits(predict_reference(clf, row))
@@ -615,6 +619,22 @@ class TestSerialization:
             inst = (rng.random(5) < 0.5).astype(np.uint8)
             assert predict(again, inst) == predict(clf, inst)
 
+    @pytest.mark.parametrize("smoothing", [0.0, 1e-300, 1e-3, 1.0, 1e5, 1e300])
+    def test_round_trip_keeps_every_fitted_table(self, smoothing):
+        # Feature 1 is always 1 in class 0, so at smoothing 0 its child's
+        # row for x_1 = 0 in class 0 has zero mass and is all zero.
+        values = np.array([[0, 1, 0], [1, 1, 1], [1, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 0]],
+                          dtype=np.uint8)
+        ds = Dataset(values, np.array([0, 0, 0, 1, 1, 1], dtype=np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 1)), smoothing=smoothing)
+        zero_rows = sum(int(np.sum(~t.any(axis=-1))) for t in clf.cpts.values())
+        assert (zero_rows > 0) == (smoothing == 0.0)
+        again = model_from_dict(json.loads(json.dumps(model_to_dict(clf))))
+        assert again.smoothing == smoothing
+        assert again.class_prior.tobytes() == clf.class_prior.tobytes()
+        for f, table in clf.cpts.items():
+            assert again.cpts[f].tobytes() == table.tobytes()
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(ParseError):
             model_from_dict({"format": "something-else"})
@@ -644,6 +664,13 @@ class TestSerialization:
             lambda d: d.update(smoothing=math.nan),
             lambda d: d.update(feature_names="abc"),
             lambda d: d.update(feature_names=[0, 1, 2]),
+            lambda d: d.update(smoothing="1.5"),
+            lambda d: d.update(smoothing=True),
+            lambda d: d.update(class_prior=[0.1, 0.1]),
+            lambda d: d["cpts"]["2"][1].__setitem__(0, [0.1, 0.1]),
+            lambda d: d.update(class_prior=[True, False]),
+            lambda d: d["cpts"]["0"].__setitem__(0, [0.0, 0.0]),
+            lambda d: d.update(smoothing=10**400),
         ],
         ids=[
             "no-format", "no-cpts", "tree-length", "tree-cycle", "prior-shape",
@@ -652,6 +679,9 @@ class TestSerialization:
             "tree-float", "tree-bool", "active-float", "active-bool",
             "cpt-key-zero-padded", "smoothing-negative",
             "smoothing-nan", "names-string", "names-not-strings",
+            "smoothing-string", "smoothing-bool", "prior-not-a-distribution",
+            "cpt-row-not-a-distribution", "prior-bool", "zero-row-with-smoothing",
+            "smoothing-too-large-for-a-float",
         ],
     )
     def test_rejects_malformed_documents(self, corrupt):

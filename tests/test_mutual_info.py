@@ -19,7 +19,7 @@ from conftest import C, D, E, F
 from golden import GOLDEN_ORDER_7, GOLDEN_SCORES_12, golden_dataset, golden_scores_dataset
 from oracles import cmi_reference, joint_counts, rank_edges_reference
 
-SWEEP_SMOOTHING = [0.0, 0.25, 0.7, 1.0, 3.0]
+SWEEP_SMOOTHING = [0.0, 0.25, 0.7, 1.0, 3.0, 1e5]
 EXACT_SMOOTHING = [0.0, 1e-3, 0.5, 1.0, 3.0]
 BAD_SMOOTHING = [-1.0, math.nan, math.inf]
 
@@ -253,8 +253,9 @@ class TestCmi:
         table = np.array(slices).reshape(2, 2, 2).transpose(1, 2, 0)
         counts = JointCounts(table, int(table.sum()))
         assert counts.table[1, 0, 0] == slices[0][2]
-        monkeypatch.setattr(mutual_info, "decimal", None)  # never reached
+        bits = record_entry_bits(monkeypatch)
         assert cmi(counts, smoothing).hex() == "0x0.0p+0"
+        assert bits == [mutual_info._BITS]  # the tables, and no exact sum
 
 
 class TestRankEdges:
@@ -402,6 +403,20 @@ class TestRankEdges:
         assert want == GOLDEN_SCORES_12
 
 
+def record_entry_bits(monkeypatch):
+    """Wrap ``mutual_info._entries`` and return the list of the precisions
+    it is called at: _BITS for the fixed-point tables, more for the exact
+    path's integer sums."""
+    calls, entries = [], mutual_info._entries
+
+    def recording(keys, n, a, den, bits):
+        calls.append(bits)
+        return entries(keys, n, a, den, bits)
+
+    monkeypatch.setattr(mutual_info, "_entries", recording)
+    return calls
+
+
 def record_exact_scores(monkeypatch):
     """Wrap ``mutual_info._exact_score``, the path of pairs the fixed-point
     sum cannot certify, and return the list its results go to."""
@@ -429,16 +444,17 @@ def slices_of(ds, i, j):
 
 class TestBranches:
     """Each pair is certified from the fixed-point sum, or found exactly
-    independent, or scored in Decimal; every branch gives the reference's
-    bits."""
+    independent, or scored by an exact integer sum at doubling precision;
+    every branch gives the reference's bits."""
 
     @pytest.mark.parametrize("smoothing", [0.0, 1.0])
     def test_certified_unless_exactly_independent(self, smoothing, monkeypatch):
         ds = tie_heavy_dataset()
         want = rank_edges_reference(ds, smoothing)
         exact = record_exact_scores(monkeypatch)
-        monkeypatch.setattr(mutual_info, "decimal", None)  # Decimal is never reached
+        bits = record_entry_bits(monkeypatch)
         got = rank_edges(ds, build_dag(16, []), smoothing)
+        assert bits == [mutual_info._BITS]  # factorising pairs return before any sum
         assert got == want
         assert_same_scores(got, want)
         independent = [(i, j) for i, j, _ in got if factorises(slices_of(ds, i, j), smoothing)]
@@ -454,12 +470,14 @@ class TestBranches:
 
     @pytest.mark.parametrize("smoothing", EXACT_SMOOTHING)
     def test_uncertified_pairs_fall_back_to_decimal(self, smoothing, monkeypatch):
-        # A bound no sum can meet sends every pair to the exact path: exactly
-        # independent pairs score +0.0, all others come from Decimal.
+        # A bound no fixed-point sum can meet (a half-gap of a double below
+        # 2**_BITS is under 2**46) sends every pair to the exact path: exactly
+        # independent pairs score +0.0, all others come from the integer sum.
+        # The bound is an int, as a float would make total - error inexact.
         ds = tie_heavy_dataset()
         ds = Dataset(ds.values[:, 4:12], ds.labels)
         want = rank_edges_reference(ds, smoothing)
-        monkeypatch.setattr(mutual_info, "_PAIR_ERROR", 2.0**90)
+        monkeypatch.setattr(mutual_info, "_PAIR_ERROR", 2**60)
         exact = record_exact_scores(monkeypatch)
         got = rank_edges(ds, build_dag(8, []), smoothing)
         assert got == want
@@ -467,20 +485,44 @@ class TestBranches:
         assert len(exact) == len(want) and any(exact)
 
     def test_decimal_precision_grows_until_certain(self, monkeypatch):
-        # The first precision leaves the rounding open for this tiny score;
-        # the doubling loop settles it.
+        # The first precision of the exact sum leaves the rounding open for
+        # this tiny score; the doubling loop settles it.
         counts = JointCounts(np.array(UNDERFLOW_CELLS), 100)
         want = cmi_reference(counts, 1e-200)
-        contexts = []
-        context = mutual_info.decimal.Context
-
-        def recording(prec):
-            contexts.append(prec)
-            return context(prec=prec)
-
-        monkeypatch.setattr(mutual_info.decimal, "Context", recording)
+        bits = record_entry_bits(monkeypatch)
         assert cmi(counts, 1e-200) == want
-        assert len(contexts) > 1 and contexts == sorted(contexts)
+        # The tables at _BITS, then three exact sums, each at twice the
+        # previous precision: 2**-800 settles a score near 4.6e-200.
+        assert bits == [mutual_info._BITS * 2**k for k in range(4)]
+
+    @pytest.mark.parametrize("smoothing", [1e5, 1e9])
+    def test_large_smoothing_matches_reference(self, smoothing, monkeypatch):
+        # CMI shrinks like 1 / s**2 while the limbs' error stays 18 units of
+        # 2**-_BITS, so some pairs (at 1e9 all) leave the certified path and
+        # take the exact integer sum.
+        ds = generate_synthetic(build_dag(12, random_dag(12, 6, 3)), 40, 0.3, 0.05, 3)
+        want = rank_edges_reference(ds, smoothing)
+        exact = record_exact_scores(monkeypatch)
+        got = rank_edges(ds, build_dag(12, []), smoothing)
+        assert got == want
+        assert_same_scores(got, want)
+        assert any(exact) and 0.0 < got[0][2] < 1e-8
+        if smoothing == 1e9:
+            assert len(exact) == len(want)
+
+    @pytest.mark.parametrize("smoothing", [1.0, 1e9, 1e-200, 5e-324])
+    @pytest.mark.parametrize("bits", [200, 400, 800])
+    def test_entries_within_one_unit_at_every_precision(self, smoothing, bits):
+        # The exact path's entries at its doubled precisions, against
+        # Decimal at 300 digits (2**800 is under 10**241).
+        a, den = smoothing.as_integer_ratio()
+        n, keys = 40, [0, a, 2 * a, 4 * a, den + a, 7 * den + 2 * a, 33 * den + 4 * a]
+        entries = mutual_info._entries(keys, n, a, den, bits)
+        ctx = decimal.Context(prec=300)
+        scale = ctx.divide(2**bits, n * den + 8 * a)
+        for k in keys:
+            exact = ctx.multiply(scale, ctx.multiply(k, ctx.divide(k, den).ln(ctx))) if k else 0
+            assert abs(entries[k] - exact) < 1
 
     @pytest.mark.parametrize("smoothing", [0.0, 1e-3, 1.0, 1e-200, 1e300])
     def test_table_entries_within_one_unit(self, smoothing):

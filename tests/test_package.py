@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -25,6 +26,23 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_no_module_imports_decimal():
+    """Ranking settles every score with integer arithmetic, so no module of
+    the package imports ``decimal``. The sources are scanned, rather than
+    ``sys.modules``, so NumPy's or SciPy's own imports do not count."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hietan").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "decimal"]
+    assert not found
 
 
 def test_readme_python_blocks_run(capsys):
