@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -42,7 +41,7 @@ from .hie_mst import hie_mst
 from .hierarchy import (
     build_dag, dag_from_edge_names, dag_from_file, random_dag, read_dag_file, write_dag_file,
 )
-from .mutual_info import _ranked_pairs
+from .mutual_info import _ranked_pairs, check_smoothing
 from .tan import learn_tan_structure
 
 _METHOD_FLAGS = {
@@ -73,7 +72,9 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_smoothing = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+# check_smoothing raises ValueError for a float outside its rule.
+_smoothing = _checked(lambda text: check_smoothing(float(text)), lambda v: True,
+                      "a finite number >= 0")
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _alpha = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")

@@ -38,7 +38,15 @@ follow the cycle check (the edge must be available and its pair must not be
 redundant), and each insertion deactivates the relatives of the endpoints that
 duplicate an endpoint's value. Every edge starts available and a deactivated
 feature is never reactivated, so "unavailable" <=> "an endpoint is inactive":
-an active-feature mask is the only per-instance state.
+an active-feature mask is the only per-instance state. The scan tests
+availability first, as most lazy candidates fail it, and traces a candidate
+that fails both tests as a cycle, so every decision reads as in that order.
+
+An endpoint's relatives are walked only at its first accept, when it was
+alone in its skeleton component. That walk leaves every relative carrying
+the endpoint's value inactive, and none is reactivated, so a later walk
+from the same endpoint would deactivate nothing. No walk deactivates the
+other endpoint: an accepted related pair carries two values.
 
 The scan stops as soon as at most one skeleton component still holds an
 active feature; the eager learner keeps every feature active, so there the
@@ -48,17 +56,24 @@ live component, so the edge closes a cycle. Otherwise an endpoint is
 inactive, so the edge is unavailable. Neither state can be undone, because
 features are never reactivated and the skeleton only grows, so no later
 candidate is accepted; nor does a rejection change any state, so the tree,
-the active mask and the residual orientation are those of a full scan. The
-trace replaces the k >= 1 skipped rejections with one ``scan_stopped`` entry
-that names the first skipped pair and carries ``skipped=k``.
+the active mask and the residual orientation are those of a full scan. Only
+an accept changes the component count or the active mask, so the stop is
+tested before the first candidate and after each accept, not per candidate.
+The trace replaces the k >= 1 skipped rejections with one ``scan_stopped``
+entry that names the first skipped pair and carries ``skipped=k``. A traced
+scan counts the candidates it reads and takes k from the sequence's ``len``,
+so it reads no further than that first skipped pair.
 
 All three learners (TAN too, on no hierarchy) share one scan, ``_scan``: a
 single loop over plain lists (component labels, parents with -1 for none,
 the active mask) and an insertion-ordered dict of undirected edges, with the
 constraint branches, both lazy gates and the deactivation written inline and
-the hierarchy read straight from its closure bits. It never range-checks an
-endpoint: the public learners check the whole candidate list once per call,
-and the CV loop's ranked pairs are in range by construction. The CV loop
+the hierarchy read straight from its closure bits. The loop counts no scan
+positions: each undirected edge is keyed by its accept order, which follows
+scan order, so propagation orders its trace entries as scan positions would.
+It never range-checks an endpoint: the public learners check the whole
+candidate list once per call, and the CV loop's ranked pairs are in range by
+construction. The CV loop
 calls ``_grow`` once per lazy test instance and writes the parent and active
 lists straight into its per-fold arrays, with no ``DependencyTree``,
 ``frozenset`` or value check per instance.
@@ -67,6 +82,7 @@ lists straight into its per-fold arrays, with no ``DependencyTree``,
 from __future__ import annotations
 
 import random
+from itertools import compress, count
 from typing import Callable, Optional
 
 from .dataset import _binary_copy
@@ -81,11 +97,12 @@ TraceFn = Optional[Callable[[dict], None]]
 def _scan(edges, anc, desc, related, values: Optional[list[int]], trace: TraceFn):
     """The greedy pass over the candidates: eager with ``values=None``, lazy
     with an instance's 0/1 values. ``anc``/``desc`` are the hierarchy's
-    closure bits and ``related`` its relative lists (read only when lazy).
+    closure bits and ``related`` its relative lists (read only when lazy, and
+    each at most once).
 
     Returns ``(parent, active, undirected, adj)``: each feature's parent (-1
     for none) and whether it stayed active, the edges still undirected as
-    ``(a, b)`` with a < b mapped to their scan position, in insertion order,
+    ``(a, b)`` with a < b mapped to their accept order, in insertion order,
     and the neighbours each feature gained through an undirected edge (still
     listed once that edge is directed)."""
     n = len(anc)
@@ -98,73 +115,97 @@ def _scan(edges, anc, desc, related, values: Optional[list[int]], trace: TraceFn
     undirected: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(n)]
     lazy = values is not None
-    for pos, (i, j, _) in enumerate(edges):
-        if live <= 1:
-            if trace is not None:
-                trace({"decision": "scan_stopped", "i": i, "j": j, "skipped": len(edges) - pos})
-            break
-        keep, gone = comp[i], comp[j]
-        if keep == gone:
-            if trace is not None:
-                trace({"decision": "rejected_cycle", "i": i, "j": j})
-            continue
-        if lazy and not (active[i] and active[j]):
-            if trace is not None:
-                trace({"decision": "rejected_unavailable", "i": i, "j": j})
-            continue
-        if (anc[j] | desc[j]) >> i & 1:
-            if lazy and values[i] == values[j]:
+    accepts = 0
+    # A traced scan counts the candidates it reads in C, as the selectors of
+    # ``compress``, so that ``skipped`` costs no read past the stop.
+    read = count(1)
+    rest = iter(edges) if trace is None else compress(edges, read)
+    if live > 1:
+        for i, j, _ in rest:
+            # Availability first, as most lazy candidates fail it (the eager
+            # learner keeps every feature active). One that also closes a
+            # cycle is traced as a cycle, the reason a cycle-first test gives.
+            if not (active[i] and active[j]):
                 if trace is not None:
-                    trace({"decision": "rejected_redundant", "i": i, "j": j})
+                    trace({"decision": "rejected_cycle" if comp[i] == comp[j]
+                           else "rejected_unavailable", "i": i, "j": j})
                 continue
-            p, c = (i, j) if anc[j] >> i & 1 else (j, i)
-        elif parent[i] >= 0:
-            p, c = i, j
-        elif parent[j] >= 0:
-            p, c = j, i
-        else:
-            p = -1
-        if p >= 0 and parent[c] >= 0:
-            if trace is not None:
-                trace({"decision": "rejected_single_parent", "i": i, "j": j})
-            continue
-        # Join the two components; the smaller takes the larger's label, so
-        # no feature is relabelled more than log2(n) times. Both endpoints
-        # are active, so both components were live.
-        if len(members[keep]) < len(members[gone]):
-            keep, gone = gone, keep
-        for v in members[gone]:
-            comp[v] = keep
-        members[keep] += members[gone]
-        active_in[keep] += active_in[gone]
-        live -= 1
-        if p < 0:
-            undirected[(i, j) if i < j else (j, i)] = pos
-            adj[i].append(j)
-            adj[j].append(i)
-            if trace is not None:
-                trace({"decision": "accepted_undirected", "i": i, "j": j})
-        else:
-            parent[c] = p
-            if trace is not None:
-                trace({"decision": "accepted_directed", "i": i, "j": j, "parent": p, "child": c})
-            _orient_away(c, parent, undirected, adj, trace)
-        if lazy:
-            # Deactivate the relatives that duplicate an endpoint's value. An
-            # accepted related pair carries two values, so neither endpoint
-            # can match the other's.
-            for v in (i, j):
-                val = values[v]
-                for u in related[v]:
-                    if active[u] and values[u] == val:
-                        active[u] = False
-                        label = comp[u]
-                        active_in[label] -= 1
-                        if not active_in[label]:
-                            live -= 1
-                        if trace is not None:
-                            trace({"decision": "relative_removed", "i": i, "j": j,
-                                   "feature": u, "endpoint": v})
+            if comp[i] == comp[j]:
+                if trace is not None:
+                    trace({"decision": "rejected_cycle", "i": i, "j": j})
+                continue
+            if (anc[j] | desc[j]) >> i & 1:
+                if lazy and values[i] == values[j]:
+                    if trace is not None:
+                        trace({"decision": "rejected_redundant", "i": i, "j": j})
+                    continue
+                p, c = (i, j) if anc[j] >> i & 1 else (j, i)
+            elif parent[i] >= 0:
+                p, c = i, j
+            elif parent[j] >= 0:
+                p, c = j, i
+            else:
+                p = -1
+            if p >= 0 and parent[c] >= 0:
+                if trace is not None:
+                    trace({"decision": "rejected_single_parent", "i": i, "j": j})
+                continue
+            # Join the two components; the smaller takes the larger's label,
+            # so no feature is relabelled more than log2(n) times. Both
+            # endpoints are active, so both components were live. An endpoint
+            # alone in its component is accepted for the first time.
+            keep, gone = comp[i], comp[j]
+            kept, joined = members[keep], members[gone]
+            first_i, first_j = len(kept) == 1, len(joined) == 1
+            if len(kept) < len(joined):
+                keep, gone, kept, joined = gone, keep, joined, kept
+            for v in joined:
+                comp[v] = keep
+            kept += joined
+            active_in[keep] += active_in[gone]
+            live -= 1
+            if p < 0:
+                undirected[(i, j) if i < j else (j, i)] = accepts
+                adj[i].append(j)
+                adj[j].append(i)
+                if trace is not None:
+                    trace({"decision": "accepted_undirected", "i": i, "j": j})
+            else:
+                parent[c] = p
+                if trace is not None:
+                    trace({"decision": "accepted_directed", "i": i, "j": j, "parent": p, "child": c})
+                if adj[c]:  # c was parentless, so these edges are undirected
+                    _orient_away(c, parent, undirected, adj, trace)
+            accepts += 1
+            if lazy:
+                # Deactivate the relatives that duplicate an endpoint's value,
+                # walking an endpoint's relatives only at its first accept:
+                # that walk leaves every same-valued relative inactive for
+                # good, so a later one would find none. An accepted related
+                # pair carries two values, so neither endpoint can match the
+                # other's.
+                for v, first in ((i, first_i), (j, first_j)):
+                    if not first:
+                        continue
+                    val = values[v]
+                    for u in related[v]:
+                        if active[u] and values[u] == val:
+                            active[u] = False
+                            label = comp[u]
+                            active_in[label] -= 1
+                            if not active_in[label]:
+                                live -= 1
+                            if trace is not None:
+                                trace({"decision": "relative_removed", "i": i, "j": j,
+                                       "feature": u, "endpoint": v})
+            if live <= 1:
+                break
+    if trace is not None and live <= 1:  # stopped, not out of candidates
+        scanned = next(read) - 1
+        stop = next(rest, None)
+        if stop is not None:
+            trace({"decision": "scan_stopped", "i": stop[0], "j": stop[1],
+                   "skipped": len(edges) - scanned})
     return parent, active, undirected, adj
 
 
@@ -177,20 +218,21 @@ def _orient_away(c: int, parent: list[int], undirected: dict, adj: list[list[int
     entries follow the insertion-order passes that a fixpoint over all
     undirected edges would make: an edge is oriented in the pass that
     oriented the edge leading to it, when it was inserted after that edge,
-    and in the next pass otherwise."""
+    and in the next pass otherwise. Edges are accepted in scan order, so
+    their accept orders compare as their scan positions would."""
     moved = []
-    stack = [(c, 1, -1)]  # (feature, pass, position of the edge that reached it)
+    stack = [(c, 1, -1)]  # (feature, pass, accept order of the edge that reached it)
     while stack:
         v, k, s = stack.pop()
         for w in adj[v]:
             key = (v, w) if v < w else (w, v)
-            pos = undirected.pop(key, None)
-            if pos is not None:
+            order = undirected.pop(key, None)
+            if order is not None:
                 parent[w] = v
-                kw = k + (pos < s)
-                stack.append((w, kw, pos))
+                kw = k + (order < s)
+                stack.append((w, kw, order))
                 if trace is not None:
-                    moved.append((kw, pos, key, v, w))
+                    moved.append((kw, order, key, v, w))
     if trace is not None:
         for _, _, (a, b), p, ch in sorted(moved):
             trace({"decision": "oriented_by_propagation", "i": a, "j": b,
@@ -204,15 +246,16 @@ def _grow(edges, dag: FeatureDag, seed: int, values: Optional[list[int]], trace:
     parent, active, undirected, adj = _scan(
         edges, dag.ancestor_bits, dag.descendant_bits, dag.related_ixs, values, trace
     )
-    rng = random.Random(seed)
-    while undirected:
-        a, b = next(iter(undirected))
-        p, c = (a, b) if rng.randrange(2) == 0 else (b, a)
-        del undirected[a, b]
-        parent[c] = p
-        if trace is not None:
-            trace({"decision": "oriented_randomly", "i": a, "j": b, "parent": p, "child": c})
-        _orient_away(c, parent, undirected, adj, trace)
+    if undirected:
+        rng = random.Random(seed)
+        while undirected:
+            a, b = next(iter(undirected))
+            p, c = (a, b) if rng.randrange(2) == 0 else (b, a)
+            del undirected[a, b]
+            parent[c] = p
+            if trace is not None:
+                trace({"decision": "oriented_randomly", "i": a, "j": b, "parent": p, "child": c})
+            _orient_away(c, parent, undirected, adj, trace)
     return parent, active
 
 

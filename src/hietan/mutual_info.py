@@ -87,7 +87,10 @@ def check_smoothing(smoothing: float) -> float:
     a bool (else ``TypeError``), finite and non-negative (else ``ValueError``)."""
     if isinstance(smoothing, bool) or not isinstance(smoothing, _NUMBERS):
         raise TypeError(f"smoothing must be a real number, got {smoothing!r}")
-    value = float(smoothing)
+    try:
+        value = float(smoothing)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"smoothing must be finite and non-negative, got {smoothing!r}")
     return value

@@ -129,6 +129,18 @@ class TestFit:
         with pytest.raises(ValueError, match="smoothing"):
             fit(ds, empty_tree(1), smoothing=smoothing)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_int_smoothing_too_large_for_a_float(self, sign):
+        # float() of such an int raises OverflowError; the smoothing rule
+        # reports it as a non-finite value.
+        ds = Dataset(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            fit(ds, empty_tree(1), smoothing=sign * 10**400)
+        doc = model_to_dict(fit(ds, empty_tree(1)))
+        doc["smoothing"] = sign * 10**400
+        with pytest.raises(ParseError, match="ValueError"):
+            model_from_dict(doc)
+
     def test_rejects_non_numeric_smoothing(self):
         ds = Dataset(np.array([[0], [1]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))
         with pytest.raises(TypeError, match="smoothing"):

@@ -571,7 +571,7 @@ def test_tiny_smoothing_runs(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["cv", "train"])
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e400"])
 def test_bad_smoothing_is_usage_error(synth_files, tmp_path, capsys, command, value):
     data, dag = synth_files
     out = tmp_path / "out.json"
@@ -580,7 +580,8 @@ def test_bad_smoothing_is_usage_error(synth_files, tmp_path, capsys, command, va
         main([command, "--data", str(data), "--dag", str(dag),
               "--method", "hie-tan", "--smoothing", value, *extra, str(out)])
     assert exc.value.code == 1
-    assert "error: argument --smoothing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: argument --smoothing: must be a finite number >= 0, got {value!r}\n" in err
     assert not out.exists()
 
 

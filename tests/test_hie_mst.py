@@ -1,6 +1,8 @@
 import random
 import warnings
+from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import pytest
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DimensionMismatch, IndexOutOfRange
 from hietan.evaluate import derive_seed
-from hietan.hie_mst import hie_mst, hie_mst_lite
+from hietan.hie_mst import _grow, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import _RankedPairs, rank_edges
+from hietan.mutual_info import _RankedPairs, _first_chunk, _ranked_pairs, rank_edges
 from hietan.tan import learn_tan_structure
 
 from conftest import A, B, C, D, E, F, CANONICAL_EDGES
@@ -352,6 +354,68 @@ class TestScanStop:
             assert skipped == ([] if stop is None else [len(edges) - stop])
             stopped += stop is not None
         assert 100 < stopped < 400
+
+
+class CountingLists:
+    """Read-only lists that count how often each one is read."""
+
+    def __init__(self, lists):
+        self.lists = lists
+        self.reads = Counter()
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return self.lists[v]
+
+
+def test_relatives_walked_once_per_scan():
+    """A lazy scan reads a feature's relatives at most once, at the feature's
+    first accept: that walk leaves no same-valued relative active, so a later
+    one could deactivate nothing. The eager scan reads none. Trees and active
+    masks are the full-scan reference's."""
+    repeats = 0
+    for k, (dag, n, edges, values, seed) in enumerate(stop_problems(9, 400)):
+        values = values if k % 2 else None
+        related = CountingLists(dag.related_ixs)
+        view = SimpleNamespace(ancestor_bits=dag.ancestor_bits,
+                               descendant_bits=dag.descendant_bits, related_ixs=related)
+        parent, active = _grow(edges, view, seed, values, None)
+        (ref_tree, ref_active), trace = traced(grow_reference, edges, dag, n, seed, values)
+        assert tuple(None if p < 0 else p for p in parent) == ref_tree.parent_of
+        assert active == ref_active
+        assert max(related.reads.values(), default=0) <= (0 if values is None else 1)
+        # Accepts of an endpoint already in the tree, each a walk saved.
+        seen = set()
+        for t in trace:
+            if t["decision"] in ACCEPTED and values is not None:
+                repeats += (t["i"] in seen) + (t["j"] in seen)
+                seen.update((t["i"], t["j"]))
+    assert repeats > 500
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["hie_mst", "hie_mst_lite"])
+def test_chunked_ranking_matches_list(lazy):
+    """At 150 features lazy scans read past the first chunk of 4n pairs. A
+    traced scan over a fresh chunked ranking gives the tree, the active mask
+    and the trace, ``skipped`` included, of a scan over ``rank_edges``' list,
+    and so does an untraced one."""
+    n = 150
+    dag = build_dag(n, random_dag(n, 250, 3))
+    ds = generate_synthetic(dag, 200, 0.3, 0.05, 3)
+    ranked = _ranked_pairs(ds, dag)
+    listed = rank_edges(ds, dag)
+    past_first = 0
+    for seed, values in enumerate(ds.values[:20].tolist() if lazy else [None]):
+        want_trace, got_trace = [], []
+        want = _grow(listed, dag, seed, values, want_trace.append)
+        chunked = _RankedPairs(ranked._i, ranked._j, ranked._scores, _first_chunk(n))
+        assert _grow(chunked, dag, seed, values, got_trace.append) == want
+        assert got_trace == want_trace
+        chunked = _RankedPairs(ranked._i, ranked._j, ranked._scores, _first_chunk(n))
+        assert _grow(chunked, dag, seed, values, None) == want
+        assert [t["decision"] for t in want_trace].count("scan_stopped") == 1
+        past_first += sum(t["decision"] in SCAN_DECISIONS for t in want_trace) > 4 * n
+    assert past_first >= (10 if lazy else 0)
 
 
 def test_endpoint_order_and_self_pairs_change_nothing():
