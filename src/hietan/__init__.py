@@ -48,7 +48,7 @@ from .evaluate import (
 )
 from .hie_mst import hie_mst, hie_mst_lite
 from .hierarchy import FeatureDag, build_dag, dag_from_file, random_dag
-from .mutual_info import JointCounts, cmi, rank_edges
+from .mutual_info import rank_edges
 from .tan import learn_tan_structure
 from .tree import DependencyTree
 
@@ -64,13 +64,11 @@ __all__ = [
     "FittedClassifier",
     "FoldAssignment",
     "FriedmanHolmResult",
-    "JointCounts",
     "PlantedRule",
     "Prediction",
     "RankTable",
     "average_ranks",
     "build_dag",
-    "cmi",
     "dag_from_file",
     "fit",
     "friedman_holm",

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .bayes import fit, load_model, predict_batch, save_model
+from .bayes import load_model, predict_batch, save_model
 from .dataset import (
     Dataset,
     generate_synthetic_with_rule,
@@ -29,26 +29,19 @@ from .dataset import (
 from .errors import HieTanError, WrongMethod
 from .evaluate import (
     ALL_METHODS,
-    METHOD_HIE_TAN,
     METHOD_HIE_TAN_LITE,
-    METHOD_TAN,
+    _EAGER_TREES,
     FeatureUsageReport,
-    derive_seed,
+    _train,
     fold_rank_summary,
     run_cv_experiment,
 )
-from .hie_mst import hie_mst
 from .hierarchy import (
     build_dag, dag_from_edge_names, dag_from_file, random_dag, read_dag_file, write_dag_file,
 )
-from .mutual_info import _ranked_pairs, check_smoothing
-from .tan import learn_tan_structure
+from .mutual_info import check_smoothing
 
-_METHOD_FLAGS = {
-    "tan": METHOD_TAN,
-    "hie-tan": METHOD_HIE_TAN,
-    "hie-tan-lite": METHOD_HIE_TAN_LITE,
-}
+_METHOD_FLAGS = {m.replace("_", "-"): m for m in ALL_METHODS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,24 +261,19 @@ def cmd_cv(args) -> int:
 def cmd_train(args) -> int:
     method = args.method
     if method == "all":
-        raise WrongUsage("train needs a single --method (tan or hie-tan)")
-    if _METHOD_FLAGS[method] == METHOD_HIE_TAN_LITE:
+        eager = " or ".join(f for f, m in _METHOD_FLAGS.items() if m in _EAGER_TREES)
+        raise WrongUsage(f"train needs a single --method ({eager})")
+    if _METHOD_FLAGS[method] not in _EAGER_TREES:
         raise WrongMethod(
-            "hie-tan-lite is a lazy method: it learns one tree per test "
+            f"{method} is a lazy method: it learns one tree per test "
             "instance, so there is no single model to save (use cv/features)"
         )
     ds, dag = _load_inputs(args)
-    edges = _ranked_pairs(ds, dag, args.smoothing)
-    seed = derive_seed(args.seed, 0)
-    if _METHOD_FLAGS[method] == METHOD_TAN:
-        tree = learn_tan_structure(edges, ds.n_features, seed)
-    else:
-        tree = hie_mst(edges, dag, ds.n_features, seed)
-    clf = fit(ds, tree, None, args.smoothing)
+    clf = _train(ds, dag, _METHOD_FLAGS[method], args.seed, args.smoothing)
     save_model(clf, args.model)
     print(
         f"trained {method} on {ds.n_instances} instances "
-        f"({len(tree.edges())} tree edges) -> {args.model}"
+        f"({len(clf.tree.edges())} tree edges) -> {args.model}"
     )
     return 0
 

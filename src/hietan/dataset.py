@@ -280,8 +280,12 @@ def validate_propagation(ds: Dataset, dag: FeatureDag) -> list[tuple[int, int, i
     return violations
 
 
+# Elements of a row block of repair_propagation's product: 2 MB of float64.
+_REPAIR_BLOCK = 2**18
+
+
 def _closure_matrix(dag: FeatureDag) -> np.ndarray:
-    m = np.eye(dag.n_features, dtype=np.int32)
+    m = np.eye(dag.n_features, dtype=np.float64)
     for f in range(dag.n_features):
         for a in _iter_bits(dag.ancestor_bits[f]):
             m[f, a] = 1
@@ -291,14 +295,23 @@ def _closure_matrix(dag: FeatureDag) -> np.ndarray:
 def repair_propagation(ds: Dataset, dag: FeatureDag) -> Dataset:
     """Set every ancestor of a 1-valued feature to 1, instance by instance.
 
-    Idempotent because the ancestor sets are transitively closed.
+    Idempotent because the ancestor sets are transitively closed. The
+    product with the closure runs in float64, where NumPy uses BLAS (an
+    integer matmul does not), and is exact: every sum is an integer at most
+    n_features < 2**53. It runs a block of rows at a time, so its float64
+    temporaries stay near _REPAIR_BLOCK elements however many rows there are.
     """
     if ds.n_features != dag.n_features:
         raise DimensionMismatch(
             f"dataset has {ds.n_features} features, hierarchy has {dag.n_features}"
         )
-    hit = ds.values.astype(np.int32) @ _closure_matrix(dag)
-    return Dataset((hit > 0).astype(np.uint8), ds.labels, ds.feature_names)
+    closure = _closure_matrix(dag)
+    values = np.empty_like(ds.values)
+    step = max(1, _REPAIR_BLOCK // max(1, ds.n_features))
+    for start in range(0, ds.n_instances, step):
+        rows = slice(start, start + step)
+        values[rows] = ds.values[rows].astype(np.float64) @ closure > 0
+    return Dataset(values, ds.labels, ds.feature_names)
 
 
 @dataclass(frozen=True, eq=False)

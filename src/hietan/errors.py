@@ -41,6 +41,10 @@ class DegenerateDistribution(HieTanError):
     """Probabilities cannot be estimated: no data and no smoothing."""
 
 
+class TooFewFeatures(HieTanError, ValueError):
+    """Ranking feature pairs needs at least two features."""
+
+
 class EmptyFeatureSet(HieTanError):
     """A structure learner was asked to build a tree over zero features."""
 

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayes import _lazy_predict, fit, predict_batch
+from .bayes import FittedClassifier, _lazy_predict, fit, predict_batch
 from .dataset import Dataset, stratified_folds, subset, validate_propagation
 from .errors import (
     DegenerateRanks,
@@ -31,6 +31,15 @@ METHOD_TAN = "tan"
 METHOD_HIE_TAN = "hie_tan"
 METHOD_HIE_TAN_LITE = "hie_tan_lite"
 ALL_METHODS = (METHOD_TAN, METHOD_HIE_TAN, METHOD_HIE_TAN_LITE)
+
+# The eager methods' learners, each ``(edges, dag, seed, trace) -> tree``:
+# one tree from a training set's ranked pairs. This module is the one place
+# that maps a method to its learner; the lazy method, absent here, grows one
+# tree per test instance inside ``run_cv_experiment``.
+_EAGER_TREES = {
+    METHOD_TAN: lambda edges, dag, seed, trace: learn_tan_structure(edges, dag.n_features, seed),
+    METHOD_HIE_TAN: lambda edges, dag, seed, trace: hie_mst(edges, dag, dag.n_features, seed, trace),
+}
 
 
 def derive_seed(*parts: int) -> int:
@@ -239,7 +248,8 @@ def run_cv_experiment(
     """Stratified k-fold evaluation of the requested methods.
 
     Edges are ranked once per training fold and shared by all methods. The
-    eager learners build one tree per fold under ``derive_seed(seed, fold)``
+    eager learners of ``_EAGER_TREES`` build one tree per fold under
+    ``derive_seed(seed, fold)``
     and classify the fold's test rows with ``fit`` and ``predict_batch``.
     The lazy learner builds one tree per test instance under
     ``derive_seed(seed, fold, instance_row)`` with the learners' shared pass,
@@ -289,11 +299,8 @@ def run_cv_experiment(
         truths = ds.labels[test_idx]
 
         for method in methods:
-            if method in (METHOD_TAN, METHOD_HIE_TAN):
-                if method == METHOD_TAN:
-                    tree = learn_tan_structure(edges, n, fold_seed)
-                else:
-                    tree = hie_mst(edges, dag, n, fold_seed, tagged(method, fold))
+            if method in _EAGER_TREES:
+                tree = _EAGER_TREES[method](edges, dag, fold_seed, tagged(method, fold))
                 clf = fit(train, tree, None, smoothing)
                 predicted = predict_batch(clf, ds.values[test_idx])[0].tolist()
             else:
@@ -325,6 +332,15 @@ def run_cv_experiment(
             counts, gmeans, float(np.mean(gmeans)), usage
         )
     return ExperimentResult(out, k, seed, float(smoothing), ds.n_instances, n)
+
+
+def _train(ds: Dataset, dag: FeatureDag, method: str, seed: int,
+           smoothing: float) -> FittedClassifier:
+    """The eager ``method``'s classifier on every row of ``ds``: the pairs
+    ranked over all rows, the tree under ``derive_seed(seed, 0)`` (the seed
+    of a CV run's first fold), then ``fit``."""
+    tree = _EAGER_TREES[method](_ranked_pairs(ds, dag, smoothing), dag, derive_seed(seed, 0), None)
+    return fit(ds, tree, None, smoothing)
 
 
 def fold_rank_summary(

@@ -13,10 +13,10 @@ External identifiers (e.g. ontology term names) are mapped onto indices by
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -118,15 +118,26 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
 def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:
     """Sample an acyclic edge list: fix a random topological order, then draw
     ``n_edges`` distinct pairs oriented along it. ``n_edges`` is capped at the
-    n(n-1)/2 pairs, so a larger count returns every pair."""
+    n(n-1)/2 pairs, so a larger count returns every pair.
+
+    The pairs are drawn as indices into ``combinations(range(n), 2)``, which
+    ``Random.sample`` picks exactly as it would pick from that list, and
+    each index is mapped to its pair, so memory is O(n + n_edges)."""
     if n_features < 0 or n_edges < 0:
         raise ValueError("counts must be non-negative")
     rng = random.Random(seed)
     order = list(range(n_features))
     rng.shuffle(order)
-    slots = list(combinations(range(n_features), 2))
-    picked = rng.sample(slots, k=min(n_edges, len(slots)))
-    return [(order[a], order[b]) for a, b in picked]
+    n_pairs = n_features * (n_features - 1) // 2
+    edges = []
+    for p in rng.sample(range(n_pairs), k=min(n_edges, n_pairs)):
+        # Counted from the last pair, q falls in the row of first element
+        # n - 2 - m, which holds the pairs m(m + 1)/2 to (m + 1)(m + 2)/2 - 1.
+        q = n_pairs - 1 - p
+        m = (math.isqrt(8 * q + 1) - 1) // 2
+        a, b = n_features - 2 - m, n_features - 1 - (q - m * (m + 1) // 2)
+        edges.append((order[a], order[b]))
+    return edges
 
 
 def read_utf8_bytes(path) -> bytes:

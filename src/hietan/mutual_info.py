@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange
+from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange, TooFewFeatures
 from .hierarchy import FeatureDag
 
 # Pairs per block of the pair sums: a block's cell counts, gathered limbs
@@ -57,29 +56,6 @@ _BITS = 100
 _LIMB = 52
 _PAIR_ERROR = 18  # a pair's 18 entries, each within one unit
 _NUMBERS = (int, float, np.integer, np.floating)  # a bool is an int: checks exclude it
-
-@dataclass(frozen=True)
-class JointCounts:
-    """8-cell contingency table over (x_i, x_j, y), plus the instance total.
-    The table is stored as a private read-only int64 copy."""
-
-    table: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        a = np.asarray(self.table)
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-            t = a.astype(np.int64)
-        if t.shape != (2, 2, 2):
-            raise DimensionMismatch("joint count table must have shape (2, 2, 2)")
-        if not np.array_equal(t, a):
-            raise ValueError("counts must be integers")
-        if t.min() < 0:
-            raise ValueError("counts cannot be negative")
-        if int(t.sum()) != self.n:
-            raise ValueError("count cells must sum to the instance total")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
 
 
 def check_smoothing(smoothing: float) -> float:
@@ -238,19 +214,6 @@ def _exact_score(classes, n: int, smoothing: float) -> float:
     return high
 
 
-def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
-    """Conditional mutual information estimate from smoothed counts,
-    correctly rounded: ``rank_edges``'s kernel on this one table."""
-    smoothing = check_smoothing(smoothing)
-    stats = []
-    for t in np.moveaxis(counts.table, 2, 0):  # per class, [x_i, x_j]
-        ones = np.array([t[1].sum(), t[:, 1].sum()], dtype=np.int64)
-        gram = np.array([[ones[0], t[1, 1]], [t[1, 1], ones[1]]], dtype=np.int64)
-        stats.append((gram, ones, int(t.sum())))
-    pair = np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
-    return float(_scores(stats, int(counts.n), smoothing, *pair)[0])
-
-
 def _first_chunk(n_features: int) -> int:
     """Pairs in the first chunk of a ``_RankedPairs`` over ``n_features``.
 
@@ -352,7 +315,7 @@ def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _Rank
     smoothing = check_smoothing(smoothing)
     n = ds.n_features
     if n < 2:
-        raise ValueError("need at least two features to rank edges")
+        raise TooFewFeatures("need at least two features to rank edges")
     if dag.n_features != n:
         raise DimensionMismatch(
             f"dataset has {n} features, hierarchy has {dag.n_features}"

@@ -30,8 +30,11 @@ orientation and trace, order included. ``tan_reference`` is TAN's Kruskal
 loop over ``UnionFind`` with a stop after n - 1 picks; ``learn_tan_structure``
 runs the constrained learners' scan on no hierarchy instead and must give
 the same tree.
-``joint_counts`` builds a table by a direct scan and ``tree_total_score``
-sums a tree's candidate scores. ``read_csv_reference`` splits a dataset file
+``random_dag_reference`` samples ``random_dag``'s pairs from the list of
+all n(n-1)/2 of them, where the library maps sampled indices to pairs.
+``joint_counts`` builds a ``JointCounts`` table by a direct scan, ``cmi``
+scores one such table with the library's ranking kernel, and
+``tree_total_score`` sums a tree's candidate scores. ``read_csv_reference`` splits a dataset file
 into lines and tokens with ``str`` methods and converts one token at a time;
 ``hietan.dataset``'s array reader must give the same names, arrays and
 errors. ``save_dataset_reference`` formats one row at a time, and
@@ -40,9 +43,11 @@ errors. ``save_dataset_reference`` formats one row at a time, and
 
 import decimal
 import functools
+import itertools
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +57,7 @@ from hietan.bayes import FittedClassifier, Prediction, fit, predict
 from hietan.dataset import Dataset, stratified_folds, subset
 from hietan.errors import (
     DegenerateDistribution,
+    DimensionMismatch,
     EmptyFeatureSet,
     HieTanError,
     IndexOutOfRange,
@@ -62,7 +68,7 @@ from hietan.errors import (
 from hietan.evaluate import confusion_from_predictions, derive_seed
 from hietan.hie_mst import hie_mst_lite
 from hietan.hierarchy import read_utf8
-from hietan.mutual_info import JointCounts, rank_edges
+from hietan.mutual_info import _scores, check_smoothing, rank_edges
 from hietan.tree import DependencyTree
 
 
@@ -98,6 +104,44 @@ class UnionFind:
 
 class UnknownEdge(HieTanError):
     """A tree edge has no score in the candidate edge list."""
+
+
+@dataclass(frozen=True)
+class JointCounts:
+    """8-cell contingency table over (x_i, x_j, y), plus the instance total.
+    The table is stored as a private read-only int64 copy."""
+
+    table: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        a = np.asarray(self.table)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+            t = a.astype(np.int64)
+        if t.shape != (2, 2, 2):
+            raise DimensionMismatch("joint count table must have shape (2, 2, 2)")
+        if not np.array_equal(t, a):
+            raise ValueError("counts must be integers")
+        if t.min() < 0:
+            raise ValueError("counts cannot be negative")
+        if int(t.sum()) != self.n:
+            raise ValueError("count cells must sum to the instance total")
+        t.setflags(write=False)
+        object.__setattr__(self, "table", t)
+
+
+def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
+    """Conditional mutual information estimate from smoothed counts,
+    correctly rounded: ``rank_edges``'s kernel, ``mutual_info._scores``, on
+    this one table as the pair (0, 1) of a two-feature dataset."""
+    smoothing = check_smoothing(smoothing)
+    stats = []
+    for t in np.moveaxis(counts.table, 2, 0):  # per class, [x_i, x_j]
+        ones = np.array([t[1].sum(), t[:, 1].sum()], dtype=np.int64)
+        gram = np.array([[ones[0], t[1, 1]], [t[1, 1], ones[1]]], dtype=np.int64)
+        stats.append((gram, ones, int(t.sum())))
+    pair = np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
+    return float(_scores(stats, int(counts.n), smoothing, *pair)[0])
 
 
 def joint_counts(ds: Dataset, i: int, j: int) -> JointCounts:
@@ -191,6 +235,17 @@ def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[tuple[int,
             out.append((i, j, cmi_reference(joint_counts(ds, i, j), smoothing)))
     out.sort(key=lambda e: (-e[2], e[0], e[1]))
     return out
+
+
+def random_dag_reference(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:
+    """``random_dag`` sampling from the listed pairs themselves: shuffle the
+    order, then ``Random.sample`` of ``list(combinations(range(n), 2))``."""
+    rng = random.Random(seed)
+    order = list(range(n_features))
+    rng.shuffle(order)
+    slots = list(itertools.combinations(range(n_features), 2))
+    picked = rng.sample(slots, k=min(n_edges, len(slots)))
+    return [(order[a], order[b]) for a, b in picked]
 
 
 def hierarchically_related(dag, a: int, b: int) -> bool:

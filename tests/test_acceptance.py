@@ -24,7 +24,7 @@ from hietan.dataset import (
 from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_experiment
 from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
-from hietan.mutual_info import cmi, rank_edges
+from hietan.mutual_info import rank_edges
 from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree
 
@@ -39,6 +39,7 @@ from golden import (
 )
 from oracles import (
     UnionFind,
+    cmi,
     hierarchically_related,
     is_redundant_pair,
     joint_counts,

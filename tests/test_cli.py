@@ -9,9 +9,9 @@ import pytest
 
 from hietan import mutual_info
 from hietan.bayes import fit, load_model, save_model
-from hietan.cli import main
+from hietan.cli import _build_parser, main
 from hietan.dataset import load_dataset, load_instances, validate_propagation
-from hietan.evaluate import derive_seed
+from hietan.evaluate import ALL_METHODS, derive_seed
 from hietan.hie_mst import hie_mst
 from hietan.hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
 from hietan.mutual_info import rank_edges
@@ -370,7 +370,20 @@ class TestTrainPredict:
             "--method", "hie-tan-lite", "--model", str(tmp_path / "m.json"),
         ])
         assert rc == 1
-        assert "lazy" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: hie-tan-lite is a lazy method: it learns one tree per test "
+            "instance, so there is no single model to save (use cv/features)\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    def test_train_all_rejected_before_reading(self, tmp_path, capsys):
+        # Neither input exists: the refusal comes before any file is read.
+        rc = main([
+            "train", "--data", str(tmp_path / "no.csv"), "--dag", str(tmp_path / "no.tsv"),
+            "--model", str(tmp_path / "m.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: train needs a single --method (tan or hie-tan)\n"
 
     @pytest.mark.parametrize("text", ['{"format": "x"}\n', "not a model\n"],
                              ids=["foreign-format", "not-json"])
@@ -410,6 +423,41 @@ class TestTrainPredict:
                                  "--data", str(data))
         assert from_module == from_main
         assert len(from_main.splitlines()) == 61  # header + 60 instances
+
+
+class TestMethodFlag:
+    def test_choices_are_the_methods_hyphenated_plus_all(self):
+        want = sorted(m.replace("_", "-") for m in ALL_METHODS) + ["all"]
+        commands = _build_parser()._subparsers._group_actions[0].choices
+        seen = set()
+        for name, sub in commands.items():
+            for action in sub._actions:
+                if action.dest == "method":
+                    assert action.choices == want, name
+                    seen.add(name)
+        assert seen == {"cv", "train", "features"}
+
+
+class TestTooFewFeatures:
+    @pytest.mark.parametrize("header, row", [("class", "{y}"), ("A,class", "{x},{y}")],
+                             ids=["no-feature", "one-feature"])
+    @pytest.mark.parametrize("command", ["cv", "train", "features"])
+    def test_fewer_than_two_features_is_an_error(self, tmp_path, capsys, command,
+                                                 header, row):
+        data, dag = tmp_path / "d.csv", tmp_path / "h.tsv"
+        rows = [row.format(x=int(i % 3 == 0), y=i % 2) for i in range(6)]
+        data.write_text("\n".join([header] + rows) + "\n")
+        dag.write_text("")
+        extra = {
+            "cv": ["--folds", "2", "--out", str(tmp_path / "r.json")],
+            "train": ["--method", "tan", "--model", str(tmp_path / "m.json")],
+            "features": ["--folds", "2"],
+        }[command]
+        rc = main([command, "--data", str(data), "--dag", str(dag)] + extra)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least two features to rank edges\n"
+        assert captured.out == ""
 
 
 class TestFeatures:

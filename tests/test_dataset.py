@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,6 +477,26 @@ class TestPropagation:
         ds = Dataset(np.zeros((1, 4), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             validate_propagation(ds, canonical_dag)
+
+    @settings(max_examples=40, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 30),
+           st.sampled_from([1, 7, 64, dataset._REPAIR_BLOCK]))
+    def test_repair_equals_int32_product(self, seed, n, rows, block):
+        # The float64 product, a block of rows at a time, gives the int32
+        # product's hits exactly.
+        rng = np.random.default_rng(seed)
+        dag = build_dag(n, random_dag(n, int(rng.integers(0, 3 * n + 1)), seed))
+        ds = Dataset(
+            (rng.random((rows, n)) < rng.random()).astype(np.uint8),
+            (rng.random(rows) < 0.5).astype(np.uint8),
+        )
+        closure = dataset._closure_matrix(dag).astype(np.int32)
+        want = (ds.values.astype(np.int32) @ closure > 0).astype(np.uint8)
+        with mock.patch.object(dataset, "_REPAIR_BLOCK", block):
+            got = repair_propagation(ds, dag)
+        assert got.values.dtype == np.uint8
+        assert np.array_equal(got.values, want)
+        assert np.array_equal(got.labels, ds.labels)
 
 
 def _balanced_dataset(n0, n1, n_features=3, seed=0):

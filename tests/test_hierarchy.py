@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hietan.errors import CyclicHierarchy, IndexOutOfRange, ParseError
 from hietan.hierarchy import (
@@ -13,7 +15,7 @@ from hietan.hierarchy import (
 )
 
 from conftest import A, B, C, D, E, F
-from oracles import hierarchically_related, relatives
+from oracles import hierarchically_related, random_dag_reference, relatives
 
 
 def bfs_ancestors(n, edges, v):
@@ -47,6 +49,19 @@ class TestBuildDag:
         dag = build_dag(12, edges)
         for v in range(12):
             assert set(relatives(dag, v, "ancestors")) == bfs_ancestors(12, edges, v)
+
+    @pytest.mark.parametrize("n, k", [
+        (0, 0), (0, 3), (1, 0), (1, 2), (2, 0), (2, 1), (2, 5),
+        (7, 21), (7, 40), (30, 45), (150, 240),
+    ])
+    def test_random_dag_matches_list_sampler(self, n, k):
+        for seed in (0, 1, 2**40):
+            assert random_dag(n, k, seed) == random_dag_reference(n, k, seed)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 60), st.integers(0, 2000), st.integers(0, 2**32))
+    def test_random_dag_matches_list_sampler_anywhere(self, n, k, seed):
+        assert random_dag(n, k, seed) == random_dag_reference(n, k, seed)
 
     def test_rejects_cycles(self):
         with pytest.raises(CyclicHierarchy):

@@ -28,20 +28,44 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "hietan"
+
+
+def _imports(path):
+    """(module, names) of each import statement of a source file; a plain
+    ``import`` names no members."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, []) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or "", [alias.name for alias in node.names]
+
+
 def test_no_module_imports_decimal():
     """Ranking settles every score with integer arithmetic, so no module of
     the package imports ``decimal``. The sources are scanned, rather than
     ``sys.modules``, so NumPy's or SciPy's own imports do not count."""
-    found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hietan").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "decimal"]
+    found = [
+        f"{path.name}: {module}"
+        for path in sorted(SRC.rglob("*.py"))
+        for module, _ in _imports(path)
+        if module.split(".")[0] == "decimal"
+    ]
+    assert not found
+
+
+def test_cli_leaves_the_methods_to_evaluate():
+    """``evaluate`` alone maps a method to its learner and trains, so the
+    CLI imports no learner module, ``fit``, ``_ranked_pairs`` or
+    ``derive_seed``."""
+    modules = {"hie_mst", "tan"}
+    names = {"fit", "_ranked_pairs", "derive_seed", "hie_mst", "hie_mst_lite",
+             "learn_tan_structure"}
+    found = [
+        (module, imported)
+        for module, imported in _imports(SRC / "cli.py")
+        if module.split(".")[-1] in modules or (modules | names) & set(imported)
+    ]
     assert not found
 
 
