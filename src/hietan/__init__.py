@@ -46,10 +46,9 @@ from .evaluate import (
     gmean,
     run_cv_experiment,
 )
-from .hie_mst import hie_mst, hie_mst_lite
+from .hie_mst import hie_mst, hie_mst_lite, learn_tan_structure
 from .hierarchy import FeatureDag, build_dag, dag_from_file, random_dag
 from .mutual_info import rank_edges
-from .tan import learn_tan_structure
 from .tree import DependencyTree
 
 __all__ = [

@@ -15,6 +15,8 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bayes import load_model, predict_batch, save_model
 from .dataset import (
@@ -302,22 +304,24 @@ def cmd_features(args) -> int:
             f"the features report is defined for hie-tan-lite, not {args.method}"
         )
     ds, dag = _load_inputs(args)
+    names = ds.feature_names
     if ds.n_instances == 0:
         print("empty dataset: empty report")
-        return 0
-    result = run_cv_experiment(
-        ds, dag, [METHOD_HIE_TAN_LITE], args.folds, args.seed,
-        smoothing=args.smoothing,
-    )
-    usage = result.methods[METHOD_HIE_TAN_LITE].usage
-    names = ds.feature_names
-    for criterion, title in (
-        ("freq_of_selection", "Freq. of Selection"),
-        ("freq_in_edges", "Freq. in Edges"),
-    ):
-        print(f"\n{title} (top {args.top})")
-        for name, count in usage.top(criterion, args.top, names):
-            print(f"  {name:<24} {count}")
+        zeros = np.zeros(len(names), dtype=np.int64)
+        usage = FeatureUsageReport(zeros, zeros)
+    else:
+        result = run_cv_experiment(
+            ds, dag, [METHOD_HIE_TAN_LITE], args.folds, args.seed,
+            smoothing=args.smoothing,
+        )
+        usage = result.methods[METHOD_HIE_TAN_LITE].usage
+        for criterion, title in (
+            ("freq_of_selection", "Freq. of Selection"),
+            ("freq_in_edges", "Freq. in Edges"),
+        ):
+            print(f"\n{title} (top {args.top})")
+            for name, count in usage.top(criterion, args.top, names):
+                print(f"  {name:<24} {count}")
     if args.out:
         payload = {
             "config": _config(args, method="hie-tan-lite"),

@@ -135,20 +135,20 @@ _BLOCK_CELLS = 1 << 17
 
 def _scan_rows(
     s: np.ndarray, width: int, labelled: bool
-) -> tuple[Optional[tuple[np.ndarray, Optional[np.ndarray]]], Optional[int]]:
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[int]]:
     """Parse ``s``, body bytes with no whitespace but b"\\n" and no blank
-    line, into (values, labels) uint8 arrays; labels are ``None`` unless
-    ``labelled``, when the last of the ``width`` columns holds them. Returns
-    ``((values, labels), None)`` when every line is ``width`` tokens 0/1
-    joined by commas and ends in b"\\n", else ``(None, k)`` with ``s[k]`` a
-    byte of the first line that is not.
+    line, into ``(values, labels, bad)``: uint8 arrays of the rows before the
+    first line that is not ``width`` tokens 0/1 joined by commas and ending
+    in b"\\n", and ``bad``, ``None`` when there is no such line, else the
+    offset of a byte on it. Labels are ``None`` unless ``labelled``, when the
+    last of the ``width`` columns holds them.
 
     Such a body is rows of exactly 2 * width bytes, "d,d,...,d\\n", so it is
     checked as a (rows, width) table of cells: a cell fits when ``cell | 1``
     is b"1," (b"1\\n" in the last column), which only the tokens b"0" and
     b"1" give. Before the first bad line every row fills one table row, so
     the first cell that does not fit, or the bytes after the last whole row,
-    lie on the first bad line."""
+    lie on the first bad line, which starts at table row ``bad // (2 * width)``."""
     rows = s.size // (2 * width)
     cells = s[: rows * 2 * width].view(_CELL).reshape(rows, width)
     fit = np.frombuffer(b"1," * (width - 1) + b"1\n", dtype=_CELL)
@@ -156,18 +156,22 @@ def _scan_rows(
     values = np.empty((rows, n_features), dtype=np.uint8)
     labels = np.empty(rows, dtype=np.uint8) if labelled else None
     step = max(1, _BLOCK_CELLS // width)
+    bad = None if cells.size * 2 == s.size else cells.size * 2
     for r in range(0, rows, step):
         block = cells[r : r + step]
         fits = (block | 1) == fit
         if not fits.all():
-            return None, 2 * (r * width + int(np.argmin(fits)))
+            bad = 2 * (r * width + int(np.argmin(fits)))
+            rows = bad // (2 * width)  # the rows before the bad line
+            block = block[: rows - r]
         tokens = block.view(np.uint8)  # bytes again, token at even columns
-        np.subtract(tokens[:, : 2 * n_features : 2], ord("0"), out=values[r : r + step])
+        end = r + len(block)
+        np.subtract(tokens[:, : 2 * n_features : 2], ord("0"), out=values[r:end])
         if labelled:
-            np.subtract(tokens[:, -2], ord("0"), out=labels[r : r + step])
-    if cells.size * 2 != s.size:
-        return None, cells.size * 2
-    return (values, labels), None
+            np.subtract(tokens[:, -2], ord("0"), out=labels[r:end])
+        if end == rows:
+            break
+    return values[:rows], None if labels is None else labels[:rows], bad
 
 
 def _line_error(path, line: str, lineno: int, width: int) -> HieTanError:
@@ -189,11 +193,13 @@ def _read_csv(path, class_required: bool):
     array by ``_scan_rows``, and only the first bad line, if any, is looked
     at as text. When the header's line ends at the file's first b"\\n", the
     raw body is scanned first: if it fits, it is the canonical form that
-    ``save_dataset`` writes, and its table is the answer. Any other file is
-    split by ``str.splitlines``, its blank lines (those ``str.strip``
-    empties) are dropped, and the kept lines are joined by "\\n" with all
-    other whitespace deleted by ``str.translate``; that body is scanned the
-    same way, and a bad line is phrased from its own text."""
+    ``save_dataset`` writes, and its table is the answer. Otherwise the rows
+    before the first line the raw scan rejects are canonical and kept, and
+    only the rest of the file is normalised: split by ``str.splitlines``, its
+    blank lines (those ``str.strip`` empties) dropped, and the kept lines
+    joined by "\\n" with all other whitespace deleted by ``str.translate``.
+    That body is scanned the same way, and a bad line is phrased from its
+    own text. Any other file is normalised whole after its header."""
     data = read_utf8_bytes(path)
     cut = data.find(b"\n") + 1  # just past the header's line break, if it is b"\n"
     lines = data[:cut].decode("utf-8").splitlines()
@@ -213,18 +219,27 @@ def _read_csv(path, class_required: bool):
         raise ParseError(f"{path}: duplicate feature names in header", line=1)
     width = len(names) + labelled
 
+    done = 0  # canonical rows already converted
     if raw:
-        table, _ = _scan_rows(np.frombuffer(data, dtype=np.uint8)[cut:], width, labelled)
-        if table is not None:
-            return (tuple(names), *table)
-        lines = data.decode("utf-8").splitlines()
+        values, labels, bad = _scan_rows(np.frombuffer(data, dtype=np.uint8)[cut:], width, labelled)
+        if bad is None:
+            return tuple(names), values, labels
+        done = len(values)
+        head = values, labels
+        # Canonical rows hold no line break but b"\n", so the text after them
+        # splits into the file's lines from line done + 2 on; "" stands in
+        # for the header, as line 0 of ``lines``.
+        lines = [""] + data[cut + 2 * width * done :].decode("utf-8").splitlines()
     kept = [k for k in range(1, len(lines)) if lines[k].strip()]
     body = "\n".join([lines[k] for k in kept] + [""]).translate(_NO_SPACE).encode("utf-8")
-    table, bad = _scan_rows(np.frombuffer(body, dtype=np.uint8), width, labelled)
-    if table is None:
+    values, labels, bad = _scan_rows(np.frombuffer(body, dtype=np.uint8), width, labelled)
+    if bad is not None:
         k = kept[body.count(b"\n", 0, bad)]
-        raise _line_error(path, lines[k], k + 1, width)
-    return (tuple(names), *table)
+        raise _line_error(path, lines[k], done + k + 1, width)
+    if done:
+        values = np.concatenate((head[0], values))
+        labels = None if labels is None else np.concatenate((head[1], labels))
+    return tuple(names), values, labels
 
 
 def load_dataset(path) -> Dataset:

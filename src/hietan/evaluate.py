@@ -22,10 +22,9 @@ from .errors import (
     IncompleteTable,
     UndefinedClassSide,
 )
-from .hie_mst import _grow, hie_mst
+from .hie_mst import _as_tree, _grow, _tan
 from .hierarchy import FeatureDag
 from .mutual_info import _ranked_pairs
-from .tan import learn_tan_structure
 
 METHOD_TAN = "tan"
 METHOD_HIE_TAN = "hie_tan"
@@ -35,10 +34,12 @@ ALL_METHODS = (METHOD_TAN, METHOD_HIE_TAN, METHOD_HIE_TAN_LITE)
 # The eager methods' learners, each ``(edges, dag, seed, trace) -> tree``:
 # one tree from a training set's ranked pairs. This module is the one place
 # that maps a method to its learner; the lazy method, absent here, grows one
-# tree per test instance inside ``run_cv_experiment``.
+# tree per test instance inside ``run_cv_experiment``. They are the public
+# learners' unchecked cores, as ``_ranked_pairs`` yields only pairs in range.
 _EAGER_TREES = {
-    METHOD_TAN: lambda edges, dag, seed, trace: learn_tan_structure(edges, dag.n_features, seed),
-    METHOD_HIE_TAN: lambda edges, dag, seed, trace: hie_mst(edges, dag, dag.n_features, seed, trace),
+    METHOD_TAN: lambda edges, dag, seed, trace: _tan(edges, dag.n_features, seed),
+    METHOD_HIE_TAN: lambda edges, dag, seed, trace:
+        _as_tree(_grow(edges, dag, seed, None, trace)[0]),
 }
 
 
@@ -249,14 +250,13 @@ def run_cv_experiment(
 
     Edges are ranked once per training fold and shared by all methods. The
     eager learners of ``_EAGER_TREES`` build one tree per fold under
-    ``derive_seed(seed, fold)``
-    and classify the fold's test rows with ``fit`` and ``predict_batch``.
-    The lazy learner builds one tree per test instance under
-    ``derive_seed(seed, fold, instance_row)`` with the learners' shared pass,
-    called directly: the ranked pairs and the dataset's rows need none of
-    ``hie_mst_lite``'s checks, and each tree stays a row of parents. One pass
-    over the training fold's cached statistics then classifies all of the
-    fold's instances, each exactly as
+    ``derive_seed(seed, fold)`` and classify the fold's test rows with
+    ``fit`` and ``predict_batch``. The lazy learner builds one tree per test
+    instance under ``derive_seed(seed, fold, instance_row)``. Every learner
+    is called through its unchecked core: the ranked pairs and the dataset's
+    rows need none of the public learners' checks, and each lazy tree stays
+    a row of parents. One pass over the training fold's cached statistics
+    then classifies all of the fold's instances, each exactly as
     ``predict(fit(train, tree, active, smoothing), instance)`` would, and the
     usage counts are added up from the same per-fold arrays of parents and
     active features. ``jobs`` is accepted and ignored: every run is

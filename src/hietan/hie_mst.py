@@ -1,4 +1,4 @@
-"""Hierarchy-constrained maximum-spanning-tree learning, eager and lazy.
+"""Greedy maximum-spanning-tree structure learning: TAN, and Hie-TAN eager and lazy.
 
 Candidate edges arrive sorted descending by conditional mutual information
 and are processed greedily. A pair whose endpoints are hierarchically related
@@ -64,19 +64,24 @@ entry that names the first skipped pair and carries ``skipped=k``. A traced
 scan counts the candidates it reads and takes k from the sequence's ``len``,
 so it reads no further than that first skipped pair.
 
-All three learners (TAN too, on no hierarchy) share one scan, ``_scan``: a
-single loop over plain lists (component labels, parents with -1 for none,
-the active mask) and an insertion-ordered dict of undirected edges, with the
-constraint branches, both lazy gates and the deactivation written inline and
-the hierarchy read straight from its closure bits. The loop counts no scan
+TAN (Friedman, Geiger & Goldszmidt 1997) is this scan over a hierarchy that
+relates no pair, so every accepted edge stays undirected, and then every
+edge is oriented away from a root drawn at random under the seed.
+
+All three learners share one scan, ``_scan``: a single loop over plain lists
+(component labels, parents with -1 for none, the active mask) and an
+insertion-ordered dict of undirected edges, with the constraint branches,
+both lazy gates and the deactivation written inline and the hierarchy read
+straight from its closure bits. The loop counts no scan
 positions: each undirected edge is keyed by its accept order, which follows
 scan order, so propagation orders its trace entries as scan positions would.
-It never range-checks an endpoint: the public learners check the whole
-candidate list once per call, and the CV loop's ranked pairs are in range by
-construction. The CV loop
-calls ``_grow`` once per lazy test instance and writes the parent and active
-lists straight into its per-fold arrays, with no ``DependencyTree``,
-``frozenset`` or value check per instance.
+It never range-checks an endpoint. Each learner has an unchecked core,
+``_tan`` or ``_grow``, and a public function that runs ``_check_inputs``
+over the whole candidate list once per call before it calls the core. The
+CV loop and ``hietan train`` call the cores directly, as their ranked pairs
+are in range by construction; the lazy loop writes each instance's parent
+and active lists straight into its per-fold arrays, with no
+``DependencyTree``, ``frozenset`` or value check per instance.
 """
 
 from __future__ import annotations
@@ -86,9 +91,8 @@ from itertools import compress, count
 from typing import Callable, Optional
 
 from .dataset import _binary_copy
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EmptyFeatureSet, IndexOutOfRange
 from .hierarchy import FeatureDag
-from .mutual_info import _check_endpoints
 from .tree import DependencyTree
 
 TraceFn = Optional[Callable[[dict], None]]
@@ -263,12 +267,43 @@ def _as_tree(parent: list[int]) -> DependencyTree:
     return DependencyTree(tuple(None if p < 0 else p for p in parent))
 
 
-def _check_inputs(edges, dag: FeatureDag, n_features: int) -> None:
-    if dag.n_features != n_features:
+def _tan(edges, n_features: int, seed: int) -> DependencyTree:
+    """TAN's pass: ``_scan`` over no hierarchy, then every edge oriented away
+    from a seeded random root. Nothing is checked here."""
+    unrelated = (0,) * n_features
+    parent, _, undirected, adj = _scan(edges, unrelated, unrelated, None, None, None)
+    root = random.Random(seed).randrange(n_features)
+    # If the candidate list does not span every feature, leftover components
+    # get oriented from their lowest-index vertex.
+    for start in (root, *range(n_features)):
+        if parent[start] < 0:
+            _orient_away(start, parent, undirected, adj, None)
+    return _as_tree(parent)
+
+
+def _check_inputs(edges, n_features: int, dag: Optional[FeatureDag] = None) -> None:
+    """The public learners' check: ``dag``, if given, has ``n_features``
+    features, and every candidate's endpoints lie in ``[0, n_features)``."""
+    if dag is not None and dag.n_features != n_features:
         raise DimensionMismatch(
             f"hierarchy has {dag.n_features} features, expected {n_features}"
         )
-    _check_endpoints(edges, n_features)
+    for i, j, _ in edges:
+        if not (0 <= i < n_features and 0 <= j < n_features):
+            raise IndexOutOfRange(f"candidate edge ({i}, {j}) outside [0, {n_features})")
+
+
+def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTree:
+    """Greedy maximum spanning tree plus seeded random root orientation.
+
+    ``edges`` is read and checked as in ``hie_mst``. The scan stops once the
+    skeleton spans every feature. The root is the single draw
+    ``random.Random(seed).randrange(n_features)``.
+    """
+    if n_features <= 0:
+        raise EmptyFeatureSet("cannot learn a structure over zero features")
+    _check_inputs(edges, n_features)
+    return _tan(edges, n_features, seed)
 
 
 def hie_mst(
@@ -283,14 +318,13 @@ def hie_mst(
     ``edges`` holds ``(i, j, score)`` tuples sorted descending by score (the
     output of ``rank_edges``); either endpoint may come first, and only the
     order of the list is read. Any sized sequence that can be iterated more
-    than once in that order will do, such as the chunked ranking of the CV
-    loop; ``len`` is read only for the trace's ``skipped`` count. An endpoint
-    outside ``[0, n_features)`` anywhere in the list raises
-    ``IndexOutOfRange`` before the scan starts. The result may have fewer
-    than ``n_features - 1`` edges: constraint rejections can exhaust the
-    candidates, and leftover features simply become roots.
+    than once in that order will do; ``len`` is read only for the trace's
+    ``skipped`` count. An endpoint outside ``[0, n_features)`` anywhere in
+    the list raises ``IndexOutOfRange`` before the scan starts. The result
+    may have fewer than ``n_features - 1`` edges: constraint rejections can
+    exhaust the candidates, and leftover features simply become roots.
     """
-    _check_inputs(edges, dag, n_features)
+    _check_inputs(edges, n_features, dag)
     return _as_tree(_grow(edges, dag, seed, None, trace)[0])
 
 
@@ -320,6 +354,6 @@ def hie_mst_lite(
     if values.shape != (n_features,):
         got = f"{values.size} values" if values.ndim == 1 else f"shape {values.shape}"
         raise DimensionMismatch(f"instance has {got}, expected {n_features}")
-    _check_inputs(edges, dag, n_features)
+    _check_inputs(edges, n_features, dag)
     parent, active = _grow(edges, dag, seed, values.tolist(), trace)
     return _as_tree(parent), frozenset(f for f in range(n_features) if active[f])

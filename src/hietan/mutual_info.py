@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateDistribution, DimensionMismatch, IndexOutOfRange, TooFewFeatures
+from .errors import DegenerateDistribution, DimensionMismatch, TooFewFeatures
 from .hierarchy import FeatureDag
 
 # Pairs per block of the pair sums: a block's cell counts, gathered limbs
@@ -293,20 +293,6 @@ class _RankedPairs:
         """Every pair in order; whatever is still unsorted is sorted at once."""
         self._next = max(self._next, len(self))
         return list(self)
-
-
-def _check_endpoints(edges, n_features: int) -> None:
-    """Raise ``IndexOutOfRange`` unless both endpoints of every candidate lie
-    in ``[0, n_features)``. A ``_RankedPairs`` is checked from its index
-    arrays, so nothing gets sorted."""
-    if isinstance(edges, _RankedPairs):
-        i, j = edges._i, edges._j
-        if not i.size or (min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) < n_features):
-            return
-        edges = zip(i.tolist(), j.tolist(), j)  # find the first bad pair
-    for i, j, _ in edges:
-        if not (0 <= i < n_features and 0 <= j < n_features):
-            raise IndexOutOfRange(f"candidate edge ({i}, {j}) outside [0, {n_features})")
 
 
 def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _RankedPairs:

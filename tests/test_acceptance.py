@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hietan import learn_tan_structure
 from hietan.bayes import fit, predict
 from hietan.cli import main
 from hietan.dataset import (
@@ -25,7 +26,6 @@ from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_ex
 from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
 from hietan.mutual_info import rank_edges
-from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F

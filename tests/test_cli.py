@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hietan import mutual_info
+from hietan import __version__, learn_tan_structure, mutual_info
 from hietan.bayes import fit, load_model, save_model
 from hietan.cli import _build_parser, main
 from hietan.dataset import load_dataset, load_instances, validate_propagation
@@ -15,7 +15,6 @@ from hietan.evaluate import ALL_METHODS, derive_seed
 from hietan.hie_mst import hie_mst
 from hietan.hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
 from hietan.mutual_info import rank_edges
-from hietan.tan import learn_tan_structure
 
 from oracles import predict_reference
 
@@ -510,6 +509,23 @@ class TestFeatures:
         dag.write_text("A\tB\n")
         assert main(["features", "--data", str(data), "--dag", str(dag)]) == 0
         assert "empty" in capsys.readouterr().out
+
+    def test_empty_dataset_report_is_written(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        dag = tmp_path / "dag.tsv"
+        data.write_text("a,b,class\n")
+        dag.write_text("a\tb\n")
+        out = tmp_path / "r.json"
+        assert main(["features", "--data", str(data), "--dag", str(dag),
+                     "--folds", "3", "--seed", "5", "--out", str(out)]) == 0
+        assert "empty" in capsys.readouterr().out
+        assert json.loads(out.read_text()) == {
+            "config": {"dataset": str(data), "dag": str(dag), "folds": 3, "seed": 5,
+                       "smoothing": 1.0, "method": "hie-tan-lite"},
+            "library_version": __version__,
+            "usage": {"freq_of_selection": {"a": 0, "b": 0},
+                      "freq_in_edges": {"a": 0, "b": 0}},
+        }
 
 
 class TestSynth:

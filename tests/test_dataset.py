@@ -353,11 +353,12 @@ class TestReaderMatchesReference:
     def test_one_crlf_is_normalised(self, tmp_path, monkeypatch):
         calls = self.spy_on_scans(monkeypatch)
         path = tmp_path / "d.csv"
-        path.write_bytes(b"a,b,class\n0,1,1\r\n1,1,0\n")
+        path.write_bytes(b"a,b,class\n0,1,1\n1,1,0\r\n0,0,1\n")
         names, values, labels = _read_csv(path, class_required=True)
-        assert values.tolist() == [[0, 1], [1, 1]] and labels.tolist() == [1, 0]
-        # The raw scan fails, and the body rebuilt from the lines is scanned.
-        assert calls == [(b"0,1,1\r\n1,1,0\n", True), (b"0,1,1\n1,1,0\n", False)]
+        assert values.tolist() == [[0, 1], [1, 1], [0, 0]] and labels.tolist() == [1, 0, 1]
+        # The raw scan fails on the second row; the first is kept, and only
+        # the body rebuilt from the lines after it is scanned.
+        assert calls == [(b"0,1,1\n1,1,0\r\n0,0,1\n", True), (b"1,1,0\n0,0,1\n", False)]
 
     def test_whitespace_and_breaks_are_pythons(self):
         chars = [chr(c) for c in range(0x110000)]
@@ -378,6 +379,32 @@ class TestReaderMatchesReference:
             assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
                 read_csv_reference, path, class_required
             )
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("tail", ["no-final-newline", "crlf-from-row-70", "bad-row-70"])
+    def test_canonical_head_then_tail_matches_reference(self, tmp_path, labelled, tail):
+        # The raw scan keeps the canonical rows before its first bad line and
+        # normalises only the rest; row 70 lies in the scan's second block.
+        width = 2_000
+        assert 0 < _BLOCK_CELLS // width <= 70
+        rng = np.random.default_rng(10)
+        rows = [",".join(map(str, row)) for row in rng.integers(0, 2, (100, width)).tolist()]
+        header = ",".join(f"f{i}" for i in range(width - 1)) + (",class" if labelled else ",g")
+        if tail == "no-final-newline":
+            text = "\n".join([header, *rows])
+        elif tail == "crlf-from-row-70":
+            text = "\n".join([header, *rows[:70], ""]) + "\r\n".join([*rows[70:], ""])
+        else:
+            rows[70] = rows[70][:-1] + "x"
+            text = "\n".join([header, *rows, ""])
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        outcomes = [parse_outcome(_read_csv, path, c) for c in (True, False)]
+        assert outcomes == [parse_outcome(read_csv_reference, path, c) for c in (True, False)]
+        if tail == "bad-row-70":
+            assert outcomes[1][:2] == (NonBinaryValue, f"{path}:72: value 'x' is not 0 or 1")
+        else:
+            assert outcomes[1][2] == (100, width - labelled)
 
     @pytest.mark.parametrize("bad_row", [None, 19_990])
     def test_large_canonical_file_matches_reference(self, tmp_path, bad_row):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hietan.evaluate import (
     ConfusionCounts,
     ExperimentResult,
     FeatureUsageReport,
+    _train,
     average_ranks,
     confusion_from_predictions,
     derive_seed,
@@ -351,3 +354,28 @@ def test_cv_is_the_same_at_tiny_ranking_chunks(seed, monkeypatch):
     got = run()
     assert got == want
     assert len(want[1]) > 0
+
+
+def test_cv_and_train_skip_the_public_checks(monkeypatch):
+    """The library's own callers run the learners' unchecked cores, as the
+    pairs they rank are in range by construction: with the public learners'
+    check made to raise, a CV run and ``_train`` give what they give
+    without it."""
+    ds, dag = small_problem(seed=4, n_features=12, n_instances=40)
+
+    def run():
+        result = run_cv_experiment(ds, dag, list(ALL_METHODS), 4, 4, 0.5)
+        models = [_train(ds, dag, m, 4, 0.5) for m in (METHOD_TAN, METHOD_HIE_TAN)]
+        return _cv_doc(result), [
+            (clf.tree, clf.class_prior.tolist(), {f: t.tolist() for f, t in clf.cpts.items()})
+            for clf in models
+        ]
+
+    want = run()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a public learner's check ran")
+
+    # The package's ``hie_mst`` attribute is the function, not the module.
+    monkeypatch.setattr(importlib.import_module("hietan.hie_mst"), "_check_inputs", boom)
+    assert run() == want

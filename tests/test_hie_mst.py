@@ -7,13 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hietan import learn_tan_structure
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DimensionMismatch, IndexOutOfRange
 from hietan.evaluate import derive_seed
 from hietan.hie_mst import _grow, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import _RankedPairs, _first_chunk, _ranked_pairs, rank_edges
-from hietan.tan import learn_tan_structure
 
 from conftest import A, B, C, D, E, F, CANONICAL_EDGES
 from golden import GOLDEN_CHAIN_PARENTS, golden_dataset
@@ -501,8 +501,8 @@ def test_first_candidate_outside_range_raises(edges, learner):
 def test_candidate_outside_range_raises_before_the_scan(learner, bad):
     """An endpoint outside [0, n) raises wherever it sits in the list: right
     after the first accept (where a negative one used to be read as feature
-    n - 1), or past the point where the scan stops. A ranked sequence is
-    checked from its index arrays, without sorting any of it."""
+    n - 1), or past the point where the scan stops, also in a ranked
+    sequence."""
     dag = build_dag(3, [])
     learn = {
         "tan": lambda e: learn_tan_structure(e, 3, 0),
@@ -516,7 +516,6 @@ def test_candidate_outside_range_raises_before_the_scan(learner, bad):
     ranked = _RankedPairs(np.array([0, 1, 0]), np.array([2, 2, bad]), np.array([1.0, 0.5, 0.2]), 1)
     with pytest.raises(IndexOutOfRange, match=rf"candidate edge \(0, {bad}\)"):
         learn(ranked)
-    assert ranked._chunks == []
 
 
 def learner_matches_reference(edges, dag, n, seed, values):

@@ -1,11 +1,13 @@
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import hietan
+from hietan.cli import main
 
 
 def test_star_import_resolves_all():
@@ -58,7 +60,7 @@ def test_cli_leaves_the_methods_to_evaluate():
     """``evaluate`` alone maps a method to its learner and trains, so the
     CLI imports no learner module, ``fit``, ``_ranked_pairs`` or
     ``derive_seed``."""
-    modules = {"hie_mst", "tan"}
+    modules = {"hie_mst"}
     names = {"fit", "_ranked_pairs", "derive_seed", "hie_mst", "hie_mst_lite",
              "learn_tan_structure"}
     found = [
@@ -67,6 +69,24 @@ def test_cli_leaves_the_methods_to_evaluate():
         if module.split(".")[-1] in modules or (modules | names) & set(imported)
     ]
     assert not found
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    """Every ``hietan`` command of README.md's ```bash blocks, lines ending
+    in a backslash joined, exits 0 when run in order in an empty directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```$", readme, flags=re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("hietan ")
+    ]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        assert main(args) == 0, args
+    assert (tmp_path / "results.json").exists() and (tmp_path / "preds.csv").exists()
 
 
 def test_readme_python_blocks_run(capsys):

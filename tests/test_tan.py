@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from hietan import learn_tan_structure
 from hietan.errors import EmptyFeatureSet
-from hietan.tan import learn_tan_structure
 from hietan.tree import DependencyTree
 
 from conftest import A, B, C, D, E, F
