@@ -46,10 +46,9 @@ from .evaluate import (
     gmean,
     run_cv_experiment,
 )
-from .hie_mst import hie_mst, hie_mst_lite, learn_tan_structure
 from .hierarchy import FeatureDag, build_dag, dag_from_file, random_dag
 from .mutual_info import rank_edges
-from .tree import DependencyTree
+from .structure import DependencyTree, hie_mst, hie_mst_lite, learn_tan_structure
 
 __all__ = [
     "__version__",

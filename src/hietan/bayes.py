@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .mutual_info import _NUMBERS, _cells, check_smoothing
-from .tree import DependencyTree
+from .structure import DependencyTree
 
 
 @dataclass(frozen=True)

@@ -175,15 +175,15 @@ def _json_dump(payload: dict, path) -> None:
 def cmd_validate(args) -> int:
     ds, dag = _load_inputs(args)
     violations = validate_propagation(ds, dag)
+    if args.repair:
+        # Written even with nothing to repair, so the copy always exists.
+        out = args.out or f"{args.data}.repaired.csv"
+        save_dataset(repair_propagation(ds, dag), out)
+        print(f"repaired {len(violations)} violation(s) -> {out}")
+        return 0
     if not violations:
         print(f"{args.data}: consistent ({ds.n_instances} instances, "
               f"{ds.n_features} features)")
-        return 0
-    if args.repair:
-        repaired = repair_propagation(ds, dag)
-        out = args.out or f"{args.data}.repaired.csv"
-        save_dataset(repaired, out)
-        print(f"repaired {len(violations)} violation(s) -> {out}")
         return 0
     for row, f, a in violations:
         print(

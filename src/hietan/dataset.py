@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     TooFewInstances,
 )
-from .hierarchy import FeatureDag, _iter_bits, read_utf8_bytes
+from .hierarchy import FeatureDag, _check_names, _iter_bits, read_utf8_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +259,10 @@ def load_instances(path, feature_names: Sequence[str]) -> np.ndarray:
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` in the CSV format above, with b"\\n" line ends. The body
-    is built as one (rows, columns, token + separator) byte array."""
+    is built as one (rows, columns, token + separator) byte array. Feature
+    names ``load_dataset`` would not give back (see ``_check_names``) raise
+    ``UnreadableName`` before the file is opened."""
+    _check_names(path, ds.feature_names, ",")
     cells = np.empty((ds.n_instances, ds.n_features + 1, 2), dtype=np.uint8)
     cells[:, :-1, 0] = ds.values
     cells[:, -1, 0] = ds.labels

@@ -45,6 +45,10 @@ class TooFewFeatures(HieTanError, ValueError):
     """Ranking feature pairs needs at least two features."""
 
 
+class UnreadableName(HieTanError, ValueError):
+    """A feature name would not read back from the file it is to be written to."""
+
+
 class EmptyFeatureSet(HieTanError):
     """A structure learner was asked to build a tree over zero features."""
 

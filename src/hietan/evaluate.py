@@ -22,9 +22,9 @@ from .errors import (
     IncompleteTable,
     UndefinedClassSide,
 )
-from .hie_mst import _as_tree, _grow, _tan
 from .hierarchy import FeatureDag
 from .mutual_info import _ranked_pairs
+from .structure import _as_tree, _grow, _tan
 
 METHOD_TAN = "tan"
 METHOD_HIE_TAN = "hie_tan"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyclicHierarchy, IndexOutOfRange, ParseError
+from .errors import CyclicHierarchy, IndexOutOfRange, ParseError, UnreadableName
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -186,8 +186,45 @@ def read_dag_file(path) -> list[tuple[str, str]]:
     return pairs
 
 
+def _check_names(path, names: Sequence[str], sep: str) -> None:
+    """Raise :class:`UnreadableName` unless a UTF-8 reader that splits lines
+    as ``str.splitlines`` does and strips tokens split at ``sep`` would give
+    every one of ``names`` back as a distinct feature."""
+    for name in names:
+        if sep in name:
+            fault = f"holds {sep!r}"
+        elif len((name + ".").splitlines()) > 1:
+            fault = "holds a line break"
+        elif name != name.strip():
+            fault = "has whitespace around it"
+        else:
+            continue
+        raise UnreadableName(f"{path}: feature name {name!r} {fault}, so it would not read back")
+    if len(set(names)) != len(names):
+        raise UnreadableName(f"{path}: duplicate feature names would not read back as distinct features")
+    try:
+        "".join(names).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnreadableName(f"{path}: feature names cannot be encoded as UTF-8 ({exc.reason})") from None
+
+
 def write_dag_file(path, edges: Iterable[tuple[int, int]], feature_names: Sequence[str]) -> None:
-    lines = [f"{feature_names[p]}\t{feature_names[c]}" for p, c in edges]
+    """Write ``edges`` as ``<parent><TAB><child>`` lines, naming features by
+    ``feature_names``. Names ``read_dag_file`` would not give back (see
+    ``_check_names``; also an empty name, or a parent starting with ``#``,
+    whose line reads as a comment) raise :class:`UnreadableName` before the
+    file is opened."""
+    _check_names(path, feature_names, "\t")
+    lines = []
+    for p, c in edges:
+        parent, child = feature_names[p], feature_names[c]
+        if not (parent and child):
+            raise UnreadableName(f"{path}: an empty feature name would not read back")
+        if parent.startswith("#"):
+            raise UnreadableName(
+                f"{path}: parent name {parent!r} starts with '#', so its edge would read as a comment"
+            )
+        lines.append(f"{parent}\t{child}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

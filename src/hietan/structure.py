@@ -1,4 +1,5 @@
-"""Greedy maximum-spanning-tree structure learning: TAN, and Hie-TAN eager and lazy.
+"""Structure learning: the single-parent dependency tree and the three greedy
+maximum-spanning-tree learners that return it, TAN and Hie-TAN eager and lazy.
 
 Candidate edges arrive sorted descending by conditional mutual information
 and are processed greedily. A pair whose endpoints are hierarchically related
@@ -81,21 +82,66 @@ over the whole candidate list once per call before it calls the core. The
 CV loop and ``hietan train`` call the cores directly, as their ranked pairs
 are in range by construction; the lazy loop writes each instance's parent
 and active lists straight into its per-fold arrays, with no
-``DependencyTree``, ``frozenset`` or value check per instance.
+``DependencyTree``, ``frozenset`` or value check per instance. Every tree a
+learner returns is built by ``_as_tree``, which turns -1 roots into ``None``.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import compress, count
 from typing import Callable, Optional
 
 from .dataset import _binary_copy
 from .errors import DimensionMismatch, EmptyFeatureSet, IndexOutOfRange
 from .hierarchy import FeatureDag
-from .tree import DependencyTree
 
 TraceFn = Optional[Callable[[dict], None]]
+
+
+@dataclass(frozen=True)
+class DependencyTree:
+    """Learned feature-dependency structure: at most one parent per feature.
+
+    ``parent_of[f]`` is the parent feature of ``f`` or ``None``; parentless
+    features are roots (the classifier conditions them on the class alone).
+    The parent relation is validated to be acyclic at construction.
+    """
+
+    parent_of: tuple[Optional[int], ...]
+
+    def __post_init__(self):
+        n = len(self.parent_of)
+        state = [0] * n  # 0 unvisited, 1 on current chain, 2 done
+        for start, p in enumerate(self.parent_of):
+            if p is not None and not 0 <= p < n:
+                raise ValueError(f"parent index {p} outside [0, {n})")
+            v = start
+            chain = []
+            while v is not None and state[v] == 0:
+                state[v] = 1
+                chain.append(v)
+                v = self.parent_of[v]
+            if v is not None and state[v] == 1:
+                raise ValueError("parent relation contains a cycle")
+            for u in chain:
+                state[u] = 2
+
+    @property
+    def n_features(self) -> int:
+        return len(self.parent_of)
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """(parent, child) pairs in child order."""
+        return tuple(
+            (p, c) for c, p in enumerate(self.parent_of) if p is not None
+        )
+
+
+def _as_tree(parent: list[int]) -> DependencyTree:
+    """The learners' parent list (-1 for a root) as a ``DependencyTree``."""
+    return DependencyTree(tuple(None if p < 0 else p for p in parent))
 
 
 def _scan(edges, anc, desc, related, values: Optional[list[int]], trace: TraceFn):
@@ -261,10 +307,6 @@ def _grow(edges, dag: FeatureDag, seed: int, values: Optional[list[int]], trace:
                 trace({"decision": "oriented_randomly", "i": a, "j": b, "parent": p, "child": c})
             _orient_away(c, parent, undirected, adj, trace)
     return parent, active
-
-
-def _as_tree(parent: list[int]) -> DependencyTree:
-    return DependencyTree(tuple(None if p < 0 else p for p in parent))
 
 
 def _tan(edges, n_features: int, seed: int) -> DependencyTree:

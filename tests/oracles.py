@@ -66,10 +66,9 @@ from hietan.errors import (
     ParseError,
 )
 from hietan.evaluate import confusion_from_predictions, derive_seed
-from hietan.hie_mst import hie_mst_lite
 from hietan.hierarchy import read_utf8
 from hietan.mutual_info import _scores, check_smoothing, rank_edges
-from hietan.tree import DependencyTree
+from hietan.structure import DependencyTree, hie_mst_lite
 
 
 class UnionFind:

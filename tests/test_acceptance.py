@@ -23,10 +23,9 @@ from hietan.dataset import (
     validate_propagation,
 )
 from hietan.evaluate import ALL_METHODS, friedman_holm, average_ranks, run_cv_experiment
-from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag, write_dag_file
 from hietan.mutual_info import rank_edges
-from hietan.tree import DependencyTree
+from hietan.structure import DependencyTree, hie_mst, hie_mst_lite
 
 from conftest import A, B, C, D, E, F
 from golden import (

@@ -20,10 +20,9 @@ from hietan.bayes import (
 )
 from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
 from hietan.errors import DimensionMismatch, EmptyTrainingSet, NonBinaryValue, ParseError
-from hietan.hie_mst import hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import rank_edges
-from hietan.tree import DependencyTree
+from hietan.structure import DependencyTree, hie_mst_lite
 
 from oracles import fit_reference, predict_reference
 

@@ -12,9 +12,9 @@ from hietan.bayes import fit, load_model, save_model
 from hietan.cli import _build_parser, main
 from hietan.dataset import load_dataset, load_instances, validate_propagation
 from hietan.evaluate import ALL_METHODS, derive_seed
-from hietan.hie_mst import hie_mst
 from hietan.hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
 from hietan.mutual_info import rank_edges
+from hietan.structure import hie_mst
 
 from oracles import predict_reference
 
@@ -98,6 +98,18 @@ class TestValidate:
         ]) == 0
         ds = load_dataset(out)
         assert validate_propagation(ds, dag_from_file(dag, ds.feature_names)) == []
+
+    def test_repair_of_consistent_data_writes_the_copy(self, tiny_files, tmp_path, capsys):
+        """``--repair`` always writes its copy, so a pipeline that reads it
+        next works whether or not anything needed repair."""
+        data, dag = tiny_files
+        out = tmp_path / "copy.csv"
+        assert main([
+            "validate", "--data", str(data), "--dag", str(dag),
+            "--repair", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out == f"repaired 0 violation(s) -> {out}\n"
+        assert out.read_text() == TINY_CSV
 
 
 class TestCv:
@@ -206,6 +218,38 @@ class TestCv:
         assert hashlib.sha256(report).hexdigest() == (
             "fece7d98a6cb92c969a0f74d831dea3972a7649324083d7234272ea76ba27cf9"
         )
+
+    def test_pinned_files(self, tmp_path, monkeypatch, capsys):
+        """On ``test_pinned_outputs``' problem, the bytes of the ``synth``
+        files, the ``tan`` and ``hie-tan`` model files, the ``features``
+        report and the labels ``predict`` gives. The log posteriors are left
+        out: they go through the platform's ``math.log``."""
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "synth", "--random-features", "24", "--random-edges", "40",
+            "--dag-out", "dag.tsv", "--instances", "120", "--leaf-density", "0.5",
+            "--class-noise", "0.05", "--seed", "2", "--out", "synth.csv",
+        ]) == 0
+        common = ["--data", "synth.csv", "--dag", "dag.tsv", "--seed", "2"]
+        for method in ("tan", "hie-tan"):
+            assert main(["train", *common, "--method", method, "--model", f"{method}.json"]) == 0
+        assert main(["features", *common, "--folds", "3", "--out", "features.json"]) == 0
+        assert main(["predict", "--model", "hie-tan.json", "--data", "synth.csv",
+                     "--out", "preds.csv"]) == 0
+        labels = "".join(line.split(",")[1] + "\n"
+                         for line in Path("preds.csv").read_text().splitlines())
+        digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in ("synth.csv", "dag.tsv", "tan.json", "hie-tan.json",
+                                "features.json")}
+        digests["labels"] = hashlib.sha256(labels.encode()).hexdigest()
+        assert digests == {
+            "synth.csv": "33b1f64bba6a18f3461694ea25d33df8c35ce693e0fa00c7e45c160f7396b195",
+            "dag.tsv": "6e268910ceb6fd72a6c038f2fca6a31d07fcb7880b39c83de84b3e425b5d769f",
+            "tan.json": "da2ff2db3991dfcf25f1775a0f5fff53b39e25f670df37e58723a6f52b97c92e",
+            "hie-tan.json": "d19a2e389d35bdd4d7f50c3dc9330ec22476763384f7a70e879b6e67edea51c2",
+            "features.json": "51d88bfbf9049946e17741e0ec36052e2bd80f521dea41661da837a296b23765",
+            "labels": "3e3a2d0d59568d20b9e4305ec193869e3c43d8aedca6fed9f3cd5ef4ce61aa97",
+        }
 
 
 class TestNonUtf8Input:
@@ -586,6 +630,18 @@ class TestSynth:
         assert error_lines(capsys.readouterr().err) == [
             "error: need at least two features to plant a label rule, got 0"
         ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["a,b\tc\n", "a\tb,c\n", "# x\na\t,b\n"], ids=repr)
+    def test_dag_names_the_dataset_cannot_hold_are_an_error(self, tmp_path, capsys, text):
+        """A hierarchy token with a comma names a feature that no dataset
+        header can hold, so ``synth`` refuses it and writes nothing."""
+        dag = tmp_path / "h.tsv"
+        dag.write_text(text)
+        out = tmp_path / "d.csv"
+        assert main(["synth", "--dag", str(dag), "--instances", "20", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert len(error_lines(capsys.readouterr().err)) == 1
         assert not out.exists()
 
     def test_dag_file_names_features_in_first_seen_order(self, tmp_path):

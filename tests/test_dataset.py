@@ -29,11 +29,12 @@ from hietan.errors import (
     NonBinaryValue,
     ParseError,
     TooFewInstances,
+    UnreadableName,
 )
 from hietan.bayes import fit
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import _cells, rank_edges
-from hietan.tree import DependencyTree
+from hietan.structure import DependencyTree
 
 from conftest import A, B, C, D, E, F
 from oracles import joint_counts, read_csv_reference, save_dataset_reference
@@ -458,6 +459,49 @@ class TestSaveMatchesReference:
         assert (tmp_path / "d.csv").read_bytes() == b"class\n0\n1\n1\n"
         again = load_dataset(tmp_path / "d.csv")
         assert again.values.shape == (3, 0) and again.labels.tolist() == [0, 1, 1]
+
+
+class TestSavedNamesReadBack:
+    """``save_dataset`` writes only feature names that ``load_dataset`` reads
+    back as written, and refuses the rest before it opens the file."""
+
+    @staticmethod
+    def two_rows(names):
+        return Dataset(np.eye(2, len(names), dtype=np.uint8), np.array([0, 1], dtype=np.uint8), names)
+
+    @pytest.mark.parametrize("names", [
+        ("a,b", "c"), ("a\nb", "c"), ("a", "b\r"), ("a\x85b", "c"), ("a\u2028b", "c"),
+        ("a\x1cb", "c"), (" a", "c"), ("a", "c\t"), ("a", "a"), ("a\ud800", "c"),
+    ], ids=repr)
+    def test_unreadable_names_are_refused(self, tmp_path, names):
+        path = tmp_path / "d.csv"
+        with pytest.raises(UnreadableName) as err:
+            save_dataset(self.two_rows(names), path)
+        assert isinstance(err.value, ValueError) and isinstance(err.value, HieTanError)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("names", [
+        ("a b", "c"), ("\u00e9", "#x"), ("", "c"), ("class", "c"), ("a;b", "\ufeffc"),
+    ], ids=repr)
+    def test_odd_names_round_trip(self, tmp_path, names):
+        path = tmp_path / "d.csv"
+        save_dataset(self.two_rows(names), path)
+        assert load_dataset(path).feature_names == names
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(st.text(max_size=3), min_size=1, max_size=4).map(tuple))
+    def test_any_names_read_back_or_are_refused(self, tmp_path, names):
+        path = tmp_path / "d.csv"
+        path.unlink(missing_ok=True)
+        try:
+            save_dataset(self.two_rows(names), path)
+        except UnreadableName:
+            assert not path.exists()
+        else:
+            assert load_dataset(path).feature_names == names
 
 
 class TestPropagation:

@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import hietan.structure as structure
 from hietan import mutual_info
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import (
@@ -376,6 +375,5 @@ def test_cv_and_train_skip_the_public_checks(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a public learner's check ran")
 
-    # The package's ``hie_mst`` attribute is the function, not the module.
-    monkeypatch.setattr(importlib.import_module("hietan.hie_mst"), "_check_inputs", boom)
+    monkeypatch.setattr(structure, "_check_inputs", boom)
     assert run() == want

@@ -11,9 +11,9 @@ from hietan import learn_tan_structure
 from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DimensionMismatch, IndexOutOfRange
 from hietan.evaluate import derive_seed
-from hietan.hie_mst import _grow, hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import _RankedPairs, _first_chunk, _ranked_pairs, rank_edges
+from hietan.structure import _grow, hie_mst, hie_mst_lite
 
 from conftest import A, B, C, D, E, F, CANONICAL_EDGES
 from golden import GOLDEN_CHAIN_PARENTS, golden_dataset

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hietan.dataset import Dataset
-from hietan.hie_mst import hie_mst, hie_mst_lite
 from hietan.hierarchy import build_dag, random_dag
 from hietan.mutual_info import rank_edges
+from hietan.structure import hie_mst, hie_mst_lite
 from hietan.errors import DimensionMismatch, IndexOutOfRange, NonBinaryValue
 
 from conftest import A, B, C, D, E, F

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hietan.errors import CyclicHierarchy, IndexOutOfRange, ParseError
+from hietan.errors import CyclicHierarchy, HieTanError, IndexOutOfRange, ParseError, UnreadableName
 from hietan.hierarchy import (
     build_dag,
     dag_from_edge_names,
@@ -154,6 +154,40 @@ class TestDagFile:
         write_dag_file(path, sorted(canonical_dag.edges), names)
         again = dag_from_file(path, names)
         assert again.edges == canonical_dag.edges
+
+    @pytest.mark.parametrize("parent, child", [
+        ("a\tb", "c"), ("a", "b\t"), ("a\nb", "c"), ("a", "b\u2029"), (" a", "c"),
+        ("a", "c "), ("#a", "c"), ("", "c"), ("a", ""), ("a", "a"), ("a\udc80", "c"),
+    ], ids=repr)
+    def test_unreadable_names_are_refused(self, tmp_path, parent, child):
+        path = tmp_path / "hier.tsv"
+        with pytest.raises(UnreadableName) as err:
+            write_dag_file(path, [(0, 1)], (parent, child))
+        assert isinstance(err.value, ValueError) and isinstance(err.value, HieTanError)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("parent, child", [
+        ("a,b", "c"), ("a b", "#c"), ("\u00e9", "c;d"), ("a#", "b"),
+    ], ids=repr)
+    def test_odd_names_round_trip(self, tmp_path, parent, child):
+        path = tmp_path / "hier.tsv"
+        write_dag_file(path, [(0, 1)], (parent, child))
+        assert read_dag_file(path) == [(parent, child)]
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.text(max_size=3), st.text(max_size=3))
+    def test_any_names_read_back_or_are_refused(self, tmp_path, parent, child):
+        path = tmp_path / "hier.tsv"
+        path.unlink(missing_ok=True)
+        try:
+            write_dag_file(path, [(0, 1)], (parent, child))
+        except UnreadableName:
+            assert not path.exists()
+        else:
+            assert read_dag_file(path) == [(parent, child)]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "hier.tsv"

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -16,6 +18,20 @@ def test_star_import_resolves_all():
     missing = [name for name in hietan.__all__ if name not in namespace]
     assert not missing
     assert len(set(hietan.__all__)) == len(hietan.__all__)
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    """``hietan.<name>`` is the submodule ``<name>`` for every submodule, so
+    ``import hietan.<name> as m`` gives the module, not a function that
+    ``__init__`` re-exported under the same name."""
+    names = [m.name for m in pkgutil.iter_modules(hietan.__path__) if m.name != "__main__"]
+    assert "structure" in names
+    shadowed = [
+        name for name in names
+        if importlib.import_module(f"hietan.{name}") is not getattr(hietan, name)
+    ]
+    assert not shadowed
+    assert hietan.hie_mst is hietan.structure.hie_mst
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
@@ -60,7 +76,7 @@ def test_cli_leaves_the_methods_to_evaluate():
     """``evaluate`` alone maps a method to its learner and trains, so the
     CLI imports no learner module, ``fit``, ``_ranked_pairs`` or
     ``derive_seed``."""
-    modules = {"hie_mst"}
+    modules = {"structure"}
     names = {"fit", "_ranked_pairs", "derive_seed", "hie_mst", "hie_mst_lite",
              "learn_tan_structure"}
     found = [
@@ -97,3 +113,18 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_version_is_read_from_the_package():
+    """``pyproject.toml`` takes the version from ``hietan.__version__``, a
+    literal setuptools reads without importing, rather than repeating it.
+    The file is read as text: Python 3.10 has no ``tomllib``."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    tables = dict(re.findall(r"^\[([^\]\n]+)\]\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S))
+    assert re.search(r'^dynamic = \["version"\]$', tables["project"], flags=re.M)
+    assert not re.search(r"^version\b", tables["project"], flags=re.M)
+    assert re.search(r'^version = \{attr = "hietan\.__version__"\}$',
+                     tables["tool.setuptools.dynamic"], flags=re.M)
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert re.search(rf'^__version__ = "{re.escape(hietan.__version__)}"$', init, flags=re.M)

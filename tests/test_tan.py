@@ -6,7 +6,7 @@ import pytest
 
 from hietan import learn_tan_structure
 from hietan.errors import EmptyFeatureSet
-from hietan.tree import DependencyTree
+from hietan.structure import DependencyTree
 
 from conftest import A, B, C, D, E, F
 from oracles import UnionFind, UnknownEdge, tan_reference, tree_total_score
