@@ -31,8 +31,7 @@ from .dataset import (
 from .errors import HieTanError, WrongMethod
 from .evaluate import (
     ALL_METHODS,
-    METHOD_HIE_TAN_LITE,
-    _EAGER_TREES,
+    _METHODS,
     FeatureUsageReport,
     _train,
     fold_rank_summary,
@@ -144,10 +143,9 @@ def _load_inputs(args) -> tuple[Dataset, "FeatureDag"]:
     return ds, dag
 
 
-def _methods_from_flag(flag: str) -> list[str]:
-    if flag == "all":
-        return list(ALL_METHODS)
-    return [_METHOD_FLAGS[flag]]
+def _flags(per_row: bool) -> list[str]:
+    """The ``--method`` flags of the per-row methods, or of the eager ones."""
+    return [f for f, m in _METHOD_FLAGS.items() if _METHODS[m][1] == per_row]
 
 
 class WrongUsage(HieTanError):
@@ -207,7 +205,7 @@ def _usage_payload(usage: FeatureUsageReport, names) -> dict:
 
 def cmd_cv(args) -> int:
     ds, dag = _load_inputs(args)
-    methods = _methods_from_flag(args.method)
+    methods = list(ALL_METHODS) if args.method == "all" else [_METHOD_FLAGS[args.method]]
 
     with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as trace:
         sink = trace and (lambda e: trace.write(json.dumps(e, sort_keys=True) + "\n"))
@@ -263,9 +261,8 @@ def cmd_cv(args) -> int:
 def cmd_train(args) -> int:
     method = args.method
     if method == "all":
-        eager = " or ".join(f for f, m in _METHOD_FLAGS.items() if m in _EAGER_TREES)
-        raise WrongUsage(f"train needs a single --method ({eager})")
-    if _METHOD_FLAGS[method] not in _EAGER_TREES:
+        raise WrongUsage(f"train needs a single --method ({' or '.join(_flags(False))})")
+    if method in _flags(True):
         raise WrongMethod(
             f"{method} is a lazy method: it learns one tree per test "
             "instance, so there is no single model to save (use cv/features)"
@@ -299,10 +296,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_features(args) -> int:
-    if args.method not in ("all", "hie-tan-lite"):
+    per_row = _flags(True)
+    if args.method not in ("all", *per_row):
         raise WrongMethod(
-            f"the features report is defined for hie-tan-lite, not {args.method}"
+            f"the features report is defined for {' or '.join(per_row)}, not {args.method}"
         )
+    flag = per_row[0] if args.method == "all" else args.method
     ds, dag = _load_inputs(args)
     names = ds.feature_names
     if ds.n_instances == 0:
@@ -310,11 +309,9 @@ def cmd_features(args) -> int:
         zeros = np.zeros(len(names), dtype=np.int64)
         usage = FeatureUsageReport(zeros, zeros)
     else:
-        result = run_cv_experiment(
-            ds, dag, [METHOD_HIE_TAN_LITE], args.folds, args.seed,
-            smoothing=args.smoothing,
-        )
-        usage = result.methods[METHOD_HIE_TAN_LITE].usage
+        method = _METHOD_FLAGS[flag]
+        result = run_cv_experiment(ds, dag, [method], args.folds, args.seed, smoothing=args.smoothing)
+        usage = result.methods[method].usage
         for criterion, title in (
             ("freq_of_selection", "Freq. of Selection"),
             ("freq_in_edges", "Freq. in Edges"),
@@ -324,7 +321,7 @@ def cmd_features(args) -> int:
                 print(f"  {name:<24} {count}")
     if args.out:
         payload = {
-            "config": _config(args, method="hie-tan-lite"),
+            "config": _config(args, method=flag),
             "library_version": __version__,
             "usage": _usage_payload(usage, names),
         }

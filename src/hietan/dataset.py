@@ -262,7 +262,7 @@ def save_dataset(ds: Dataset, path) -> None:
     is built as one (rows, columns, token + separator) byte array. Feature
     names ``load_dataset`` would not give back (see ``_check_names``) raise
     ``UnreadableName`` before the file is opened."""
-    _check_names(path, ds.feature_names, ",")
+    _check_names(path, ds.feature_names, ",", ds.feature_names[0] if ds.n_features else "")
     cells = np.empty((ds.n_instances, ds.n_features + 1, 2), dtype=np.uint8)
     cells[:, :-1, 0] = ds.values
     cells[:, -1, 0] = ds.labels

@@ -29,18 +29,20 @@ from .structure import _as_tree, _grow, _tan
 METHOD_TAN = "tan"
 METHOD_HIE_TAN = "hie_tan"
 METHOD_HIE_TAN_LITE = "hie_tan_lite"
-ALL_METHODS = (METHOD_TAN, METHOD_HIE_TAN, METHOD_HIE_TAN_LITE)
 
-# The eager methods' learners, each ``(edges, dag, seed, trace) -> tree``:
-# one tree from a training set's ranked pairs. This module is the one place
-# that maps a method to its learner; the lazy method, absent here, grows one
-# tree per test instance inside ``run_cv_experiment``. They are the public
-# learners' unchecked cores, as ``_ranked_pairs`` yields only pairs in range.
-_EAGER_TREES = {
-    METHOD_TAN: lambda edges, dag, seed, trace: _tan(edges, dag.n_features, seed),
-    METHOD_HIE_TAN: lambda edges, dag, seed, trace:
-        _as_tree(_grow(edges, dag, seed, None, trace)[0]),
+# Each method's ``(learner, per_row)``, the one map from a method to its
+# learner. A learner is ``(edges, dag, seed, values, trace) -> (parents,
+# active)``, parents -1 for a root: an eager method learns one tree with
+# ``values=None`` (its mask is ignored), a per-row method one tree and mask
+# per test row. Each is a public learner's unchecked core, as
+# ``_ranked_pairs`` yields only pairs in range.
+_METHODS = {
+    METHOD_TAN: (lambda edges, dag, seed, values, trace:
+                 (_tan(edges, dag.n_features, seed), None), False),
+    METHOD_HIE_TAN: (_grow, False),
+    METHOD_HIE_TAN_LITE: (_grow, True),
 }
+ALL_METHODS = tuple(_METHODS)
 
 
 def derive_seed(*parts: int) -> int:
@@ -248,25 +250,25 @@ def run_cv_experiment(
 ) -> ExperimentResult:
     """Stratified k-fold evaluation of the requested methods.
 
-    Edges are ranked once per training fold and shared by all methods. The
-    eager learners of ``_EAGER_TREES`` build one tree per fold under
-    ``derive_seed(seed, fold)`` and classify the fold's test rows with
-    ``fit`` and ``predict_batch``. The lazy learner builds one tree per test
-    instance under ``derive_seed(seed, fold, instance_row)``. Every learner
-    is called through its unchecked core: the ranked pairs and the dataset's
-    rows need none of the public learners' checks, and each lazy tree stays
-    a row of parents. One pass over the training fold's cached statistics
-    then classifies all of the fold's instances, each exactly as
-    ``predict(fit(train, tree, active, smoothing), instance)`` would, and the
-    usage counts are added up from the same per-fold arrays of parents and
-    active features. ``jobs`` is accepted and ignored: every run is
-    single-threaded, and the parameter stays only for callers that
-    still pass it.
+    Edges are ranked once per training fold and shared by all methods, each
+    run through its learner in ``_METHODS``. An eager method builds one tree
+    per fold under ``derive_seed(seed, fold)`` and classifies the fold's
+    test rows with ``fit`` and ``predict_batch``. A per-row method builds
+    one tree per test instance under ``derive_seed(seed, fold,
+    instance_row)``, each kept as a row of parents and active features. One
+    pass over the training fold's cached statistics then classifies all of
+    the fold's instances, each exactly as ``predict(fit(train, tree, active,
+    smoothing), instance)`` would, and the method's usage counts are added
+    up from the same per-fold arrays. ``jobs`` is accepted and ignored:
+    every run is single-threaded, and the parameter stays only for callers
+    that still pass it.
     """
+    if isinstance(methods, str):
+        raise TypeError(f"methods must be a sequence of method names, not the string {methods!r}")
     methods = list(dict.fromkeys(methods))
     for m in methods:
-        if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {ALL_METHODS}")
+        if m not in _METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {tuple(_METHODS)}")
     if not methods:
         raise ValueError("no methods requested")
     if validate_propagation(ds, dag):
@@ -278,8 +280,7 @@ def run_cv_experiment(
     folds = stratified_folds(ds, k, seed)
     n = ds.n_features
     fold_counts: dict[str, list[ConfusionCounts]] = {m: [] for m in methods}
-    usage_selection = np.zeros(n, dtype=np.int64)
-    usage_edges = np.zeros(n, dtype=np.int64)
+    usage = {m: (np.zeros(n, np.int64), np.zeros(n, np.int64)) for m in methods if _METHODS[m][1]}
 
     def tagged(method: str, fold: int, instance=None):
         """The trace callback of one tree: tags each entry and passes it on."""
@@ -299,9 +300,10 @@ def run_cv_experiment(
         truths = ds.labels[test_idx]
 
         for method in methods:
-            if method in _EAGER_TREES:
-                tree = _EAGER_TREES[method](edges, dag, fold_seed, tagged(method, fold))
-                clf = fit(train, tree, None, smoothing)
+            learn, per_row = _METHODS[method]
+            if not per_row:
+                parents = learn(edges, dag, fold_seed, None, tagged(method, fold))[0]
+                clf = fit(train, _as_tree(parents), None, smoothing)
                 predicted = predict_batch(clf, ds.values[test_idx])[0].tolist()
             else:
                 # Each row of these is one test instance's tree: each feature's
@@ -309,28 +311,25 @@ def run_cv_experiment(
                 parents = np.empty((len(test_idx), n), dtype=np.intp)
                 active = np.empty((len(test_idx), n), dtype=bool)
                 for row, r in enumerate(test_idx):
-                    parents[row], active[row] = _grow(
+                    parents[row], active[row] = learn(
                         edges, dag, derive_seed(seed, fold, int(r)),
                         ds.values[r].tolist(), tagged(method, fold, r),
                     )
                 predicted = _lazy_predict(
                     train, ds.values[test_idx], parents, active, smoothing
                 )[0].tolist()
-                usage_selection += active.sum(axis=0)
+                selection, in_edges = usage[method]
+                selection += active.sum(axis=0)
                 child = parents >= 0  # one per tree edge
-                usage_edges += child.sum(axis=0) + np.bincount(parents[child], minlength=n)
+                in_edges += child.sum(axis=0) + np.bincount(parents[child], minlength=n)
             fold_counts[method].append(confusion_from_predictions(truths, predicted))
 
     out: dict[str, MethodCvResult] = {}
     for method in methods:
         counts = tuple(fold_counts[method])
         gmeans = tuple(gmean(c) for c in counts)
-        usage = None
-        if method == METHOD_HIE_TAN_LITE:
-            usage = FeatureUsageReport(usage_selection.copy(), usage_edges.copy())
-        out[method] = MethodCvResult(
-            counts, gmeans, float(np.mean(gmeans)), usage
-        )
+        report = FeatureUsageReport(*usage[method]) if method in usage else None
+        out[method] = MethodCvResult(counts, gmeans, float(np.mean(gmeans)), report)
     return ExperimentResult(out, k, seed, float(smoothing), ds.n_instances, n)
 
 
@@ -339,8 +338,9 @@ def _train(ds: Dataset, dag: FeatureDag, method: str, seed: int,
     """The eager ``method``'s classifier on every row of ``ds``: the pairs
     ranked over all rows, the tree under ``derive_seed(seed, 0)`` (the seed
     of a CV run's first fold), then ``fit``."""
-    tree = _EAGER_TREES[method](_ranked_pairs(ds, dag, smoothing), dag, derive_seed(seed, 0), None)
-    return fit(ds, tree, None, smoothing)
+    learn = _METHODS[method][0]
+    parents = learn(_ranked_pairs(ds, dag, smoothing), dag, derive_seed(seed, 0), None, None)[0]
+    return fit(ds, _as_tree(parents), None, smoothing)
 
 
 def fold_rank_summary(

@@ -13,6 +13,7 @@ External identifiers (e.g. ontology term names) are mapped onto indices by
 
 from __future__ import annotations
 
+import codecs
 import math
 import random
 import warnings
@@ -141,9 +142,11 @@ def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]
 
 
 def read_utf8_bytes(path) -> bytes:
-    """The bytes of a UTF-8 file, checked but not decoded: any other bytes
-    raise :class:`ParseError` with the line of the first undecodable byte.
-    An ASCII file is valid as it stands; any other is decoded only to check."""
+    """The bytes of a UTF-8 file, checked but not decoded, less one leading
+    byte-order mark: any other bytes raise :class:`ParseError` with the line
+    and byte offset of the first undecodable byte, both counted from the
+    file's first byte. An ASCII file is valid as it stands; any other is
+    decoded only to check."""
     data = Path(path).read_bytes()
     if not data.isascii():
         try:
@@ -156,6 +159,7 @@ def read_utf8_bytes(path) -> bytes:
                 f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})",
                 line=line,
             ) from None
+        data = data.removeprefix(codecs.BOM_UTF8)
     return data
 
 
@@ -186,10 +190,12 @@ def read_dag_file(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _check_names(path, names: Sequence[str], sep: str) -> None:
+def _check_names(path, names: Sequence[str], sep: str, first: str = "") -> None:
     """Raise :class:`UnreadableName` unless a UTF-8 reader that splits lines
     as ``str.splitlines`` does and strips tokens split at ``sep`` would give
-    every one of ``names`` back as a distinct feature."""
+    every one of ``names`` back as a distinct feature, and ``first``, the
+    name that starts the file, does not start with U+FEFF, which the readers
+    drop as a byte-order mark."""
     for name in names:
         if sep in name:
             fault = f"holds {sep!r}"
@@ -200,6 +206,10 @@ def _check_names(path, names: Sequence[str], sep: str) -> None:
         else:
             continue
         raise UnreadableName(f"{path}: feature name {name!r} {fault}, so it would not read back")
+    if first.startswith("\ufeff"):
+        raise UnreadableName(
+            f"{path}: feature name {first!r} starts the file with U+FEFF, so it would read as a byte-order mark"
+        )
     if len(set(names)) != len(names):
         raise UnreadableName(f"{path}: duplicate feature names would not read back as distinct features")
     try:
@@ -214,7 +224,8 @@ def write_dag_file(path, edges: Iterable[tuple[int, int]], feature_names: Sequen
     ``_check_names``; also an empty name, or a parent starting with ``#``,
     whose line reads as a comment) raise :class:`UnreadableName` before the
     file is opened."""
-    _check_names(path, feature_names, "\t")
+    edges = list(edges)
+    _check_names(path, feature_names, "\t", feature_names[edges[0][0]] if edges else "")
     lines = []
     for p, c in edges:
         parent, child = feature_names[p], feature_names[c]

@@ -309,9 +309,9 @@ def _grow(edges, dag: FeatureDag, seed: int, values: Optional[list[int]], trace:
     return parent, active
 
 
-def _tan(edges, n_features: int, seed: int) -> DependencyTree:
+def _tan(edges, n_features: int, seed: int) -> list[int]:
     """TAN's pass: ``_scan`` over no hierarchy, then every edge oriented away
-    from a seeded random root. Nothing is checked here."""
+    from a seeded random root; returns the parent list. Nothing is checked here."""
     unrelated = (0,) * n_features
     parent, _, undirected, adj = _scan(edges, unrelated, unrelated, None, None, None)
     root = random.Random(seed).randrange(n_features)
@@ -320,7 +320,7 @@ def _tan(edges, n_features: int, seed: int) -> DependencyTree:
     for start in (root, *range(n_features)):
         if parent[start] < 0:
             _orient_away(start, parent, undirected, adj, None)
-    return _as_tree(parent)
+    return parent
 
 
 def _check_inputs(edges, n_features: int, dag: Optional[FeatureDag] = None) -> None:
@@ -345,7 +345,7 @@ def learn_tan_structure(edges: list, n_features: int, seed: int) -> DependencyTr
     if n_features <= 0:
         raise EmptyFeatureSet("cannot learn a structure over zero features")
     _check_inputs(edges, n_features)
-    return _tan(edges, n_features, seed)
+    return _as_tree(_tan(edges, n_features, seed))
 
 
 def hie_mst(

@@ -531,8 +531,12 @@ def tan_reference(edges, n_features, seed):
 def read_csv_reference(path, class_required: bool):
     """(names, values, labels) of a dataset file by ``str.splitlines`` and
     per-token ``strip``/``int``; labels are ``None`` if an optional class
-    column is absent. Blank lines are skipped; errors carry line numbers."""
-    text = read_utf8(path)
+    column is absent. One leading byte-order mark is dropped, blank lines
+    are skipped, and errors carry line numbers."""
+    read_utf8(path)  # the library's error for a file that is not UTF-8
+    text = Path(path).read_bytes().decode("utf-8")
+    if text.startswith("\ufeff"):
+        text = text[1:]
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: missing header row", line=1)

@@ -111,6 +111,20 @@ class TestValidate:
         assert capsys.readouterr().out == f"repaired 0 violation(s) -> {out}\n"
         assert out.read_text() == TINY_CSV
 
+    @pytest.mark.parametrize("marked", ["data", "dag"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys, marked):
+        """A file that starts with a UTF-8 byte-order mark, as Windows editors
+        and spreadsheet exports write it, validates as the same file without."""
+        data, dag = tmp_path / "data.csv", tmp_path / "dag.tsv"
+        reports = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            data.write_bytes((bom if marked == "data" else b"") + b"a,b,class\n0,1,0\n1,1,1\n")
+            dag.write_bytes((bom if marked == "dag" else b"") + b"a\tb\n")
+            assert main(["validate", "--data", str(data), "--dag", str(dag)]) == 2
+            reports.append(capsys.readouterr())
+        assert reports[1].out == reports[0].out == "instance=0 feature=b ancestor=a\n"
+        assert reports[1].err == reports[0].err == "1 violation(s) found\n"
+
 
 class TestCv:
     def test_all_methods_json_structure(self, synth_files, tmp_path):

@@ -299,6 +299,33 @@ class TestReaderMatchesReference:
                 read_csv_reference, path, class_required
             )
 
+    @pytest.mark.parametrize("text", [
+        b"a,b,class\n0,1,0\n1,1,1\n", b"a,b,class\r\n0,1,0\r\n", b" a ,class\n\n0, 1\n",
+        b"a,class\n0,1\n2,0\n", b"a,class\n0,1,1\n", b"a", b"",
+    ], ids=repr)
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, text):
+        """A file that starts with one byte-order mark reads as the file
+        without it: the same names, arrays, errors and line numbers."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        plain = [parse_outcome(_read_csv, path, c) for c in (True, False)]
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        for class_required, outcome in zip((True, False), plain):
+            assert parse_outcome(_read_csv, path, class_required) == outcome
+            assert parse_outcome(read_csv_reference, path, class_required) == outcome
+
+    def test_only_one_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + b"a,class\n0,1\n")
+        for class_required in (True, False):
+            outcome = parse_outcome(_read_csv, path, class_required)
+            assert outcome == parse_outcome(read_csv_reference, path, class_required)
+            assert outcome[0] == ("\ufeffa",)
+        # The byte offset of a bad byte counts the mark, as it is in the file.
+        path.write_bytes(b"\xef\xbb\xbfa,class\n0,1\n\xff\n")
+        with pytest.raises(ParseError, match=r":3: not UTF-8 text \(invalid start byte at byte 15\)"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("name", ["a", "ab"], ids=["even header", "odd header"])
     @pytest.mark.parametrize("bad", [None, b"2", b"\n"])
     def test_body_at_either_byte_parity(self, tmp_path, name, bad):
@@ -471,7 +498,7 @@ class TestSavedNamesReadBack:
 
     @pytest.mark.parametrize("names", [
         ("a,b", "c"), ("a\nb", "c"), ("a", "b\r"), ("a\x85b", "c"), ("a\u2028b", "c"),
-        ("a\x1cb", "c"), (" a", "c"), ("a", "c\t"), ("a", "a"), ("a\ud800", "c"),
+        ("a\x1cb", "c"), (" a", "c"), ("a", "c\t"), ("a", "a"), ("a\ud800", "c"), ("\ufeffa", "b"),
     ], ids=repr)
     def test_unreadable_names_are_refused(self, tmp_path, names):
         path = tmp_path / "d.csv"

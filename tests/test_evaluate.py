@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import hietan.structure as structure
-from hietan import mutual_info
-from hietan.dataset import Dataset, generate_synthetic
+from hietan import evaluate, mutual_info
+from hietan.bayes import fit, predict_batch
+from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
 from hietan.errors import (
     DegenerateRanks,
     IncompleteTable,
@@ -27,6 +28,7 @@ from hietan.evaluate import (
     run_cv_experiment,
 )
 from hietan.hierarchy import build_dag, random_dag
+from hietan.structure import DependencyTree
 
 from oracles import lite_cv_reference
 
@@ -251,6 +253,12 @@ class TestRunCv:
         with pytest.raises(ValueError):
             run_cv_experiment(ds, dag, ["mystery"], 3, seed=0)
 
+    def test_a_string_is_not_a_list_of_methods(self):
+        # A string is a sequence too: of one-letter "methods".
+        ds, dag = small_problem()
+        with pytest.raises(TypeError, match="a sequence of method names, not the string 'tan'"):
+            run_cv_experiment(ds, dag, "tan", 3, 1)
+
     def test_fold_rank_summary(self):
         ds, dag = small_problem(seed=8, n_instances=50)
         result = run_cv_experiment(ds, dag, list(ALL_METHODS), 5, seed=4)
@@ -303,6 +311,46 @@ def test_lite_matches_per_instance_reference(seed):
     assert lite.usage.freq_of_selection.tolist() == selection.tolist()
     assert lite.usage.freq_in_edges.tolist() == edges.tolist()
     assert edges.sum() > 0
+
+
+def test_a_new_method_is_one_table_entry(monkeypatch):
+    """An entry of ``evaluate._METHODS`` is all a method needs to run in a CV
+    experiment: an eager one is fit and scored once per fold, and a per-row
+    one learns from each test row's values and reports its own usage."""
+    ds, dag = small_problem(seed=6, n_features=8, n_instances=40)
+    n, k, seed = ds.n_features, 4, 3
+    rows_seen = []
+
+    def no_edges(edges, dag, seed, values, trace):
+        return [-1] * dag.n_features, None
+
+    def ones_only(edges, dag, seed, values, trace):
+        rows_seen.append(tuple(values))
+        return [-1] * dag.n_features, [v == 1 for v in values]
+
+    lite = run_cv_experiment(ds, dag, [METHOD_HIE_TAN_LITE], k, seed).methods[METHOD_HIE_TAN_LITE]
+    monkeypatch.setattr(
+        evaluate, "_METHODS", {**evaluate._METHODS, "nb": (no_edges, False), "ones": (ones_only, True)}
+    )
+    result = run_cv_experiment(ds, dag, ["nb", "ones", METHOD_HIE_TAN_LITE], k, seed)
+
+    folds = stratified_folds(ds, k, seed)
+    for fold in range(k):
+        test_idx = folds.test_indices(fold)
+        clf = fit(subset(ds, folds.train_indices(fold)), DependencyTree((None,) * n))
+        predicted = predict_batch(clf, ds.values[test_idx])[0]
+        want = confusion_from_predictions(ds.labels[test_idx], predicted)
+        assert result.methods["nb"].fold_counts[fold] == want
+    assert result.methods["nb"].usage is None
+    ones = result.methods["ones"].usage
+    assert ones.freq_of_selection.tolist() == ds.values.sum(axis=0).tolist()
+    assert ones.freq_in_edges.tolist() == [0] * n
+    assert sorted(rows_seen) == sorted(map(tuple, ds.values.tolist()))
+    # The lazy method's counts are its own, not shared with another per-row one.
+    mixed = result.methods[METHOD_HIE_TAN_LITE]
+    assert mixed.fold_counts == lite.fold_counts
+    assert mixed.usage.freq_of_selection.tolist() == lite.usage.freq_of_selection.tolist()
+    assert mixed.usage.freq_in_edges.tolist() == lite.usage.freq_in_edges.tolist()
 
 
 def test_derive_seed_is_stable():

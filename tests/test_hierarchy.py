@@ -11,6 +11,7 @@ from hietan.hierarchy import (
     dag_from_file,
     random_dag,
     read_dag_file,
+    read_utf8_bytes,
     write_dag_file,
 )
 
@@ -158,6 +159,7 @@ class TestDagFile:
     @pytest.mark.parametrize("parent, child", [
         ("a\tb", "c"), ("a", "b\t"), ("a\nb", "c"), ("a", "b\u2029"), (" a", "c"),
         ("a", "c "), ("#a", "c"), ("", "c"), ("a", ""), ("a", "a"), ("a\udc80", "c"),
+        ("\ufeffa", "c"),
     ], ids=repr)
     def test_unreadable_names_are_refused(self, tmp_path, parent, child):
         path = tmp_path / "hier.tsv"
@@ -188,6 +190,45 @@ class TestDagFile:
             assert not path.exists()
         else:
             assert read_dag_file(path) == [(parent, child)]
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        """One leading byte-order mark is not part of the first line; a
+        second one, or one that starts a later line, is part of a name."""
+        path = tmp_path / "hier.tsv"
+        for data, pairs in [
+            (b"\xef\xbb\xbfa\tb\n", [("a", "b")]),
+            (b"\xef\xbb\xbf# edges\na\tb\n", [("a", "b")]),
+            (b"\xef\xbb\xbf\xef\xbb\xbfa\tb\n", [("\ufeffa", "b")]),
+            (b"a\tb\n\xef\xbb\xbfc\td\n", [("a", "b"), ("\ufeffc", "d")]),
+        ]:
+            path.write_bytes(data)
+            assert read_dag_file(path) == pairs
+
+    def test_errors_after_a_byte_order_mark_count_from_the_first_byte(self, tmp_path):
+        path = tmp_path / "hier.tsv"
+        data = b"\xef\xbb\xbfa\tb\nc\t\xff\n"
+        path.write_bytes(data)
+        at = data.index(b"\xff")
+        with pytest.raises(ParseError, match=rf":2: not UTF-8 text \(invalid start byte at byte {at}\)"):
+            read_dag_file(path)
+        path.write_bytes(b"\xef\xbb\xbfa\tb\nc\n")
+        with pytest.raises(ParseError, match=":2: expected") as err:
+            read_dag_file(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("data", [
+        b"a\tb\n", "\u00e9\tb\n".encode(), b"a\t\xef\xbb\xbfb\n", b"\n\xef\xbb\xbfa\tb\n", b"",
+    ], ids=repr)
+    def test_bytes_without_a_leading_byte_order_mark_read_as_they_are(self, tmp_path, data):
+        path = tmp_path / "hier.tsv"
+        path.write_bytes(data)
+        assert read_utf8_bytes(path) == data
+
+    def test_byte_order_mark_after_the_first_name_round_trips(self, tmp_path):
+        # Only the name that starts the file would lose its U+FEFF.
+        path = tmp_path / "hier.tsv"
+        write_dag_file(path, [(0, 1), (1, 2)], ("a", "\ufeffb", "c"))
+        assert read_dag_file(path) == [("a", "\ufeffb"), ("\ufeffb", "c")]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "hier.tsv"

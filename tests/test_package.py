@@ -74,8 +74,9 @@ def test_no_module_imports_decimal():
 
 def test_cli_leaves_the_methods_to_evaluate():
     """``evaluate`` alone maps a method to its learner and trains, so the
-    CLI imports no learner module, ``fit``, ``_ranked_pairs`` or
-    ``derive_seed``."""
+    CLI imports no learner module, ``fit``, ``_ranked_pairs``,
+    ``derive_seed`` or ``METHOD_*`` constant, and no string in it names a
+    method or its ``--method`` flag: it reads them from the method table."""
     modules = {"structure"}
     names = {"fit", "_ranked_pairs", "derive_seed", "hie_mst", "hie_mst_lite",
              "learn_tan_structure"}
@@ -83,8 +84,15 @@ def test_cli_leaves_the_methods_to_evaluate():
         (module, imported)
         for module, imported in _imports(SRC / "cli.py")
         if module.split(".")[-1] in modules or (modules | names) & set(imported)
+        or any(name.startswith("METHOD_") for name in imported)
     ]
-    assert not found
+    spelled = set(hietan.ALL_METHODS) | {m.replace("_", "-") for m in hietan.ALL_METHODS}
+    constants = [
+        node.value
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in spelled
+    ]
+    assert (found, constants) == ([], [])
 
 
 def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
