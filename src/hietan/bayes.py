@@ -28,6 +28,7 @@ from .errors import (
     NonBinaryValue,
     ParseError,
 )
+from .hierarchy import read_utf8
 from .mutual_info import _NUMBERS, _cells, check_smoothing
 from .structure import DependencyTree
 
@@ -367,8 +368,12 @@ def save_model(clf: FittedClassifier, path) -> None:
 
 
 def load_model(path) -> FittedClassifier:
+    """The classifier of a model file written by ``save_model``. One leading
+    byte-order mark is dropped, as in dataset and hierarchy files; a file
+    that is not UTF-8 JSON raises ``ParseError``."""
+    text = read_utf8(path)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not a JSON document: {exc}") from exc
     return model_from_dict(doc)

@@ -294,6 +294,9 @@ def run_cv_experiment(
     for fold in range(k):
         train_idx = folds.train_indices(fold)
         test_idx = folds.test_indices(fold)
+        # The last fold's ranked pairs score from its statistics: release
+        # them before this fold's are built.
+        edges = None
         train = subset(ds, train_idx)
         edges = _ranked_pairs(train, dag, smoothing)
         fold_seed = derive_seed(seed, fold)

@@ -5,8 +5,8 @@ with ``i < j``, sorted for the tree learners; they read only the pair order,
 and accept any sized sequence they can iterate more than once in that order.
 The learners stop after a few n of the n(n-1)/2 pairs, so the CV loop and
 ``hietan train`` give them a ``_RankedPairs`` instead: the same pairs in the
-same order, bit for bit, sorted one chunk at a time only as far as a learner
-reads. ``rank_edges`` is that object read in full.
+same order, bit for bit, scored exactly and sorted one chunk at a time only
+as far as a learner reads. ``rank_edges`` is that object read in full.
 
 The score of a pair (X_i, X_j) given class Y is the CMI, with natural logs,
 
@@ -31,10 +31,24 @@ sums a pair's 18 entries exactly in int64 limbs and rounds once, certified
 when no other double lies within the 18 units of error. Other pairs are
 settled exactly: +0.0 if every class slice factorises, (c00 + s)(c11 + s) =
 (c01 + s)(c10 + s) in exact rationals, else by ``_entries`` at more bits.
+
+A chunk is chosen on coarse keys. ``_keys`` sums only the hi limbs of a
+pair's 18 entries: one gather of the 8 cells, with no carry, no float and
+no certification, and no log beyond the tables'. An entry is V = hi * 2**52
++ lo with 0 <= lo < 2**52, as are the 8 cells and the class constant, while
+a feature term is minus the limb-wise sum of four entries, its lo in
+(-4 * 2**52, 0]; so the 11 lo limbs sum to L in (-8 * 2**52, 9 * 2**52).
+The exact sum, key * 2**52 + L, lies within 18 units of 2**100 * CMI, and
+the score is within 2**-54 of CMI < 1, so 2**48 * score - key lies in
+(-8 - 2**-6 - 2**-47, 9 + 2**-6 + 2**-47), inside +-_KEY_ERROR = 10.
+``_RankedPairs`` cuts each chunk at a key and scores exactly only the pairs
+keyed within 2 * _KEY_ERROR of the cut or above it; the pairs it takes
+score above every pair it leaves, so ties never straddle two chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -55,6 +69,9 @@ _BLOCK = 4096
 _BITS = 100
 _LIMB = 52
 _PAIR_ERROR = 18  # a pair's 18 entries, each within one unit
+# A pair's key, its hi limbs summed, lies within this of 2**(_BITS - _LIMB)
+# times its score (module docstring).
+_KEY_ERROR = 10
 _NUMBERS = (int, float, np.integer, np.floating)  # a bool is an int: checks exclude it
 
 
@@ -151,22 +168,45 @@ def _tables(stats, n: int, smoothing: float, cell_counts):
     return cells, feature, _limbs([sum(entry[t * den + 4 * a] for t in totals)])
 
 
-def _scores(stats, n: int, smoothing: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The correctly rounded CMI of each pair (i[k], j[k]) over per-class
-    ``stats`` of ``n`` instances, as float64."""
+def _pair_tables(stats, n: int, smoothing: float, i: np.ndarray, j: np.ndarray):
+    """The ``_tables`` that score the pairs (i[k], j[k]) over per-class
+    ``stats`` of ``n`` instances, and any subset of them."""
     if n == 0 and smoothing == 0:
         raise DegenerateDistribution("no instances and no smoothing")
     # Every count up to the largest class when the pairs are many enough to
     # meet most of them, else only the counts they have.
     top = max(total for _, _, total in stats)
     needed = np.unique(_cells(stats, i, j)).tolist() if 8 * len(i) <= top else range(top + 1)
-    cells, feature, constant = _tables(stats, n, smoothing, needed)
-    scores, loose = np.empty(i.shape[0], dtype=np.float64), []
+    return _tables(stats, n, smoothing, needed)
+
+
+def _limb_sums(stats, tables, i: np.ndarray, j: np.ndarray, limbs):
+    """Per block of _BLOCK pairs (i[k], j[k]): its start and, for each limb
+    of ``limbs`` (0 hi, 1 lo), the int64 sums of that limb of the pairs' 18
+    entries."""
+    cells, feature, constant = tables
     for start in range(0, i.shape[0], _BLOCK):
         a, b = i[start : start + _BLOCK], j[start : start + _BLOCK]
         counts = _cells(stats, a, b).reshape(8, -1)
-        hi, lo = (cells[k][counts].sum(axis=0) + feature[k][a] + feature[k][b] + constant[k]
-                  for k in (0, 1))
+        yield start, [cells[k][counts].sum(axis=0) + feature[k][a] + feature[k][b] + constant[k]
+                      for k in limbs]
+
+
+def _keys(stats, tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The int64 key of each pair (i[k], j[k]): the sum of its entries' hi
+    limbs, within _KEY_ERROR of 2**(_BITS - _LIMB) times its score."""
+    keys = np.empty(i.shape[0], dtype=np.int64)
+    for start, (hi,) in _limb_sums(stats, tables, i, j, (0,)):
+        keys[start : start + _BLOCK] = hi
+    return keys
+
+
+def _scores(stats, n: int, smoothing: float, tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The correctly rounded CMI of each pair (i[k], j[k]) over per-class
+    ``stats`` of ``n`` instances, as float64, from ``_pair_tables`` of these
+    pairs or of a superset."""
+    scores, loose = np.empty(i.shape[0], dtype=np.float64), []
+    for start, (hi, lo) in _limb_sums(stats, tables, i, j, (0, 1)):
         hi += lo >> _LIMB
         lo &= (1 << _LIMB) - 1
         # hi * 2**52 + lo = whole + rest exactly, rounded to total with exact
@@ -222,41 +262,63 @@ def _first_chunk(n_features: int) -> int:
     Hie-TAN stop after 1 293-2 271 of the 79 800 pairs of a 400-feature fold
     (3-6 n), and the deepest lazy instance of a 150-feature fold after
     2 008-3 075 of 11 175 (13-21 n). Four n covers the shorter scans in one
-    chunk, and doubling reaches the deepest ones in two to three more.
+    chunk, and doubling reaches the deepest ones in two to three more. Only
+    the pairs of the chunks read, and the few whose keys tie a cut, get
+    exact scores: 14 409 of the 399 000 pairs of those five 400-feature
+    folds (4 n or 12 n a fold).
     """
     return 4 * n_features
 
 
+@functools.lru_cache(maxsize=1)
+def _pairs(n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (i, j), i < j, of ``n_features`` in ascending (i, j) order,
+    the order ``_RankedPairs`` breaks exact ties by; read-only, as every fold
+    of a run shares them."""
+    i, j = np.triu_indices(n_features, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 class _RankedPairs:
     """The pairs of ``rank_edges`` in the same order, sorted one chunk at a
-    time as far as a reader iterates.
+    time as far as a reader iterates, with exact scores only for the pairs
+    that a chunk might hold.
 
-    Each chunk takes every remaining pair whose score is at least a cut, the
-    score of the ``size``-th best remaining pair (``np.partition``), so a
-    group of exactly tied pairs never straddles two chunks. A stable argsort
-    of minus the score over the chunk's pairs, kept in ascending (i, j)
-    order, then sorts it. Every pair of a chunk scores at least its cut and
-    every later pair less, so the chunks joined are the order of one stable
-    sort of all pairs: descending score, ties by ascending (i, j), bit for
-    bit. Chunks double in size; once the next one would reach half of what
-    is left, the whole remainder is sorted at once. ``tolist`` sorts all that
-    is left in one step, so ``rank_edges`` pays one sort, as a full sort did.
+    ``coarse()`` gives every pair's key and ``score(k)`` the exact
+    scores of the pairs at positions ``k``; each key lies within _KEY_ERROR
+    of 2**48 times its pair's score. A chunk's cut is the key of the
+    ``size``-th best remaining pair (``np.partition``). Only the pairs keyed
+    at least cut - 2 _KEY_ERROR get exact scores, and the chunk takes those
+    scoring above theta = (cut - _KEY_ERROR) 2**-48: that is every pair keyed
+    at least the cut, so at least ``size`` pairs, and no other remaining pair
+    scores above theta. So each chunk pair scores above every later one, and
+    a group of exactly tied pairs never straddles two chunks. A stable
+    argsort of minus the score over the chunk's pairs, kept in ascending
+    (i, j) order, then sorts it, and the chunks joined are the order of one
+    stable sort of all pairs: descending score, ties by ascending (i, j), bit
+    for bit. Chunks double in size; once the next one would reach half of
+    what is left, the whole remainder is scored and sorted at once, with no
+    keys. ``tolist`` sorts all that is left in one step, so ``rank_edges``
+    scores every pair once and pays one sort, as a full sort did.
 
     Each chunk's ``(i, j, score)`` list is built once and kept, so every
     iterator, and every learner a fold shares the object with, reads the same
     lists; iteration chains them in C. ``len`` is the number of pairs.
     """
 
-    __slots__ = ("_i", "_j", "_scores", "_rest", "_next", "_chunks")
+    __slots__ = ("_i", "_j", "_coarse", "_score", "_keys", "_rest", "_next", "_chunks")
 
-    def __init__(self, i: np.ndarray, j: np.ndarray, scores: np.ndarray, first: int):
-        self._i, self._j, self._scores = i, j, scores
-        self._rest = np.arange(scores.shape[0])  # unsorted pairs, ascending
+    def __init__(self, i: np.ndarray, j: np.ndarray, coarse, score, first: int):
+        self._i, self._j, self._coarse, self._score = i, j, coarse, score
+        self._keys = None  # made at the first cut
+        self._rest = np.arange(i.shape[0])  # unsorted pairs, ascending
         self._next = first
         self._chunks: list[list[tuple[int, int, float]]] = []
 
     def __len__(self) -> int:
-        return self._scores.shape[0]
+        return self._i.shape[0]
 
     def __iter__(self):
         return itertools.chain.from_iterable(self._lists())
@@ -273,18 +335,26 @@ class _RankedPairs:
         rest = self._rest
         if rest.size == 0:
             return False
-        scores = self._scores[rest]
         size = self._next
         if 2 * size >= rest.size:
             self._rest = rest[:0]
+            scores = self._score(rest)
         else:
-            cut = np.partition(scores, rest.size - size)[rest.size - size]
-            taken = scores >= cut
-            self._rest = rest[~taken]
-            rest, scores = rest[taken], scores[taken]
-        order = rest[np.argsort(-scores, kind="stable")]
+            if self._keys is None:
+                self._keys = self._coarse()
+            keys = self._keys[rest]
+            cut = np.partition(keys, rest.size - size)[rest.size - size]
+            near = np.flatnonzero(keys >= cut - 2 * _KEY_ERROR)
+            scores = self._score(rest[near])
+            taken = scores > (cut - _KEY_ERROR) * 2.0 ** (_LIMB - _BITS)
+            near, scores = near[taken], scores[taken]
+            left = np.ones(rest.size, dtype=bool)
+            left[near] = False
+            self._rest, rest = rest[left], rest[near]
+        order = np.argsort(-scores, kind="stable")
+        rest = rest[order]
         self._chunks.append(
-            list(zip(self._i[order].tolist(), self._j[order].tolist(), self._scores[order].tolist()))
+            list(zip(self._i[rest].tolist(), self._j[rest].tolist(), scores[order].tolist()))
         )
         self._next = 2 * size
         return True
@@ -296,8 +366,10 @@ class _RankedPairs:
 
 
 def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _RankedPairs:
-    """Score all n(n-1)/2 feature pairs, as ``rank_edges`` does, and return
-    them as a ``_RankedPairs`` that sorts them only as far as they are read."""
+    """All n(n-1)/2 feature pairs, as ``rank_edges`` ranks them, as a
+    ``_RankedPairs`` that scores and sorts them only as far as they are read.
+    The fold's fixed-point tables are built here, once, so errors raise
+    before any read."""
     smoothing = check_smoothing(smoothing)
     n = ds.n_features
     if n < 2:
@@ -306,11 +378,15 @@ def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _Rank
         raise DimensionMismatch(
             f"dataset has {n} features, hierarchy has {dag.n_features}"
         )
-    # triu_indices yields the pairs in ascending (i, j) order, which is the
-    # order _RankedPairs breaks exact ties by.
-    i, j = np.triu_indices(n, 1)
-    scores = _scores(ds._class_stats, ds.n_instances, smoothing, i, j)
-    return _RankedPairs(i, j, scores, _first_chunk(n))
+    stats, m = ds._class_stats, ds.n_instances
+    i, j = _pairs(n)
+    tables = _pair_tables(stats, m, smoothing, i, j)
+    return _RankedPairs(
+        i, j,
+        lambda: _keys(stats, tables, i, j),
+        lambda k: _scores(stats, m, smoothing, tables, i[k], j[k]),
+        _first_chunk(n),
+    )
 
 
 def rank_edges(
@@ -322,6 +398,7 @@ def rank_edges(
     Descending by score; exact ties fall back to ascending (i, j) so the order
     is reproducible across runs and platforms. Contingency tables for all pairs
     come from the dataset's cached per-class Gram matrices, not a per-pair scan.
-    The list is the full read of ``_ranked_pairs``, sorted in one go.
+    The list is the full read of ``_ranked_pairs``: every pair scored exactly
+    in one pass and sorted in one go, with no keys.
     """
     return _ranked_pairs(ds, dag, smoothing).tolist()

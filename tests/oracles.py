@@ -30,8 +30,11 @@ orientation and trace, order included. ``tan_reference`` is TAN's Kruskal
 loop over ``UnionFind`` with a stop after n - 1 picks; ``learn_tan_structure``
 runs the constrained learners' scan on no hierarchy instead and must give
 the same tree.
-``random_dag_reference`` samples ``random_dag``'s pairs from the list of
-all n(n-1)/2 of them, where the library maps sampled indices to pairs.
+``validate_propagation_reference`` checks one (feature, ancestor) pair of
+the closure at a time, where the library compares all of them per block
+of rows. ``random_dag_reference`` samples ``random_dag``'s pairs from the
+list of all n(n-1)/2 of them, where the library maps sampled indices to
+pairs.
 ``joint_counts`` builds a ``JointCounts`` table by a direct scan, ``cmi``
 scores one such table with the library's ranking kernel, and
 ``tree_total_score`` sums a tree's candidate scores. ``read_csv_reference`` splits a dataset file
@@ -66,8 +69,8 @@ from hietan.errors import (
     ParseError,
 )
 from hietan.evaluate import confusion_from_predictions, derive_seed
-from hietan.hierarchy import read_utf8
-from hietan.mutual_info import _scores, check_smoothing, rank_edges
+from hietan.hierarchy import _iter_bits, read_utf8
+from hietan.mutual_info import _pair_tables, _scores, check_smoothing, rank_edges
 from hietan.structure import DependencyTree, hie_mst_lite
 
 
@@ -140,7 +143,8 @@ def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
         gram = np.array([[ones[0], t[1, 1]], [t[1, 1], ones[1]]], dtype=np.int64)
         stats.append((gram, ones, int(t.sum())))
     pair = np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
-    return float(_scores(stats, int(counts.n), smoothing, *pair)[0])
+    n = int(counts.n)
+    return float(_scores(stats, n, smoothing, _pair_tables(stats, n, smoothing, *pair), *pair)[0])
 
 
 def joint_counts(ds: Dataset, i: int, j: int) -> JointCounts:
@@ -234,6 +238,23 @@ def rank_edges_reference(ds: Dataset, smoothing: float = 1.0) -> list[tuple[int,
             out.append((i, j, cmi_reference(joint_counts(ds, i, j), smoothing)))
     out.sort(key=lambda e: (-e[2], e[0], e[1]))
     return out
+
+
+def validate_propagation_reference(ds: Dataset, dag) -> list[tuple[int, int, int]]:
+    """``validate_propagation`` one (feature, ancestor) pair of the closure
+    at a time, then sorted."""
+    if ds.n_features != dag.n_features:
+        raise DimensionMismatch(
+            f"dataset has {ds.n_features} features, hierarchy has {dag.n_features}"
+        )
+    violations: list[tuple[int, int, int]] = []
+    V = ds.values
+    for f in range(ds.n_features):
+        for a in _iter_bits(dag.ancestor_bits[f]):
+            bad = np.flatnonzero((V[:, f] == 1) & (V[:, a] == 0))
+            violations.extend((int(r), f, a) for r in bad)
+    violations.sort()
+    return violations
 
 
 def random_dag_reference(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:

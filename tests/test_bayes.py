@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import struct
@@ -710,6 +711,21 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_bytes(content)
         with pytest.raises(ParseError, match="model.json"):
+            load_model(path)
+
+    def test_load_drops_one_byte_order_mark(self, tmp_path):
+        # As dataset and hierarchy files do; a second mark is not JSON.
+        ds = Dataset(np.array([[0, 1], [1, 0], [1, 1]], dtype=np.uint8),
+                     np.array([0, 1, 1], dtype=np.uint8))
+        clf = fit(ds, DependencyTree((None, 0)))
+        path = tmp_path / "model.json"
+        save_model(clf, path)
+        text = path.read_bytes()
+        path.write_bytes(codecs.BOM_UTF8 + text)
+        again = load_model(path)
+        assert model_to_dict(again) == model_to_dict(clf)
+        path.write_bytes(2 * codecs.BOM_UTF8 + text)
+        with pytest.raises(ParseError, match="model.json: not a JSON document"):
             load_model(path)
 
     def test_dict_is_json_clean(self):

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -342,6 +343,20 @@ class TestTrainPredict:
         ds = load_dataset(data)
         assert len(lines) == ds.n_instances + 1
         assert lines[0].startswith("instance,label")
+
+    def test_predict_reads_a_model_with_a_byte_order_mark(self, synth_files, tmp_path, capsys):
+        data, dag = synth_files
+        model, marked = tmp_path / "model.json", tmp_path / "marked.json"
+        assert main([
+            "train", "--data", str(data), "--dag", str(dag),
+            "--method", "hie-tan", "--model", str(model),
+        ]) == 0
+        marked.write_bytes(codecs.BOM_UTF8 + model.read_bytes())
+        outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+        for path, out in zip((model, marked), outs):
+            assert main(["predict", "--model", str(path), "--data", str(data),
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_predict_out_matches_per_row_reference(self, synth_files, tmp_path, capsys):
         data, dag = synth_files

@@ -37,7 +37,12 @@ from hietan.mutual_info import _cells, rank_edges
 from hietan.structure import DependencyTree
 
 from conftest import A, B, C, D, E, F
-from oracles import joint_counts, read_csv_reference, save_dataset_reference
+from oracles import (
+    joint_counts,
+    read_csv_reference,
+    save_dataset_reference,
+    validate_propagation_reference,
+)
 
 TINY_CSV = """A,B,C,D,E,F,class
 1,1,1,1,1,1,0
@@ -575,6 +580,28 @@ class TestPropagation:
         ds = Dataset(np.zeros((1, 4), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             validate_propagation(ds, canonical_dag)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(0, 25),
+           st.integers(0, 12), st.sampled_from([1, 5, 64, dataset._VALIDATE_BLOCK]))
+    def test_validate_equals_pair_by_pair_reference(self, seed, n, rows, injected, block):
+        # Consistent rows with violations injected: ancestors of 1-valued
+        # features cleared at random, blocks of rows from one row to all.
+        rng = np.random.default_rng(seed)
+        dag = build_dag(n, random_dag(n, int(rng.integers(0, 3 * n + 1)), seed))
+        ds = Dataset(
+            (rng.random((rows, n)) < rng.random()).astype(np.uint8),
+            (rng.random(rows) < 0.5).astype(np.uint8),
+        )
+        values = repair_propagation(ds, dag).values.copy()
+        if rows:
+            values[rng.integers(0, rows, injected), rng.integers(0, n, injected)] = 0
+        ds = Dataset(values, ds.labels)
+        want = validate_propagation_reference(ds, dag)
+        with mock.patch.object(dataset, "_VALIDATE_BLOCK", block):
+            got = validate_propagation(ds, dag)
+        assert got == want
+        assert all(type(x) is int for triple in got for x in triple)
 
     @settings(max_examples=40, derandomize=True)
     @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 30),

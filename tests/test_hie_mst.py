@@ -408,10 +408,10 @@ def test_chunked_ranking_matches_list(lazy):
     for seed, values in enumerate(ds.values[:20].tolist() if lazy else [None]):
         want_trace, got_trace = [], []
         want = _grow(listed, dag, seed, values, want_trace.append)
-        chunked = _RankedPairs(ranked._i, ranked._j, ranked._scores, _first_chunk(n))
+        chunked = _RankedPairs(ranked._i, ranked._j, ranked._coarse, ranked._score, _first_chunk(n))
         assert _grow(chunked, dag, seed, values, got_trace.append) == want
         assert got_trace == want_trace
-        chunked = _RankedPairs(ranked._i, ranked._j, ranked._scores, _first_chunk(n))
+        chunked = _RankedPairs(ranked._i, ranked._j, ranked._coarse, ranked._score, _first_chunk(n))
         assert _grow(chunked, dag, seed, values, None) == want
         assert [t["decision"] for t in want_trace].count("scan_stopped") == 1
         past_first += sum(t["decision"] in SCAN_DECISIONS for t in want_trace) > 4 * n
@@ -513,7 +513,9 @@ def test_candidate_outside_range_raises_before_the_scan(learner, bad):
                   [(0, 2, 1.0), (1, 2, 0.5), (0, bad, 0.2)]):
         with pytest.raises(IndexOutOfRange, match=r"candidate edge \(.*\) outside \[0, 3\)"):
             learn(edges)
-    ranked = _RankedPairs(np.array([0, 1, 0]), np.array([2, 2, bad]), np.array([1.0, 0.5, 0.2]), 1)
+    scores = np.array([1.0, 0.5, 0.2])
+    ranked = _RankedPairs(np.array([0, 1, 0]), np.array([2, 2, bad]),
+                          lambda: (scores * 2**48).astype(np.int64), scores.__getitem__, 1)
     with pytest.raises(IndexOutOfRange, match=rf"candidate edge \(0, {bad}\)"):
         learn(ranked)
 

@@ -1,19 +1,27 @@
 import decimal
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hietan import mutual_info
-from hietan.dataset import Dataset, generate_synthetic
-from hietan.errors import DegenerateDistribution, IndexOutOfRange
+from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
+from hietan.errors import (
+    DegenerateDistribution,
+    DimensionMismatch,
+    IndexOutOfRange,
+    TooFewFeatures,
+)
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import _ranked_pairs, rank_edges
+from hietan.mutual_info import _RankedPairs, _ranked_pairs, rank_edges
+from hietan.structure import _grow, _tan
 
 from conftest import C, D, E, F
 from golden import GOLDEN_ORDER_7, GOLDEN_SCORES_12, golden_dataset, golden_scores_dataset
@@ -396,7 +404,8 @@ class TestRankEdges:
         # Bits of the exact scores, pinned so that every platform must give
         # them: no score depends on the C library's log.
         ds = golden_scores_dataset()
-        got = _ranked_pairs(ds, build_dag(12, []), 1.0)._scores
+        ranked = _ranked_pairs(ds, build_dag(12, []), 1.0)
+        got = ranked._score(np.arange(len(ranked)))  # every pair, in (i, j) order
         assert [x.hex() for x in got.tolist()] == GOLDEN_SCORES_12
         want = [cmi_reference(joint_counts(ds, i, j), 1.0).hex()
                 for i in range(12) for j in range(i + 1, 12)]
@@ -634,3 +643,147 @@ class TestRankedPairs:
         got = list(ranked)
         assert got == want
         assert_same_scores(got, want)
+
+
+KEY_SMOOTHING = [0.0, 2.0**-30, 1.0, 3.0, 1e6]
+
+
+@st.composite
+def key_datasets(draw):
+    """Small problems with empty cells: random densities per column, and
+    constant columns and one-class labels among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 40)), draw(st.integers(2, 12))
+    values = (rng.random((m, n)) < rng.random(n)).astype(np.uint8)
+    values[:, rng.random(n) < 0.15] = draw(st.sampled_from([0, 1]))
+    labels = (rng.random(m) < draw(st.sampled_from([0.0, 0.5, 1.0]))).astype(np.uint8)
+    return Dataset(values, labels)
+
+
+def all_pairs(ds, smoothing):
+    """Every pair (i, j) of ``ds``, as two index arrays, with its key and
+    its exact score."""
+    stats, m = ds._class_stats, ds.n_instances
+    i, j = mutual_info._pairs(ds.n_features)
+    tables = mutual_info._pair_tables(stats, m, smoothing, i, j)
+    return (i, j, mutual_info._keys(stats, tables, i, j),
+            mutual_info._scores(stats, m, smoothing, tables, i, j))
+
+
+def record_exact_pairs(monkeypatch):
+    """Wrap ``mutual_info._scores`` and return the list of the number of
+    pairs each call scores exactly."""
+    sizes, scores = [], mutual_info._scores
+
+    def recording(stats, n, smoothing, tables, i, j):
+        sizes.append(len(i))
+        return scores(stats, n, smoothing, tables, i, j)
+
+    monkeypatch.setattr(mutual_info, "_scores", recording)
+    return sizes
+
+
+class TestCoarseKeys:
+    """A chunk's cut is chosen on integer keys, each within _KEY_ERROR of
+    2**48 times its pair's score, and only pairs near or above the cut get
+    exact scores; the order stays that of one stable sort of all exact
+    scores."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(key_datasets(), st.sampled_from(KEY_SMOOTHING))
+    def test_key_within_bound_of_score(self, ds, smoothing):
+        assume(ds.n_instances or smoothing)
+        _, _, keys, scores = all_pairs(ds, smoothing)
+        assert keys.dtype == np.int64
+        for key, score in zip(keys.tolist(), scores.tolist()):
+            error = Fraction(score) * 2**48 - key
+            # The lo limbs sum into (-8, 9) units of 2**52, plus the
+            # entries' 18 units and the score's rounding (module docstring).
+            assert -8 - 2**-5 < error < 9 + 2**-5
+            assert abs(error) < mutual_info._KEY_ERROR
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(key_datasets(), st.sampled_from(KEY_SMOOTHING), st.sampled_from([1, 2, 3, None]),
+           st.integers(0, 2**16))
+    def test_partial_reads_then_full_read_are_one_stable_sort(self, ds, smoothing, first, seed):
+        # None keeps the default first chunk, 4n.
+        assume(ds.n_instances or smoothing)
+        i, j, _, scores = all_pairs(ds, smoothing)
+        order = np.argsort(-scores, kind="stable")
+        want = list(zip(i[order].tolist(), j[order].tolist(), scores[order].tolist()))
+        n, rng = ds.n_features, random.Random(seed)
+        dag = build_dag(n, [])
+        chunk = mutual_info._first_chunk if first is None else (lambda n: first)
+        with mock.patch.object(mutual_info, "_first_chunk", chunk):
+            ranked = _ranked_pairs(ds, dag, smoothing)
+        values = ds.values[0].tolist() if ds.n_instances else [1] * n
+        # Each learner reads its own prefix of the one shared object.
+        assert _tan(ranked, n, seed) == _tan(want, n, seed)
+        assert _grow(ranked, dag, seed, None, None) == _grow(want, dag, seed, None, None)
+        assert _grow(ranked, dag, seed, values, None) == _grow(want, dag, seed, values, None)
+        read = rng.randrange(len(want) + 1)
+        assert list(itertools.islice(ranked, read)) == want[:read]
+        got = list(ranked)
+        assert got == want
+        assert_same_scores(got, want)
+        assert ranked.tolist() == want
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(-9, 9)), min_size=1, max_size=60),
+           st.sampled_from([1, 2, 3, 5]))
+    def test_any_keys_within_the_bound_give_one_stable_sort(self, units, first):
+        # Scores of whole units of 2**-48, many tied, and keys anywhere
+        # within _KEY_ERROR of them: the chunk rule needs nothing more.
+        scores = np.array([u for u, _ in units]) * 2.0**-48
+        keys = np.array([u + off for u, off in units], dtype=np.int64)
+        assert np.all(np.abs(scores * 2**48 - keys) < mutual_info._KEY_ERROR)
+        i = np.arange(len(units))
+        ranked = _RankedPairs(i, i + 1, lambda: keys, scores.__getitem__, first)
+        order = np.argsort(-scores, kind="stable")
+        assert list(ranked) == list(zip(i[order].tolist(), (i + 1)[order].tolist(),
+                                        scores[order].tolist()))
+
+    def test_tied_keys_settle_in_one_band(self, monkeypatch):
+        # At smoothing 1e9 every score is under 2**-48 here, so every key
+        # lies within _KEY_ERROR of 0 and the first band takes every pair
+        # at once, in one exact pass.
+        monkeypatch.setattr(mutual_info, "_first_chunk", lambda n: 1)
+        ds = generate_synthetic(build_dag(12, random_dag(12, 6, 3)), 40, 0.3, 0.05, 3)
+        exact = record_exact_pairs(monkeypatch)
+        ranked = _ranked_pairs(ds, build_dag(12, []), 1e9)
+        assert 0.0 < next(iter(ranked))[2] < 2**-48
+        assert exact == [66] and len(ranked._chunks) == 1
+        assert ranked.tolist() == rank_edges(ds, build_dag(12, []), 1e9)
+
+    def test_learners_read_few_exact_scores(self, monkeypatch):
+        # One fold of a 60-feature problem: TAN and Hie-TAN read a prefix,
+        # and fewer than a quarter of its 1 770 pairs get exact scores; the
+        # full read scores them all in one pass, with no keys.
+        ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 150, 0.3, 0.05, 11)
+        dag = build_dag(60, random_dag(60, 40, 11))
+        train = subset(ds, stratified_folds(ds, 5, 11).train_indices(0))
+        exact = record_exact_pairs(monkeypatch)
+        ranked = _ranked_pairs(train, dag)
+        trees = _tan(ranked, 60, 1), _grow(ranked, dag, 1, None, None)
+        assert 60 <= sum(exact) < len(ranked) // 4 and ranked._keys is not None
+        want = rank_edges_reference(train, 1.0)
+        assert (_tan(want, 60, 1), _grow(want, dag, 1, None, None)) == trees
+        exact.clear()
+        full = _ranked_pairs(train, dag)  # rank_edges' object
+        assert full.tolist() == want and full._keys is None
+        assert exact == [len(want)]
+
+    def test_errors_raise_before_any_read(self):
+        ds = random_dataset(np.random.default_rng(5), 0, 4)
+        with pytest.raises(DegenerateDistribution):
+            _ranked_pairs(ds, build_dag(4, []), 0.0)
+        with pytest.raises(TooFewFeatures):
+            _ranked_pairs(random_dataset(np.random.default_rng(5), 9, 1), build_dag(1, []))
+        with pytest.raises(DimensionMismatch):
+            _ranked_pairs(random_dataset(np.random.default_rng(5), 9, 4), build_dag(5, []))
+
+    def test_pair_indices_built_once_per_size(self):
+        i, j = mutual_info._pairs(7)
+        assert mutual_info._pairs(7)[0] is i
+        assert not (i.flags.writeable or j.flags.writeable)
+        assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(7), 2))

@@ -72,6 +72,27 @@ def test_no_module_imports_decimal():
     assert not found
 
 
+def test_ranking_calls_no_floating_point_log():
+    """Ranking scores and keys every pair with integer log series, so no
+    result depends on the C library's ``log``: ``mutual_info`` names no
+    ``math.log*``, ``np.log*`` or ``numpy.log*``, nor imports one."""
+    tree = ast.parse((SRC / "mutual_info.py").read_text(encoding="utf-8"))
+    modules = {"math", "np", "numpy"}
+    called = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("log")
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+    ]
+    imported = [
+        f"{module}.{name}"
+        for module, names in _imports(SRC / "mutual_info.py")
+        for name in names
+        if module.split(".")[0] in modules and name.startswith("log")
+    ]
+    assert (called, imported) == ([], [])
+
+
 def test_cli_leaves_the_methods_to_evaluate():
     """``evaluate`` alone maps a method to its learner and trains, so the
     CLI imports no learner module, ``fit``, ``_ranked_pairs``,
