@@ -241,7 +241,9 @@ def _lazy_predict(
         out[at, features + 1] = pairs[4 * cpt + 4 + 2 * X[at, source] + X[at, features]]
         return out
 
-    log_post = _log_posteriors(terms, X, parents, active)
+    # A copy, so that a caller who keeps the posteriors lets the (rows, n + 1,
+    # 2) sums that they are a view of go.
+    log_post = _log_posteriors(terms, X, parents, active).copy()
     return (log_post[:, 0] < log_post[:, 1]).astype(np.uint8), log_post
 
 

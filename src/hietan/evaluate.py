@@ -20,6 +20,7 @@ from .dataset import Dataset, stratified_folds, subset, validate_propagation
 from .errors import (
     DegenerateRanks,
     IncompleteTable,
+    TooFewInstances,
     UndefinedClassSide,
 )
 from .hierarchy import FeatureDag
@@ -119,6 +120,11 @@ def average_ranks(gmeans_by_method: Mapping[str, Sequence[float]]) -> RankTable:
     avg = {m: float(ranks[:, k].mean()) for k, m in enumerate(methods)}
     wins = {m: int(best[:, k].sum()) for k, m in enumerate(methods)}
     return RankTable(methods, table, ranks, avg, wins)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be an integer in [0, 2**63), got {seed}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -238,6 +244,22 @@ class ExperimentResult:
     n_features: int
 
 
+def _per_row(learn, edges, dag: FeatureDag, train: Dataset, X: np.ndarray, seeds,
+             smoothing: float, trace):
+    """The per-row methods' one path: ``learn`` once for each 0/1 row r of
+    ``X`` under ``seeds[r]``, traced through ``trace(r)`` unless ``trace`` is
+    None, then one ``_lazy_predict`` pass over all rows. Returns the labels,
+    the (R, 2) log posteriors and the (R, n) parents (-1 for a root) and
+    active masks; row r is ``predict(fit(train, tree_r, active_r,
+    smoothing), X[r])``."""
+    parents = np.empty(X.shape, dtype=np.intp)
+    active = np.empty(X.shape, dtype=bool)
+    for r, values in enumerate(X.tolist()):
+        parents[r], active[r] = learn(edges, dag, seeds[r], values,
+                                      None if trace is None else trace(r))
+    return (*_lazy_predict(train, X, parents, active, smoothing), parents, active)
+
+
 def run_cv_experiment(
     ds: Dataset,
     dag: FeatureDag,
@@ -253,16 +275,17 @@ def run_cv_experiment(
     Edges are ranked once per training fold and shared by all methods, each
     run through its learner in ``_METHODS``. An eager method builds one tree
     per fold under ``derive_seed(seed, fold)`` and classifies the fold's
-    test rows with ``fit`` and ``predict_batch``. A per-row method builds
-    one tree per test instance under ``derive_seed(seed, fold,
-    instance_row)``, each kept as a row of parents and active features. One
-    pass over the training fold's cached statistics then classifies all of
-    the fold's instances, each exactly as ``predict(fit(train, tree, active,
-    smoothing), instance)`` would, and the method's usage counts are added
-    up from the same per-fold arrays. ``jobs`` is accepted and ignored:
-    every run is single-threaded, and the parameter stays only for callers
-    that still pass it.
+    test rows with ``fit`` and ``predict_batch``. A per-row method runs the
+    fold's test rows through ``_per_row``, each instance under
+    ``derive_seed(seed, fold, instance_row)``, and its usage counts are
+    added up from the parent and active arrays that returns. ``seed`` must
+    lie in [0, 2**63), and each class needs at least ``k`` instances, so
+    that every test fold holds both (``TooFewInstances`` otherwise, before
+    any fold is ranked). ``jobs`` is accepted and ignored: every run is
+    single-threaded, and the parameter stays only for callers that still
+    pass it.
     """
+    _check_seed(seed)
     if isinstance(methods, str):
         raise TypeError(f"methods must be a sequence of method names, not the string {methods!r}")
     methods = list(dict.fromkeys(methods))
@@ -278,6 +301,13 @@ def run_cv_experiment(
         )
 
     folds = stratified_folds(ds, k, seed)
+    # The folds share one pointer, so a class with fewer than k instances
+    # is missing from some test fold, whose GMean is then undefined.
+    counts = np.bincount(ds.labels, minlength=2)
+    cls = int(counts.argmin())
+    if counts[cls] < k:
+        raise TooFewInstances(f"class {cls} has {counts[cls]} instances, fewer than the {k} "
+                              "folds: some test fold would not hold it")
     n = ds.n_features
     fold_counts: dict[str, list[ConfusionCounts]] = {m: [] for m in methods}
     usage = {m: (np.zeros(n, np.int64), np.zeros(n, np.int64)) for m in methods if _METHODS[m][1]}
@@ -300,27 +330,20 @@ def run_cv_experiment(
         train = subset(ds, train_idx)
         edges = _ranked_pairs(train, dag, smoothing)
         fold_seed = derive_seed(seed, fold)
-        truths = ds.labels[test_idx]
+        truths, X = ds.labels[test_idx], ds.values[test_idx]
 
         for method in methods:
             learn, per_row = _METHODS[method]
             if not per_row:
                 parents = learn(edges, dag, fold_seed, None, tagged(method, fold))[0]
                 clf = fit(train, _as_tree(parents), None, smoothing)
-                predicted = predict_batch(clf, ds.values[test_idx])[0].tolist()
+                predicted = predict_batch(clf, X)[0].tolist()
             else:
-                # Each row of these is one test instance's tree: each feature's
-                # parent (-1 for a root) and whether the feature stayed active.
-                parents = np.empty((len(test_idx), n), dtype=np.intp)
-                active = np.empty((len(test_idx), n), dtype=bool)
-                for row, r in enumerate(test_idx):
-                    parents[row], active[row] = learn(
-                        edges, dag, derive_seed(seed, fold, int(r)),
-                        ds.values[r].tolist(), tagged(method, fold, r),
-                    )
-                predicted = _lazy_predict(
-                    train, ds.values[test_idx], parents, active, smoothing
-                )[0].tolist()
+                seeds = [derive_seed(seed, fold, r) for r in test_idx.tolist()]
+                trace = None if trace_sink is None else lambda r: tagged(method, fold, test_idx[r])
+                labels, _, parents, active = _per_row(
+                    learn, edges, dag, train, X, seeds, smoothing, trace)
+                predicted = labels.tolist()
                 selection, in_edges = usage[method]
                 selection += active.sum(axis=0)
                 child = parents >= 0  # one per tree edge
@@ -340,7 +363,8 @@ def _train(ds: Dataset, dag: FeatureDag, method: str, seed: int,
            smoothing: float) -> FittedClassifier:
     """The eager ``method``'s classifier on every row of ``ds``: the pairs
     ranked over all rows, the tree under ``derive_seed(seed, 0)`` (the seed
-    of a CV run's first fold), then ``fit``."""
+    of a CV run's first fold), then ``fit``. ``seed`` must lie in [0, 2**63)."""
+    _check_seed(seed)
     learn = _METHODS[method][0]
     parents = learn(_ranked_pairs(ds, dag, smoothing), dag, derive_seed(seed, 0), None, None)[0]
     return fit(ds, _as_tree(parents), None, smoothing)

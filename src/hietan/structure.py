@@ -80,10 +80,11 @@ It never range-checks an endpoint. Each learner has an unchecked core,
 ``_tan`` or ``_grow``, and a public function that runs ``_check_inputs``
 over the whole candidate list once per call before it calls the core. The
 CV loop and ``hietan train`` call the cores directly, as their ranked pairs
-are in range by construction; the lazy loop writes each instance's parent
-and active lists straight into its per-fold arrays, with no
-``DependencyTree``, ``frozenset`` or value check per instance. Every tree a
-learner returns is built by ``_as_tree``, which turns -1 roots into ``None``.
+are in range by construction; ``evaluate._per_row``, the one per-row
+path, writes each instance's parent and active lists straight into its
+(rows, features) arrays, with no ``DependencyTree``, ``frozenset`` or value
+check per instance. Every tree a learner returns is built by ``_as_tree``,
+which turns -1 roots into ``None``.
 """
 
 from __future__ import annotations

@@ -532,6 +532,26 @@ class TestTooFewFeatures:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["cv", "features"])
+def test_a_class_with_fewer_rows_than_folds_is_an_error(tmp_path, capsys, command):
+    """Two rows of class 1 cannot reach three test folds: the run stops
+    before it learns a fold, with one line that names the class."""
+    data, dag, out = tmp_path / "d.csv", tmp_path / "h.tsv", tmp_path / "out.json"
+    rows = [f"{i % 2},{i // 2 % 2},{int(i >= 58)}" for i in range(60)]
+    data.write_text("\n".join(["A,B,class"] + rows) + "\n")
+    dag.write_text("")
+    rc = main([command, "--data", str(data), "--dag", str(dag), "--folds", "3",
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: class 1 has 2 instances, fewer than the 3 folds: "
+        "some test fold would not hold it\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestFeatures:
     def test_report_lists_features(self, synth_files, tmp_path, capsys):
         data, dag = synth_files

@@ -3,11 +3,12 @@ import pytest
 
 import hietan.structure as structure
 from hietan import evaluate, mutual_info
-from hietan.bayes import fit, predict_batch
+from hietan.bayes import fit, predict, predict_batch
 from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
 from hietan.errors import (
     DegenerateRanks,
     IncompleteTable,
+    TooFewInstances,
     UndefinedClassSide,
 )
 from hietan.evaluate import (
@@ -28,7 +29,7 @@ from hietan.evaluate import (
     run_cv_experiment,
 )
 from hietan.hierarchy import build_dag, random_dag
-from hietan.structure import DependencyTree
+from hietan.structure import DependencyTree, hie_mst_lite
 
 from oracles import lite_cv_reference
 
@@ -351,6 +352,76 @@ def test_a_new_method_is_one_table_entry(monkeypatch):
     assert mixed.fold_counts == lite.fold_counts
     assert mixed.usage.freq_of_selection.tolist() == lite.usage.freq_of_selection.tolist()
     assert mixed.usage.freq_in_edges.tolist() == lite.usage.freq_in_edges.tolist()
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_per_row_is_the_lazy_learner_and_predict_per_row(case):
+    """Row r of ``_per_row`` holds ``hie_mst_lite``'s tree, mask and trace at
+    ``seeds[r]``, and its label and log posteriors are bit for bit those of
+    ``predict(fit(train, tree_r, active_r, smoothing), X[r])``."""
+    smoothing = (0.0, 0.5, 1.0)[case]
+    ds, dag = small_problem(seed=10 + case, n_features=9, n_instances=48)
+    train, X = subset(ds, np.arange(0, 48, 2)), ds.values[1::2]
+    edges = mutual_info._ranked_pairs(train, dag, smoothing)
+    seeds = [derive_seed(case, r) for r in range(len(X))]
+    learn = evaluate._METHODS[METHOD_HIE_TAN_LITE][0]
+    traces = [[] for _ in X]
+    labels, log_post, parents, active = evaluate._per_row(
+        learn, edges, dag, train, X, seeds, smoothing, lambda r: traces[r].append)
+    untraced = evaluate._per_row(learn, edges, dag, train, X, seeds, smoothing, None)
+
+    assert parents.shape == active.shape == X.shape
+    assert log_post.base is None  # kept posteriors pin no (R, n + 1, 2) sums
+    for r, x in enumerate(X):
+        want_trace = []
+        tree, kept = hie_mst_lite(edges, dag, x, ds.n_features, seeds[r], want_trace.append)
+        assert parents[r].tolist() == [-1 if p is None else p for p in tree.parent_of]
+        assert np.flatnonzero(active[r]).tolist() == sorted(kept)
+        assert traces[r] == want_trace
+        want = predict(fit(train, tree, kept, smoothing), x)
+        assert int(labels[r]) == want.label
+        assert log_post[r].tobytes() == np.array(want.log_posterior).tobytes()
+    assert not active.all()
+    for got, want in zip(untraced, (labels, log_post, parents, active)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _no_ranking(*args, **kwargs):
+    raise AssertionError("a fold was ranked")
+
+
+@pytest.mark.parametrize("call", ["run_cv_experiment", "_train"])
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 - 1])
+def test_library_seeds_lie_in_the_cli_range(seed, call, monkeypatch):
+    """A seed outside [0, 2**63) is a ``ValueError`` before any work, as the
+    CLI's ``--seed`` rule has it; the largest seed in range runs."""
+    ds, dag = small_problem(seed=1, n_features=6, n_instances=24)
+    run = {
+        "run_cv_experiment": lambda: run_cv_experiment(ds, dag, list(ALL_METHODS), 2, seed),
+        "_train": lambda: _train(ds, dag, METHOD_HIE_TAN, seed, 1.0),
+    }[call]
+    if 0 <= seed < 2**63:
+        run()
+        return
+    monkeypatch.setattr(evaluate, "_ranked_pairs", _no_ranking)
+    with pytest.raises(ValueError, match=rf"seed must be an integer in \[0, 2\*\*63\), got {seed}"):
+        run()
+
+
+def test_a_class_with_fewer_rows_than_folds_fails_before_ranking(monkeypatch):
+    """With 3 rows of class 1, some test fold of k > 3 would lack class 1:
+    the run says so before it ranks a fold, not in ``gmean`` after all of
+    them. At k = 3 every test fold holds both classes."""
+    values = (np.random.default_rng(4).random((30, 5)) < 0.5).astype(np.uint8)
+    labels = np.zeros(30, dtype=np.uint8)
+    labels[[2, 11, 25]] = 1
+    ds, dag = Dataset(values, labels), build_dag(5, [])
+    result = run_cv_experiment(ds, dag, list(ALL_METHODS), 3, seed=0)
+    assert all(len(r.fold_gmeans) == 3 for r in result.methods.values())
+    monkeypatch.setattr(evaluate, "_ranked_pairs", _no_ranking)
+    for k in (4, 10):
+        with pytest.raises(TooFewInstances, match=f"class 1 has 3 instances, fewer than the {k} folds"):
+            run_cv_experiment(ds, dag, list(ALL_METHODS), k, seed=0)
 
 
 def test_derive_seed_is_stable():

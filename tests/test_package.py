@@ -116,6 +116,26 @@ def test_cli_leaves_the_methods_to_evaluate():
     assert (found, constants) == ([], [])
 
 
+def test_lazy_scoring_is_named_only_in_the_per_row_path():
+    """``evaluate._per_row`` is the one per-row path: no other function in
+    ``src/`` names ``_lazy_predict``, so a new per-row caller reuses that
+    path instead of copying its loop and its scoring."""
+    found = []
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if "_lazy_predict" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.append(f"{path.name}:{where}")
+            visit(child, path, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert found == ["evaluate.py:_per_row"]
+
+
 def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
     """Every ``hietan`` command of README.md's ```bash blocks, lines ending
     in a backslash joined, exits 0 when run in order in an empty directory."""
