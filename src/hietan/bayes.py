@@ -276,7 +276,9 @@ def predict_batch(clf: FittedClassifier, X) -> tuple[np.ndarray, np.ndarray]:
     if bad is not None:
         r, f = divmod(bad, X.shape[1])
         raise NonBinaryValue(f"row {r}, feature {f} has value {X[r, f].item()!r}, not 0 or 1")
-    log_post = _log_posteriors(clf._log_terms, X)
+    # A copy, as in ``_lazy_predict``: the posteriors of one chunk are a view
+    # of its (rows, k, 2) running sums.
+    log_post = _log_posteriors(clf._log_terms, X).copy()
     # Class 1 only where it is strictly more likely: ties go to class 0.
     labels = (log_post[:, 0] < log_post[:, 1]).astype(np.uint8)
     return labels, log_post

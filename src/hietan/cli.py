@@ -38,7 +38,8 @@ from .evaluate import (
     run_cv_experiment,
 )
 from .hierarchy import (
-    build_dag, dag_from_edge_names, dag_from_file, random_dag, read_dag_file, write_dag_file,
+    FeatureDag, build_dag, dag_from_edge_names, dag_from_file, random_dag, read_dag_file,
+    write_dag_file,
 )
 from .mutual_info import check_smoothing
 
@@ -137,7 +138,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_inputs(args) -> tuple[Dataset, "FeatureDag"]:
+def _load_inputs(args) -> tuple[Dataset, FeatureDag]:
     ds = load_dataset(args.data)
     dag = dag_from_file(args.dag, ds.feature_names)
     return ds, dag

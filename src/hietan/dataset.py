@@ -380,14 +380,9 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldAssignment:
     if int(counts.min()) == 0:
         raise TooFewInstances("each class needs at least one instance")
     rng = np.random.default_rng(seed)
-    fold_of = np.zeros(ds.n_instances, dtype=np.int64)
-    pos = 0
-    for cls in (0, 1):
-        idx = np.flatnonzero(ds.labels == cls)
-        rng.shuffle(idx)
-        for i in idx:
-            fold_of[i] = pos % k
-            pos += 1
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(ds.labels == c)) for c in (0, 1)])
+    fold_of = np.empty(ds.n_instances, dtype=np.int64)
+    fold_of[dealt] = np.arange(ds.n_instances) % k
     return FoldAssignment(fold_of, k)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .bayes import FittedClassifier, _lazy_predict, fit, predict_batch
-from .dataset import Dataset, stratified_folds, subset, validate_propagation
+from .dataset import Dataset, _binary_copy, stratified_folds, subset, validate_propagation
 from .errors import (
     DegenerateRanks,
     IncompleteTable,
@@ -66,18 +66,13 @@ class ConfusionCounts:
 
 
 def confusion_from_predictions(labels, predicted) -> ConfusionCounts:
-    tp = fp = tn = fn = 0
-    for truth, guess in zip(labels, predicted, strict=True):
-        if truth == 1:
-            if guess == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if guess == 1:
-                fp += 1
-            else:
-                tn += 1
+    """Counts of ``predicted`` against ``labels``, class 1 positive; the two
+    must have the same length (``ValueError`` otherwise) and hold only 0 or
+    1 (``NonBinaryValue`` otherwise)."""
+    truth, guess = _binary_copy(labels, "labels"), _binary_copy(predicted, "predictions")
+    if truth.shape != guess.shape:
+        raise ValueError(f"labels and predictions differ in shape: {truth.shape} and {guess.shape}")
+    tn, fp, fn, tp = np.bincount(2 * truth + guess, minlength=4).tolist()
     return ConfusionCounts(tp, fp, tn, fn)
 
 
@@ -102,7 +97,8 @@ class RankTable:
 
 
 def average_ranks(gmeans_by_method: Mapping[str, Sequence[float]]) -> RankTable:
-    """Tied average ranks per block (dataset), rank 1 for the highest GMean."""
+    """Tied average ranks per block (dataset), rank 1 for the highest GMean.
+    Every score must be finite (``ValueError`` otherwise)."""
     from scipy import stats  # slow to import, and only the statistics need it
 
     methods = tuple(gmeans_by_method)
@@ -115,6 +111,9 @@ def average_ranks(gmeans_by_method: Mapping[str, Sequence[float]]) -> RankTable:
     if lengths == {0}:
         raise IncompleteTable("the table has no datasets")
     table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        b, k = np.argwhere(~np.isfinite(table))[0].tolist()
+        raise ValueError(f"method {methods[k]!r} scores {table[b, k]} on block {b}, not a finite number")
     ranks = stats.rankdata(-table, method="average", axis=1)
     best = table == table.max(axis=1, keepdims=True)
     avg = {m: float(ranks[:, k].mean()) for k, m in enumerate(methods)}
@@ -166,43 +165,28 @@ def friedman_holm(table: RankTable, alpha: float = 0.05) -> FriedmanHolmResult:
         raise DegenerateRanks(
             "Friedman / Holm needs at least two methods and two datasets"
         )
-    avg = table.average_rank
-    control = min(table.methods, key=lambda m: (avg[m], table.methods.index(m)))
-
-    r = np.array([avg[m] for m in table.methods])
+    # Ascending average rank, ties in table order: the control, then the rest.
+    r = np.array([table.average_rank[m] for m in table.methods])
+    control, *others = np.argsort(r, kind="stable").tolist()
     chi2 = (12.0 * n_blocks / (k * (k + 1))) * (
         float(np.sum(r**2)) - k * (k + 1) ** 2 / 4.0
     )
     overall_p = float(stats.chi2.sf(chi2, k - 1))
 
-    se = np.sqrt(k * (k + 1) / (6.0 * n_blocks))
-    others = [m for m in table.methods if m != control]
-    raw = []
-    for m in others:
-        z = (avg[m] - avg[control]) / se
-        p = float(2.0 * stats.norm.sf(abs(z)))
-        raw.append((m, float(z), p))
-
-    m_cnt = len(raw)
-    by_p = sorted(range(m_cnt), key=lambda idx: (raw[idx][2], avg[raw[idx][0]]))
-    adjusted = {}
-    significant = {}
-    alive = True
-    for pos, idx in enumerate(by_p):
-        method, _, p = raw[idx]
-        threshold = alpha / (m_cnt - pos)
-        adjusted[method] = threshold
-        if alive and p <= threshold:
-            significant[method] = True
-        else:
-            alive = False
-            significant[method] = False
-
-    ordered = sorted(raw, key=lambda t: (avg[t[0]], table.methods.index(t[0])))
+    z = (r[others] - r[control]) / np.sqrt(k * (k + 1) / (6.0 * n_blocks))
+    p = 2.0 * stats.norm.sf(np.abs(z))
+    # Holm's order: ascending p; equal p keep the order of ``others``, which
+    # is average rank then table order. The i-th (from 0) of m is tested at
+    # alpha / (m - i), and the first failure stops the step-down.
+    holm, m = np.argsort(p, kind="stable"), len(others)
+    threshold, passed = np.empty(m), np.empty(m, dtype=bool)
+    threshold[holm] = alpha / (m - np.arange(m))
+    passed[holm] = np.logical_and.accumulate(p[holm] <= threshold[holm])
     comparisons = tuple(
-        HolmComparison(m, z, p, adjusted[m], significant[m]) for m, z, p in ordered
+        HolmComparison(table.methods[i], *row)
+        for i, *row in zip(others, z.tolist(), p.tolist(), threshold.tolist(), passed.tolist())
     )
-    return FriedmanHolmResult(control, float(chi2), overall_p, comparisons)
+    return FriedmanHolmResult(table.methods[control], float(chi2), overall_p, comparisons)
 
 
 @dataclass(frozen=True)
@@ -337,13 +321,12 @@ def run_cv_experiment(
             if not per_row:
                 parents = learn(edges, dag, fold_seed, None, tagged(method, fold))[0]
                 clf = fit(train, _as_tree(parents), None, smoothing)
-                predicted = predict_batch(clf, X)[0].tolist()
+                predicted = predict_batch(clf, X)[0]
             else:
                 seeds = [derive_seed(seed, fold, r) for r in test_idx.tolist()]
                 trace = None if trace_sink is None else lambda r: tagged(method, fold, test_idx[r])
-                labels, _, parents, active = _per_row(
+                predicted, _, parents, active = _per_row(
                     learn, edges, dag, train, X, seeds, smoothing, trace)
-                predicted = labels.tolist()
                 selection, in_edges = usage[method]
                 selection += active.sum(axis=0)
                 child = parents >= 0  # one per tree edge

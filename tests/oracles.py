@@ -18,7 +18,10 @@ code 2 x_source + x is built as ``uint8`` from the row), sum them in
 with usage counted one feature and one edge endpoint at a time; the CV loop
 classifies each fold's instances in chunks, each chunk estimating and
 logging its distinct CPTs once into the same layout, and must give the same
-fold counts and usage.
+fold counts and usage. ``stratified_folds_reference`` deals the folds one
+instance at a time, and ``friedman_holm_reference`` runs Holm's step-down as
+a loop with a stop flag; ``stratified_folds`` and ``friedman_holm`` work on
+whole arrays and must give the same folds and the same result.
 ``grow_reference`` is the greedy pass of ``hie_mst``/``hie_mst_lite``
 written step by step and without the early stop: it examines every
 candidate, checks cycles with its own ``UnionFind``, keeps its edges in an
@@ -60,6 +63,7 @@ from hietan.bayes import FittedClassifier, Prediction, fit, predict
 from hietan.dataset import Dataset, stratified_folds, subset
 from hietan.errors import (
     DegenerateDistribution,
+    DegenerateRanks,
     DimensionMismatch,
     EmptyFeatureSet,
     HieTanError,
@@ -68,7 +72,14 @@ from hietan.errors import (
     NonBinaryValue,
     ParseError,
 )
-from hietan.evaluate import confusion_from_predictions, derive_seed
+from hietan.evaluate import (
+    FriedmanHolmResult,
+    HolmComparison,
+    RankTable,
+    _check_alpha,
+    confusion_from_predictions,
+    derive_seed,
+)
 from hietan.hierarchy import _iter_bits, read_utf8
 from hietan.mutual_info import _pair_tables, _scores, check_smoothing, rank_edges
 from hietan.structure import DependencyTree, hie_mst_lite
@@ -364,6 +375,74 @@ def lite_cv_reference(ds: Dataset, dag, k: int, seed: int, smoothing: float):
         counts.append(confusion_from_predictions(ds.labels[test_idx], predicted))
     return counts, usage_selection, usage_edges
 
+
+
+def stratified_folds_reference(ds: Dataset, k: int, seed: int) -> np.ndarray:
+    """``stratified_folds``' fold of each instance, dealt one instance at a
+    time: each class shuffled under the seed, class 0 first, then one fold
+    pointer shared across both classes."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.zeros(ds.n_instances, dtype=np.int64)
+    pos = 0
+    for cls in (0, 1):
+        idx = np.flatnonzero(ds.labels == cls)
+        rng.shuffle(idx)
+        for i in idx:
+            fold_of[i] = pos % k
+            pos += 1
+    return fold_of
+
+
+def friedman_holm_reference(table: RankTable, alpha: float = 0.05) -> FriedmanHolmResult:
+    """``friedman_holm`` with one z and p per comparison and Holm's step-down
+    as a loop over the comparisons in (p, average rank) order that stops
+    marking significance at the first failure."""
+    from scipy import stats
+
+    _check_alpha(alpha)
+    k = len(table.methods)
+    n_blocks = table.ranks.shape[0]
+    if k < 2 or n_blocks < 2:
+        raise DegenerateRanks(
+            "Friedman / Holm needs at least two methods and two datasets"
+        )
+    avg = table.average_rank
+    control = min(table.methods, key=lambda m: (avg[m], table.methods.index(m)))
+
+    r = np.array([avg[m] for m in table.methods])
+    chi2 = (12.0 * n_blocks / (k * (k + 1))) * (
+        float(np.sum(r**2)) - k * (k + 1) ** 2 / 4.0
+    )
+    overall_p = float(stats.chi2.sf(chi2, k - 1))
+
+    se = np.sqrt(k * (k + 1) / (6.0 * n_blocks))
+    others = [m for m in table.methods if m != control]
+    raw = []
+    for m in others:
+        z = (avg[m] - avg[control]) / se
+        p = float(2.0 * stats.norm.sf(abs(z)))
+        raw.append((m, float(z), p))
+
+    m_cnt = len(raw)
+    by_p = sorted(range(m_cnt), key=lambda idx: (raw[idx][2], avg[raw[idx][0]]))
+    adjusted = {}
+    significant = {}
+    alive = True
+    for pos, idx in enumerate(by_p):
+        method, _, p = raw[idx]
+        threshold = alpha / (m_cnt - pos)
+        adjusted[method] = threshold
+        if alive and p <= threshold:
+            significant[method] = True
+        else:
+            alive = False
+            significant[method] = False
+
+    ordered = sorted(raw, key=lambda t: (avg[t[0]], table.methods.index(t[0])))
+    comparisons = tuple(
+        HolmComparison(m, z, p, adjusted[m], significant[m]) for m, z, p in ordered
+    )
+    return FriedmanHolmResult(control, float(chi2), overall_p, comparisons)
 
 class EdgeSets:
     """The constrained learners' working edges: undirected edges as (a, b)

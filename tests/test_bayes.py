@@ -399,6 +399,17 @@ class TestPredictBatch:
         )
         assert_batch_matches_reference(clf, ds.values[4:5])
 
+    def test_kept_posteriors_own_their_data(self):
+        # Up to a chunk of rows, the posteriors come from a view of the
+        # (rows, k, 2) running sums; kept, they must not pin those sums.
+        rng = np.random.default_rng(5)
+        ds = Dataset((rng.random((20, 6)) < 0.5).astype(np.uint8),
+                     (rng.random(20) < 0.5).astype(np.uint8))
+        clf = fit(ds, DependencyTree((None, 0, 0, 1, None, 4)), smoothing=1.0)
+        log_post = predict_batch(clf, ds.values[:3])[1]
+        assert log_post.shape == (3, 2)
+        assert log_post.base is None and log_post.flags.owndata
+
     def test_more_than_one_chunk(self, monkeypatch):
         rng = np.random.default_rng(9)
         ds = Dataset((rng.random((40, 12)) < 0.4).astype(np.uint8),

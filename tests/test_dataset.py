@@ -41,6 +41,7 @@ from oracles import (
     joint_counts,
     read_csv_reference,
     save_dataset_reference,
+    stratified_folds_reference,
     validate_propagation_reference,
 )
 
@@ -664,6 +665,16 @@ class TestFolds:
         assert sorted(all_test.tolist()) == list(range(35))
         for f in range(7):
             assert len(folds.test_indices(f)) > 0
+
+    def test_matches_one_instance_at_a_time_deal(self):
+        rng = np.random.default_rng(11)
+        for seed in range(60):
+            n0, n1 = rng.integers(1, 30, 2).tolist()
+            k = int(rng.integers(2, min(10, n0 + n1) + 1))
+            ds = _balanced_dataset(n0, n1, seed=seed)
+            folds = stratified_folds(ds, k, seed)
+            assert folds.fold_of.dtype == np.int64
+            assert folds.fold_of.tolist() == stratified_folds_reference(ds, k, seed).tolist()
 
     def test_too_few_instances(self):
         ds = _balanced_dataset(2, 1)

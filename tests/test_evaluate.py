@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
 from hietan.errors import (
     DegenerateRanks,
     IncompleteTable,
+    NonBinaryValue,
     TooFewInstances,
     UndefinedClassSide,
 )
@@ -31,7 +34,7 @@ from hietan.evaluate import (
 from hietan.hierarchy import build_dag, random_dag
 from hietan.structure import DependencyTree, hie_mst_lite
 
-from oracles import lite_cv_reference
+from oracles import friedman_holm_reference, lite_cv_reference
 
 
 class TestGmean:
@@ -54,6 +57,21 @@ class TestGmean:
         counts = confusion_from_predictions([1, 1, 0, 0], [1, 0, 0, 1])
         assert counts == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
         assert counts.tp + counts.fp + counts.tn + counts.fn == 4
+        arrays = confusion_from_predictions(np.array([1, 1, 0, 0], dtype=np.uint8),
+                                            np.array([True, False, False, True]))
+        assert arrays == counts and all(type(v) is int for v in asdict(arrays).values())
+
+    def test_confusion_needs_equal_lengths(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            confusion_from_predictions([1, 0, 1], [1, 0])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_confusion_refuses_non_binary_values(self, bad):
+        # A 2 used to count as a negative: ([1, 0, 2], [1, 1, 0]) gave tn=1.
+        with pytest.raises(NonBinaryValue, match=f"^labels must be 0 or 1, got {bad}$"):
+            confusion_from_predictions([1, 0, bad], [1, 1, 0])
+        with pytest.raises(NonBinaryValue, match=f"^predictions must be 0 or 1, got {bad}$"):
+            confusion_from_predictions([1, 1, 0], [1, 0, bad])
 
 
 class TestAverageRanks:
@@ -78,6 +96,14 @@ class TestAverageRanks:
     def test_wins(self):
         table = average_ranks({"a": [0.9, 0.2], "b": [0.5, 0.8]})
         assert table.wins == {"a": 1, "b": 1}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_names_method_and_block(self, value):
+        # NaN used to give every method an average rank of nan.
+        scores = {"a": [0.6, 0.5, 0.4], "b": [0.3, 0.2, 0.1], "c": [0.9, 0.8, 0.7]}
+        scores["b"][1] = value
+        with pytest.raises(ValueError, match=rf"^method 'b' scores {value} on block 1, "):
+            average_ranks(scores)
 
     def test_incomplete(self):
         with pytest.raises(IncompleteTable):
@@ -116,19 +142,46 @@ class TestFriedmanHolm:
         assert not comp.significant
 
     def test_step_down_stops_at_first_failure(self):
-        # m3 is a mile behind, m2 barely behind: once the weaker comparison
-        # fails, everything after it (in the step-down order) stays rejected.
-        table = average_ranks(
-            {
-                "ctl": [0.90, 0.91, 0.92, 0.93],
-                "m2": [0.89, 0.92, 0.91, 0.94],
-                "m3": [0.10, 0.11, 0.12, 0.13],
-            }
-        )
+        # 50 blocks with rank totals 86 / 108 / 106, so z = 2.2 for "a" and
+        # 2.0 for "b". Holm tests "a" first (p = 0.0278 > alpha/2), which
+        # fails, so "b" is not significant though p = 0.0455 <= alpha.
+        rows = ([(1, 2, 3)] * 11 + [(1, 3, 2)] * 11 + [(2, 3, 1)] * 10
+                + [(2, 1, 3)] * 10 + [(3, 2, 1)] * 5 + [(3, 1, 2)] * 3)
+        gmeans = 1.0 - np.array(rows) / 10.0
+        table = average_ranks({m: gmeans[:, i] for i, m in enumerate(("ctl", "a", "b"))})
+        assert table.ranks.sum(axis=0).tolist() == [86.0, 108.0, 106.0]
         result = friedman_holm(table, alpha=0.05)
-        by_name = {c.method: c for c in result.comparisons}
         assert result.control == "ctl"
-        assert by_name["m3"].p_value < by_name["m2"].p_value
+        b, a = result.comparisons
+        assert (a.method, a.z, a.adjusted_alpha) == ("a", pytest.approx(2.2), 0.025)
+        assert (b.method, b.z, b.adjusted_alpha) == ("b", pytest.approx(2.0), 0.05)
+        assert a.p_value == pytest.approx(0.0278, abs=1e-4) and a.p_value > a.adjusted_alpha
+        assert b.p_value == pytest.approx(0.0455, abs=1e-4) and b.p_value <= b.adjusted_alpha
+        assert not a.significant and not b.significant
+        assert result == friedman_holm_reference(table, alpha=0.05)
+
+    def test_matches_step_down_loop_reference(self):
+        # Real-valued and tie-heavy tables, and tables of many blocks with
+        # methods far enough apart that p underflows to 0.0, so that ties on
+        # p fall to the average rank and then to table order.
+        rng = np.random.default_rng(32)
+        underflows = significant = 0
+        for t in range(240):
+            k = int(rng.integers(2, 7))
+            if t % 3 == 2:
+                n = int(rng.integers(1500, 2500))
+                gm = rng.random((n, k)) * 0.01 - np.arange(k) * rng.integers(0, 2, k)
+            else:
+                n = int(rng.integers(2, 30))
+                gm = (rng.integers(0, 3, (n, k)) / 4.0 if t % 3 else
+                      rng.random((n, k)) - np.linspace(0.0, rng.random(), k))
+            table = average_ranks({f"m{i}": gm[:, i] for i in range(k)})
+            for alpha in (0.01, 0.05, 0.1, 0.5):
+                result = friedman_holm(table, alpha)
+                assert result == friedman_holm_reference(table, alpha)
+                underflows += sum(c.p_value == 0.0 for c in result.comparisons)
+                significant += sum(c.significant for c in result.comparisons)
+        assert underflows > 0 and significant > 0
 
     def test_degenerate_table(self):
         single = average_ranks({"a": [0.1], "b": [0.2]})

@@ -1,11 +1,13 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
 import shlex
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import hietan
@@ -44,6 +46,30 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` resolves the annotations of every function,
+    class and method that a ``hietan`` module defines, so each name an
+    annotation uses is imported where it is written."""
+    failed = []
+    for info in pkgutil.iter_modules(hietan.__path__):
+        module = importlib.import_module(f"hietan.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                for member in vars(obj).values():
+                    member = getattr(member, "__func__", member)  # static/class methods
+                    members += [getattr(member, "fget", member)]  # properties
+            for member in members:
+                if inspect.isfunction(member) or inspect.isclass(member):
+                    try:
+                        typing.get_type_hints(member)
+                    except NameError as exc:
+                        failed.append(f"{member.__module__}.{member.__qualname__}: {exc}")
+    assert not failed
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hietan"
