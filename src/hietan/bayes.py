@@ -5,8 +5,10 @@ with a tree parent use P(x | y, parent value). All tables are maximum
 likelihood with additive smoothing per cell, and prediction accumulates in
 log space (GO-style datasets have hundreds of features, so products in
 probability space underflow). ``fit`` and ``_lazy_predict`` estimate CPTs
-with ``_cpts`` and lay out their logs with ``_log_pairs``, and one kernel,
-``_log_posteriors``, sums the terms that every prediction gathers there.
+with ``_cpts``, each over (y, x_source, x) with a root its own source and
+its (y, x) table repeated over x_source. ``_log_pairs`` logs every cell of
+every such table into one layout, and one kernel, ``_log_posteriors``, sums
+the terms that every prediction gathers there.
 """
 
 from __future__ import annotations
@@ -56,14 +58,11 @@ class FittedClassifier:
         fields read-only, so this is built once per classifier."""
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
-        root = np.array([p is None for p in parents], dtype=bool)
         # Each CPT over (y, x_source, x); a root's (y, x) repeats over x_source.
-        tables = np.empty((len(active), 2, 2, 2))
-        for mask, shape in ((root, (-1, 2, 1, 2)), (~root, (-1, 2, 2, 2))):
-            tables[mask] = np.reshape([self.cpts[f] for f, m in zip(active, mask) if m], shape)
+        tables = [t if t.ndim == 3 else t[:, None].repeat(2, 1) for t in map(self.cpts.get, active)]
         sources = [0] + [f if p is None else p for f, p in zip(active, parents)]
         return (
-            _log_pairs(self.class_prior, tables, root),
+            _log_pairs(self.class_prior, np.reshape(tables, (-1, 2, 2, 2))),
             np.array(sources, dtype=np.intp),
             np.array((0,) + active, dtype=np.intp),
             np.arange(0, 4 * len(sources), 4)[None, :],
@@ -128,16 +127,14 @@ def _logs(cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_pairs(prior: np.ndarray, tables: np.ndarray, root: np.ndarray) -> np.ndarray:
+def _log_pairs(prior: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """The (4(m + 1), 2) log pairs over y of the prior and the m (y,
-    x_source, x) CPTs ``tables``, where ``root[k]`` marks a table that
-    repeats over x_source: pair 4k + 2 x_source + x is row k's, row 0 being
-    the prior, repeated over both values. Each distinct cell is logged once:
-    the prior's 2, a root's 4 and a parented table's 8."""
+    x_source, x) CPTs ``tables`` (a root's repeated over x_source): pair 4k +
+    2 x_source + x is row k's, row 0 being the prior, repeated over both
+    values."""
     out = np.empty((len(tables) + 1, 2, 2, 2))  # (row, x_source, x, y)
     out[0] = _logs(prior)
-    out[1:][root] = np.moveaxis(_logs(tables[root][:, :, :1]), 1, 3)
-    out[1:][~root] = np.moveaxis(_logs(tables[~root]), 1, 3)
+    out[1:] = np.moveaxis(_logs(tables), 1, 3)
     return out.reshape(-1, 2)
 
 
@@ -235,7 +232,7 @@ def _lazy_predict(
         key = source * X.shape[1] + features
         _, first, cpt = np.unique(key, return_index=True, return_inverse=True)
         tables = _cpts(train._class_stats, source[first], features[first], smoothing)
-        pairs = _log_pairs(prior, tables, source[first] == features[first])
+        pairs = _log_pairs(prior, tables)
         out = np.zeros((X.shape[0], X.shape[1] + 1, 2))
         out[:, 0] = pairs[0]
         out[at, features + 1] = pairs[4 * cpt + 4 + 2 * X[at, source] + X[at, features]]

@@ -29,7 +29,11 @@ from .hierarchy import FeatureDag, _check_names, _iter_bits, read_utf8_bytes
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable instance matrix with binary features and binary labels."""
+    """Immutable instance matrix with binary features and binary labels.
+
+    ``feature_names`` holds one ``str`` per column, or is empty for the
+    names f0, f1, ...; the first name that is not a ``str`` raises
+    ``TypeError``, naming it."""
 
     values: np.ndarray
     labels: np.ndarray
@@ -61,6 +65,9 @@ class Dataset:
                 f"{vals.shape[0]} instances but {labs.shape[0]} labels"
             )
         names = tuple(names)
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"feature name {name!r} is not a string")
         if not names:
             names = tuple(f"f{i}" for i in range(vals.shape[1]))
         if len(names) != vals.shape[1]:

@@ -92,7 +92,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress, count
+from operator import index
 from typing import Callable, Optional
+
+import numpy as np
 
 from .dataset import _binary_copy
 from .errors import DimensionMismatch, EmptyFeatureSet, IndexOutOfRange
@@ -107,27 +110,26 @@ class DependencyTree:
 
     ``parent_of[f]`` is the parent feature of ``f`` or ``None``; parentless
     features are roots (the classifier conditions them on the class alone).
-    The parent relation is validated to be acyclic at construction.
+    Construction checks every parent: a parent outside ``[0, n)`` raises
+    ``ValueError`` before the relation is checked for cycles (``ValueError``
+    too), and one that is not an integer raises ``TypeError``.
     """
 
     parent_of: tuple[Optional[int], ...]
 
     def __post_init__(self):
         n = len(self.parent_of)
-        state = [0] * n  # 0 unvisited, 1 on current chain, 2 done
-        for start, p in enumerate(self.parent_of):
-            if p is not None and not 0 <= p < n:
+        for p in self.parent_of:
+            if p is not None and not 0 <= index(p) < n:
                 raise ValueError(f"parent index {p} outside [0, {n})")
-            v = start
-            chain = []
-            while v is not None and state[v] == 0:
-                state[v] = 1
-                chain.append(v)
-                v = self.parent_of[v]
-            if v is not None and state[v] == 1:
-                raise ValueError("parent relation contains a cycle")
-            for u in chain:
-                state[u] = 2
+        # up[f] is f's parent, with n standing above the roots and itself.
+        # After k squarings it is f's 2**k-th ancestor, n past a root; 2**k
+        # > n steps take every feature to n unless it is on or below a cycle.
+        up = np.array([n if p is None else p for p in self.parent_of] + [n], np.intp)
+        for _ in range(n.bit_length()):
+            up = up[up]
+        if (up != n).any():
+            raise ValueError("parent relation contains a cycle")
 
     @property
     def n_features(self) -> int:

@@ -290,7 +290,7 @@ class TestPredict:
         for row in ds.values:
             predict(clf, row)
         assert clf._log_cpts is table
-        assert len(logged) == 2 + 4 + 8 + 8  # prior, root 0, parented 2 and 3
+        assert len(logged) == 2 + 8 * 3  # the prior, then 8 cells each for 0 (a root), 2 and 3
 
     def test_empty_active_features_uses_prior(self):
         values = np.array([[0], [0], [0]], dtype=np.uint8)
@@ -530,8 +530,8 @@ class TestLazyPredict:
                 assert_lazy_matches_fit(train, rows, lazy, 1.0)
 
     def test_each_distinct_cpt_logged_once_per_chunk(self, monkeypatch):
-        # Per chunk: the prior's 2 cells, then 4 per distinct root and 8 per
-        # distinct (parent, feature) pair, however many rows share them.
+        # Per chunk: the prior's 2 cells, then 8 per distinct root or
+        # (parent, feature) pair, however many rows share them.
         logged = []
         monkeypatch.setattr(
             bayes, "math", SimpleNamespace(log=lambda p: logged.append(p) or math.log(p))
@@ -544,7 +544,7 @@ class TestLazyPredict:
                 for start in range(0, len(rows), 4):
                     at, features = np.nonzero(active[start : start + 4])
                     cpts = set(zip(parents[start + at, features].tolist(), features.tolist()))
-                    want += 2 + sum(4 if p < 0 else 8 for p, _ in cpts)
+                    want += 2 + 8 * len(cpts)
                 logged.clear()
                 bayes._lazy_predict(train, rows, parents, active, 1.0)
                 assert len(logged) == want
@@ -694,6 +694,7 @@ class TestSerialization:
             lambda d: d.update(class_prior=[True, False]),
             lambda d: d["cpts"]["0"].__setitem__(0, [0.0, 0.0]),
             lambda d: d.update(smoothing=10**400),
+            lambda d: d.update(tree=[1, 5, None]),
         ],
         ids=[
             "no-format", "no-cpts", "tree-length", "tree-cycle", "prior-shape",
@@ -704,7 +705,7 @@ class TestSerialization:
             "smoothing-nan", "names-string", "names-not-strings",
             "smoothing-string", "smoothing-bool", "prior-not-a-distribution",
             "cpt-row-not-a-distribution", "prior-bool", "zero-row-with-smoothing",
-            "smoothing-too-large-for-a-float",
+            "smoothing-too-large-for-a-float", "tree-out-of-range-past-a-parent",
         ],
     )
     def test_rejects_malformed_documents(self, corrupt):

@@ -469,6 +469,23 @@ class TestTrainPredict:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_predict_reports_a_parent_out_of_range(self, synth_files, tmp_path, capsys):
+        # Feature 0's parent is in range, and its own parent is not.
+        data, dag = synth_files
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--dag", str(dag),
+                     "--method", "hie-tan", "--model", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["tree"] = [1, 5, None]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: malformed hietan model: ValueError('parent index 5 outside [0, 3)')\n"
+        )
+        assert captured.out == ""
+
     def test_python_m_matches_main(self, synth_files, tmp_path, capsys):
         data, dag = synth_files
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

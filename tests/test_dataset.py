@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -512,6 +513,15 @@ class TestSavedNamesReadBack:
             save_dataset(self.two_rows(names), path)
         assert isinstance(err.value, ValueError) and isinstance(err.value, HieTanError)
         assert not path.exists()
+
+    @pytest.mark.parametrize("names, bad", [
+        ((1, 2), "1"), (("a", None), "None"), (("a", b"b"), "b'b'"), (("a", 2.0), "2.0"),
+    ], ids=["ints", "none", "bytes", "float"])
+    def test_names_that_are_not_strings_are_refused(self, names, bad):
+        # Such a name would save a model that ``load_model`` refuses, and
+        # ``save_dataset`` could not check it.
+        with pytest.raises(TypeError, match=rf"^feature name {re.escape(bad)} is not a string$"):
+            self.two_rows(names)
 
     @pytest.mark.parametrize("names", [
         ("a b", "c"), ("\u00e9", "#x"), ("", "c"), ("class", "c"), ("a;b", "\ufeffc"),

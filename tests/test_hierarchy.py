@@ -92,6 +92,15 @@ class TestBuildDag:
         with pytest.raises(IndexOutOfRange):
             build_dag(3, [(-1, 0)])
 
+    def test_related_ixs_are_the_ascending_relatives(self):
+        rng = random.Random(8)
+        for trial in range(20):
+            n = rng.randrange(1, 70)
+            dag = build_dag(n, random_dag(n, rng.randrange(0, 3 * n), seed=200 + trial))
+            for v in range(n):
+                bits = dag.ancestor_bits[v] | dag.descendant_bits[v]
+                assert dag.related_ixs[v] == tuple(i for i in range(n) if bits >> i & 1)
+
     def test_transpose_swaps_closures(self):
         rng = random.Random(3)
         for trial in range(20):

@@ -160,6 +160,43 @@ class TestDependencyTree:
         with pytest.raises(ValueError):
             DependencyTree((5, None))
 
+    @pytest.mark.parametrize("parents, bad", [((1, 5), 5), ((1, -1), -1), ((2, None, 7), 7)], ids=repr)
+    def test_names_a_parent_out_of_range_before_looking_for_cycles(self, parents, bad):
+        # Each chain reaches the bad index from a parent that is in range.
+        with pytest.raises(ValueError, match=rf"^parent index {bad} outside \[0, {len(parents)}\)$"):
+            DependencyTree(parents)
+
+    @pytest.mark.parametrize("parents", [(1.5, None), (None, "0")], ids=repr)
+    def test_non_integer_parent_is_a_type_error(self, parents):
+        with pytest.raises(TypeError):
+            DependencyTree(parents)
+
+    def test_accepts_exactly_the_acyclic_relations(self):
+        """Against a walk that follows each feature's parents for n steps:
+        forests, single chains of n around powers of two (the longest paths
+        the check must follow), and the same with one parent redrawn."""
+        rng = random.Random(4)
+        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+            for trial in range(40):
+                order = rng.sample(range(n), n)
+                chain = trial % 2 == 0
+                parents = [None] * n
+                for at, f in enumerate(order[1:], 1):
+                    parents[f] = order[at - 1] if chain else order[rng.randrange(at)]
+                if trial % 4 >= 2:
+                    parents[rng.randrange(n)] = rng.randrange(n)
+                acyclic = True
+                for f in range(n):
+                    v = f
+                    for _ in range(n):
+                        v = v if v is None else parents[v]
+                    acyclic &= v is None
+                if acyclic:
+                    assert DependencyTree(tuple(parents)).parent_of == tuple(parents)
+                else:
+                    with pytest.raises(ValueError, match="^parent relation contains a cycle$"):
+                        DependencyTree(tuple(parents))
+
     def test_edges_and_roots(self):
         tree = DependencyTree((None, 0, 0, 2))
         assert tree.edges() == ((0, 1), (0, 2), (2, 3))
