@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dataset import Dataset, _first_non_binary
+from .dataset import Dataset, _first_non_binary, _first_repeat
 from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
@@ -329,6 +329,8 @@ def model_from_dict(doc: dict) -> FittedClassifier:
     n = tree.n_features
     if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
         raise ParseError(f"feature names must be a list of {n} strings, as the tree has")
+    if len(set(names)) < len(names):
+        raise ParseError(f"feature name {_first_repeat(names)!r} is repeated")
     if prior.shape != (2,):
         raise ParseError(f"class prior has shape {prior.shape}, expected (2,)")
     active_set = set(active)

@@ -31,9 +31,10 @@ from .hierarchy import FeatureDag, _check_names, _iter_bits, read_utf8_bytes
 class Dataset:
     """Immutable instance matrix with binary features and binary labels.
 
-    ``feature_names`` holds one ``str`` per column, or is empty for the
-    names f0, f1, ...; the first name that is not a ``str`` raises
-    ``TypeError``, naming it."""
+    ``feature_names`` holds one distinct ``str`` per column, or is empty
+    for the names f0, f1, ...; the first name that is not a ``str`` raises
+    ``TypeError``, and the first that repeats an earlier one ``ValueError``,
+    naming it."""
 
     values: np.ndarray
     labels: np.ndarray
@@ -68,6 +69,8 @@ class Dataset:
         for name in names:
             if not isinstance(name, str):
                 raise TypeError(f"feature name {name!r} is not a string")
+        if len(set(names)) < len(names):
+            raise ValueError(f"feature name {_first_repeat(names)!r} is repeated")
         if not names:
             names = tuple(f"f{i}" for i in range(vals.shape[1]))
         if len(names) != vals.shape[1]:
@@ -90,19 +93,43 @@ class Dataset:
 
     @cached_property
     def _class_stats(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-        """Per class: (Gram matrix, column sums, row count) of its rows, as
-        int64. The arrays are read-only, so this is computed once per dataset.
+        """Per class: (Gram matrix, column sums, row count) of its rows. The
+        Gram matrix holds its counts in ``np.min_scalar_type(n_instances)``
+        (uint8 up to 255 rows, uint16 up to 65 535); the column sums are its
+        diagonal (x * x = x), in int64. The arrays are read-only, so this is
+        computed once per dataset.
 
-        The products run in float64, where NumPy uses BLAS (an int64 matmul
-        does not), and are exact: every partial sum is an integer at most
-        n_instances < 2**53."""
-        X = self.values.astype(np.float64)
+        Each block of at most _GRAM_ROWS rows is one float32 product, where
+        NumPy uses BLAS (an integer matmul does not), and is exact in any
+        summation order: with 0/1 entries every partial sum is an integer at
+        most _GRAM_ROWS = 2**24, which float32 holds exactly. The blocks add
+        up in the narrow type, which holds every count."""
+        dtype = np.min_scalar_type(self.n_instances)
         stats = []
         for y in (0, 1):
-            Xy = X[self.labels == y]
-            gram, ones = Xy.T @ Xy, Xy.sum(axis=0)
-            stats.append((gram.astype(np.int64), ones.astype(np.int64), Xy.shape[0]))
+            Xy = self.values[self.labels == y].astype(np.float32)
+            # An empty class still makes one (zero) block.
+            blocks = [Xy[s : s + _GRAM_ROWS] for s in range(0, max(len(Xy), 1), _GRAM_ROWS)]
+            gram = (blocks[0].T @ blocks[0]).astype(dtype)
+            for block in blocks[1:]:
+                gram += (block.T @ block).astype(dtype)
+            ones = gram.diagonal().astype(np.int64)
+            gram.setflags(write=False)
+            ones.setflags(write=False)
+            stats.append((gram, ones, Xy.shape[0]))
         return tuple(stats)
+
+
+# Rows per float32 product in ``Dataset._class_stats``: float32 holds every
+# integer up to 2**24 exactly.
+_GRAM_ROWS = 1 << 24
+
+
+def _first_repeat(names: Sequence[str]) -> str:
+    """The first of ``names`` equal to an earlier one; one must repeat."""
+    seen = set()
+    # ``seen.add`` returns None, so a name is kept only if it was seen.
+    return next(name for name in names if name in seen or seen.add(name))
 
 
 def _first_non_binary(a: np.ndarray) -> Optional[int]:

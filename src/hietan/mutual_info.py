@@ -121,11 +121,12 @@ def _logs(keys, den: int, bits: int) -> dict[int, int]:
 
 def _cells(stats, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """(2, 4, pairs) int64 counts of pairs (i[k], j[k]) per class in cells
-    (x_i, x_j) = 00, 01, 10, 11, from per-class (Gram, column sums, rows)."""
+    (x_i, x_j) = 00, 01, 10, 11, from per-class (Gram, column sums, rows);
+    the Gram matrix may hold its counts in any narrower unsigned type."""
     out = np.empty((2, 4, i.shape[0]), dtype=np.int64)
     flat = i * stats[0][0].shape[1] + j  # gram[i, j] of a C-ordered Gram matrix
     for (gram, ones, total), (n00, n01, n10, n11) in zip(stats, out):
-        np.take(gram, flat, out=n11)
+        n11[...] = gram.take(flat)  # widened: ``np.take(out=)`` will not cast
         ones_i = ones[i]
         np.subtract(ones_i, n11, out=n10)
         np.subtract(ones[j], n11, out=n01)

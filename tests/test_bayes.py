@@ -717,6 +717,15 @@ class TestSerialization:
         with pytest.raises(ParseError):
             model_from_dict(json.loads(json.dumps(doc)))
 
+    def test_rejects_repeated_feature_names(self):
+        # Such a model would refuse every data file: a header repeats no name.
+        ds = Dataset(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.uint8),
+                     np.array([0, 1, 1], dtype=np.uint8), ("a", "b", "c"))
+        doc = json.loads(json.dumps(model_to_dict(fit(ds, DependencyTree((None, 0, 1))))))
+        doc["feature_names"] = ["a", "b", "a"]
+        with pytest.raises(ParseError, match=r"^feature name 'a' is repeated$"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("content", [b"not a model\n", b"\xff\xfe{}"],
                              ids=["text", "binary"])
     def test_load_rejects_non_json(self, tmp_path, content):

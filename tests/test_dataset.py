@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ from hietan.errors import (
 )
 from hietan.bayes import fit
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import _cells, rank_edges
+from hietan.mutual_info import _cells, _pair_tables, rank_edges
 from hietan.structure import DependencyTree
 
 from conftest import A, B, C, D, E, F
@@ -505,7 +506,7 @@ class TestSavedNamesReadBack:
 
     @pytest.mark.parametrize("names", [
         ("a,b", "c"), ("a\nb", "c"), ("a", "b\r"), ("a\x85b", "c"), ("a\u2028b", "c"),
-        ("a\x1cb", "c"), (" a", "c"), ("a", "c\t"), ("a", "a"), ("a\ud800", "c"), ("\ufeffa", "b"),
+        ("a\x1cb", "c"), (" a", "c"), ("a", "c\t"), ("a\ud800", "c"), ("\ufeffa", "b"),
     ], ids=repr)
     def test_unreadable_names_are_refused(self, tmp_path, names):
         path = tmp_path / "d.csv"
@@ -521,6 +522,14 @@ class TestSavedNamesReadBack:
         # Such a name would save a model that ``load_model`` refuses, and
         # ``save_dataset`` could not check it.
         with pytest.raises(TypeError, match=rf"^feature name {re.escape(bad)} is not a string$"):
+            self.two_rows(names)
+
+    @pytest.mark.parametrize("names, repeat", [
+        (("a", "a"), "a"), (("b", "a", "c", "a", "b"), "a"), (("", "x", ""), ""),
+    ], ids=repr)
+    def test_repeated_names_are_refused(self, names, repeat):
+        # Such a name would save a model whose data files no reader accepts.
+        with pytest.raises(ValueError, match=rf"^feature name {re.escape(repr(repeat))} is repeated$"):
             self.two_rows(names)
 
     @pytest.mark.parametrize("names", [
@@ -539,6 +548,10 @@ class TestSavedNamesReadBack:
     def test_any_names_read_back_or_are_refused(self, tmp_path, names):
         path = tmp_path / "d.csv"
         path.unlink(missing_ok=True)
+        if len(set(names)) < len(names):
+            with pytest.raises(ValueError, match="is repeated$"):
+                self.two_rows(names)
+            return
         try:
             save_dataset(self.two_rows(names), path)
         except UnreadableName:
@@ -777,18 +790,85 @@ class TestPairCounts:
         fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3})
         assert ds._class_stats is stats
 
-    def test_statistics_are_exact_int64(self):
-        rng = np.random.default_rng(8)
-        values = (rng.random((90, 25)) < rng.random((1, 25))).astype(np.uint8)
-        labels = (rng.random(90) < 0.3).astype(np.uint8)
-        ds = Dataset(values, labels)
-        X = values.astype(np.int64)
-        for y, (gram, ones, total) in enumerate(ds._class_stats):
-            Xy = X[labels == y]
-            assert gram.dtype == np.int64 and ones.dtype == np.int64
-            assert np.array_equal(gram, Xy.T @ Xy)
-            assert np.array_equal(ones, Xy.sum(axis=0))
-            assert total == Xy.shape[0]
+    @staticmethod
+    def stats_dataset(m, seed, one_class=False):
+        """``m`` rows of 25 features, the first always 1, so that a class's
+        count reaches its row count; labels all 1 if ``one_class``."""
+        rng = np.random.default_rng(seed)
+        values = (rng.random((m, 25)) < rng.random((1, 25))).astype(np.uint8)
+        values[:, 0] = 1
+        labels = np.ones(m, np.uint8) if one_class else (rng.random(m) < 0.3).astype(np.uint8)
+        return Dataset(values, labels)
+
+    @staticmethod
+    def oracle_stats(ds):
+        """``_class_stats`` as int64 integer products."""
+        X = ds.values.astype(np.int64)
+        return tuple((Xy.T @ Xy, Xy.sum(axis=0), Xy.shape[0])
+                     for Xy in (X[ds.labels == y] for y in (0, 1)))
+
+    def assert_exact(self, ds):
+        for got, want in zip(ds._class_stats, self.oracle_stats(ds)):
+            assert got[0].dtype == np.min_scalar_type(ds.n_instances)
+            assert got[1].dtype == np.int64
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize("m, one_class", [
+        (0, False), (1, False), (90, False), (255, False), (256, False), (255, True), (256, True),
+    ])
+    def test_statistics_are_exact_in_the_narrowest_type(self, m, one_class):
+        # uint8 up to 255 rows, uint16 from 256; one class holds every row.
+        self.assert_exact(self.stats_dataset(m, 8 + m, one_class))
+
+    @pytest.mark.parametrize("m", [255, 256])
+    def test_statistics_add_up_across_blocks(self, monkeypatch, m):
+        # Many row blocks, each a float32 product, summed in the narrow type.
+        monkeypatch.setattr(dataset, "_GRAM_ROWS", 16)
+        ds = self.stats_dataset(m, m, one_class=m == 256)
+        assert (ds.labels == 1).sum() > 3 * 16
+        self.assert_exact(ds)
+
+    @pytest.mark.parametrize("m", [255, 256])
+    def test_counts_read_as_int64(self, m):
+        # Every reader sees the counts of the int64 oracle, whatever the
+        # Gram matrix's type, so a wraparound at 255/256 rows shows here.
+        ds = self.stats_dataset(m, m, one_class=True)
+        oracle = self.oracle_stats(ds)
+        i, j = (a.ravel() for a in np.indices((25, 25)))
+        cells = _cells(ds._class_stats, i, j)
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, _cells(oracle, i, j))
+        assert cells.max() == m
+        for pairs in ((i, j), (i[:2], j[:2])):  # all counts, and only the pairs'
+            got = _pair_tables(ds._class_stats, m, 1.0, *pairs)
+            want = _pair_tables(oracle, m, 1.0, *pairs)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_statistics_are_read_only(self):
+        ds = self.stats_dataset(30, 3)
+        for gram, ones, _ in ds._class_stats:
+            with pytest.raises(ValueError, match="read-only"):
+                gram[0, 0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                ones[0] = 7
+        self.assert_exact(ds)
+
+    def test_statistics_hold_two_bytes_a_count(self):
+        # 300 rows: uint16 counts, 2 n**2 bytes per class (int64 took 8).
+        n = 1000
+        ds = self.stats_dataset(300, 5)
+        ds = Dataset(np.tile(ds.values, (1, n // 25)), ds.labels)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stats = ds._class_stats
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert stats[0][0].dtype == np.uint16
+        assert held <= 2 * n * n * 2 + 100 * n
 
 
 # Values each dtype can hold, binary and not: wrap-around and sign
