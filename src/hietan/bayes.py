@@ -320,6 +320,8 @@ def model_from_dict(doc: dict) -> FittedClassifier:
         names = doc["feature_names"]
         tree = DependencyTree(tuple(None if p is None else _index(p) for p in doc["tree"]))
         prior = _read_only(doc["class_prior"])
+        if not isinstance(doc["cpts"], dict):
+            raise TypeError(f"cpts must be a JSON object, got {type(doc['cpts']).__name__}")
         tables = {key: _read_only(t) for key, t in doc["cpts"].items()}
         smoothing = check_smoothing(doc["smoothing"])
         active = tuple(_index(f) for f in doc["active_features"])

@@ -15,8 +15,6 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bayes import load_model, predict_batch, save_model
 from .dataset import (
@@ -305,21 +303,16 @@ def cmd_features(args) -> int:
     flag = per_row[0] if args.method == "all" else args.method
     ds, dag = _load_inputs(args)
     names = ds.feature_names
-    if ds.n_instances == 0:
-        print("empty dataset: empty report")
-        zeros = np.zeros(len(names), dtype=np.int64)
-        usage = FeatureUsageReport(zeros, zeros)
-    else:
-        method = _METHOD_FLAGS[flag]
-        result = run_cv_experiment(ds, dag, [method], args.folds, args.seed, smoothing=args.smoothing)
-        usage = result.methods[method].usage
-        for criterion, title in (
-            ("freq_of_selection", "Freq. of Selection"),
-            ("freq_in_edges", "Freq. in Edges"),
-        ):
-            print(f"\n{title} (top {args.top})")
-            for name, count in usage.top(criterion, args.top, names):
-                print(f"  {name:<24} {count}")
+    method = _METHOD_FLAGS[flag]
+    result = run_cv_experiment(ds, dag, [method], args.folds, args.seed, smoothing=args.smoothing)
+    usage = result.methods[method].usage
+    for criterion, title in (
+        ("freq_of_selection", "Freq. of Selection"),
+        ("freq_in_edges", "Freq. in Edges"),
+    ):
+        print(f"\n{title} (top {args.top})")
+        for name, count in usage.top(criterion, args.top, names):
+            print(f"  {name:<24} {count}")
     if args.out:
         payload = {
             "config": _config(args, method=flag),

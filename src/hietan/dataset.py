@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -315,36 +315,8 @@ def subset(ds: Dataset, indices) -> Dataset:
     return Dataset._own(ds.values[idx], ds.labels[idx], ds.feature_names)
 
 
-# Elements of a row block of validate_propagation's gathered columns.
+# Elements of a row block of _violations' gathered columns.
 _VALIDATE_BLOCK = 2**18
-
-
-def validate_propagation(ds: Dataset, dag: FeatureDag) -> list[tuple[int, int, int]]:
-    """Every (instance, feature, ancestor) triple where the feature is 1 but
-    the ancestor is 0, sorted. An empty list means the dataset is consistent.
-
-    The columns of every (feature, ancestor) pair of the closure are
-    gathered a block of rows at a time, so temporaries stay near
-    _VALIDATE_BLOCK elements, and compared at once."""
-    if ds.n_features != dag.n_features:
-        raise DimensionMismatch(
-            f"dataset has {ds.n_features} features, hierarchy has {dag.n_features}"
-        )
-    feature, ancestor = _closure_pairs(dag)
-    violations: list[tuple[int, int, int]] = []
-    rows = max(1, _VALIDATE_BLOCK // max(1, feature.size))
-    for start in range(0, ds.n_instances, rows):
-        block = ds.values[start : start + rows]
-        # Binary values: 1 over 0 is the one violating combination. nonzero
-        # lists by row, then by pair, and the pairs ascend by (feature,
-        # ancestor), so the triples come out sorted.
-        r, k = np.nonzero(block[:, feature] > block[:, ancestor])
-        violations += zip((r + start).tolist(), feature[k].tolist(), ancestor[k].tolist())
-    return violations
-
-
-# Elements of a row block of repair_propagation's product: 2 MB of float64.
-_REPAIR_BLOCK = 2**18
 
 
 def _closure_pairs(dag: FeatureDag) -> tuple[np.ndarray, np.ndarray]:
@@ -355,32 +327,48 @@ def _closure_pairs(dag: FeatureDag) -> tuple[np.ndarray, np.ndarray]:
     return feature, ancestor
 
 
-def _closure_matrix(dag: FeatureDag) -> np.ndarray:
-    m = np.eye(dag.n_features, dtype=np.float64)
-    m[_closure_pairs(dag)] = 1
-    return m
+def _violations(ds: Dataset, dag: FeatureDag) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per block of rows, the (rows, features, ancestors) index arrays of
+    every cell where the feature is 1 but the ancestor is 0, by row, then
+    by (feature, ancestor).
 
-
-def repair_propagation(ds: Dataset, dag: FeatureDag) -> Dataset:
-    """Set every ancestor of a 1-valued feature to 1, instance by instance.
-
-    Idempotent because the ancestor sets are transitively closed. The
-    product with the closure runs in float64, where NumPy uses BLAS (an
-    integer matmul does not), and is exact: every sum is an integer at most
-    n_features < 2**53. It runs a block of rows at a time, so its float64
-    temporaries stay near _REPAIR_BLOCK elements however many rows there are.
-    """
+    The columns of every (feature, ancestor) pair of the closure are
+    gathered a block of rows at a time, so temporaries stay near
+    _VALIDATE_BLOCK elements, and compared at once."""
     if ds.n_features != dag.n_features:
         raise DimensionMismatch(
             f"dataset has {ds.n_features} features, hierarchy has {dag.n_features}"
         )
-    closure = _closure_matrix(dag)
-    values = np.empty_like(ds.values)
-    step = max(1, _REPAIR_BLOCK // max(1, ds.n_features))
-    for start in range(0, ds.n_instances, step):
-        rows = slice(start, start + step)
-        values[rows] = ds.values[rows].astype(np.float64) @ closure > 0
-    return Dataset(values, ds.labels, ds.feature_names)
+    feature, ancestor = _closure_pairs(dag)
+    rows = max(1, _VALIDATE_BLOCK // max(1, feature.size))
+    for start in range(0, ds.n_instances, rows):
+        block = ds.values[start : start + rows]
+        # Binary values: 1 over 0 is the one violating combination. nonzero
+        # lists by row, then by pair, and the pairs ascend by (feature,
+        # ancestor).
+        r, k = np.nonzero(block[:, feature] > block[:, ancestor])
+        yield r + start, feature[k], ancestor[k]
+
+
+def validate_propagation(ds: Dataset, dag: FeatureDag) -> list[tuple[int, int, int]]:
+    """Every (instance, feature, ancestor) triple where the feature is 1 but
+    the ancestor is 0, sorted. An empty list means the dataset is consistent."""
+    violations: list[tuple[int, int, int]] = []
+    for r, f, a in _violations(ds, dag):
+        violations += zip(r.tolist(), f.tolist(), a.tolist())
+    return violations
+
+
+def repair_propagation(ds: Dataset, dag: FeatureDag) -> Dataset:
+    """Set every ancestor of a 1-valued feature to 1, instance by instance:
+    exactly the (instance, ancestor) cells of ``validate_propagation``'s
+    triples. Idempotent because the ancestor sets are transitively closed.
+    Memory grows with the closure's pairs and the rows, not with
+    n_features squared."""
+    values = ds.values.copy()
+    for r, _, a in _violations(ds, dag):
+        values[r, a] = 1
+    return Dataset._own(values, ds.labels, ds.feature_names)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,9 @@ runs the constrained learners' scan on no hierarchy instead and must give
 the same tree.
 ``validate_propagation_reference`` checks one (feature, ancestor) pair of
 the closure at a time, where the library compares all of them per block
-of rows. ``random_dag_reference`` samples ``random_dag``'s pairs from the
+of rows. ``repair_product_reference`` repairs by the int32 product with
+the closure matrix, where the library sets the cells that
+``validate_propagation``'s block pass finds. ``random_dag_reference`` samples ``random_dag``'s pairs from the
 list of all n(n-1)/2 of them, where the library maps sampled indices to
 pairs.
 ``joint_counts`` builds a ``JointCounts`` table by a direct scan, ``cmi``
@@ -60,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from hietan.bayes import FittedClassifier, Prediction, fit, predict
-from hietan.dataset import Dataset, stratified_folds, subset
+from hietan.dataset import Dataset, _closure_pairs, stratified_folds, subset
 from hietan.errors import (
     DegenerateDistribution,
     DegenerateRanks,
@@ -266,6 +268,15 @@ def validate_propagation_reference(ds: Dataset, dag) -> list[tuple[int, int, int
             violations.extend((int(r), f, a) for r in bad)
     violations.sort()
     return violations
+
+
+def repair_product_reference(ds: Dataset, dag) -> np.ndarray:
+    """``repair_propagation``'s values as the int32 product of the rows with
+    the closure matrix (the identity plus every (feature, ancestor) pair):
+    a cell is 1 when the instance has it or one of its descendants."""
+    closure = np.eye(dag.n_features, dtype=np.int32)
+    closure[_closure_pairs(dag)] = 1
+    return (ds.values.astype(np.int32) @ closure > 0).astype(np.uint8)
 
 
 def random_dag_reference(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:

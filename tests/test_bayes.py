@@ -695,6 +695,9 @@ class TestSerialization:
             lambda d: d["cpts"]["0"].__setitem__(0, [0.0, 0.0]),
             lambda d: d.update(smoothing=10**400),
             lambda d: d.update(tree=[1, 5, None]),
+            lambda d: d.update(cpts=[]),
+            lambda d: d.update(cpts="cpts"),
+            lambda d: d.update(cpts=None),
         ],
         ids=[
             "no-format", "no-cpts", "tree-length", "tree-cycle", "prior-shape",
@@ -706,6 +709,7 @@ class TestSerialization:
             "smoothing-string", "smoothing-bool", "prior-not-a-distribution",
             "cpt-row-not-a-distribution", "prior-bool", "zero-row-with-smoothing",
             "smoothing-too-large-for-a-float", "tree-out-of-range-past-a-parent",
+            "cpts-list", "cpts-string", "cpts-null",
         ],
     )
     def test_rejects_malformed_documents(self, corrupt):

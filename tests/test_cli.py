@@ -457,8 +457,16 @@ class TestTrainPredict:
         assert rc == 1
         assert capsys.readouterr().err == "error: train needs a single --method (tan or hie-tan)\n"
 
-    @pytest.mark.parametrize("text", ['{"format": "x"}\n', "not a model\n"],
-                             ids=["foreign-format", "not-json"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": "x"}\n',
+            "not a model\n",
+            '{"format": "hietan-model", "feature_names": [], "tree": [],'
+            ' "class_prior": [0.5, 0.5], "cpts": []}\n',
+        ],
+        ids=["foreign-format", "not-json", "cpts-list"],
+    )
     def test_predict_rejects_malformed_model(self, synth_files, tmp_path, capsys, text):
         data, _ = synth_files
         model = tmp_path / "model.json"
@@ -612,30 +620,22 @@ class TestFeatures:
             "--method", "tan",
         ]) == 1
 
-    def test_empty_dataset_empty_report(self, tmp_path, capsys):
-        data = tmp_path / "empty.csv"
-        dag = tmp_path / "dag.tsv"
-        data.write_text("A,B,class\n")
-        dag.write_text("A\tB\n")
-        assert main(["features", "--data", str(data), "--dag", str(dag)]) == 0
-        assert "empty" in capsys.readouterr().out
-
-    def test_empty_dataset_report_is_written(self, tmp_path, capsys):
+    def test_empty_dataset_fails_as_cv_does(self, tmp_path, capsys):
+        # A header-only file has no instances to split into folds, for
+        # ``features`` as for ``cv``, and no report is written.
         data = tmp_path / "empty.csv"
         dag = tmp_path / "dag.tsv"
         data.write_text("a,b,class\n")
         dag.write_text("a\tb\n")
         out = tmp_path / "r.json"
-        assert main(["features", "--data", str(data), "--dag", str(dag),
-                     "--folds", "3", "--seed", "5", "--out", str(out)]) == 0
-        assert "empty" in capsys.readouterr().out
-        assert json.loads(out.read_text()) == {
-            "config": {"dataset": str(data), "dag": str(dag), "folds": 3, "seed": 5,
-                       "smoothing": 1.0, "method": "hie-tan-lite"},
-            "library_version": __version__,
-            "usage": {"freq_of_selection": {"a": 0, "b": 0},
-                      "freq_in_edges": {"a": 0, "b": 0}},
-        }
+        for command in ("cv", "features"):
+            capsys.readouterr()
+            assert main([command, "--data", str(data), "--dag", str(dag),
+                         "--folds", "3", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: cannot split 0 instances into 3 folds\n"
+            assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSynth:

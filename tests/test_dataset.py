@@ -42,6 +42,7 @@ from conftest import A, B, C, D, E, F
 from oracles import (
     joint_counts,
     read_csv_reference,
+    repair_product_reference,
     save_dataset_reference,
     stratified_folds_reference,
     validate_propagation_reference,
@@ -629,23 +630,40 @@ class TestPropagation:
 
     @settings(max_examples=40, derandomize=True)
     @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 30),
-           st.sampled_from([1, 7, 64, dataset._REPAIR_BLOCK]))
+           st.sampled_from([1, 7, 64, dataset._VALIDATE_BLOCK]))
     def test_repair_equals_int32_product(self, seed, n, rows, block):
-        # The float64 product, a block of rows at a time, gives the int32
-        # product's hits exactly.
+        # Setting the cells the block pass finds, a block of rows at a time,
+        # gives the int32 closure product's hits exactly.
         rng = np.random.default_rng(seed)
         dag = build_dag(n, random_dag(n, int(rng.integers(0, 3 * n + 1)), seed))
         ds = Dataset(
             (rng.random((rows, n)) < rng.random()).astype(np.uint8),
             (rng.random(rows) < 0.5).astype(np.uint8),
         )
-        closure = dataset._closure_matrix(dag).astype(np.int32)
-        want = (ds.values.astype(np.int32) @ closure > 0).astype(np.uint8)
-        with mock.patch.object(dataset, "_REPAIR_BLOCK", block):
+        want = repair_product_reference(ds, dag)
+        with mock.patch.object(dataset, "_VALIDATE_BLOCK", block):
             got = repair_propagation(ds, dag)
         assert got.values.dtype == np.uint8
         assert np.array_equal(got.values, want)
         assert np.array_equal(got.labels, ds.labels)
+
+    def test_repair_memory_grows_with_the_pairs_not_n_squared(self):
+        # Sinks annotated as the generator does; a dense n x n closure would
+        # take n**2 bytes even as uint8 (the float64 one took 8 n**2).
+        n, rows = 3000, 50
+        dag = build_dag(n, random_dag(n, 8 * n // 5, 1))
+        values = np.zeros((rows, n), dtype=np.uint8)
+        sinks = list(dag.sink_features)
+        values[:, sinks] = np.random.default_rng(1).random((rows, len(sinks))) < 0.3
+        ds = Dataset(values, np.zeros(rows, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            repaired = repair_propagation(ds, dag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert validate_propagation(repaired, dag) == []
+        assert peak < n * n
 
 
 def _balanced_dataset(n0, n1, n_features=3, seed=0):

@@ -142,10 +142,10 @@ def test_cli_leaves_the_methods_to_evaluate():
     assert (found, constants) == ([], [])
 
 
-def test_lazy_scoring_is_named_only_in_the_per_row_path():
-    """``evaluate._per_row`` is the one per-row path: no other function in
-    ``src/`` names ``_lazy_predict``, so a new per-row caller reuses that
-    path instead of copying its loop and its scoring."""
+def _where_named(name: str) -> list[str]:
+    """Every "module.py:function" of ``src/`` whose code names ``name``, as
+    a variable or an attribute, once per use; module-level code is
+    "module.py:None"."""
     found = []
 
     def visit(node, path, where):
@@ -153,13 +153,29 @@ def test_lazy_scoring_is_named_only_in_the_per_row_path():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path, child.name)
                 continue
-            if "_lazy_predict" in (getattr(child, "id", None), getattr(child, "attr", None)):
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
                 found.append(f"{path.name}:{where}")
             visit(child, path, where)
 
     for path in sorted(SRC.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
-    assert found == ["evaluate.py:_per_row"]
+    return found
+
+
+def test_lazy_scoring_is_named_only_in_the_per_row_path():
+    """``evaluate._per_row`` is the one per-row path: no other function in
+    ``src/`` names ``_lazy_predict``, so a new per-row caller reuses that
+    path instead of copying its loop and its scoring."""
+    assert _where_named("_lazy_predict") == ["evaluate.py:_per_row"]
+
+
+def test_closure_pairs_are_named_only_in_the_violation_pass():
+    """``dataset._violations`` is the one pass over the closure's pairs:
+    ``validate_propagation`` and ``repair_propagation`` both read it, no
+    other function in ``src/`` names ``_closure_pairs``, and no dense
+    closure matrix comes back, so a second copy of the closure cannot."""
+    assert _where_named("_closure_pairs") == ["dataset.py:_violations"]
+    assert _where_named("_closure_matrix") == []
 
 
 def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
