@@ -620,22 +620,33 @@ class TestFeatures:
             "--method", "tan",
         ]) == 1
 
-    def test_empty_dataset_fails_as_cv_does(self, tmp_path, capsys):
-        # A header-only file has no instances to split into folds, for
-        # ``features`` as for ``cv``, and no report is written.
+    def test_empty_dataset_empty_report(self, tmp_path, capsys):
+        # A header-only file has no instances to split into folds: features
+        # fails as cv does and prints no report, not even an empty one.
+        data = tmp_path / "empty.csv"
+        dag = tmp_path / "dag.tsv"
+        data.write_text("A,B,class\n")
+        dag.write_text("A\tB\n")
+        for command in ("cv", "features"):
+            assert main([command, "--data", str(data), "--dag", str(dag)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: cannot split 0 instances into 10 folds\n"
+            assert captured.out == ""
+
+    def test_empty_dataset_report_is_written(self, tmp_path, capsys):
+        # With --out, the failure on a header-only file writes no report file.
         data = tmp_path / "empty.csv"
         dag = tmp_path / "dag.tsv"
         data.write_text("a,b,class\n")
         dag.write_text("a\tb\n")
         out = tmp_path / "r.json"
         for command in ("cv", "features"):
-            capsys.readouterr()
             assert main([command, "--data", str(data), "--dag", str(dag),
-                         "--folds", "3", "--out", str(out)]) == 1
+                         "--folds", "3", "--seed", "5", "--out", str(out)]) == 1
             captured = capsys.readouterr()
             assert captured.err == "error: cannot split 0 instances into 3 folds\n"
             assert captured.out == ""
-        assert not out.exists()
+            assert not out.exists()
 
 
 class TestSynth:
