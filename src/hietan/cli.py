@@ -19,10 +19,10 @@ from . import __version__
 from .bayes import load_model, predict_batch, save_model
 from .dataset import (
     Dataset,
+    _repaired,
     generate_synthetic_with_rule,
     load_dataset,
     load_instances,
-    repair_propagation,
     save_dataset,
     validate_propagation,
 )
@@ -171,13 +171,14 @@ def _json_dump(payload: dict, path) -> None:
 
 def cmd_validate(args) -> int:
     ds, dag = _load_inputs(args)
-    violations = validate_propagation(ds, dag)
     if args.repair:
+        repaired, count = _repaired(ds, dag)
         # Written even with nothing to repair, so the copy always exists.
         out = args.out or f"{args.data}.repaired.csv"
-        save_dataset(repair_propagation(ds, dag), out)
-        print(f"repaired {len(violations)} violation(s) -> {out}")
+        save_dataset(repaired, out)
+        print(f"repaired {count} violation(s) -> {out}")
         return 0
+    violations = validate_propagation(ds, dag)
     if not violations:
         print(f"{args.data}: consistent ({ds.n_instances} instances, "
               f"{ds.n_features} features)")

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     TooFewInstances,
 )
-from .hierarchy import FeatureDag, _check_names, _iter_bits, read_utf8_bytes
+from .hierarchy import FeatureDag, _check_names, read_utf8_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,27 +319,19 @@ def subset(ds: Dataset, indices) -> Dataset:
 _VALIDATE_BLOCK = 2**18
 
 
-def _closure_pairs(dag: FeatureDag) -> tuple[np.ndarray, np.ndarray]:
-    """Every (feature, ancestor) pair of the closure, ascending, as two
-    index arrays."""
-    pairs = [(f, a) for f in range(dag.n_features) for a in _iter_bits(dag.ancestor_bits[f])]
-    feature, ancestor = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return feature, ancestor
-
-
 def _violations(ds: Dataset, dag: FeatureDag) -> Iterator[tuple[np.ndarray, ...]]:
     """Per block of rows, the (rows, features, ancestors) index arrays of
     every cell where the feature is 1 but the ancestor is 0, by row, then
     by (feature, ancestor).
 
-    The columns of every (feature, ancestor) pair of the closure are
-    gathered a block of rows at a time, so temporaries stay near
-    _VALIDATE_BLOCK elements, and compared at once."""
+    The columns of every (feature, ancestor) pair of the closure, as
+    ``dag`` lists them, are gathered a block of rows at a time, so
+    temporaries stay near _VALIDATE_BLOCK elements, and compared at once."""
     if ds.n_features != dag.n_features:
         raise DimensionMismatch(
             f"dataset has {ds.n_features} features, hierarchy has {dag.n_features}"
         )
-    feature, ancestor = _closure_pairs(dag)
+    feature, ancestor = dag.closure_features, dag.closure_ancestors
     rows = max(1, _VALIDATE_BLOCK // max(1, feature.size))
     for start in range(0, ds.n_instances, rows):
         block = ds.values[start : start + rows]
@@ -365,10 +357,18 @@ def repair_propagation(ds: Dataset, dag: FeatureDag) -> Dataset:
     triples. Idempotent because the ancestor sets are transitively closed.
     Memory grows with the closure's pairs and the rows, not with
     n_features squared."""
+    return _repaired(ds, dag)[0]
+
+
+def _repaired(ds: Dataset, dag: FeatureDag) -> tuple[Dataset, int]:
+    """``repair_propagation``'s dataset and the number of violations it
+    repaired, from one ``_violations`` pass."""
     values = ds.values.copy()
+    count = 0
     for r, _, a in _violations(ds, dag):
         values[r, a] = 1
-    return Dataset._own(values, ds.labels, ds.feature_names)
+        count += r.size
+    return Dataset._own(values, ds.labels, ds.feature_names), count
 
 
 @dataclass(frozen=True, eq=False)

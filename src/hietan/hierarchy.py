@@ -5,7 +5,8 @@ that the parent is the more generic feature, so the parent sits in every
 ancestor set along the child's upward paths. The hierarchy may be a full DAG
 (multiple parents per feature are allowed). Closures are stored as per-feature
 bitsets (arbitrary-precision ints) because the structure learners probe
-ancestor/descendant membership inside per-instance inner loops.
+ancestor/descendant membership inside per-instance inner loops, and once more
+as (feature, ancestor) index arrays for the array code that checks datasets.
 
 External identifiers (e.g. ontology term names) are mapped onto indices by
 :func:`dag_from_edge_names`; the algorithm core never sees strings.
@@ -17,19 +18,14 @@ import codecs
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CyclicHierarchy, IndexOutOfRange, ParseError, UnreadableName
-
-
-def _iter_bits(bits: int) -> Iterator[int]:
-    """The indices of the set bits of ``bits``, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 @dataclass(frozen=True)
@@ -40,6 +36,12 @@ class FeatureDag:
     ``i``; ``descendant_bits`` is the exact transpose. ``related_ixs[i]`` lists
     ancestors and descendants of ``i`` in ascending order, precomputed because
     the redundancy-removal loop walks it for every accepted edge.
+
+    ``closure_features`` and ``closure_ancestors`` list every (feature,
+    ancestor) pair of the closure, ascending by feature, then by ancestor, as
+    two read-only ``intp`` arrays: the propagation checks gather columns at
+    them. The edges determine them, so ``==``, ``hash`` and ``repr`` leave
+    them out.
     """
 
     n_features: int
@@ -47,6 +49,8 @@ class FeatureDag:
     ancestor_bits: tuple[int, ...]
     descendant_bits: tuple[int, ...]
     related_ixs: tuple[tuple[int, ...], ...]
+    closure_features: np.ndarray = field(compare=False, repr=False)
+    closure_ancestors: np.ndarray = field(compare=False, repr=False)
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_features:
@@ -71,7 +75,8 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
 
     Raises :class:`CyclicHierarchy` instead of ever returning a cyclic
     structure, and :class:`IndexOutOfRange` for indices outside
-    ``[0, n_features)``. Duplicate edges are collapsed.
+    ``[0, n_features)``, naming the first such edge, parent first. Duplicate
+    edges are collapsed; endpoints may be any integers, NumPy's included.
     """
     if n_features < 0:
         raise ValueError("n_features must be non-negative")
@@ -79,43 +84,82 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
     children: list[list[int]] = [[] for _ in range(n_features)]
     indegree = [0] * n_features
     for parent, child in edge_list:
-        for v in (parent, child):
-            if not 0 <= v < n_features:
-                raise IndexOutOfRange(
-                    f"edge ({parent}, {child}) references feature {v} "
-                    f"outside [0, {n_features})"
-                )
-        if (parent, child) in edges:
+        if not (0 <= parent < n_features and 0 <= child < n_features):
+            bad = child if 0 <= parent < n_features else parent
+            raise IndexOutOfRange(
+                f"edge ({parent}, {child}) references feature {bad} "
+                f"outside [0, {n_features})"
+            )
+        edge = (index(parent), index(child))
+        if edge in edges:
             continue
-        edges.add((parent, child))
-        children[parent].append(child)
-        indegree[child] += 1
+        edges.add(edge)
+        children[edge[0]].append(edge[1])
+        indegree[edge[1]] += 1
 
-    # Kahn's algorithm; a node's ancestor set is complete when it is popped.
+    # Kahn's algorithm; a node's ancestor set is complete when the loop reaches it.
     anc = [0] * n_features
-    queue = [v for v in range(n_features) if indegree[v] == 0]
-    popped = 0
-    while queue:
-        v = queue.pop()
-        popped += 1
+    order = [v for v in range(n_features) if indegree[v] == 0]
+    for v in order:  # grows while it is read
         inherit = anc[v] | (1 << v)
         for c in children[v]:
             anc[c] |= inherit
             indegree[c] -= 1
             if indegree[c] == 0:
-                queue.append(c)
-    if popped != n_features:
+                order.append(c)
+    if len(order) != n_features:
         raise CyclicHierarchy("edge list contains a directed cycle")
-
+    # In reverse topological order a node's children are done before it.
     desc = [0] * n_features
-    for i in range(n_features):
-        for a in _iter_bits(anc[i]):
-            desc[a] |= 1 << i
-    # Each tuple is made from a list, at its final size: grown from the
-    # generator, 400 builds of a 150-feature hierarchy left ~3.4 MB more
-    # resident (CPython 3.11).
-    related = tuple(tuple(list(_iter_bits(anc[i] | desc[i]))) for i in range(n_features))
-    return FeatureDag(n_features, frozenset(edges), tuple(anc), tuple(desc), related)
+    for v in reversed(order):
+        bits = 0
+        for c in children[v]:
+            bits |= desc[c] | 1 << c
+        desc[v] = bits
+
+    feature, ancestor = _closure_arrays(anc, n_features)
+    # Each feature's relatives, from its pairs read both ways, collected in
+    # the emptied children lists: a new list per feature cost a garbage
+    # collection per build at 400 features (~30 us of ~290). Lists sorted in
+    # place, not a NumPy sort: that maps ~0.4 MB of sort code that no other
+    # set-up step needs. Each tuple is made from a list, at its final size:
+    # grown from a generator, 400 builds of a 150-feature hierarchy left
+    # ~3.4 MB more resident (CPython 3.11).
+    related = children
+    for relatives in related:
+        relatives.clear()
+    for f, a in zip(feature.tolist(), ancestor.tolist()):
+        related[f].append(a)
+        related[a].append(f)
+    for relatives in related:
+        relatives.sort()
+    return FeatureDag(
+        n_features, frozenset(edges), tuple(anc), tuple(desc),
+        tuple([tuple(relatives) for relatives in related]), feature, ancestor,
+    )
+
+
+def _closure_arrays(anc: Sequence[int], n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (feature, ancestor) pair of the ancestor bitsets ``anc``, as two
+    read-only ``intp`` arrays ascending by feature, then by ancestor: the one
+    walk over the closure's bits.
+
+    The bitsets are laid out as one little-endian byte table, a row of whole
+    64-bit words per feature; only the bytes of its nonzero words are looked
+    at, and only the bits of their nonzero bytes are unpacked. The table
+    takes n_features**2 / 8 bytes (3 MB at 5000 features), about what the
+    bitsets themselves hold, and goes when the pairs are found."""
+    row = 8 * ((n_features + 63) // 64)  # bytes per feature
+    table = np.frombuffer(b"".join([bits.to_bytes(row, "little") for bits in anc]), np.uint8)
+    words = np.flatnonzero(table.view("<u8"))
+    octets = table.reshape(-1, 8)[words].reshape(-1)
+    byte = np.flatnonzero(octets)
+    k, bit = np.nonzero(np.unpackbits(octets[byte], bitorder="little").reshape(-1, 8))
+    at = words[byte[k] >> 3] * 64 + (byte[k] & 7) * 8 + bit
+    feature, ancestor = np.divmod(at, 8 * row)
+    feature.setflags(write=False)
+    ancestor.setflags(write=False)
+    return feature, ancestor
 
 
 def random_dag(n_features: int, n_edges: int, seed: int) -> list[tuple[int, int]]:

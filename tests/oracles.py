@@ -33,6 +33,9 @@ orientation and trace, order included. ``tan_reference`` is TAN's Kruskal
 loop over ``UnionFind`` with a stop after n - 1 picks; ``learn_tan_structure``
 runs the constrained learners' scan on no hierarchy instead and must give
 the same tree.
+``closure_pairs_reference`` lists the closure's (feature, ancestor) pairs
+by taking the lowest set bit off each ancestor set in turn, where
+``build_dag`` scans them as one byte table and keeps them as two arrays.
 ``validate_propagation_reference`` checks one (feature, ancestor) pair of
 the closure at a time, where the library compares all of them per block
 of rows. ``repair_product_reference`` repairs by the int32 product with
@@ -62,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from hietan.bayes import FittedClassifier, Prediction, fit, predict
-from hietan.dataset import Dataset, _closure_pairs, stratified_folds, subset
+from hietan.dataset import Dataset, stratified_folds, subset
 from hietan.errors import (
     DegenerateDistribution,
     DegenerateRanks,
@@ -82,7 +85,7 @@ from hietan.evaluate import (
     confusion_from_predictions,
     derive_seed,
 )
-from hietan.hierarchy import _iter_bits, read_utf8
+from hietan.hierarchy import read_utf8
 from hietan.mutual_info import _pair_tables, _scores, check_smoothing, rank_edges
 from hietan.structure import DependencyTree, hie_mst_lite
 
@@ -262,12 +265,23 @@ def validate_propagation_reference(ds: Dataset, dag) -> list[tuple[int, int, int
         )
     violations: list[tuple[int, int, int]] = []
     V = ds.values
-    for f in range(ds.n_features):
-        for a in _iter_bits(dag.ancestor_bits[f]):
-            bad = np.flatnonzero((V[:, f] == 1) & (V[:, a] == 0))
-            violations.extend((int(r), f, a) for r in bad)
+    for f, a in closure_pairs_reference(dag):
+        bad = np.flatnonzero((V[:, f] == 1) & (V[:, a] == 0))
+        violations.extend((int(r), f, a) for r in bad)
     violations.sort()
     return violations
+
+
+def closure_pairs_reference(dag) -> list[tuple[int, int]]:
+    """Every (feature, ancestor) pair of ``dag``'s closure, ascending: the
+    set bits of each ``ancestor_bits[f]``, lowest first."""
+    pairs = []
+    for f, bits in enumerate(dag.ancestor_bits):
+        while bits:
+            low = bits & -bits
+            pairs.append((f, low.bit_length() - 1))
+            bits ^= low
+    return pairs
 
 
 def repair_product_reference(ds: Dataset, dag) -> np.ndarray:
@@ -275,7 +289,8 @@ def repair_product_reference(ds: Dataset, dag) -> np.ndarray:
     the closure matrix (the identity plus every (feature, ancestor) pair):
     a cell is 1 when the instance has it or one of its descendants."""
     closure = np.eye(dag.n_features, dtype=np.int32)
-    closure[_closure_pairs(dag)] = 1
+    for f, a in closure_pairs_reference(dag):
+        closure[f, a] = 1
     return (ds.values.astype(np.int32) @ closure > 0).astype(np.uint8)
 
 

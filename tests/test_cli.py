@@ -8,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from hietan import __version__, learn_tan_structure, mutual_info
+from hietan import __version__, dataset, learn_tan_structure, mutual_info
 from hietan.bayes import fit, load_model, save_model
 from hietan.cli import _build_parser, main
-from hietan.dataset import load_dataset, load_instances, validate_propagation
+from hietan.dataset import (
+    load_dataset,
+    load_instances,
+    repair_propagation,
+    save_dataset,
+    validate_propagation,
+)
 from hietan.evaluate import ALL_METHODS, derive_seed
 from hietan.hierarchy import build_dag, dag_from_file, random_dag, write_dag_file
 from hietan.mutual_info import rank_edges
@@ -99,6 +105,30 @@ class TestValidate:
         ]) == 0
         ds = load_dataset(out)
         assert validate_propagation(ds, dag_from_file(dag, ds.feature_names)) == []
+
+    def test_repair_walks_the_violations_once(self, tmp_path, capsys, monkeypatch):
+        """``--repair`` counts the violations from the ``_violations`` pass
+        that repairs them: one pass, the count ``validate_propagation``
+        gives, and the file ``repair_propagation`` gives."""
+        data, dag = tmp_path / "bad.csv", tmp_path / "dag.tsv"
+        out, want = tmp_path / "fixed.csv", tmp_path / "want.csv"
+        data.write_text(BROKEN_CSV)
+        dag.write_text(CANONICAL_TSV)
+        ds = load_dataset(data)
+        built = dag_from_file(dag, ds.feature_names)
+        count = len(validate_propagation(ds, built))
+        save_dataset(repair_propagation(ds, built), want)
+        passes = []
+        walk = dataset._violations
+        monkeypatch.setattr(dataset, "_violations", lambda *args: passes.append(args) or walk(*args))
+        assert main([
+            "validate", "--data", str(data), "--dag", str(dag),
+            "--repair", "--out", str(out),
+        ]) == 0
+        assert len(passes) == 1
+        assert count == 5
+        assert capsys.readouterr().out == f"repaired {count} violation(s) -> {out}\n"
+        assert out.read_bytes() == want.read_bytes()
 
     def test_repair_of_consistent_data_writes_the_copy(self, tiny_files, tmp_path, capsys):
         """``--repair`` always writes its copy, so a pipeline that reads it

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hietan.hierarchy import (
 )
 
 from conftest import A, B, C, D, E, F
-from oracles import hierarchically_related, random_dag_reference, relatives
+from oracles import closure_pairs_reference, hierarchically_related, random_dag_reference, relatives
 
 
 def bfs_ancestors(n, edges, v):
@@ -119,6 +120,101 @@ class TestBuildDag:
             dag = build_dag(n, edges)
             for v in range(n):
                 assert set(relatives(dag, v, "ancestors")) == bfs_ancestors(n, edges, v)
+
+
+# Endpoint types a caller may pass: Python ints and NumPy integers.
+ENDPOINTS = [int, np.int64, np.int32, np.uint16, np.intp]
+
+
+@st.composite
+def edge_lists(draw, max_n=140):
+    """(n, edges): an acyclic edge list over n features (up to 140, so
+    ancestor sets span more than two 64-bit words), oriented along a drawn
+    order, with repeated edges and endpoints of one drawn integer type."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    edges = [(order[min(a, b)], order[max(a, b)]) for a, b in pairs if a != b]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=len(edges)))
+    endpoint = draw(st.sampled_from(ENDPOINTS))
+    return n, [(endpoint(p), endpoint(c)) for p, c in edges]
+
+
+class TestClosureArrays:
+    """``build_dag``'s one walk over the ancestor bits: the stored (feature,
+    ancestor) arrays, ``descendant_bits`` and ``related_ixs`` against
+    references built from the ancestor sets alone."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(edge_lists())
+    def test_closure_matches_its_references(self, drawn):
+        n, edges = drawn
+        dag = build_dag(n, edges)
+        plain = [(int(p), int(c)) for p, c in edges]
+        for v in range(n):
+            assert set(relatives(dag, v, "ancestors")) == bfs_ancestors(n, plain, v)
+        pairs = closure_pairs_reference(dag)
+        for stored in (dag.closure_features, dag.closure_ancestors):
+            assert stored.dtype == np.intp and stored.shape == (len(pairs),)
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[:1] = 0
+        assert list(zip(dag.closure_features.tolist(), dag.closure_ancestors.tolist())) == pairs
+        desc = [0] * n
+        related = [[] for _ in range(n)]
+        for f, a in pairs:
+            desc[a] |= 1 << f
+            related[f].append(a)
+            related[a].append(f)
+        assert dag.descendant_bits == tuple(desc)
+        assert all(type(bits) is int for bits in dag.ancestor_bits + dag.descendant_bits)
+        assert dag.related_ixs == tuple(tuple(sorted(r)) for r in related)
+        assert all(type(v) is int for r in dag.related_ixs for v in r)
+        assert dag.edges == frozenset(plain)
+        assert all(type(v) is int for edge in dag.edges for v in edge)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    def test_edge_order_does_not_matter(self, drawn, rng):
+        n, edges = drawn
+        shuffled = list(edges)
+        rng.shuffle(shuffled)
+        a, b = build_dag(n, edges), build_dag(n, [(int(p), int(c)) for p, c in shuffled])
+        assert a == b and hash(a) == hash(b)
+        assert "closure" not in repr(a)
+        assert np.array_equal(a.closure_features, b.closure_features)
+        assert np.array_equal(a.closure_ancestors, b.closure_ancestors)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(-3, 11), st.integers(-3, 11)), max_size=12),
+        st.sampled_from(ENDPOINTS[:3]),
+    )
+    def test_out_of_range_names_the_first_bad_edge(self, n, edges, endpoint):
+        """The first edge in input order with an endpoint outside [0, n),
+        and its parent if both are, whatever follows it (a cycle included)."""
+        edges = [(endpoint(p), endpoint(c)) for p, c in edges]
+        bad = [(p, c) for p, c in edges if not (0 <= p < n and 0 <= c < n)]
+        if not bad:
+            return
+        p, c = bad[0]
+        v = p if not 0 <= p < n else c
+        with pytest.raises(IndexOutOfRange) as err:
+            build_dag(n, edges)
+        assert str(err.value) == f"edge ({p}, {c}) references feature {v} outside [0, {n})"
+
+    def test_numpy_endpoints_past_63_build_the_same_dag(self):
+        """NumPy integer endpoints are read as Python ints, so a bitset
+        shift past bit 63 cannot overflow."""
+        edges = [(70, 80), (80, 130), (3, 130)]
+        want = build_dag(140, edges)
+        for endpoint in ENDPOINTS[1:]:
+            got = build_dag(140, [(endpoint(p), endpoint(c)) for p, c in edges])
+            assert got == want and repr(got) == repr(want)
+            assert got.related_ixs[130] == (3, 70, 80)
 
 
 class TestQueries:

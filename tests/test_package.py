@@ -169,12 +169,30 @@ def test_lazy_scoring_is_named_only_in_the_per_row_path():
     assert _where_named("_lazy_predict") == ["evaluate.py:_per_row"]
 
 
-def test_closure_pairs_are_named_only_in_the_violation_pass():
-    """``dataset._violations`` is the one pass over the closure's pairs:
-    ``validate_propagation`` and ``repair_propagation`` both read it, no
-    other function in ``src/`` names ``_closure_pairs``, and no dense
-    closure matrix comes back, so a second copy of the closure cannot."""
-    assert _where_named("_closure_pairs") == ["dataset.py:_violations"]
+def test_closure_is_enumerated_only_by_build_dag():
+    """``hierarchy.build_dag`` walks the ancestor bits once, through
+    ``_closure_arrays``, and keeps the (feature, ancestor) pairs on the
+    ``FeatureDag``; ``dataset._violations`` is the one function that reads
+    them. No other function in ``src/`` unpacks bits or takes the lowest set
+    bit off an int (``x & -x``), and no dense closure matrix comes back, so a
+    second enumeration of the closure cannot."""
+    assert _where_named("_closure_arrays") == ["hierarchy.py:build_dag"]
+    assert _where_named("unpackbits") == ["hierarchy.py:_closure_arrays"]
+    for field in ("closure_features", "closure_ancestors"):
+        # hierarchy.py:None is the field's declaration.
+        assert _where_named(field) == ["dataset.py:_violations", "hierarchy.py:None"]
+    lowest_bit = [
+        path.name
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+    ]
+    assert lowest_bit == []
+    for gone in ("_iter_bits", "_closure_pairs"):
+        assert _where_named(gone) == []
     assert _where_named("_closure_matrix") == []
 
 
