@@ -342,6 +342,13 @@ def _violations(ds: Dataset, dag: FeatureDag) -> Iterator[tuple[np.ndarray, ...]
         yield r + start, feature[k], ancestor[k]
 
 
+def _violates(ds: Dataset, dag: FeatureDag) -> bool:
+    """Whether any cell breaks the propagation rule: ``_violations`` read
+    only up to the first block of rows with a hit, so a consistent dataset
+    costs one pass and a violating one usually a block."""
+    return any(r.size for r, _, _ in _violations(ds, dag))
+
+
 def validate_propagation(ds: Dataset, dag: FeatureDag) -> list[tuple[int, int, int]]:
     """Every (instance, feature, ancestor) triple where the feature is 1 but
     the ancestor is 0, sorted. An empty list means the dataset is consistent."""

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .bayes import FittedClassifier, _lazy_predict, fit, predict_batch
-from .dataset import Dataset, _binary_copy, stratified_folds, subset, validate_propagation
+from .dataset import Dataset, _binary_copy, _violates, stratified_folds, subset
 from .errors import (
     DegenerateRanks,
     IncompleteTable,
@@ -278,7 +278,7 @@ def run_cv_experiment(
             raise ValueError(f"unknown method {m!r}; expected one of {tuple(_METHODS)}")
     if not methods:
         raise ValueError("no methods requested")
-    if validate_propagation(ds, dag):
+    if _violates(ds, dag):
         warnings.warn(
             "dataset violates the hierarchy propagation rule; consider repairing",
             stacklevel=2,

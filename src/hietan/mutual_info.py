@@ -32,9 +32,10 @@ when no other double lies within the 18 units of error. Other pairs are
 settled exactly: +0.0 if every class slice factorises, (c00 + s)(c11 + s) =
 (c01 + s)(c10 + s) in exact rationals, else by ``_entries`` at more bits.
 
-A chunk is chosen on coarse keys. ``_keys`` sums only the hi limbs of a
-pair's 18 entries: one gather of the 8 cells, with no carry, no float and
-no certification, and no log beyond the tables'. An entry is V = hi * 2**52
+A chunk is chosen on coarse keys. ``_block_keys`` sums only the hi limbs of
+a pair's 18 entries, a block of whole triangle rows at a time, with the
+cells read straight from each class's Gram rows: no carry, no float, no
+certification, and no log beyond the tables'. An entry is V = hi * 2**52
 + lo with 0 <= lo < 2**52, as are the 8 cells and the class constant, while
 a feature term is minus the limb-wise sum of four entries, its lo in
 (-4 * 2**52, 0]; so the 11 lo limbs sum to L in (-8 * 2**52, 9 * 2**52).
@@ -44,11 +45,18 @@ the score is within 2**-54 of CMI < 1, so 2**48 * score - key lies in
 ``_RankedPairs`` cuts each chunk at a key and scores exactly only the pairs
 keyed within 2 * _KEY_ERROR of the cut or above it; the pairs it takes
 score above every pair it leaves, so ties never straddle two chunks.
+
+No array with an entry per pair exists outside the full read. A key pass
+streams the row blocks' keys and keeps only the M best (key, position)
+entries, M = ``_first_keep(n)`` = 64 n at first, and the highest key it
+dropped. Chunks are cut inside that kept set for as long as a cut's band,
+down to cut - 2 * _KEY_ERROR, stays above the dropped key; a read past it
+starts a new pass over the untaken pairs that keeps four times as many.
+So a partial read holds O(M + pairs read), not O(n**2).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -160,7 +168,10 @@ def _tables(stats, n: int, smoothing: float, cell_counts):
     class), -A_f for each feature f, and the class terms summed."""
     a, den = smoothing.as_integer_ratio()  # s = a / den
     totals = [total for _, _, total in stats]
-    margins = {int(c) for _, ones, total in stats for c in np.concatenate([ones, total - ones])}
+    # A set of one array's ints; ``np.unique`` would import ``numpy.ma``
+    # into every run that reaches no other use of it.
+    margins = set(np.concatenate([c for _, ones, total in stats
+                                  for c in (ones, total - ones)]).tolist())
     keys = {c * den + a for c in cell_counts} | {t * den + 4 * a for t in totals}
     entry = _entries(keys | {c * den + 2 * a for c in margins}, n, a, den, _BITS)
     cells = _limbs([entry.get(c * den + a, 0) for c in range(max(totals) + 1)])
@@ -169,37 +180,29 @@ def _tables(stats, n: int, smoothing: float, cell_counts):
     return cells, feature, _limbs([sum(entry[t * den + 4 * a] for t in totals)])
 
 
-def _pair_tables(stats, n: int, smoothing: float, i: np.ndarray, j: np.ndarray):
-    """The ``_tables`` that score the pairs (i[k], j[k]) over per-class
-    ``stats`` of ``n`` instances, and any subset of them."""
+def _pair_tables(stats, n: int, smoothing: float, count: int, pairs):
+    """The ``_tables`` that score ``count`` pairs over per-class ``stats`` of
+    ``n`` instances, and any subset of them; ``pairs()`` gives their (i, j)
+    arrays, read only when the pairs are few."""
     if n == 0 and smoothing == 0:
         raise DegenerateDistribution("no instances and no smoothing")
     # Every count up to the largest class when the pairs are many enough to
     # meet most of them, else only the counts they have.
     top = max(total for _, _, total in stats)
-    needed = np.unique(_cells(stats, i, j)).tolist() if 8 * len(i) <= top else range(top + 1)
+    needed = np.unique(_cells(stats, *pairs())).tolist() if 8 * count <= top else range(top + 1)
     return _tables(stats, n, smoothing, needed)
 
 
-def _limb_sums(stats, tables, i: np.ndarray, j: np.ndarray, limbs):
-    """Per block of _BLOCK pairs (i[k], j[k]): its start and, for each limb
-    of ``limbs`` (0 hi, 1 lo), the int64 sums of that limb of the pairs' 18
-    entries."""
+def _limb_sums(stats, tables, i: np.ndarray, j: np.ndarray):
+    """Per block of _BLOCK pairs (i[k], j[k]): its start and the int64 sums
+    of the hi limbs and of the lo limbs of the pairs' 18 entries."""
     cells, feature, constant = tables
     for start in range(0, i.shape[0], _BLOCK):
         a, b = i[start : start + _BLOCK], j[start : start + _BLOCK]
         counts = _cells(stats, a, b).reshape(8, -1)
-        yield start, [cells[k][counts].sum(axis=0) + feature[k][a] + feature[k][b] + constant[k]
-                      for k in limbs]
-
-
-def _keys(stats, tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The int64 key of each pair (i[k], j[k]): the sum of its entries' hi
-    limbs, within _KEY_ERROR of 2**(_BITS - _LIMB) times its score."""
-    keys = np.empty(i.shape[0], dtype=np.int64)
-    for start, (hi,) in _limb_sums(stats, tables, i, j, (0,)):
-        keys[start : start + _BLOCK] = hi
-    return keys
+        hi, lo = (cells[k][counts].sum(axis=0) + feature[k][a] + feature[k][b] + constant[k]
+                  for k in (0, 1))
+        yield start, hi, lo
 
 
 def _scores(stats, n: int, smoothing: float, tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -207,7 +210,7 @@ def _scores(stats, n: int, smoothing: float, tables, i: np.ndarray, j: np.ndarra
     ``stats`` of ``n`` instances, as float64, from ``_pair_tables`` of these
     pairs or of a superset."""
     scores, loose = np.empty(i.shape[0], dtype=np.float64), []
-    for start, (hi, lo) in _limb_sums(stats, tables, i, j, (0, 1)):
+    for start, hi, lo in _limb_sums(stats, tables, i, j):
         hi += lo >> _LIMB
         lo &= (1 << _LIMB) - 1
         # hi * 2**52 + lo = whole + rest exactly, rounded to total with exact
@@ -255,6 +258,48 @@ def _exact_score(classes, n: int, smoothing: float) -> float:
     return high
 
 
+def _row_blocks(n_features: int):
+    """Row ranges [r0, r1) of the pair triangle, each of about _BLOCK pairs
+    and at least one row, with the (r1 - r0, n - 1 - r0) mask of j > i over
+    the rectangle of rows r0..r1-1 and columns r0+1..n-1. In order, the
+    masked cells are every pair (i, j), i < j, once, ascending by (i, j)."""
+    r0 = 0
+    while r0 < n_features - 1:
+        r1 = min(n_features - 1, r0 + max(1, _BLOCK // (n_features - 1 - r0)))
+        yield r0, r1, np.arange(r0 + 1, n_features) > np.arange(r0, r1)[:, None]
+        r0 = r1
+
+
+def _block_keys(stats, tables, n_features: int):
+    """Per row block of ``_row_blocks``, the int64 keys of its pairs in
+    ascending (i, j) order: each the sum of its entries' hi limbs, within
+    _KEY_ERROR of 2**(_BITS - _LIMB) times its score. The counts are read
+    straight from each class's Gram rows, with the column sums broadcast."""
+    cells, feature, constant = (limbs[0] for limbs in tables)
+    for r0, r1, above in _row_blocks(n_features):
+        key = feature[r0:r1, None] + feature[r0 + 1 :] + constant[0]
+        for gram, ones, total in stats:
+            n11 = gram[r0:r1, r0 + 1 :].astype(np.intp)
+            ones_i = ones[r0:r1, None]
+            n01 = ones[r0 + 1 :] - n11
+            key += cells.take(n11)
+            key += cells.take(ones_i - n11)
+            key += cells.take(n01)
+            key += cells.take(total - ones_i - n01)
+        yield key[above]
+
+
+def _pair_indices(n_features: int, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) at ``positions`` of the ascending (i, j) order of all
+    pairs; every pair, for the full read, when ``positions`` is None."""
+    if positions is None:
+        return np.triu_indices(n_features, 1)
+    rows = np.arange(n_features - 1)
+    starts = rows * (2 * n_features - rows - 1) // 2  # the position of (r, r + 1)
+    i = np.searchsorted(starts, positions, side="right") - 1
+    return i, positions - starts[i] + i + 1
+
+
 def _first_chunk(n_features: int) -> int:
     """Pairs in the first chunk of a ``_RankedPairs`` over ``n_features``.
 
@@ -263,63 +308,93 @@ def _first_chunk(n_features: int) -> int:
     Hie-TAN stop after 1 293-2 271 of the 79 800 pairs of a 400-feature fold
     (3-6 n), and the deepest lazy instance of a 150-feature fold after
     2 008-3 075 of 11 175 (13-21 n). Four n covers the shorter scans in one
-    chunk, and doubling reaches the deepest ones in two to three more. Only
-    the pairs of the chunks read, and the few whose keys tie a cut, get
-    exact scores: 14 409 of the 399 000 pairs of those five 400-feature
-    folds (4 n or 12 n a fold).
+    chunk, and doubling reaches the deepest ones in two to three more: 4 n,
+    12 n and 28 n pairs in all. Only the pairs of the chunks read, and the
+    few whose keys tie a cut, get exact scores: 14 409 of the 399 000 pairs
+    of those five 400-feature folds (4 n or 12 n a fold).
+
+    Chunks are cut inside the set of pairs that the last key pass kept
+    (``_first_keep``), for as long as the band a cut scores exactly, down to
+    cut - 2 _KEY_ERROR, stays above the highest key that pass dropped.
     """
     return 4 * n_features
 
 
-@functools.lru_cache(maxsize=1)
-def _pairs(n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs (i, j), i < j, of ``n_features`` in ascending (i, j) order,
-    the order ``_RankedPairs`` breaks exact ties by; read-only, as every fold
-    of a run shares them."""
-    i, j = np.triu_indices(n_features, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
+def _first_keep(n_features: int) -> int:
+    """Pairs M that the first key pass of a ``_RankedPairs`` keeps.
+
+    M = 64 n covers the first four chunks, 60 n pairs, and their bands. So
+    the learners read from one pass: TAN and Hie-TAN stop within 12 n, the
+    benchmark's lazy rows within 28 n, and the deepest of 10 lazy rows of a
+    5 000-feature fold of ``random_dag(n, 1.6 n)`` within 60 n. A pass costs
+    about as much as all the keys, so one more pass would cost more than
+    the sorting it serves. A deeper read starts a new pass that keeps four
+    times as many as the one before: a read of d pairs pays about
+    log4(d / 64 n) + 1 passes. A pass holds at most 1.5 M (key, position)
+    entries, 24 bytes a pair of M: a smaller buffer compacts more often,
+    and at twice M a 1 000-feature fold peaked 2 MB higher for a pass only
+    10% faster.
+    """
+    return 64 * n_features
 
 
 class _RankedPairs:
     """The pairs of ``rank_edges`` in the same order, sorted one chunk at a
     time as far as a reader iterates, with exact scores only for the pairs
-    that a chunk might hold.
+    that a chunk might hold, in memory that grows with the pairs read, not
+    with all pairs.
 
-    ``coarse()`` gives every pair's key and ``score(k)`` the exact
-    scores of the pairs at positions ``k``; each key lies within _KEY_ERROR
-    of 2**48 times its pair's score. A chunk's cut is the key of the
-    ``size``-th best remaining pair (``np.partition``). Only the pairs keyed
-    at least cut - 2 _KEY_ERROR get exact scores, and the chunk takes those
-    scoring above theta = (cut - _KEY_ERROR) 2**-48: that is every pair keyed
-    at least the cut, so at least ``size`` pairs, and no other remaining pair
-    scores above theta. So each chunk pair scores above every later one, and
-    a group of exactly tied pairs never straddles two chunks. A stable
-    argsort of minus the score over the chunk's pairs, kept in ascending
-    (i, j) order, then sorts it, and the chunks joined are the order of one
-    stable sort of all pairs: descending score, ties by ascending (i, j), bit
-    for bit. Chunks double in size; once the next one would reach half of
-    what is left, the whole remainder is scored and sorted at once, with no
-    keys. ``tolist`` sorts all that is left in one step, so ``rank_edges``
-    scores every pair once and pays one sort, as a full sort did.
+    A pair is named by its position in the ascending (i, j) order of all
+    ``count`` pairs. ``blocks()`` streams every pair's key in that order, in
+    blocks, and ``score(positions)`` gives the (i, j, score) arrays of the
+    pairs at ``positions`` (every pair, for None), scores exact. Each key
+    lies within _KEY_ERROR of 2**48 times its pair's score.
+
+    A key pass streams the keys of every pair not yet taken by a chunk and
+    keeps the ``keep`` best (key, position) entries: whenever its buffer
+    holds 1.5 times that, ``np.partition`` finds the keep-th best key, kth, and
+    only the keys above it stay, so the pass keeps exactly the pairs keyed
+    above ``dropped``, the last kth (none dropped: -2**63). A chunk's cut is
+    the key of the ``size``-th best remaining pair. Only the pairs keyed at
+    least cut - 2 _KEY_ERROR get exact scores, and the chunk takes those
+    scoring above theta = (cut - _KEY_ERROR) 2**-48: that is every pair
+    keyed at least the cut, so at least ``size`` pairs, and no other
+    remaining pair scores above theta. So each chunk pair scores above every
+    later one, and a group of exactly tied pairs never straddles two
+    chunks. The cut and its band are those of all remaining pairs as long
+    as the kept set holds ``size`` pairs and cut - 2 _KEY_ERROR > dropped;
+    otherwise a new pass keeps four times as many. A later pass streams only
+    keys below the last cut, as every untaken pair is keyed below it, and
+    skips the taken pairs keyed within 2 _KEY_ERROR of it, as no taken pair
+    is keyed lower. The kept positions ascend, so a stable argsort of minus
+    the score over the chunk's pairs sorts it, and the chunks joined are
+    the order of one stable sort of all pairs: descending score, ties by
+    ascending (i, j), bit for bit. Chunks double in size; once the next one
+    would reach half of what is left, the whole remainder is scored and
+    sorted at once, with no keys. ``tolist`` sorts all that is left in one
+    step, so ``rank_edges`` scores every pair once and pays one sort, as a
+    full sort did.
 
     Each chunk's ``(i, j, score)`` list is built once and kept, so every
     iterator, and every learner a fold shares the object with, reads the same
     lists; iteration chains them in C. ``len`` is the number of pairs.
     """
 
-    __slots__ = ("_i", "_j", "_coarse", "_score", "_keys", "_rest", "_next", "_chunks")
+    __slots__ = ("_count", "_blocks", "_score", "_next", "_keep", "_passes", "_kept",
+                 "_dropped", "_cut_key", "_taken", "_done", "_chunks")
 
-    def __init__(self, i: np.ndarray, j: np.ndarray, coarse, score, first: int):
-        self._i, self._j, self._coarse, self._score = i, j, coarse, score
-        self._keys = None  # made at the first cut
-        self._rest = np.arange(i.shape[0])  # unsorted pairs, ascending
-        self._next = first
+    def __init__(self, count: int, blocks, score, first: int, keep: int):
+        self._count, self._blocks, self._score = count, blocks, score
+        self._next, self._keep, self._passes = first, keep, 0
+        self._kept = None  # (keys, positions) of the last pass, made at the first cut
+        self._dropped = -(2**63)
+        self._cut_key = None  # the last chunk's cut
+        self._taken = np.empty(0, dtype=np.int64)  # positions of the keyed chunks' pairs
+        self._done = 0  # pairs in chunks
         self._chunks: list[list[tuple[int, int, float]]] = []
 
     def __len__(self) -> int:
-        return self._i.shape[0]
+        return self._count
 
     def __iter__(self):
         return itertools.chain.from_iterable(self._lists())
@@ -331,31 +406,84 @@ class _RankedPairs:
             yield chunks[k]
             k += 1
 
+    def _pass(self) -> None:
+        """Keep the ``_keep`` best-keyed untaken pairs, and record the
+        highest key dropped."""
+        keep, upper, taken = self._keep, self._cut_key, np.sort(self._taken)
+        cap = min(keep + keep // 2, self._count)  # no pass holds more than every pair
+        keys, positions = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+        size = offset = 0
+        floor = -(2**63)
+        for block in self._blocks():
+            if upper is None:
+                new = np.flatnonzero(block > floor)
+            else:
+                new = np.flatnonzero((block > floor) & (block < upper))
+                band = np.flatnonzero(block[new] > upper - 2 * _KEY_ERROR)
+                if band.size:
+                    near = offset + new[band]
+                    at = np.minimum(np.searchsorted(taken, near), taken.size - 1)
+                    new = np.delete(new, band[taken[at] == near])
+            while new.size:
+                if size == cap:  # full: keep the ``keep`` best, strictly above kth
+                    floor = int(np.partition(keys, cap - keep)[cap - keep])
+                    live = keys > floor
+                    size = int(np.count_nonzero(live))
+                    keys[:size], positions[:size] = keys[live], positions[live]
+                    new = new[block[new] > floor]
+                    continue
+                put = new[: cap - size]
+                keys[size : size + put.size] = block[put]
+                positions[size : size + put.size] = offset + put
+                size += put.size
+                new = new[put.size :]
+            offset += block.size
+        self._kept = keys[:size].copy(), positions[:size].copy()
+        self._dropped = floor
+        self._keep *= 4
+        self._passes += 1
+
+    def _cut(self, size: int) -> int:
+        """The key of the ``size``-th best remaining pair, from a kept set
+        that holds every remaining pair keyed at least that minus
+        2 _KEY_ERROR; a new pass first when the last one's does not."""
+        while True:
+            if self._kept is not None:
+                keys = self._kept[0]
+                if keys.size >= size:
+                    cut = int(np.partition(keys, keys.size - size)[keys.size - size])
+                    if cut - 2 * _KEY_ERROR > self._dropped:
+                        return cut
+            self._pass()
+
     def _extend(self) -> bool:
         """Sort the next chunk into place; False when no pair is left."""
-        rest = self._rest
-        if rest.size == 0:
+        left = self._count - self._done
+        if left == 0:
             return False
         size = self._next
-        if 2 * size >= rest.size:
-            self._rest = rest[:0]
-            scores = self._score(rest)
+        if 2 * size >= left:
+            positions = None
+            if self._taken.size:
+                positions = np.delete(np.arange(self._count), self._taken)
+            i, j, scores = self._score(positions)
+            self._kept = self._taken = None
         else:
-            if self._keys is None:
-                self._keys = self._coarse()
-            keys = self._keys[rest]
-            cut = np.partition(keys, rest.size - size)[rest.size - size]
+            cut = self._cut(size)
+            keys, positions = self._kept
             near = np.flatnonzero(keys >= cut - 2 * _KEY_ERROR)
-            scores = self._score(rest[near])
+            i, j, scores = self._score(positions[near])
             taken = scores > (cut - _KEY_ERROR) * 2.0 ** (_LIMB - _BITS)
-            near, scores = near[taken], scores[taken]
-            left = np.ones(rest.size, dtype=bool)
-            left[near] = False
-            self._rest, rest = rest[left], rest[near]
+            near, i, j, scores = near[taken], i[taken], j[taken], scores[taken]
+            rest = np.ones(keys.size, dtype=bool)
+            rest[near] = False
+            self._taken = np.concatenate((self._taken, positions[near]))
+            self._kept = keys[rest], positions[rest]
+            self._cut_key = cut
         order = np.argsort(-scores, kind="stable")
-        rest = rest[order]
+        self._done += scores.size
         self._chunks.append(
-            list(zip(self._i[rest].tolist(), self._j[rest].tolist(), scores[order].tolist()))
+            list(zip(i[order].tolist(), j[order].tolist(), scores[order].tolist()))
         )
         self._next = 2 * size
         return True
@@ -380,14 +508,17 @@ def _ranked_pairs(ds: Dataset, dag: FeatureDag, smoothing: float = 1.0) -> _Rank
             f"dataset has {n} features, hierarchy has {dag.n_features}"
         )
     stats, m = ds._class_stats, ds.n_instances
-    i, j = _pairs(n)
-    tables = _pair_tables(stats, m, smoothing, i, j)
-    return _RankedPairs(
-        i, j,
-        lambda: _keys(stats, tables, i, j),
-        lambda k: _scores(stats, m, smoothing, tables, i[k], j[k]),
-        _first_chunk(n),
-    )
+    count = n * (n - 1) // 2
+    tables = _pair_tables(stats, m, smoothing, count, lambda: _pair_indices(n, None))
+
+    features = np.arange(n).astype(object)  # one int object per feature, shared by the lists
+
+    def score(positions):
+        i, j = _pair_indices(n, positions)
+        return features[i], features[j], _scores(stats, m, smoothing, tables, i, j)
+
+    return _RankedPairs(count, lambda: _block_keys(stats, tables, n), score,
+                        _first_chunk(n), _first_keep(n))
 
 
 def rank_edges(

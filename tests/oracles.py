@@ -160,7 +160,8 @@ def cmi(counts: JointCounts, smoothing: float = 1.0) -> float:
         stats.append((gram, ones, int(t.sum())))
     pair = np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
     n = int(counts.n)
-    return float(_scores(stats, n, smoothing, _pair_tables(stats, n, smoothing, *pair), *pair)[0])
+    tables = _pair_tables(stats, n, smoothing, 1, lambda: pair)
+    return float(_scores(stats, n, smoothing, tables, *pair)[0])
 
 
 def joint_counts(ds: Dataset, i: int, j: int) -> JointCounts:

@@ -35,7 +35,7 @@ from hietan.errors import (
 )
 from hietan.bayes import fit
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import _cells, _pair_tables, rank_edges
+from hietan.mutual_info import _block_keys, _cells, _pair_tables, rank_edges
 from hietan.structure import DependencyTree
 
 from conftest import A, B, C, D, E, F
@@ -860,9 +860,11 @@ class TestPairCounts:
         assert np.array_equal(cells, _cells(oracle, i, j))
         assert cells.max() == m
         for pairs in ((i, j), (i[:2], j[:2])):  # all counts, and only the pairs'
-            got = _pair_tables(ds._class_stats, m, 1.0, *pairs)
-            want = _pair_tables(oracle, m, 1.0, *pairs)
+            got = _pair_tables(ds._class_stats, m, 1.0, len(pairs[0]), lambda: pairs)
+            want = _pair_tables(oracle, m, 1.0, len(pairs[0]), lambda: pairs)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            keys = zip(_block_keys(ds._class_stats, got, 25), _block_keys(oracle, got, 25))
+            assert all(np.array_equal(g, w) for g, w in keys)
 
     def test_statistics_are_read_only(self):
         ds = self.stats_dataset(30, 3)

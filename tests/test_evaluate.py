@@ -1,14 +1,16 @@
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import hietan.structure as structure
-from hietan import evaluate, mutual_info
+from hietan import dataset, evaluate, mutual_info
 from hietan.bayes import fit, predict, predict_batch
 from hietan.dataset import Dataset, generate_synthetic, stratified_folds, subset
 from hietan.errors import (
     DegenerateRanks,
+    DimensionMismatch,
     IncompleteTable,
     NonBinaryValue,
     TooFewInstances,
@@ -475,6 +477,54 @@ def test_a_class_with_fewer_rows_than_folds_fails_before_ranking(monkeypatch):
     for k in (4, 10):
         with pytest.raises(TooFewInstances, match=f"class 1 has 3 instances, fewer than the {k} folds"):
             run_cv_experiment(ds, dag, list(ALL_METHODS), k, seed=0)
+
+
+def violating_problem():
+    """A hierarchy-consistent problem, and a copy whose first row breaks the
+    propagation rule: a feature is 1 under an ancestor that is 0."""
+    ds, dag = small_problem(seed=2, n_features=8, n_instances=40)
+    values = ds.values.copy()
+    f = next(f for f in range(8) if dag.closure_ancestors[dag.closure_features == f].size)
+    a = int(dag.closure_ancestors[dag.closure_features == f][0])
+    values[0, f], values[0, a] = 1, 0
+    return ds, Dataset(values, ds.labels), dag
+
+
+def test_propagation_warning_only_on_violating_data():
+    consistent, violating, dag = violating_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_cv_experiment(consistent, dag, [METHOD_TAN], 4, seed=0)
+    with pytest.warns(UserWarning, match="violates the hierarchy propagation rule"):
+        run_cv_experiment(violating, dag, [METHOD_TAN], 4, seed=0)
+
+
+def test_propagation_warning_stops_at_the_first_violating_block(monkeypatch):
+    """One row a block: a violation in row 0 is found in the first block,
+    and no other block is built, where ``validate_propagation`` reads all."""
+    _, violating, dag = violating_problem()
+    monkeypatch.setattr(dataset, "_VALIDATE_BLOCK", 1)
+    blocks, violations = [], dataset._violations
+
+    def counted(ds, dag):
+        for block in violations(ds, dag):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(dataset, "_violations", counted)
+    with pytest.warns(UserWarning, match="propagation rule"):
+        run_cv_experiment(violating, dag, [METHOD_TAN], 4, seed=0)
+    assert len(blocks) == 1 and blocks[0][0].size
+    blocks.clear()
+    assert dataset.validate_propagation(violating, dag)
+    assert len(blocks) == violating.n_instances
+
+
+def test_dimension_mismatch_raises_before_any_fold_is_ranked(monkeypatch):
+    ds, _ = small_problem(seed=2, n_features=8, n_instances=40)
+    monkeypatch.setattr(evaluate, "_ranked_pairs", _no_ranking)
+    with pytest.raises(DimensionMismatch, match="dataset has 8 features, hierarchy has 7"):
+        run_cv_experiment(ds, build_dag(7, []), [METHOD_TAN], 4, seed=0)
 
 
 def test_derive_seed_is_stable():

@@ -12,7 +12,7 @@ from hietan.dataset import Dataset, generate_synthetic
 from hietan.errors import DimensionMismatch, IndexOutOfRange
 from hietan.evaluate import derive_seed
 from hietan.hierarchy import build_dag, random_dag
-from hietan.mutual_info import _RankedPairs, _first_chunk, _ranked_pairs, rank_edges
+from hietan.mutual_info import _RankedPairs, _ranked_pairs, rank_edges
 from hietan.structure import _grow, hie_mst, hie_mst_lite
 
 from conftest import A, B, C, D, E, F, CANONICAL_EDGES
@@ -402,16 +402,15 @@ def test_chunked_ranking_matches_list(lazy):
     n = 150
     dag = build_dag(n, random_dag(n, 250, 3))
     ds = generate_synthetic(dag, 200, 0.3, 0.05, 3)
-    ranked = _ranked_pairs(ds, dag)
     listed = rank_edges(ds, dag)
     past_first = 0
     for seed, values in enumerate(ds.values[:20].tolist() if lazy else [None]):
         want_trace, got_trace = [], []
         want = _grow(listed, dag, seed, values, want_trace.append)
-        chunked = _RankedPairs(ranked._i, ranked._j, ranked._coarse, ranked._score, _first_chunk(n))
+        chunked = _ranked_pairs(ds, dag)
         assert _grow(chunked, dag, seed, values, got_trace.append) == want
         assert got_trace == want_trace
-        chunked = _RankedPairs(ranked._i, ranked._j, ranked._coarse, ranked._score, _first_chunk(n))
+        chunked = _ranked_pairs(ds, dag)
         assert _grow(chunked, dag, seed, values, None) == want
         assert [t["decision"] for t in want_trace].count("scan_stopped") == 1
         past_first += sum(t["decision"] in SCAN_DECISIONS for t in want_trace) > 4 * n
@@ -513,9 +512,9 @@ def test_candidate_outside_range_raises_before_the_scan(learner, bad):
                   [(0, 2, 1.0), (1, 2, 0.5), (0, bad, 0.2)]):
         with pytest.raises(IndexOutOfRange, match=r"candidate edge \(.*\) outside \[0, 3\)"):
             learn(edges)
-    scores = np.array([1.0, 0.5, 0.2])
-    ranked = _RankedPairs(np.array([0, 1, 0]), np.array([2, 2, bad]),
-                          lambda: (scores * 2**48).astype(np.int64), scores.__getitem__, 1)
+    i, j, scores = np.array([0, 1, 0]), np.array([2, 2, bad]), np.array([1.0, 0.5, 0.2])
+    ranked = _RankedPairs(3, lambda: iter([(scores * 2**48).astype(np.int64)]),
+                          lambda p: (i, j, scores) if p is None else (i[p], j[p], scores[p]), 1, 3)
     with pytest.raises(IndexOutOfRange, match=rf"candidate edge \(0, {bad}\)"):
         learn(ranked)
 

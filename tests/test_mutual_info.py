@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -405,7 +406,7 @@ class TestRankEdges:
         # them: no score depends on the C library's log.
         ds = golden_scores_dataset()
         ranked = _ranked_pairs(ds, build_dag(12, []), 1.0)
-        got = ranked._score(np.arange(len(ranked)))  # every pair, in (i, j) order
+        got = ranked._score(np.arange(len(ranked)))[2]  # every pair, in (i, j) order
         assert [x.hex() for x in got.tolist()] == GOLDEN_SCORES_12
         want = [cmi_reference(joint_counts(ds, i, j), 1.0).hex()
                 for i in range(12) for j in range(i + 1, 12)]
@@ -661,12 +662,12 @@ def key_datasets(draw):
 
 
 def all_pairs(ds, smoothing):
-    """Every pair (i, j) of ``ds``, as two index arrays, with its key and
-    its exact score."""
-    stats, m = ds._class_stats, ds.n_instances
-    i, j = mutual_info._pairs(ds.n_features)
-    tables = mutual_info._pair_tables(stats, m, smoothing, i, j)
-    return (i, j, mutual_info._keys(stats, tables, i, j),
+    """Every pair (i, j) of ``ds``, as two index arrays, with its key from
+    the Gram row blocks and its exact score."""
+    stats, m, n = ds._class_stats, ds.n_instances, ds.n_features
+    i, j = mutual_info._pair_indices(n, None)
+    tables = mutual_info._pair_tables(stats, m, smoothing, len(i), lambda: (i, j))
+    return (i, j, np.concatenate(list(mutual_info._block_keys(stats, tables, n))),
             mutual_info._scores(stats, m, smoothing, tables, i, j))
 
 
@@ -706,39 +707,47 @@ class TestCoarseKeys:
     @given(key_datasets(), st.sampled_from(KEY_SMOOTHING), st.sampled_from([1, 2, 3, None]),
            st.integers(0, 2**16))
     def test_partial_reads_then_full_read_are_one_stable_sort(self, ds, smoothing, first, seed):
-        # None keeps the default first chunk, 4n.
+        # None keeps the default first chunk, 4n. Each problem runs with the
+        # default first pass, 64n, and with a first pass that keeps one
+        # pair, so that every read crosses passes.
         assume(ds.n_instances or smoothing)
         i, j, _, scores = all_pairs(ds, smoothing)
         order = np.argsort(-scores, kind="stable")
         want = list(zip(i[order].tolist(), j[order].tolist(), scores[order].tolist()))
-        n, rng = ds.n_features, random.Random(seed)
+        n = ds.n_features
         dag = build_dag(n, [])
         chunk = mutual_info._first_chunk if first is None else (lambda n: first)
-        with mock.patch.object(mutual_info, "_first_chunk", chunk):
-            ranked = _ranked_pairs(ds, dag, smoothing)
         values = ds.values[0].tolist() if ds.n_instances else [1] * n
-        # Each learner reads its own prefix of the one shared object.
-        assert _tan(ranked, n, seed) == _tan(want, n, seed)
-        assert _grow(ranked, dag, seed, None, None) == _grow(want, dag, seed, None, None)
-        assert _grow(ranked, dag, seed, values, None) == _grow(want, dag, seed, values, None)
-        read = rng.randrange(len(want) + 1)
-        assert list(itertools.islice(ranked, read)) == want[:read]
-        got = list(ranked)
-        assert got == want
-        assert_same_scores(got, want)
-        assert ranked.tolist() == want
+        for keep in (mutual_info._first_keep, lambda n: 1):
+            rng = random.Random(seed)
+            with mock.patch.object(mutual_info, "_first_chunk", chunk), \
+                    mock.patch.object(mutual_info, "_first_keep", keep):
+                ranked = _ranked_pairs(ds, dag, smoothing)
+            # Each learner reads its own prefix of the one shared object.
+            assert _tan(ranked, n, seed) == _tan(want, n, seed)
+            assert _grow(ranked, dag, seed, None, None) == _grow(want, dag, seed, None, None)
+            assert _grow(ranked, dag, seed, values, None) == _grow(want, dag, seed, values, None)
+            read = rng.randrange(len(want) + 1)
+            assert list(itertools.islice(ranked, read)) == want[:read]
+            got = list(ranked)
+            assert got == want
+            assert_same_scores(got, want)
+            assert ranked.tolist() == want
 
     @settings(max_examples=300, derandomize=True)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(-9, 9)), min_size=1, max_size=60),
-           st.sampled_from([1, 2, 3, 5]))
-    def test_any_keys_within_the_bound_give_one_stable_sort(self, units, first):
+           st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 2, 5, 64]), st.integers(1, 4))
+    def test_any_keys_within_the_bound_give_one_stable_sort(self, units, first, keep, blocks):
         # Scores of whole units of 2**-48, many tied, and keys anywhere
-        # within _KEY_ERROR of them: the chunk rule needs nothing more.
+        # within _KEY_ERROR of them, streamed in a few blocks: the chunk and
+        # pass rules need nothing more, whatever the first pass keeps.
         scores = np.array([u for u, _ in units]) * 2.0**-48
         keys = np.array([u + off for u, off in units], dtype=np.int64)
         assert np.all(np.abs(scores * 2**48 - keys) < mutual_info._KEY_ERROR)
         i = np.arange(len(units))
-        ranked = _RankedPairs(i, i + 1, lambda: keys, scores.__getitem__, first)
+        ranked = _RankedPairs(
+            len(units), lambda: iter(np.array_split(keys, blocks)),
+            lambda p: (i, i + 1, scores) if p is None else (p, p + 1, scores[p]), first, keep)
         order = np.argsort(-scores, kind="stable")
         assert list(ranked) == list(zip(i[order].tolist(), (i + 1)[order].tolist(),
                                         scores[order].tolist()))
@@ -765,12 +774,12 @@ class TestCoarseKeys:
         exact = record_exact_pairs(monkeypatch)
         ranked = _ranked_pairs(train, dag)
         trees = _tan(ranked, 60, 1), _grow(ranked, dag, 1, None, None)
-        assert 60 <= sum(exact) < len(ranked) // 4 and ranked._keys is not None
+        assert 60 <= sum(exact) < len(ranked) // 4 and ranked._passes == 1
         want = rank_edges_reference(train, 1.0)
         assert (_tan(want, 60, 1), _grow(want, dag, 1, None, None)) == trees
         exact.clear()
         full = _ranked_pairs(train, dag)  # rank_edges' object
-        assert full.tolist() == want and full._keys is None
+        assert full.tolist() == want and full._passes == 0
         assert exact == [len(want)]
 
     def test_errors_raise_before_any_read(self):
@@ -782,8 +791,53 @@ class TestCoarseKeys:
         with pytest.raises(DimensionMismatch):
             _ranked_pairs(random_dataset(np.random.default_rng(5), 9, 4), build_dag(5, []))
 
-    def test_pair_indices_built_once_per_size(self):
-        i, j = mutual_info._pairs(7)
-        assert mutual_info._pairs(7)[0] is i
-        assert not (i.flags.writeable or j.flags.writeable)
-        assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(7), 2))
+    def test_row_blocks_cover_every_pair_once_in_order(self, monkeypatch):
+        # _BLOCK itself makes one block for all these sizes; the small ones
+        # cut blocks of one row and blocks inside the triangle's short rows.
+        for block, n in itertools.product([1, 7, 64, mutual_info._BLOCK], range(2, 71)):
+            monkeypatch.setattr(mutual_info, "_BLOCK", block)
+            got, start = [], 0
+            for r0, r1, above in mutual_info._row_blocks(n):
+                assert r0 == start < r1 and above.shape == (r1 - r0, n - 1 - r0)
+                a, c = np.nonzero(above)
+                got += zip((r0 + a).tolist(), (r0 + 1 + c).tolist())
+                start = r1
+            want = list(itertools.combinations(range(n), 2))
+            assert got == want
+            i, j = mutual_info._pair_indices(n, np.arange(len(want)))
+            assert list(zip(i.tolist(), j.tolist())) == want
+            i, j = mutual_info._pair_indices(n, None)
+            assert list(zip(i.tolist(), j.tolist())) == want
+
+    def test_tiny_first_pass_reads_in_several_passes(self, monkeypatch):
+        # A first pass that keeps n pairs, and so holds at most 1.5n, cannot
+        # cut the first chunk of 4n: later passes keep four times as many,
+        # and the order is the list's.
+        ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 150, 0.3, 0.05, 11)
+        dag = build_dag(60, random_dag(60, 40, 11))
+        monkeypatch.setattr(mutual_info, "_first_keep", lambda n: n)
+        ranked = _ranked_pairs(ds, dag)
+        want = rank_edges(ds, dag)
+        assert _tan(ranked, 60, 1) == _tan(want, 60, 1)
+        assert ranked._passes >= 2
+        assert list(ranked) == want
+
+    def test_ranking_memory_grows_with_n_not_n_squared(self):
+        # 1 999 000 pairs: one int64 array over them takes 16 MB, and the
+        # keys, cached indices and unsorted list of one read peaked at 67 MB.
+        # Now a pass holds at most 96 n (key, position) entries, and what
+        # grows with the read is the lists of the 29 n pairs TAN sorts here,
+        # about 100 bytes a pair.
+        n, rows = 2000, 60
+        dag = build_dag(n, random_dag(n, 8 * n // 5, 1))
+        ds = generate_synthetic(dag, rows, 0.3, 0.05, 1)
+        ds._class_stats  # the dataset's cache, 2 n**2 bytes, built before
+        tracemalloc.start()
+        try:
+            ranked = _ranked_pairs(ds, dag)
+            _tan(ranked, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranked._passes == 1
+        assert peak < 10_000 * n

@@ -196,6 +196,15 @@ def test_closure_is_enumerated_only_by_build_dag():
     assert _where_named("_closure_matrix") == []
 
 
+def test_ranking_keeps_no_per_pair_array_or_cache():
+    """Only ``mutual_info``'s full read builds every pair's indices: a
+    ranking read in part streams its keys from Gram row blocks and keeps
+    the best few n. ``mutual_info`` caches nothing that outlives a run."""
+    assert _where_named("triu_indices") == ["mutual_info.py:_pair_indices"]
+    for name in ("functools", "lru_cache", "cache"):
+        assert [w for w in _where_named(name) if w.startswith("mutual_info.py:")] == []
+
+
 def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
     """Every ``hietan`` command of README.md's ```bash blocks, lines ending
     in a backslash joined, exits 0 when run in order in an empty directory."""
