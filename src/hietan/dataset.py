@@ -10,6 +10,9 @@ a feature also carries value 1 for all of that feature's ancestors.
 
 from __future__ import annotations
 
+import codecs
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -24,7 +27,7 @@ from .errors import (
     ParseError,
     TooFewInstances,
 )
-from .hierarchy import FeatureDag, _check_names, read_utf8_bytes
+from .hierarchy import FeatureDag, _check_names, _check_utf8
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +102,33 @@ class Dataset:
         diagonal (x * x = x), in int64. The arrays are read-only, so this is
         computed once per dataset.
 
-        Each block of at most _GRAM_ROWS rows is one float32 product, where
+        The matrix is made a block of output rows at a time, each block at
+        most _GRAM_ENTRIES entries (at least one row), so the float32
+        temporaries stay that small whatever n_features is; up to
+        _GRAM_ENTRIES entries, the one block is the matrix. A block is one
+        float32 product per block of at most _GRAM_ROWS instance rows, where
         NumPy uses BLAS (an integer matmul does not), and is exact in any
         summation order: with 0/1 entries every partial sum is an integer at
-        most _GRAM_ROWS = 2**24, which float32 holds exactly. The blocks add
-        up in the narrow type, which holds every count."""
+        most _GRAM_ROWS = 2**24, which float32 holds exactly. The products
+        add up in the narrow type, which holds every count."""
+        n = self.n_features
         dtype = np.min_scalar_type(self.n_instances)
+        step = max(1, _GRAM_ENTRIES // max(n, 1))
         stats = []
         for y in (0, 1):
             Xy = self.values[self.labels == y].astype(np.float32)
-            # An empty class still makes one (zero) block.
+            # An empty class still makes one (zero) row block.
             blocks = [Xy[s : s + _GRAM_ROWS] for s in range(0, max(len(Xy), 1), _GRAM_ROWS)]
-            gram = (blocks[0].T @ blocks[0]).astype(dtype)
-            for block in blocks[1:]:
-                gram += (block.T @ block).astype(dtype)
+            gram = np.empty((n, n), dtype=dtype) if step < n else None
+            for r0 in range(0, max(n, 1), step):
+                cols = slice(r0, r0 + step)
+                part = (blocks[0][:, cols].T @ blocks[0]).astype(dtype)
+                for block in blocks[1:]:
+                    part += (block[:, cols].T @ block).astype(dtype)
+                if gram is None:
+                    gram = part
+                else:
+                    gram[cols] = part
             ones = gram.diagonal().astype(np.int64)
             gram.setflags(write=False)
             ones.setflags(write=False)
@@ -123,6 +139,9 @@ class Dataset:
 # Rows per float32 product in ``Dataset._class_stats``: float32 holds every
 # integer up to 2**24 exactly.
 _GRAM_ROWS = 1 << 24
+# Gram entries per block of output rows in ``Dataset._class_stats``: up to
+# 1024 features the whole matrix is one block.
+_GRAM_ENTRIES = 1 << 20
 
 
 def _first_repeat(names: Sequence[str]) -> str:
@@ -163,19 +182,18 @@ _NO_SPACE = dict.fromkeys(map(ord, _WHITESPACE.replace("\n", "")))
 # A body cell is a (token, separator) byte pair read as one little-endian
 # uint16, token in the low byte; "<u2" keeps that true on big-endian hosts.
 _CELL = np.dtype("<u2")
-# Cells checked and converted at a time, so that temporaries stay small.
+# Cells read, checked and converted at a time, so that the read buffer and
+# the temporaries stay small whatever the file's size.
 _BLOCK_CELLS = 1 << 17
 
 
-def _scan_rows(
-    s: np.ndarray, width: int, labelled: bool
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[int]]:
+def _scan_rows(s: np.ndarray, width: int, values: np.ndarray, labels) -> Optional[int]:
     """Parse ``s``, body bytes with no whitespace but b"\\n" and no blank
-    line, into ``(values, labels, bad)``: uint8 arrays of the rows before the
-    first line that is not ``width`` tokens 0/1 joined by commas and ending
-    in b"\\n", and ``bad``, ``None`` when there is no such line, else the
-    offset of a byte on it. Labels are ``None`` unless ``labelled``, when the
-    last of the ``width`` columns holds them.
+    line, into ``values`` (and ``labels``, unless ``None``, from the last of
+    the ``width`` columns): row r of the table goes to ``values[r]``, for
+    the rows before the first line that is not ``width`` tokens 0/1 joined
+    by commas and ending in b"\\n". Return ``None`` when there is no such
+    line, else the offset of a byte on it.
 
     Such a body is rows of exactly 2 * width bytes, "d,d,...,d\\n", so it is
     checked as a (rows, width) table of cells: a cell fits when ``cell | 1``
@@ -186,9 +204,7 @@ def _scan_rows(
     rows = s.size // (2 * width)
     cells = s[: rows * 2 * width].view(_CELL).reshape(rows, width)
     fit = np.frombuffer(b"1," * (width - 1) + b"1\n", dtype=_CELL)
-    n_features = width - labelled
-    values = np.empty((rows, n_features), dtype=np.uint8)
-    labels = np.empty(rows, dtype=np.uint8) if labelled else None
+    n_features = values.shape[1]
     step = max(1, _BLOCK_CELLS // width)
     bad = None if cells.size * 2 == s.size else cells.size * 2
     for r in range(0, rows, step):
@@ -196,16 +212,22 @@ def _scan_rows(
         fits = (block | 1) == fit
         if not fits.all():
             bad = 2 * (r * width + int(np.argmin(fits)))
-            rows = bad // (2 * width)  # the rows before the bad line
-            block = block[: rows - r]
+            block = block[: bad // (2 * width) - r]  # the rows before the bad line
         tokens = block.view(np.uint8)  # bytes again, token at even columns
         end = r + len(block)
         np.subtract(tokens[:, : 2 * n_features : 2], ord("0"), out=values[r:end])
-        if labelled:
+        if labels is not None:
             np.subtract(tokens[:, -2], ord("0"), out=labels[r:end])
-        if end == rows:
+        if len(block) < step:
             break
-    return values[:rows], None if labels is None else labels[:rows], bad
+    return bad
+
+
+def _empty_rows(rows: int, n_features: int, labelled: bool):
+    """Uninitialised ``(values, labels)`` for ``rows`` rows; labels ``None``
+    unless ``labelled``."""
+    labels = np.empty(rows, dtype=np.uint8) if labelled else None
+    return np.empty((rows, n_features), dtype=np.uint8), labels
 
 
 def _line_error(path, line: str, lineno: int, width: int) -> HieTanError:
@@ -219,30 +241,12 @@ def _line_error(path, line: str, lineno: int, width: int) -> HieTanError:
     return NonBinaryValue(f"{path}:{lineno}: value {tok!r} is not 0 or 1")
 
 
-def _read_csv(path, class_required: bool):
-    """Parse a CSV file per the grammar above into (names, values, labels), with
-    line numbers in errors; labels are ``None`` if an optional class column is absent.
-
-    The header is read as text; the body is checked and converted as one
-    array by ``_scan_rows``, and only the first bad line, if any, is looked
-    at as text. When the header's line ends at the file's first b"\\n", the
-    raw body is scanned first: if it fits, it is the canonical form that
-    ``save_dataset`` writes, and its table is the answer. Otherwise the rows
-    before the first line the raw scan rejects are canonical and kept, and
-    only the rest of the file is normalised: split by ``str.splitlines``, its
-    blank lines (those ``str.strip`` empties) dropped, and the kept lines
-    joined by "\\n" with all other whitespace deleted by ``str.translate``.
-    That body is scanned the same way, and a bad line is phrased from its
-    own text. Any other file is normalised whole after its header."""
-    data = read_utf8_bytes(path)
-    cut = data.find(b"\n") + 1  # just past the header's line break, if it is b"\n"
-    lines = data[:cut].decode("utf-8").splitlines()
-    raw = len(lines) == 1  # the header's line ends at the first b"\n"
-    if not raw:
-        lines = data.decode("utf-8").splitlines()
-    if not lines or not lines[0].strip():
+def _header(path, line: str, class_required: bool) -> tuple[list[str], bool]:
+    """The feature names of header line ``line`` and whether it ends in a
+    ``class`` column."""
+    if not line.strip():
         raise ParseError(f"{path}: missing header row", line=1)
-    header = [t.strip() for t in lines[0].split(",")]
+    header = [t.strip() for t in line.split(",")]
     labelled = header[-1] == "class"
     if class_required and not labelled:
         raise MissingClassColumn(
@@ -251,22 +255,97 @@ def _read_csv(path, class_required: bool):
     names = header[:-1] if labelled else header
     if len(set(names)) != len(names):
         raise ParseError(f"{path}: duplicate feature names in header", line=1)
-    width = len(names) + labelled
+    return names, labelled
 
-    done = 0  # canonical rows already converted
-    if raw:
-        values, labels, bad = _scan_rows(np.frombuffer(data, dtype=np.uint8)[cut:], width, labelled)
-        if bad is None:
-            return tuple(names), values, labels
-        done = len(values)
-        head = values, labels
-        # Canonical rows hold no line break but b"\n", so the text after them
-        # splits into the file's lines from line done + 2 on; "" stands in
-        # for the header, as line 0 of ``lines``.
-        lines = [""] + data[cut + 2 * width * done :].decode("utf-8").splitlines()
+
+def _read_csv(path, class_required: bool):
+    """Parse a CSV file per the grammar above into (names, values, labels), with
+    line numbers in errors; labels are ``None`` if an optional class column is absent.
+
+    Only the header's line is read first. When it ends at the file's first
+    b"\\n" and is UTF-8, the body is streamed by ``_stream_rows``: a file
+    as ``save_dataset`` writes it is read a block at a time straight into
+    arrays sized from the file's length, and is the answer. Otherwise the
+    canonical rows before the first line the stream rejects are kept, and
+    only the rest of the file is read whole and normalised: split by
+    ``str.splitlines``, its blank lines (those ``str.strip`` empties)
+    dropped, and the kept lines joined by "\\n" with all other whitespace
+    deleted by ``str.translate``. That body is scanned by the same kernel,
+    ``_scan_rows``, and a bad line is phrased from its own text. A file whose
+    header's line is not so is normalised whole after its header.
+
+    Streamed rows are ASCII, so the encoding is checked on the rest of the
+    file before anything else about it: a byte that is not UTF-8 wins over
+    any grammar error, at the line and byte offset counted from the file's
+    first byte."""
+    with open(path, "rb") as f:
+        first = f.readline()  # up to and including the first b"\n"
+        line = first.removeprefix(codecs.BOM_UTF8)
+        try:
+            lines = line.decode("utf-8").splitlines()
+        except UnicodeDecodeError:
+            lines = []
+        if not (line.endswith(b"\n") and len(lines) == 1):
+            data = first + f.read()
+            _check_utf8(path, data)
+            lines = data.removeprefix(codecs.BOM_UTF8).decode("utf-8").splitlines()
+            names, labelled = _header(path, lines[0] if lines else "", class_required)
+            return _read_lines(path, names, labelled, lines, 0, None)
+        try:
+            names, labelled = _header(path, lines[0], class_required)
+        except (ParseError, MissingClassColumn):
+            _check_utf8(path, f.read(), 2, len(first))  # a bad byte anywhere wins
+            raise
+        head = _stream_rows(f, len(first), len(names), labelled)
+        rest = f.read()
+    if not rest:
+        return tuple(names), *head
+    # Canonical rows hold no line break but b"\n", so the rest begins line
+    # done + 2 and splits into the file's lines from there on; "" stands in
+    # for the header, as line 0 of ``lines``.
+    done, row = len(head[0]), 2 * (len(names) + labelled)
+    _check_utf8(path, rest, done + 2, len(first) + row * done)
+    lines = [""] + rest.decode("utf-8").splitlines()
+    return _read_lines(path, names, labelled, lines, done, head)
+
+
+def _stream_rows(f, start: int, n_features: int, labelled: bool):
+    """``(values, labels)`` of the canonical rows that open the body of
+    ``f``, which begins at byte ``start``; ``f`` is left at the first byte
+    after them. The arrays are sized once from the file's length, as if the
+    whole body were canonical, and filled a block of _BLOCK_CELLS cells at a
+    time from one reused buffer, so memory beyond them is one block. The
+    stream stops at the first block with a line that is not canonical, at a
+    short read, and at once for a file with no size, such as a pipe."""
+    width = n_features + labelled
+    row = 2 * width
+    info = os.fstat(f.fileno())
+    rows = (info.st_size - start) // row if stat.S_ISREG(info.st_mode) else 0
+    values, labels = _empty_rows(rows, n_features, labelled)
+    step = max(1, _BLOCK_CELLS // width)
+    buffer = np.empty(min(step, rows) * row, dtype=np.uint8)
+    done = 0
+    while done < rows:
+        block = buffer[: min(step, rows - done) * row]
+        got = f.readinto(block)
+        bad = _scan_rows(block[:got], width, values[done:], None if labels is None else labels[done:])
+        done += (got if bad is None else bad) // row
+        if bad is not None or got < block.size:
+            f.seek(start + row * done)
+            break
+    return values[:done], None if labels is None else labels[:done]
+
+
+def _read_lines(path, names, labelled: bool, lines: list[str], done: int, head):
+    """Finish ``_read_csv`` from ``lines``, the file's lines from line
+    ``done + 1`` on (``lines[0]`` is not read), after the ``done`` rows
+    ``head``, which is read only when ``done`` > 0."""
+    width = len(names) + labelled
     kept = [k for k in range(1, len(lines)) if lines[k].strip()]
     body = "\n".join([lines[k] for k in kept] + [""]).translate(_NO_SPACE).encode("utf-8")
-    values, labels, bad = _scan_rows(np.frombuffer(body, dtype=np.uint8), width, labelled)
+    s = np.frombuffer(body, dtype=np.uint8)
+    values, labels = _empty_rows(s.size // (2 * width), len(names), labelled)
+    bad = _scan_rows(s, width, values, labels)
     if bad is not None:
         k = kept[body.count(b"\n", 0, bad)]
         raise _line_error(path, lines[k], done + k + 1, width)

@@ -194,19 +194,28 @@ def read_utf8_bytes(path) -> bytes:
     file's first byte. An ASCII file is valid as it stands; any other is
     decoded only to check."""
     data = Path(path).read_bytes()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # Lines are counted as ``str.splitlines`` splits the valid text
-            # before the bad byte; the "x" stands for the line that holds it.
-            line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-            raise ParseError(
-                f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})",
-                line=line,
-            ) from None
-        data = data.removeprefix(codecs.BOM_UTF8)
-    return data
+    _check_utf8(path, data)
+    return data.removeprefix(codecs.BOM_UTF8)
+
+
+def _check_utf8(path, data: bytes, line: int = 1, start: int = 0) -> None:
+    """Raise :func:`read_utf8_bytes`' ``ParseError`` if ``data``, the bytes
+    of ``path`` from byte ``start`` on, is not UTF-8 text. ``data`` begins
+    line ``line``: it starts the file or follows a line break that is whole
+    without the bytes after it (any but b"\\r"), so the line and the byte
+    offset are those counted from the file's first byte."""
+    if data.isascii():
+        return
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted as ``str.splitlines`` splits the valid text
+        # before the bad byte; the "x" stands for the line that holds it.
+        line += len((data[: exc.start].decode("utf-8") + "x").splitlines()) - 1
+        raise ParseError(
+            f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {start + exc.start})",
+            line=line,
+        ) from None
 
 
 def read_utf8(path) -> str:

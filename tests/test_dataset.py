@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -260,6 +263,18 @@ def parse_outcome(parse, path, class_required):
     )
 
 
+def assert_reads_as_reference(path, cells=3):
+    """``_read_csv`` gives ``read_csv_reference``'s outcome for ``path``,
+    with either class rule, both with the reader's blocks as they are and
+    with ``_BLOCK_CELLS`` patched to ``cells`` (a row or a few), so that the
+    body spans many blocks."""
+    for class_required in (True, False):
+        want = parse_outcome(read_csv_reference, path, class_required)
+        for block in (dataset._BLOCK_CELLS, cells):
+            with mock.patch.object(dataset, "_BLOCK_CELLS", block):
+                assert parse_outcome(_read_csv, path, class_required) == want
+
+
 class TestReaderMatchesReference:
     @settings(
         max_examples=400, derandomize=True,
@@ -283,10 +298,7 @@ class TestReaderMatchesReference:
     def test_same_arrays_or_same_error(self, tmp_path, data):
         path = tmp_path / "d.csv"
         path.write_bytes(data)
-        for class_required in (True, False):
-            assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
-                read_csv_reference, path, class_required
-            )
+        assert_reads_as_reference(path)
 
     @settings(
         max_examples=400, derandomize=True,
@@ -303,10 +315,7 @@ class TestReaderMatchesReference:
             cut = saved.find(b"\n")
             saved = saved[: cut - len("class")] + b"h" + saved[cut:]
         path.write_bytes(data.draw(one_edit(saved)))
-        for class_required in (True, False):
-            assert parse_outcome(_read_csv, path, class_required) == parse_outcome(
-                read_csv_reference, path, class_required
-            )
+        assert_reads_as_reference(path)
 
     @pytest.mark.parametrize("text", [
         b"a,b,class\n0,1,0\n1,1,1\n", b"a,b,class\r\n0,1,0\r\n", b" a ,class\n\n0, 1\n",
@@ -359,22 +368,17 @@ class TestReaderMatchesReference:
                 assert f"{path}:42: " in outcome[1]
 
     @staticmethod
-    def spy_on_scans(monkeypatch) -> list[tuple[bytes, bool]]:
+    def spy_on_scans(monkeypatch) -> list[tuple[bytes, str]]:
         """For every body ``_read_csv`` hands to ``_scan_rows``: its bytes,
-        and whether it is a view of the bytes read from the file."""
-        calls, files = [], []
-        scan, read = dataset._scan_rows, dataset.read_utf8_bytes
+        and the function that hands it (``_stream_rows`` for the file's own
+        bytes, ``_read_lines`` for a normalised body)."""
+        calls = []
+        scan = dataset._scan_rows
 
-        def read_spy(path):
-            files.append(read(path))
-            return files[-1]
+        def scan_spy(s, width, values, labels):
+            calls.append((s.tobytes(), sys._getframe(1).f_code.co_name))
+            return scan(s, width, values, labels)
 
-        def scan_spy(s, width, labelled):
-            own = np.shares_memory(s, np.frombuffer(files[-1], dtype=np.uint8))
-            calls.append((s.tobytes(), own))
-            return scan(s, width, labelled)
-
-        monkeypatch.setattr(dataset, "read_utf8_bytes", read_spy)
         monkeypatch.setattr(dataset, "_scan_rows", scan_spy)
         return calls
 
@@ -385,7 +389,7 @@ class TestReaderMatchesReference:
         names, values, labels = _read_csv(path, class_required=True)
         assert names == ("a", "b") and values.tolist() == [[0, 1], [1, 1]]
         assert labels.tolist() == [1, 0]
-        assert calls == [(b"0,1,1\n1,1,0\n", True)]  # one scan, of the file's own bytes
+        assert calls == [(b"0,1,1\n1,1,0\n", "_stream_rows")]  # one scan, of the file's own bytes
 
     def test_one_crlf_is_normalised(self, tmp_path, monkeypatch):
         calls = self.spy_on_scans(monkeypatch)
@@ -393,9 +397,33 @@ class TestReaderMatchesReference:
         path.write_bytes(b"a,b,class\n0,1,1\n1,1,0\r\n0,0,1\n")
         names, values, labels = _read_csv(path, class_required=True)
         assert values.tolist() == [[0, 1], [1, 1], [0, 0]] and labels.tolist() == [1, 0, 1]
-        # The raw scan fails on the second row; the first is kept, and only
-        # the body rebuilt from the lines after it is scanned.
-        assert calls == [(b"0,1,1\n1,1,0\r\n0,0,1\n", True), (b"1,1,0\n0,0,1\n", False)]
+        # The stream reads the body's three whole rows of bytes and fails on
+        # the second; the first is kept, and only the body rebuilt from the
+        # lines after it is scanned.
+        assert calls == [
+            (b"0,1,1\n1,1,0\r\n0,0,1", "_stream_rows"), (b"1,1,0\n0,0,1\n", "_read_lines"),
+        ]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("text", [
+        b"a,b,class\n0,1,1\n1,1,0\n", b"a,b,class\n0,1,1\n1,2,0\n",
+        b"\xef\xbb\xbfa,class\n0,1\r\n1,0\n", b"a,a,class\n0,1\n\xff\n",
+    ], ids=repr)
+    def test_pipe_reads_as_a_file(self, tmp_path, text):
+        # A pipe has no length to size the arrays from, so its body takes
+        # the general path from its first row, with the file's outcome.
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        pipe = tmp_path / "p.csv"
+        os.mkfifo(pipe)
+        for class_required in (True, False):
+            writer = threading.Thread(target=pipe.write_bytes, args=(text,), daemon=True)
+            writer.start()
+            got = parse_outcome(_read_csv, pipe, class_required)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            got = tuple(x.replace(str(pipe), str(path)) if isinstance(x, str) else x for x in got)
+            assert got == parse_outcome(_read_csv, path, class_required)
 
     def test_whitespace_and_breaks_are_pythons(self):
         chars = [chr(c) for c in range(0x110000)]
@@ -457,13 +485,80 @@ class TestReaderMatchesReference:
             data = bytearray(path.read_bytes())
             data[data.find(b"\n") + 1 + 80 * bad_row] = ord("7")
             path.write_bytes(data)
+        assert_reads_as_reference(path, cells=3 * 40)  # three rows a block
         for class_required in (True, False):
             outcome = parse_outcome(_read_csv, path, class_required)
-            assert outcome == parse_outcome(read_csv_reference, path, class_required)
             if bad_row is None:
                 assert outcome[2] == (20_000, 39)
             else:
                 assert outcome[:2] == (NonBinaryValue, f"{path}:19992: value '7' is not 0 or 1")
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
+    @pytest.mark.parametrize("cells", [None, 5 * 40], ids=["blocks as they are", "5-row blocks"])
+    def test_bad_byte_after_bad_token_wins(self, tmp_path, bom, cells):
+        # Several blocks of canonical rows, a bad token on line 10 002, and a
+        # byte that is not UTF-8 on line 10 006: the encoding error is
+        # raised, counted from the file's first byte, as if read whole.
+        rng = np.random.default_rng(11)
+        ds = Dataset(rng.integers(0, 2, (10_010, 39)).astype(np.uint8),
+                     rng.integers(0, 2, 10_010).astype(np.uint8))
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        data = bytearray(bom + path.read_bytes())
+        body = data.find(b"\n") + 1
+        assert 10_000 * 40 > 3 * dataset._BLOCK_CELLS
+        data[body + 80 * 10_000] = ord("2")
+        data[body + 80 * 10_004 + 6] = 0xFF
+        path.write_bytes(bytes(data))
+        offset = body + 80 * 10_004 + 6
+        with mock.patch.object(dataset, "_BLOCK_CELLS", cells or dataset._BLOCK_CELLS):
+            for class_required in (True, False):
+                outcome = parse_outcome(_read_csv, path, class_required)
+                assert outcome == (
+                    ParseError,
+                    f"{path}:10006: not UTF-8 text (invalid start byte at byte {offset})",
+                    10_006,
+                )
+                assert outcome == parse_outcome(read_csv_reference, path, class_required)
+
+    def test_marked_file_with_non_ascii_names_streams(self, tmp_path, monkeypatch):
+        # A byte-order mark and names that are not ASCII leave the header a
+        # line of its own, so the canonical body is still streamed, block by
+        # block, and reads as the reference reads it.
+        calls = self.spy_on_scans(monkeypatch)
+        rng = np.random.default_rng(12)
+        names = ("\u00e9t\u00e9", "\u6728", "g\u2019", "\U0001f333")
+        ds = Dataset(rng.integers(0, 2, (50, 4)).astype(np.uint8),
+                     rng.integers(0, 2, 50).astype(np.uint8), names)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with mock.patch.object(dataset, "_BLOCK_CELLS", 4 * 5):
+            for class_required in (True, False):
+                outcome = parse_outcome(_read_csv, path, class_required)
+                assert outcome == parse_outcome(read_csv_reference, path, class_required)
+                assert outcome[0] == names and outcome[2] == (50, 4)
+        assert len(calls) == 2 * 13
+        assert {caller for _, caller in calls} == {"_stream_rows"}
+
+    def test_load_memory_is_the_output_and_one_block(self, tmp_path):
+        # score-batch's score.csv shape: 20 000 x 151 cells, 6 MB of file
+        # for 3 MB of arrays. Reading the file whole took three times the
+        # output; a streamed load holds the output and one block.
+        rng = np.random.default_rng(13)
+        ds = Dataset(rng.integers(0, 2, (20_000, 150)).astype(np.uint8),
+                     rng.integers(0, 2, 20_000).astype(np.uint8))
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, ds.values)
+        assert np.array_equal(loaded.labels, ds.labels)
+        assert peak < ds.values.nbytes + ds.labels.nbytes + 2**20
 
 
 @pytest.mark.parametrize("brk", BREAKS, ids=repr)
@@ -847,6 +942,35 @@ class TestPairCounts:
         ds = self.stats_dataset(m, m, one_class=m == 256)
         assert (ds.labels == 1).sum() > 3 * 16
         self.assert_exact(ds)
+
+    @pytest.mark.parametrize("entries", [1, 60, 200, 25 * 25 - 1])
+    @pytest.mark.parametrize("rows", [16, dataset._GRAM_ROWS])
+    def test_statistics_add_up_across_output_blocks(self, monkeypatch, entries, rows):
+        # Blocks of 1, 2, 8 and 24 of the 25 output rows, the last block
+        # short, each summed over many row blocks or one: the one-product
+        # reference, exactly.
+        monkeypatch.setattr(dataset, "_GRAM_ENTRIES", entries)
+        monkeypatch.setattr(dataset, "_GRAM_ROWS", rows)
+        for m in (0, 90, 256):
+            self.assert_exact(self.stats_dataset(m, m + entries, one_class=m == 256))
+
+    def test_statistics_memory_grows_with_the_output_not_its_float32_product(self):
+        # 3000 features, 240 rows: the uint8 Gram matrices hold 2 n**2 bytes
+        # and the float32 rows 4 m n. One float32 product of n x n took
+        # 4 n**2 more (55 MB in all); a block of output rows takes at most
+        # 4 * _GRAM_ENTRIES bytes, plus its narrow copy.
+        n, m = 3000, 240
+        rng = np.random.default_rng(14)
+        ds = Dataset((rng.random((m, n)) < 0.3).astype(np.uint8),
+                     (rng.random(m) < 0.5).astype(np.uint8))
+        tracemalloc.start()
+        try:
+            stats = ds._class_stats
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats[0][0].dtype == np.uint8
+        assert peak < 2 * n * n + 4 * m * n + 8 * dataset._GRAM_ENTRIES
 
     @pytest.mark.parametrize("m", [255, 256])
     def test_counts_read_as_int64(self, m):

@@ -196,6 +196,14 @@ def test_closure_is_enumerated_only_by_build_dag():
     assert _where_named("_closure_matrix") == []
 
 
+def test_dataset_files_are_not_read_whole():
+    """``hierarchy.read_utf8_bytes`` is the one reader of a whole file: a
+    dataset's body is streamed a block at a time, and only the part after
+    its canonical rows is read in one piece, so a loader that slurps the
+    file again shows here."""
+    assert _where_named("read_bytes") == ["hierarchy.py:read_utf8_bytes"]
+
+
 def test_ranking_keeps_no_per_pair_array_or_cache():
     """Only ``mutual_info``'s full read builds every pair's indices: a
     ranking read in part streams its keys from Gram row blocks and keeps
