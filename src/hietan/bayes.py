@@ -144,7 +144,8 @@ def fit(
     active_features: Optional[Iterable[int]] = None,
     smoothing: float = 1.0,
 ) -> FittedClassifier:
-    """Estimate the prior and one CPT per active feature."""
+    """Estimate the prior and one CPT per active feature; an active feature
+    that is not an integer raises ``TypeError``, as in ``model_from_dict``."""
     smoothing = check_smoothing(smoothing)
     if ds.n_instances == 0:
         raise EmptyTrainingSet("cannot fit on zero instances")
@@ -155,7 +156,7 @@ def fit(
     if active_features is None:
         active = tuple(range(ds.n_features))
     else:
-        active = tuple(sorted(set(int(f) for f in active_features)))
+        active = tuple(sorted(set(map(_index, active_features))))
     for f in active:
         if not 0 <= f < ds.n_features:
             raise IndexOutOfRange(f"active feature {f} outside [0, {ds.n_features})")
@@ -305,7 +306,7 @@ def _read_only(values) -> np.ndarray:
 
 
 def _index(value) -> int:
-    """A model document's feature index: an int, not a bool or a float."""
+    """A feature index, in a model document or ``fit``: an int, not a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"feature index {value!r} is not an integer")
     return int(value)

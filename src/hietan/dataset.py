@@ -389,7 +389,11 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def subset(ds: Dataset, indices) -> Dataset:
-    idx = np.asarray(indices, dtype=np.int64)
+    """The rows at ``indices``, in order; a non-integer index or mask raises ``TypeError``."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise TypeError(f"row indices must be integers, not {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     # Indexing makes new C-contiguous copies of arrays already checked.
     return Dataset._own(ds.values[idx], ds.labels[idx], ds.feature_names)
 
@@ -549,7 +553,7 @@ def generate_synthetic_with_rule(
     )
     a, b = sorted(int(x) for x in rng.choice(candidates, size=2, replace=False))
     for _ in range(100):
-        if not (dag.ancestor_bits[b] | dag.descendant_bits[b]) >> a & 1:
+        if a not in dag.related_ixs[b]:
             break
         a, b = sorted(int(x) for x in rng.choice(candidates, size=2, replace=False))
     rule = PlantedRule(a, b)

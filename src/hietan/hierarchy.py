@@ -1,12 +1,12 @@
-"""Feature hierarchy DAG with precomputed ancestor and descendant closures.
+"""Feature hierarchy DAG with its precomputed ancestor closure.
 
 Features are dense 0-based indices. A directed edge ``(parent, child)`` states
 that the parent is the more generic feature, so the parent sits in every
 ancestor set along the child's upward paths. The hierarchy may be a full DAG
-(multiple parents per feature are allowed). Closures are stored as per-feature
-bitsets (arbitrary-precision ints) because the structure learners probe
-ancestor/descendant membership inside per-instance inner loops, and once more
-as (feature, ancestor) index arrays for the array code that checks datasets.
+(multiple parents per feature are allowed). The ancestor closure is stored as
+per-feature bitsets (arbitrary-precision ints), because the structure learners
+probe relatedness inside per-instance inner loops, and once more as (feature,
+ancestor) index arrays for the array code that checks datasets.
 
 External identifiers (e.g. ontology term names) are mapped onto indices by
 :func:`dag_from_edge_names`; the algorithm core never sees strings.
@@ -19,7 +19,8 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from operator import index
+from functools import reduce
+from operator import index, or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +34,7 @@ class FeatureDag:
     """Immutable feature hierarchy plus its transitive closure.
 
     ``ancestor_bits[i]`` has bit ``a`` set iff ``a`` is a (strict) ancestor of
-    ``i``; ``descendant_bits`` is the exact transpose. ``related_ixs[i]`` lists
+    ``i``; it is the only bitset form of the closure. ``related_ixs[i]`` lists
     ancestors and descendants of ``i`` in ascending order, precomputed because
     the redundancy-removal loop walks it for every accepted edge.
 
@@ -47,7 +48,6 @@ class FeatureDag:
     n_features: int
     edges: frozenset[tuple[int, int]]
     ancestor_bits: tuple[int, ...]
-    descendant_bits: tuple[int, ...]
     related_ixs: tuple[tuple[int, ...], ...]
     closure_features: np.ndarray = field(compare=False, repr=False)
     closure_ancestors: np.ndarray = field(compare=False, repr=False)
@@ -66,12 +66,13 @@ class FeatureDag:
 
     @property
     def sink_features(self) -> tuple[int, ...]:
-        """Features with no descendants (the most specific terms)."""
-        return tuple(i for i in range(self.n_features) if not self.descendant_bits[i])
+        """Features with no descendants (the most specific terms): in no ancestor bits."""
+        above = reduce(or_, self.ancestor_bits, 0)
+        return tuple(i for i in range(self.n_features) if not above >> i & 1)
 
 
 def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureDag:
-    """Validate the edge list and compute both closures.
+    """Validate the edge list and compute the ancestor closure.
 
     Raises :class:`CyclicHierarchy` instead of ever returning a cyclic
     structure, and :class:`IndexOutOfRange` for indices outside
@@ -109,13 +110,6 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
                 order.append(c)
     if len(order) != n_features:
         raise CyclicHierarchy("edge list contains a directed cycle")
-    # In reverse topological order a node's children are done before it.
-    desc = [0] * n_features
-    for v in reversed(order):
-        bits = 0
-        for c in children[v]:
-            bits |= desc[c] | 1 << c
-        desc[v] = bits
 
     feature, ancestor = _closure_arrays(anc, n_features)
     # Each feature's relatives, from its pairs read both ways, collected in
@@ -134,7 +128,7 @@ def build_dag(n_features: int, edge_list: Iterable[tuple[int, int]]) -> FeatureD
     for relatives in related:
         relatives.sort()
     return FeatureDag(
-        n_features, frozenset(edges), tuple(anc), tuple(desc),
+        n_features, frozenset(edges), tuple(anc),
         tuple([tuple(relatives) for relatives in related]), feature, ancestor,
     )
 

@@ -380,12 +380,12 @@ class _RankedPairs:
     lists; iteration chains them in C. ``len`` is the number of pairs.
     """
 
-    __slots__ = ("_count", "_blocks", "_score", "_next", "_keep", "_passes", "_kept",
-                 "_dropped", "_cut_key", "_taken", "_done", "_chunks")
+    __slots__ = ("_count", "_blocks", "_score", "_next", "_keep", "_kept", "_dropped",
+                 "_cut_key", "_taken", "_done", "_chunks")
 
     def __init__(self, count: int, blocks, score, first: int, keep: int):
         self._count, self._blocks, self._score = count, blocks, score
-        self._next, self._keep, self._passes = first, keep, 0
+        self._next, self._keep = first, keep
         self._kept = None  # (keys, positions) of the last pass, made at the first cut
         self._dropped = -(2**63)
         self._cut_key = None  # the last chunk's cut
@@ -441,7 +441,6 @@ class _RankedPairs:
         self._kept = keys[:size].copy(), positions[:size].copy()
         self._dropped = floor
         self._keep *= 4
-        self._passes += 1
 
     def _cut(self, size: int) -> int:
         """The key of the ``size``-th best remaining pair, from a kept set

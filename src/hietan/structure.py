@@ -73,7 +73,8 @@ All three learners share one scan, ``_scan``: a single loop over plain lists
 (component labels, parents with -1 for none, the active mask) and an
 insertion-ordered dict of undirected edges, with the constraint branches,
 both lazy gates and the deactivation written inline and the hierarchy read
-straight from its closure bits. The loop counts no scan
+straight from its ancestor bits: a pair is related iff either endpoint's
+bits hold the other. The loop counts no scan
 positions: each undirected edge is keyed by its accept order, which follows
 scan order, so propagation orders its trace entries as scan positions would.
 It never range-checks an endpoint. Each learner has an unchecked core,
@@ -147,11 +148,11 @@ def _as_tree(parent: list[int]) -> DependencyTree:
     return DependencyTree(tuple(None if p < 0 else p for p in parent))
 
 
-def _scan(edges, anc, desc, related, values: Optional[list[int]], trace: TraceFn):
+def _scan(edges, anc, related, values: Optional[list[int]], trace: TraceFn):
     """The greedy pass over the candidates: eager with ``values=None``, lazy
-    with an instance's 0/1 values. ``anc``/``desc`` are the hierarchy's
-    closure bits and ``related`` its relative lists (read only when lazy, and
-    each at most once).
+    with an instance's 0/1 values. ``anc`` holds the hierarchy's ancestor
+    bits and ``related`` its relative lists (read only when lazy, and each at
+    most once).
 
     Returns ``(parent, active, undirected, adj)``: each feature's parent (-1
     for none) and whether it stayed active, the edges still undirected as
@@ -187,12 +188,13 @@ def _scan(edges, anc, desc, related, values: Optional[list[int]], trace: TraceFn
                 if trace is not None:
                     trace({"decision": "rejected_cycle", "i": i, "j": j})
                 continue
-            if (anc[j] | desc[j]) >> i & 1:
+            up = anc[j] >> i & 1
+            if up or anc[i] >> j & 1:
                 if lazy and values[i] == values[j]:
                     if trace is not None:
                         trace({"decision": "rejected_redundant", "i": i, "j": j})
                     continue
-                p, c = (i, j) if anc[j] >> i & 1 else (j, i)
+                p, c = (i, j) if up else (j, i)
             elif parent[i] >= 0:
                 p, c = i, j
             elif parent[j] >= 0:
@@ -296,9 +298,7 @@ def _grow(edges, dag: FeatureDag, seed: int, values: Optional[list[int]], trace:
     """The constrained learners' pass: ``_scan`` over ``dag``, then seeded
     coins for the residual undirected edges. Returns the parent list (-1 for
     a root) and the active mask. Nothing is checked here."""
-    parent, active, undirected, adj = _scan(
-        edges, dag.ancestor_bits, dag.descendant_bits, dag.related_ixs, values, trace
-    )
+    parent, active, undirected, adj = _scan(edges, dag.ancestor_bits, dag.related_ixs, values, trace)
     if undirected:
         rng = random.Random(seed)
         while undirected:
@@ -316,7 +316,7 @@ def _tan(edges, n_features: int, seed: int) -> list[int]:
     """TAN's pass: ``_scan`` over no hierarchy, then every edge oriented away
     from a seeded random root; returns the parent list. Nothing is checked here."""
     unrelated = (0,) * n_features
-    parent, _, undirected, adj = _scan(edges, unrelated, unrelated, None, None, None)
+    parent, _, undirected, adj = _scan(edges, unrelated, None, None, None)
     root = random.Random(seed).randrange(n_features)
     # If the candidate list does not span every feature, leftover components
     # get oriented from their lowest-index vertex.

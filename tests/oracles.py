@@ -559,12 +559,16 @@ def insert_constrained(sets: EdgeSets, dag, i: int, j: int, trace) -> bool:
 
 def relatives(dag, v: int, kind: str) -> tuple[int, ...]:
     """``v``'s "ancestors", "descendants" or both ("related") in ``dag``,
-    ascending, read from its closure: the set bits of ``ancestor_bits[v]``
-    or ``descendant_bits[v]``, or ``related_ixs[v]``."""
+    ascending, read from its closure: the set bits of ``ancestor_bits[v]``,
+    the features whose ``ancestor_bits`` hold ``v``, or ``related_ixs[v]``."""
     if kind == "related":
         return dag.related_ixs[v]
-    bits = {"ancestors": dag.ancestor_bits, "descendants": dag.descendant_bits}[kind][v]
-    return tuple(u for u in range(dag.n_features) if bits >> u & 1)
+    anc = dag.ancestor_bits
+    if kind == "ancestors":
+        return tuple(u for u in range(dag.n_features) if anc[v] >> u & 1)
+    if kind == "descendants":
+        return tuple(u for u in range(dag.n_features) if anc[u] >> v & 1)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def is_redundant_pair(dag, values, a: int, b: int) -> bool:

@@ -292,6 +292,19 @@ class TestPredict:
         assert clf._log_cpts is table
         assert len(logged) == 2 + 8 * 3  # the prior, then 8 cells each for 0 (a root), 2 and 3
 
+    def test_active_features_must_be_integers(self):
+        # The rule of model_from_dict: a bool, a float or a string is no
+        # feature index, and NumPy integers are.
+        rng = np.random.default_rng(2)
+        ds = Dataset((rng.random((20, 4)) < 0.5).astype(np.uint8),
+                     (rng.random(20) < 0.5).astype(np.uint8))
+        tree = empty_tree(4)
+        for bad in ([0.9, True], ["1"], [1.0], [np.True_], np.array([0.0, 2.0])):
+            with pytest.raises(TypeError):
+                fit(ds, tree, bad)
+        got = fit(ds, tree, [np.int64(3), np.uint8(1), 1]).active_features
+        assert got == (1, 3) == fit(ds, tree, np.array([3, 1])).active_features
+
     def test_empty_active_features_uses_prior(self):
         values = np.array([[0], [0], [0]], dtype=np.uint8)
         ds = Dataset(values, np.array([1, 1, 0], dtype=np.uint8))

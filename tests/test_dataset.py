@@ -856,6 +856,19 @@ def test_subset_keeps_metadata():
     assert np.array_equal(sub.values, ds.values[[0, 2, 4]])
 
 
+def test_subset_takes_integer_indices_only():
+    # Cast to int64, a boolean mask would read as the row indices 1 and 0
+    # and a float would be truncated; an empty or integer selection works.
+    ds = _balanced_dataset(6, 6, n_features=4, seed=1)
+    for bad in ([True, False, True], [1.9], np.array([0.0]), ["1"], np.ones(12, bool)):
+        with pytest.raises(TypeError):
+            subset(ds, bad)
+    for rows in ([], range(0), np.array([], np.int64)):
+        assert subset(ds, rows).values.shape == (0, 4)
+    for rows in (range(2, 5), [np.int64(4), np.uint8(0)], np.array([3, 1], np.uint16)):
+        assert subset(ds, rows).labels.tolist() == ds.labels[list(rows)].tolist()
+
+
 def test_loaded_and_subset_arrays_are_not_checked_again(tmp_path, monkeypatch):
     ds = _balanced_dataset(6, 6, n_features=4, seed=1)
     save_dataset(ds, tmp_path / "d.csv")

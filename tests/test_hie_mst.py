@@ -377,8 +377,7 @@ def test_relatives_walked_once_per_scan():
     for k, (dag, n, edges, values, seed) in enumerate(stop_problems(9, 400)):
         values = values if k % 2 else None
         related = CountingLists(dag.related_ixs)
-        view = SimpleNamespace(ancestor_bits=dag.ancestor_bits,
-                               descendant_bits=dag.descendant_bits, related_ixs=related)
+        view = SimpleNamespace(ancestor_bits=dag.ancestor_bits, related_ixs=related)
         parent, active = _grow(edges, view, seed, values, None)
         (ref_tree, ref_active), trace = traced(grow_reference, edges, dag, n, seed, values)
         assert tuple(None if p < 0 else p for p in parent) == ref_tree.parent_of

@@ -97,10 +97,12 @@ class TestBuildDag:
         rng = random.Random(8)
         for trial in range(20):
             n = rng.randrange(1, 70)
-            dag = build_dag(n, random_dag(n, rng.randrange(0, 3 * n), seed=200 + trial))
+            edges = random_dag(n, rng.randrange(0, 3 * n), seed=200 + trial)
+            dag = build_dag(n, edges)
+            up = [bfs_ancestors(n, edges, v) for v in range(n)]
             for v in range(n):
-                bits = dag.ancestor_bits[v] | dag.descendant_bits[v]
-                assert dag.related_ixs[v] == tuple(i for i in range(n) if bits >> i & 1)
+                related = up[v] | {u for u in range(n) if v in up[u]}
+                assert dag.related_ixs[v] == tuple(sorted(related))
 
     def test_transpose_swaps_closures(self):
         rng = random.Random(3)
@@ -109,8 +111,9 @@ class TestBuildDag:
             edges = random_dag(n, rng.randrange(0, 2 * n), seed=100 + trial)
             fwd = build_dag(n, edges)
             rev = build_dag(n, [(c, p) for p, c in edges])
-            assert fwd.ancestor_bits == rev.descendant_bits
-            assert fwd.descendant_bits == rev.ancestor_bits
+            for v in range(n):
+                assert relatives(fwd, v, "ancestors") == relatives(rev, v, "descendants")
+                assert relatives(fwd, v, "descendants") == relatives(rev, v, "ancestors")
 
     def test_closure_oracle_up_to_50_nodes(self):
         rng = random.Random(11)
@@ -144,8 +147,8 @@ def edge_lists(draw, max_n=140):
 
 class TestClosureArrays:
     """``build_dag``'s one walk over the ancestor bits: the stored (feature,
-    ancestor) arrays, ``descendant_bits`` and ``related_ixs`` against
-    references built from the ancestor sets alone."""
+    ancestor) arrays, the descendants read off the ancestor bits, and
+    ``related_ixs`` against references built from the ancestor sets alone."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(edge_lists())
@@ -162,18 +165,26 @@ class TestClosureArrays:
             with pytest.raises(ValueError):
                 stored[:1] = 0
         assert list(zip(dag.closure_features.tolist(), dag.closure_ancestors.tolist())) == pairs
-        desc = [0] * n
+        desc = [[] for _ in range(n)]
         related = [[] for _ in range(n)]
         for f, a in pairs:
-            desc[a] |= 1 << f
+            desc[a].append(f)
             related[f].append(a)
             related[a].append(f)
-        assert dag.descendant_bits == tuple(desc)
-        assert all(type(bits) is int for bits in dag.ancestor_bits + dag.descendant_bits)
+        assert [relatives(dag, v, "descendants") for v in range(n)] == [tuple(d) for d in desc]
+        assert all(type(bits) is int for bits in dag.ancestor_bits)
         assert dag.related_ixs == tuple(tuple(sorted(r)) for r in related)
         assert all(type(v) is int for r in dag.related_ixs for v in r)
         assert dag.edges == frozenset(plain)
         assert all(type(v) is int for edge in dag.edges for v in edge)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(edge_lists())
+    def test_sinks_are_no_features_ancestors(self, drawn):
+        n, edges = drawn
+        plain = [(int(p), int(c)) for p, c in edges]
+        above = set().union(*(bfs_ancestors(n, plain, v) for v in range(n)))
+        assert build_dag(n, edges).sink_features == tuple(v for v in range(n) if v not in above)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(edge_lists(), st.randoms(use_true_random=False))

@@ -684,6 +684,19 @@ def record_exact_pairs(monkeypatch):
     return sizes
 
 
+def record_passes(monkeypatch):
+    """Wrap ``_RankedPairs._pass`` and return a ``Counter`` of the passes
+    each ranking makes, keyed by the ranking."""
+    passes, run = Counter(), _RankedPairs._pass
+
+    def counting(self):
+        passes[self] += 1
+        return run(self)
+
+    monkeypatch.setattr(_RankedPairs, "_pass", counting)
+    return passes
+
+
 class TestCoarseKeys:
     """A chunk's cut is chosen on integer keys, each within _KEY_ERROR of
     2**48 times its pair's score, and only pairs near or above the cut get
@@ -772,14 +785,15 @@ class TestCoarseKeys:
         dag = build_dag(60, random_dag(60, 40, 11))
         train = subset(ds, stratified_folds(ds, 5, 11).train_indices(0))
         exact = record_exact_pairs(monkeypatch)
+        passes = record_passes(monkeypatch)
         ranked = _ranked_pairs(train, dag)
         trees = _tan(ranked, 60, 1), _grow(ranked, dag, 1, None, None)
-        assert 60 <= sum(exact) < len(ranked) // 4 and ranked._passes == 1
+        assert 60 <= sum(exact) < len(ranked) // 4 and passes[ranked] == 1
         want = rank_edges_reference(train, 1.0)
         assert (_tan(want, 60, 1), _grow(want, dag, 1, None, None)) == trees
         exact.clear()
         full = _ranked_pairs(train, dag)  # rank_edges' object
-        assert full.tolist() == want and full._passes == 0
+        assert full.tolist() == want and passes[full] == 0
         assert exact == [len(want)]
 
     def test_errors_raise_before_any_read(self):
@@ -816,13 +830,14 @@ class TestCoarseKeys:
         ds = generate_synthetic(build_dag(60, random_dag(60, 40, 11)), 150, 0.3, 0.05, 11)
         dag = build_dag(60, random_dag(60, 40, 11))
         monkeypatch.setattr(mutual_info, "_first_keep", lambda n: n)
+        passes = record_passes(monkeypatch)
         ranked = _ranked_pairs(ds, dag)
         want = rank_edges(ds, dag)
         assert _tan(ranked, 60, 1) == _tan(want, 60, 1)
-        assert ranked._passes >= 2
+        assert passes[ranked] >= 2
         assert list(ranked) == want
 
-    def test_ranking_memory_grows_with_n_not_n_squared(self):
+    def test_ranking_memory_grows_with_n_not_n_squared(self, monkeypatch):
         # 1 999 000 pairs: one int64 array over them takes 16 MB, and the
         # keys, cached indices and unsorted list of one read peaked at 67 MB.
         # Now a pass holds at most 96 n (key, position) entries, and what
@@ -832,6 +847,7 @@ class TestCoarseKeys:
         dag = build_dag(n, random_dag(n, 8 * n // 5, 1))
         ds = generate_synthetic(dag, rows, 0.3, 0.05, 1)
         ds._class_stats  # the dataset's cache, 2 n**2 bytes, built before
+        passes = record_passes(monkeypatch)
         tracemalloc.start()
         try:
             ranked = _ranked_pairs(ds, dag)
@@ -839,5 +855,5 @@ class TestCoarseKeys:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ranked._passes == 1
+        assert passes[ranked] == 1
         assert peak < 10_000 * n

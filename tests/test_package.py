@@ -196,6 +196,13 @@ def test_closure_is_enumerated_only_by_build_dag():
     assert _where_named("_closure_matrix") == []
 
 
+def test_hierarchy_keeps_one_bitset_closure():
+    """The learners, the generator and ``sink_features`` read every
+    relation off ``ancestor_bits``; no descendant bitsets are built or kept
+    beside them."""
+    assert _where_named("descendant_bits") == []
+
+
 def test_dataset_files_are_not_read_whole():
     """``hierarchy.read_utf8_bytes`` is the one reader of a whole file: a
     dataset's body is streamed a block at a time, and only the part after
