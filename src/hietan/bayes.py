@@ -49,20 +49,26 @@ class FittedClassifier:
         return self.tree.n_features
 
     @cached_property
+    def _tables(self) -> np.ndarray:
+        """The active CPTs stacked as ``_cpts`` makes them, (m, y, x_source, x):
+        ``fit`` hands over its own; any other classifier stacks ``cpts`` once."""
+        tables = map(self.cpts.get, self.active_features)
+        return np.reshape([t if t.ndim == 3 else t[:, None].repeat(2, 1) for t in tables],
+                          (-1, 2, 2, 2))
+
+    @cached_property
     def _log_cpts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """``(pairs, sources, features, first, n)``: the ``_log_pairs`` of the
-        prior and the active features' CPTs, whose row k reads x_source at
-        column ``sources[k]`` (its parent, or itself for a root; 0 for the
-        prior) and x at ``features[k]``, from pair ``first[0, k]`` = 4k on; n
-        is the row length. ``fit`` and ``model_from_dict`` make the public
-        fields read-only, so this is built once per classifier."""
+        prior and the ``_tables`` stack, whose row k reads x_source at column
+        ``sources[k]`` (its parent, or itself for a root; 0 for the prior) and
+        x at ``features[k]``, from pair ``first[0, k]`` = 4k on; n is the row
+        length. ``fit`` and ``model_from_dict`` make the public fields
+        read-only, so this is built once per classifier."""
         active = self.active_features
         parents = [self.tree.parent_of[f] for f in active]
-        # Each CPT over (y, x_source, x); a root's (y, x) repeats over x_source.
-        tables = [t if t.ndim == 3 else t[:, None].repeat(2, 1) for t in map(self.cpts.get, active)]
         sources = [0] + [f if p is None else p for f, p in zip(active, parents)]
         return (
-            _log_pairs(self.class_prior, np.reshape(tables, (-1, 2, 2, 2))),
+            _log_pairs(self.class_prior, self._tables),
             np.array(sources, dtype=np.intp),
             np.array((0,) + active, dtype=np.intp),
             np.arange(0, 4 * len(sources), 4)[None, :],
@@ -119,23 +125,24 @@ def _cpts(stats, sources: np.ndarray, features: np.ndarray, smoothing: float) ->
 
 
 def _logs(cells: np.ndarray) -> np.ndarray:
-    """Scalar ``math.log`` of every cell (``np.log`` differs in the last
-    bit); log 0 is -inf."""
-    out = np.full(cells.shape, -np.inf)
-    live = cells > 0.0
-    out[live] = list(map(math.log, cells[live].tolist()))
-    return out
+    """Scalar ``math.log`` of every cell (``np.log`` differs in the last bit),
+    called once per distinct positive value and gathered back; log 0 is -inf."""
+    values, at = np.unique(cells, return_inverse=True)
+    logs = np.full(values.shape, -np.inf)
+    live = values > 0.0
+    logs[live] = list(map(math.log, values[live].tolist()))
+    return logs[at].reshape(cells.shape)
 
 
 def _log_pairs(prior: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """The (4(m + 1), 2) log pairs over y of the prior and the m (y,
     x_source, x) CPTs ``tables`` (a root's repeated over x_source): pair 4k +
     2 x_source + x is row k's, row 0 being the prior, repeated over both
-    values."""
+    values. One ``_logs`` call covers them all."""
     out = np.empty((len(tables) + 1, 2, 2, 2))  # (row, x_source, x, y)
-    out[0] = _logs(prior)
-    out[1:] = np.moveaxis(_logs(tables), 1, 3)
-    return out.reshape(-1, 2)
+    out[0] = prior
+    out[1:] = np.moveaxis(tables, 1, 3)
+    return _logs(out).reshape(-1, 2)
 
 
 def fit(
@@ -172,12 +179,10 @@ def fit(
     sources = np.array([f if p is None else p for f, p in zip(active, parents)], np.intp)
     tables = _cpts(ds._class_stats, sources, np.array(active, np.intp), smoothing)
     tables.setflags(write=False)  # the CPTs below are views and inherit this
-    cpts = {
-        f: tables[k, :, 0] if parent is None else tables[k]
-        for k, (f, parent) in enumerate(zip(active, parents))
-    }
+    # Iterating the stack makes its views in C, faster than indexing it per feature.
+    cpts = {f: t[:, 0] if p is None else t for f, p, t in zip(active, parents, tables)}
 
-    return FittedClassifier(
+    clf = FittedClassifier(
         tree=tree,
         class_prior=prior,
         cpts=cpts,
@@ -185,6 +190,8 @@ def fit(
         active_features=active,
         feature_names=ds.feature_names,
     )
+    clf.__dict__["_tables"] = tables  # the stack the CPTs view, as ``_tables`` would rebuild it
+    return clf
 
 
 # Rows per chunk in ``_log_posteriors``. An eager chunk peaks at about 56 bytes

@@ -407,8 +407,8 @@ class _RankedPairs:
             k += 1
 
     def _pass(self) -> None:
-        """Keep the ``_keep`` best-keyed untaken pairs, and record the
-        highest key dropped."""
+        """Keep the ``_keep`` best-keyed untaken pairs at ascending positions,
+        compacted in place by index, and record the highest key dropped."""
         keep, upper, taken = self._keep, self._cut_key, np.sort(self._taken)
         cap = min(keep + keep // 2, self._count)  # no pass holds more than every pair
         keys, positions = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
@@ -427,9 +427,10 @@ class _RankedPairs:
             while new.size:
                 if size == cap:  # full: keep the ``keep`` best, strictly above kth
                     floor = int(np.partition(keys, cap - keep)[cap - keep])
-                    live = keys > floor
-                    size = int(np.count_nonzero(live))
-                    keys[:size], positions[:size] = keys[live], positions[live]
+                    live = np.flatnonzero(keys > floor)  # by index: a mask selects slower
+                    size = live.size
+                    keys[:size] = keys.take(live)  # one temporary at a time
+                    positions[:size] = positions.take(live)
                     new = new[block[new] > floor]
                     continue
                 put = new[: cap - size]
@@ -476,8 +477,11 @@ class _RankedPairs:
             near, i, j, scores = near[taken], i[taken], j[taken], scores[taken]
             rest = np.ones(keys.size, dtype=bool)
             rest[near] = False
+            rest = np.flatnonzero(rest)  # compacted in place by index, as in ``_pass``
             self._taken = np.concatenate((self._taken, positions[near]))
-            self._kept = keys[rest], positions[rest]
+            keys[: rest.size] = keys.take(rest)
+            positions[: rest.size] = positions.take(rest)
+            self._kept = keys[: rest.size], positions[: rest.size]
             self._cut_key = cut
         order = np.argsort(-scores, kind="stable")
         self._done += scores.size

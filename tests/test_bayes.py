@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hietan import bayes
 from hietan.bayes import (
@@ -201,6 +203,51 @@ def row_forms(row):
     )
 
 
+def positive_cells(*tables):
+    """The distinct positive cells of ``tables``, ascending."""
+    cells = np.concatenate([np.ravel(t) for t in tables])
+    return sorted(set(cells[cells > 0.0].tolist()))
+
+
+def log_oracle(cells):
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in np.ravel(cells).tolist()])
+
+
+@st.composite
+def log_cells(draw):
+    """Cells for ``_logs``: zeros, subnormals, 1.0 and its neighbours and any
+    non-negative double, many repeated, as a vector or as (k, 2, 2)."""
+    pool = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                             math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 0.5]),
+            st.floats(0.0, 1.0),
+            st.floats(min_value=0.0, allow_infinity=False),
+        ),
+        min_size=1, max_size=12,
+    ))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=48))
+    cells = np.array([pool[k] for k in picks], dtype=np.float64)
+    if draw(st.booleans()):
+        cells = cells[: cells.size // 4 * 4].reshape(-1, 2, 2)
+    return cells
+
+
+@st.composite
+def fitted_problems(draw):
+    """(dataset, tree, active, smoothing): up to 6 features, a random forest
+    over all of them or over an active subset (empty included), and
+    smoothing 0 among the values."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    bits = st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n)
+    values = np.array(draw(bits), dtype=np.uint8).reshape(m, n)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)), dtype=np.uint8)
+    active = draw(st.none() | st.frozensets(st.integers(0, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = random_forest(rng, range(n) if active is None else sorted(active), n)
+    return Dataset(values, labels), tree, active, draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+
+
 def prediction_bits(pred):
     return pred.label, struct.pack("<dd", *pred.log_posterior)
 
@@ -278,6 +325,9 @@ class TestPredict:
                 predict(clf, form)
 
     def test_log_table_built_once(self, monkeypatch):
+        # The table is built once, and it logs each distinct positive cell of
+        # the prior and the CPTs once: fewer calls than the 2 + 8 * 3 cells
+        # of the prior and of 0 (a root, repeated over x_source), 2 and 3.
         logged = []
         monkeypatch.setattr(
             bayes, "math", SimpleNamespace(log=lambda p: logged.append(p) or math.log(p))
@@ -285,12 +335,26 @@ class TestPredict:
         rng = np.random.default_rng(2)
         ds = Dataset((rng.random((20, 4)) < 0.5).astype(np.uint8),
                      (rng.random(20) < 0.5).astype(np.uint8))
-        clf = fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3})
-        table = clf._log_cpts
-        for row in ds.values:
-            predict(clf, row)
-        assert clf._log_cpts is table
-        assert len(logged) == 2 + 8 * 3  # the prior, then 8 cells each for 0 (a root), 2 and 3
+        for smoothing in (0.0, 1.0):
+            logged.clear()
+            clf = fit(ds, DependencyTree((None, 0, 0, 2)), {0, 2, 3}, smoothing)
+            table = clf._log_cpts
+            for row in ds.values:
+                predict(clf, row)
+            assert clf._log_cpts is table
+            assert sorted(logged) == positive_cells(clf.class_prior, *clf.cpts.values())
+            assert len(logged) < 2 + 8 * 3
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(log_cells())
+    @example(np.array([0.9833347065534214, 0.0, 0.9833347065534214, 1.0]))
+    def test_logs_equal_scalar_log(self, cells):
+        # One math.log per distinct value, gathered back, is math.log of
+        # every cell, bit for bit; 0.0 (and -0.0) give -inf. The example's
+        # value has an np.log one ulp off math.log's (NumPy 2.4 on x86-64).
+        got = bayes._logs(cells)
+        assert got.shape == cells.shape
+        assert got.ravel().tobytes() == log_oracle(cells).tobytes()
 
     def test_active_features_must_be_integers(self):
         # The rule of model_from_dict: a bool, a float or a string is no
@@ -543,27 +607,42 @@ class TestLazyPredict:
                 assert_lazy_matches_fit(train, rows, lazy, 1.0)
 
     def test_each_distinct_cpt_logged_once_per_chunk(self, monkeypatch):
-        # Per chunk: the prior's 2 cells, then 8 per distinct root or
-        # (parent, feature) pair, however many rows share them.
-        logged = []
+        # Per chunk: each distinct positive cell of the prior and of the
+        # chunk's distinct root or (parent, feature) CPTs, logged once,
+        # however many rows or CPTs share it.
+        logged, chunks = [], []
         monkeypatch.setattr(
             bayes, "math", SimpleNamespace(log=lambda p: logged.append(p) or math.log(p))
         )
+        log_pairs = bayes._log_pairs
+        monkeypatch.setattr(
+            bayes, "_log_pairs", lambda *args: chunks.append(len(logged)) or log_pairs(*args)
+        )
         monkeypatch.setattr(bayes, "_CHUNK_ROWS", 4)
+
+        def logged_per_chunk():
+            got = [sorted(logged[a:b]) for a, b in zip(chunks, chunks[1:] + [len(logged)])]
+            logged.clear()
+            chunks.clear()
+            return got
+
         for seed in range(3):
             for train, rows, lazy in lazy_folds(seed, 1.0):
-                parents, active = lazy_arrays(lazy, train.n_features)
-                want = 0
+                n = train.n_features
+                parents, active = lazy_arrays(lazy, n)
+                prior = bayes._class_prior(train, 1.0)
+                want = []
                 for start in range(0, len(rows), 4):
                     at, features = np.nonzero(active[start : start + 4])
-                    cpts = set(zip(parents[start + at, features].tolist(), features.tolist()))
-                    want += 2 + 8 * len(cpts)
-                logged.clear()
+                    tables = [prior]
+                    for p, f in set(zip(parents[start + at, features].tolist(), features.tolist())):
+                        tree = DependencyTree(tuple(p if g == f and p >= 0 else None for g in range(n)))
+                        tables.append(fit_reference(train, tree, {f, p} - {-1}, 1.0).cpts[f])
+                    want.append(positive_cells(*tables))
                 bayes._lazy_predict(train, rows, parents, active, 1.0)
-                assert len(logged) == want
-                logged.clear()
+                assert logged_per_chunk() == want
                 bayes._lazy_predict(train, rows[:0], parents[:0], active[:0], 1.0)
-                assert len(logged) == 2
+                assert logged_per_chunk() == [positive_cells(prior)]
 
     def test_zero_counts_and_zero_rows_at_smoothing_zero(self):
         # Class 0 never has x0 = 0, so under 0 -> 1 its row at x0 = 0 has no
@@ -670,6 +749,26 @@ class TestSerialization:
         assert again.class_prior.tobytes() == clf.class_prior.tobytes()
         for f, table in clf.cpts.items():
             assert again.cpts[f].tobytes() == table.tobytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(fitted_problems())
+    def test_one_log_layout_however_built(self, problem):
+        # fit hands its CPT stack over; a loaded or directly built classifier
+        # stacks its cpts dict. Both give the same logs, bit for bit.
+        ds, tree, active, smoothing = problem
+        clf = fit(ds, tree, active, smoothing)
+        for table in clf.cpts.values():
+            assert table.base is clf._tables
+        loaded = model_from_dict(model_to_dict(clf))
+        direct = FittedClassifier(clf.tree, clf.class_prior, dict(clf.cpts), clf.smoothing,
+                                  clf.active_features, clf.feature_names)
+        for other in (loaded, direct):
+            assert "_tables" not in vars(other)
+            *arrays, n = other._log_cpts
+            assert n == clf._log_cpts[-1]
+            for got, want in zip(arrays, clf._log_cpts):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ParseError):

@@ -765,6 +765,44 @@ class TestCoarseKeys:
         assert list(ranked) == list(zip(i[order].tolist(), (i + 1)[order].tolist(),
                                         scores[order].tolist()))
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.tuples(st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+                              st.integers(-9, 9)), min_size=1, max_size=120),
+           st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 2, 5, 64]), st.integers(1, 6),
+           st.integers(0, 2**16))
+    def test_a_pass_keeps_the_untaken_pairs_above_dropped_in_order(self, units, first, keep,
+                                                                   blocks, seed):
+        # Keys as in the test above, streamed in random blocks. A pass, first
+        # on a fresh object, then after random reads have taken some chunks,
+        # keeps exactly the untaken pairs keyed above what it dropped, at
+        # ascending positions with their own keys. It drops only keys tied
+        # at or below its keep-th best, so at least min(keep, untaken) pairs
+        # are keyed at or above it, and it drops none when all fit.
+        rng = random.Random(seed)
+        scores = np.array([u for u, _ in units]) * 2.0**-48
+        keys = np.array([u + off for u, off in units], dtype=np.int64)
+        cuts = sorted(rng.sample(range(1, len(units)), min(blocks - 1, len(units) - 1)))
+        i = np.arange(len(units))
+        ranked = _RankedPairs(
+            len(units), lambda: iter(np.split(keys, cuts)),
+            lambda p: (i, i + 1, scores) if p is None else (p, p + 1, scores[p]), first, keep)
+        for read in sorted((0, rng.randrange(len(units) + 1), rng.randrange(len(units) + 1))):
+            list(itertools.islice(ranked, read))
+            if ranked._taken is None:  # the remainder was sorted whole, with no pass
+                break
+            taken = set(ranked._taken.tolist())
+            untaken = np.array([p for p in range(len(units)) if p not in taken], dtype=np.int64)
+            ranked._keep = keep  # as small as the first pass's, so that it may drop
+            ranked._pass()
+            kept_keys, positions = ranked._kept
+            dropped = ranked._dropped
+            assert np.array_equal(kept_keys, keys[positions])
+            assert np.all(np.diff(positions) > 0)
+            assert np.array_equal(positions, untaken[keys[untaken] > dropped])
+            assert np.count_nonzero(keys[untaken] >= dropped) >= min(keep, untaken.size)
+            if dropped == -(2**63):
+                assert np.array_equal(positions, untaken)
+
     def test_tied_keys_settle_in_one_band(self, monkeypatch):
         # At smoothing 1e9 every score is under 2**-48 here, so every key
         # lies within _KEY_ERROR of 0 and the first band takes every pair
